@@ -10,8 +10,7 @@ from scarr.data_model import load_dataset
 
 dataset = load_dataset("data/mini")
 rows, _ = cov.build_covariates(dataset)
-drows = step1.design_rows_from_covariates(dataset, rows)
-design = step1.assemble_design(dataset, drows)
+design = step1.assemble_design(dataset, rows)
 print(f"design: {design.X.shape[0]} observations x {len(design.names)} columns")
 print("columns:", ", ".join(design.names))
 

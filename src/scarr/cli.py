@@ -20,13 +20,7 @@ import sys
 import numpy as np
 
 from scarr import __version__, covariates as cov, oracle, prediction, step1, step2
-from scarr.data_model import (
-    interval_mean,
-    load_dataset,
-    nearest_cmaq_centroid,
-    read_keyvalue,
-    write_dataset,
-)
+from scarr.data_model import load_dataset, read_keyvalue, write_dataset
 from scarr.errors import ConfigError, ConvergenceError, DataError
 
 EXIT_CONFIG = 2
@@ -60,13 +54,6 @@ def _read_optional_config(dataset_dir: str, name: str, override: str | None) -> 
     return {}
 
 
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(int(args.jobs), 1)
-    env = os.environ.get("SCARR_JOBS")
-    return max(int(env), 1) if env else 1
-
-
 def cmd_simulate(args) -> int:
     cfg = oracle.SimulationConfig(seed=args.seed)
     if args.days:
@@ -81,11 +68,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_features(args) -> int:
     dataset = load_dataset(args.dataset)
-    rows, warnings = cov.build_covariates(dataset)
+    kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
+    spec = step1.parse_step1_config(kv).buffer_spec
+    rows, warnings = cov.build_covariates(dataset, spec)
     for w in warnings:
         _log(f"features: warning: {w}")
     out = _out_dir(args.dataset, args.out)
-    cov.write_covariates(rows, os.path.join(out, "covariates.csv"))
+    cov.write_covariates(rows, os.path.join(out, "covariates.csv"), spec, _header(kv))
     _log(f"features: wrote {len(rows)} covariate rows")
     return 0
 
@@ -95,8 +84,7 @@ def _run_step1(dataset, kv):
     rows, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
     for w in warnings:
         _log(f"fit-step1: warning: {w}")
-    drows = step1.design_rows_from_covariates(dataset, rows)
-    design = step1.assemble_design(dataset, drows, cfg)
+    design = step1.assemble_design(dataset, rows, cfg)
     for w in design.warnings:
         _log(f"fit-step1: warning: {w}")
     if design.rank_deficient:
@@ -124,6 +112,7 @@ def _run_step1(dataset, kv):
         idx = [design.names.index(nm) for nm in fit.names]
         press, rmspe = step1.loocv_press(fit, design.X[:, idx], design.y)
         fit.press, fit.rmspe = press, rmspe
+    fit.spec = cfg.buffer_spec
     return cfg, fit
 
 
@@ -151,8 +140,8 @@ def cmd_fit_step2(args) -> int:
     s1fit = step1.read_step1_fit(fit_path)
     kv = _read_optional_config(args.dataset, "step2_config.txt", args.config)
     cfg = step2.parse_step2_config(kv)
-    inputs, site_ids, T = prediction.build_dlm_inputs(dataset, s1fit)
-    _log(f"fit-step2: {len(site_ids)} sites x {T} days")
+    inputs = prediction.build_dlm_inputs(prediction.Targets(dataset, s1fit))
+    _log(f"fit-step2: {inputs.n_sites} sites x {inputs.n_days} days")
     params = step2.fit_mle(inputs, gamma_hat=step1.gamma_hat(s1fit), config=cfg)
     step2.write_step2_fit(params, os.path.join(out, "step2_fit.txt"), _header(kv))
     est = step2.kalman_smoother(params, inputs)
@@ -180,47 +169,32 @@ def _load_fits(dataset_dir, out):
     return step1.read_step1_fit(s1_path), step2.read_step2_fit(s2_path)
 
 
-def _site_prediction(dataset, s1fit, params, inputs, site, segments,
-                     days, smoothed):
-    static = cov.site_static_covariates(dataset, site, segments)
-    T = inputs.n_days
-    c_new = np.array(
-        [prediction.c_tilde_for_day(s1fit, static, dataset.manifest.dyr(d))
-         for d in range(1, T + 1)]
-    )
-    pid = static["cmaq_pixel"]
-    y1_new = np.full(T, np.nan)
-    if pid is not None and pid in dataset.cmaq.series:
-        ser = dataset.cmaq.series[pid]
-        y1_new[ser.days - 1] = ser.values
-    usable = [d for d in days if np.isfinite(y1_new[d - 1])]
-    if not usable:
-        raise DataError(f"predict: no usable days for site {site.id}")
-    return prediction.predict_site(
-        site.id, params, inputs, c_new, y1_new, days=usable, smoothed=smoothed
-    )
-
-
-def cmd_predict(args) -> int:
+def _prediction_setup(args):
+    """(out dir, predict config, targets, Step II params, state path): one
+    filter or smoother pass that every target's prediction shares."""
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
     s1fit, params = _load_fits(args.dataset, out)
     kv = _read_optional_config(args.dataset, "predict_config.txt", args.config)
     smoothed = bool(args.smoothed) or kv.get("smoothed", "false") == "true"
-    inputs, site_ids, T = prediction.build_dlm_inputs(dataset, s1fit)
-    segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-    days = list(range(1, T + 1))
+    targets = prediction.Targets(dataset, s1fit)
+    inputs = prediction.build_dlm_inputs(targets)
+    return out, kv, targets, params, prediction.state_path(params, inputs, smoothed)
 
-    targets = sorted(
+
+def cmd_predict(args) -> int:
+    out, kv, targets, params, state = _prediction_setup(args)
+    dataset = targets.dataset
+    sites = sorted(
         dataset.sites_with_role("dense_time") + dataset.sites_with_role("prediction"),
         key=lambda s: s.id,
     )
     preds = []
-    for site in targets:
-        preds.append(
-            _site_prediction(dataset, s1fit, params, inputs, site, segments,
-                             days, smoothed)
-        )
+    for site in sites:
+        p = prediction.predict_site(site.id, params, state, *targets.offsets(site))
+        if not p.n_days:
+            raise DataError(f"predict: no usable days for site {site.id}")
+        preds.append(p)
     prediction.write_site_predictions(
         preds, os.path.join(out, "site_predictions.csv"), _header(kv)
     )
@@ -234,63 +208,54 @@ def cmd_predict(args) -> int:
         x_ll = float(kv.get("grid_xll", "0"))
         y_ll = float(kv.get("grid_yll", "0"))
         grids = prediction.predict_grid(
-            dataset, s1fit, params, inputs, n_cols, n_rows, x_ll, y_ll, cell,
-            grid_days, smoothed=smoothed,
+            targets, params, state, n_cols, n_rows, x_ll, y_ll, cell, grid_days
         )
         paths = prediction.write_prediction_rasters(grids, os.path.join(out, "rasters"))
         _log(f"predict: wrote {len(paths)} raster(s)")
     return 0
 
 
-def _compute_metrics(dataset, s1fit, params, inputs, smoothed):
-    segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-    T = inputs.n_days
-    days_all = list(range(1, T + 1))
+def _compute_metrics(targets, params, state):
+    """Predictions against the dense sites' daily series and the interval
+    observations, next to the raw gridded values y1 on the same days."""
+    dataset = targets.dataset
+
+    def predict(site):
+        c_tilde, y1 = targets.offsets(site)
+        p = prediction.predict_site(site.id, params, state, c_tilde, y1)
+        return p, y1[p.days - 1]
 
     predictions, observations, raw = {}, {}, {}
-    for site in sorted(dataset.sites_with_role("dense_time"), key=lambda s: s.id):
+    for site in targets.dense:
         ser = dataset.daily_series.get(site.id)
-        if ser is None:
-            continue
-        p = _site_prediction(dataset, s1fit, params, inputs, site, segments,
-                             days_all, smoothed)
-        predictions[site.id] = (p.days, p.pred)
-        observations[site.id] = (ser.days, ser.values)
-        pid = nearest_cmaq_centroid(site, dataset.cmaq)
-        cser = dataset.cmaq.series.get(pid)
-        if cser is not None:
-            raw[site.id] = (cser.days, cser.values)
+        if ser is not None:
+            p, y1 = predict(site)
+            predictions[site.id] = (p.days, p.pred)
+            observations[site.id] = (ser.days, ser.values)
+            raw[site.id] = (p.days, y1)
 
+    at_site = {}
+    for site_id in dict.fromkeys(obs.site_id for obs in dataset.interval_obs):
+        try:
+            at_site[site_id] = predict(dataset.sites[site_id])
+        except DataError:
+            continue  # e.g. outside every census tract: its intervals are skipped
     interval_pairs, raw_pairs = [], []
     for obs in dataset.interval_obs:
-        site = dataset.sites[obs.site_id]
-        try:
-            p = _site_prediction(
-                dataset, s1fit, params, inputs, site, segments,
-                list(range(obs.t_start, obs.t_end + 1)), smoothed,
-            )
-        except DataError:
-            continue
-        interval_pairs.append((float(np.mean(p.pred)), obs.value))
-        pid = nearest_cmaq_centroid(site, dataset.cmaq)
-        cser = dataset.cmaq.series.get(pid)
-        if cser is not None:
-            m, n_used = interval_mean(cser, obs.t_start, obs.t_end)
-            if n_used:
-                raw_pairs.append((m, obs.value))
+        if obs.site_id in at_site:
+            p, y1 = at_site[obs.site_id]
+            window = (p.days >= obs.t_start) & (p.days <= obs.t_end)
+            if window.any():
+                interval_pairs.append((float(np.mean(p.pred[window])), obs.value))
+                raw_pairs.append((float(np.mean(y1[window])), obs.value))
     return prediction.metrics(
         predictions, observations, raw, interval_pairs, raw_pairs
     )
 
 
 def cmd_validate(args) -> int:
-    dataset = load_dataset(args.dataset)
-    out = _out_dir(args.dataset, args.out)
-    s1fit, params = _load_fits(args.dataset, out)
-    kv = _read_optional_config(args.dataset, "predict_config.txt", args.config)
-    smoothed = bool(args.smoothed) or kv.get("smoothed", "false") == "true"
-    inputs, _, _ = prediction.build_dlm_inputs(dataset, s1fit)
-    report = _compute_metrics(dataset, s1fit, params, inputs, smoothed)
+    out, kv, targets, params, state = _prediction_setup(args)
+    report = _compute_metrics(targets, params, state)
     metrics_path = os.path.join(out, "metrics.csv")
     prediction.write_metrics(report, metrics_path, _header(kv))
     _log(f"validate: MSPE={report.mspe:.4f} (raw grid {report.mspe_raw:.4f})")
@@ -319,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("dataset", help="dataset directory")
         p.add_argument("--out", help="output directory (default: <dataset>/out)")
         p.add_argument("--config", help="config file overriding the dataset's")
-        p.add_argument("--jobs", type=int, help="worker cap (env SCARR_JOBS)")
 
     p = sub.add_parser("simulate", help="write a synthetic dataset")
     p.add_argument("--seed", type=int, default=0)

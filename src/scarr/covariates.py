@@ -232,6 +232,7 @@ class CovariateRow:
     season: tuple = field(default=None)
     cmaq_mean: float = math.nan
     cmaq_days_used: int = 0
+    response: float = math.nan  # the observed interval value
 
     def __post_init__(self):
         if self.season is None:
@@ -239,7 +240,8 @@ class CovariateRow:
 
 
 def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
-    """One CovariateRow per interval observation (warns and skips on failure).
+    """One CovariateRow per interval observation, carrying the observed value
+    as its response (warns and skips on failure).
 
     Returns (rows, warnings); warnings are human-readable strings naming the
     offending site.
@@ -255,6 +257,7 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
         except DataError as exc:
             warnings.append(f"site {site.id}: {exc}")
             continue
+        row.response = obs.value
         rows.append(row)
     return rows, warnings
 
@@ -262,12 +265,10 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
 def site_static_covariates(
     dataset: Dataset,
     site: SiteRecord,
-    segments=None,
+    segments,
     spec: BufferSpec = BufferSpec(),
 ) -> dict:
     """Time-constant covariates for one site (reusable across days/intervals)."""
-    if segments is None:
-        segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
     if dataset.landuse is not None and dataset.landuse_reclass is not None:
         lu = ring_landuse_area(site, dataset.landuse, dataset.landuse_reclass, spec)
     else:
@@ -290,7 +291,7 @@ def covariate_row_for_site(
     site: SiteRecord,
     t_start: int,
     t_end: int,
-    segments=None,
+    segments,
     spec: BufferSpec = BufferSpec(),
     static: dict | None = None,
 ) -> CovariateRow:
@@ -338,10 +339,13 @@ def covariate_header(spec: BufferSpec = BufferSpec()):
     return cols
 
 
-def write_covariates(rows, path: str, spec: BufferSpec = BufferSpec()) -> None:
+def write_covariates(rows, path: str, spec: BufferSpec = BufferSpec(),
+                     header_lines=()) -> None:
     from scarr.data_model import fmt_num
 
     with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
         fh.write(",".join(covariate_header(spec)) + "\n")
         for r in rows:
             vals = [r.site_id, str(r.t_start), str(r.t_end), fmt_num(r.dyr)]

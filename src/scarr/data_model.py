@@ -126,11 +126,7 @@ def nearest_cmaq_centroid(site: SiteRecord, grid: CmaqGrid) -> int:
     if grid.pixel_ids.size == 0:
         raise DataError("nearest_cmaq_centroid: empty grid")
     d2 = (grid.xs - site.x) ** 2 + (grid.ys - site.y) ** 2
-    best = d2.min()
-    candidates = grid.pixel_ids[d2 <= best * (1 + 1e-12) + 0.0]
-    # exact-tie rule: among minimal distances, take the smallest id
-    exact = grid.pixel_ids[d2 == best]
-    return int(exact.min()) if exact.size else int(candidates.min())
+    return int(grid.pixel_ids[d2 == d2.min()].min())
 
 
 @dataclass

@@ -19,107 +19,80 @@ from scarr import covariates as cov
 from scarr.data_model import (
     Dataset,
     RasterGrid,
+    SiteRecord,
     fmt_num,
-    interval_mean,
+    nearest_cmaq_centroid,
 )
 from scarr.errors import DataError
-from scarr.step1 import (
-    LANDUSE_SCALE,
-    POP_DENSITY_SCALE,
-    StepOneFit,
-    additive_bias_c_tilde,
-    gamma_hat,
-)
-from scarr.step2 import (
-    DlmInputs,
-    DlmParams,
-    StateEstimate,
-    kalman_filter,
-    kalman_smoother,
-)
+from scarr.step1 import StepOneFit, additive_bias_c_tilde, design_columns
+from scarr.step2 import DlmInputs, DlmParams, kalman_filter, kalman_smoother
 
 
-def covariate_value(name: str, static: dict, season: dict,
-                    spec: cov.BufferSpec = cov.BufferSpec()) -> float:
-    """Value of one design column from static covariates + a season basis."""
-    if name == "intercept":
-        return 1.0
-    if name == "pop_density_10k":
-        return static["pop_density"] / POP_DENSITY_SCALE
-    if name in season:
-        return season[name]
-    if name == "elevation_m":
-        return static["elevation"]
-    labels = spec.ring_labels()
-    if name.startswith("ttv_"):
-        rest = name[4:]
-        for qi, q in enumerate(cov.QUADRANTS):
-            if rest.startswith(q + "_"):
-                return float(static["ttv_quadrant"][qi][labels.index(rest[len(q) + 1:])])
-        return float(static["ttv"][labels.index(rest)])
-    if name.startswith("lu_"):
-        body = name[3:]
-        for cat in static["lu_area"]:
-            if body == f"{cat}_0-2km":
-                return float(np.sum(static["lu_area"][cat])) / LANDUSE_SCALE
-            if body.startswith(cat + "_"):
-                lab = body[len(cat) + 1:]
-                return float(static["lu_area"][cat][labels.index(lab)]) / LANDUSE_SCALE
-    raise DataError(f"covariate_value: unknown design column {name!r}")
+def c_tilde_for_day(fit: StepOneFit, static: dict, season: np.ndarray) -> np.ndarray:
+    """Additive bias at one location on every day of a (T, 4) seasonal basis."""
+    values = design_columns(static, season.T, fit.spec)
+    return np.broadcast_to(additive_bias_c_tilde(fit, values), len(season))
 
 
-def c_tilde_for_day(fit: StepOneFit, static: dict, dyr: float,
-                    spec: cov.BufferSpec = cov.BufferSpec()) -> float:
-    """Additive bias at one location for one day's seasonal position."""
-    season = dict(zip(cov.SEASON_NAMES, cov.seasonal_basis(dyr)))
-    values = {
-        nm: covariate_value(nm, static, season, spec)
-        for nm in fit.names
-        if nm != "cmaq"
-    }
-    return additive_bias_c_tilde(fit, values)
+class Targets:
+    """Days 1..T of a dataset's record and the linear offset of any target
+    (site or raster pixel) on them: c-tilde from its static covariates and
+    each day's seasonal basis, y1 from its nearest coarse pixel (NaN where
+    that has no value).  Offsets of sites are kept, so each is computed once.
+    """
+
+    def __init__(self, dataset: Dataset, fit: StepOneFit):
+        self.dense = sorted(dataset.sites_with_role("dense_time"), key=lambda s: s.id)
+        if not self.dense:
+            raise DataError("no dense_time sites in dataset")
+        series = list(dataset.cmaq.series.values())
+        series += [dataset.daily_series[s.id] for s in self.dense
+                   if s.id in dataset.daily_series]
+        T = max((int(ser.days.max()) for ser in series if ser.days.size), default=0)
+        if T == 0:
+            raise DataError("no daily data present")
+        self.dataset, self.fit, self.n_days = dataset, fit, T
+        self.segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
+        self.season = np.array(
+            [cov.seasonal_basis(dataset.manifest.dyr(d)) for d in range(1, T + 1)]
+        )
+        self._sites = {}
+
+    def compute(self, target: SiteRecord):
+        """(c_tilde, y1) arrays over days 1..T at one target."""
+        static = cov.site_static_covariates(
+            self.dataset, target, self.segments, self.fit.spec
+        )
+        y1 = np.full(self.n_days, np.nan)
+        cser = self.dataset.cmaq.series.get(static["cmaq_pixel"])
+        if cser is not None:
+            y1[cser.days - 1] = cser.values
+        return c_tilde_for_day(self.fit, static, self.season), y1
+
+    def offsets(self, site: SiteRecord):
+        """``compute(site)``, kept for the next request of the same site."""
+        if site.id not in self._sites:
+            self._sites[site.id] = self.compute(site)
+        return self._sites[site.id]
 
 
-def build_dlm_inputs(dataset: Dataset, fit: StepOneFit,
-                     spec: cov.BufferSpec = cov.BufferSpec()):
-    """Assemble (DlmInputs, site order, day range) from the dense-time sites.
+def build_dlm_inputs(targets: Targets) -> DlmInputs:
+    """Step II inputs from the dense-time sites, in ``targets.dense`` order.
 
     Days where the gridded-model value is unavailable have the observation
     masked as missing as well.
     """
-    dense = sorted(dataset.sites_with_role("dense_time"), key=lambda s: s.id)
-    if not dense:
-        raise DataError("build_dlm_inputs: no dense_time sites in dataset")
-    T = 0
-    for ser in dataset.cmaq.series.values():
-        T = max(T, int(ser.days.max()) if ser.days.size else 0)
-    for s in dense:
-        ser = dataset.daily_series.get(s.id)
-        if ser is not None and ser.days.size:
-            T = max(T, int(ser.days.max()))
-    if T == 0:
-        raise DataError("build_dlm_inputs: no daily data present")
-
-    segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-    n = len(dense)
+    dataset, T, n = targets.dataset, targets.n_days, len(targets.dense)
     y = np.full((T, n), np.nan)
-    c_t = np.full((T, n), np.nan)
-    y1 = np.full((T, n), np.nan)
-    for j, site in enumerate(dense):
-        static = cov.site_static_covariates(dataset, site, segments, spec)
+    c_t = np.empty((T, n))
+    y1 = np.empty((T, n))
+    for j, site in enumerate(targets.dense):
+        c_t[:, j], y1[:, j] = targets.offsets(site)
         ser = dataset.daily_series.get(site.id)
         if ser is not None:
             y[ser.days - 1, j] = ser.values
-        pid = static["cmaq_pixel"]
-        if pid is not None and pid in dataset.cmaq.series:
-            cser = dataset.cmaq.series[pid]
-            y1[cser.days - 1, j] = cser.values
-        for day in range(1, T + 1):
-            c_t[day - 1, j] = c_tilde_for_day(
-                fit, static, dataset.manifest.dyr(day), spec
-            )
-        y[~np.isfinite(y1[:, j]), j] = np.nan
-    return DlmInputs(y=y, c_tilde=c_t, y1=y1), [s.id for s in dense], T
+    y[~np.isfinite(y1)] = np.nan
+    return DlmInputs(y=y, c_tilde=c_t, y1=y1)
 
 
 @dataclass
@@ -138,123 +111,79 @@ def state_path(params: DlmParams, inputs: DlmInputs, smoothed: bool = False):
     """(mean, variance) arrays of the shared daily state."""
     if smoothed:
         est = kalman_smoother(params, inputs)
-        return est.smoothed_mean, est.smoothed_var, est
+        return est.smoothed_mean, est.smoothed_var
     est = kalman_filter(params, inputs)
-    return est.filtered_mean, est.filtered_var, est
+    return est.filtered_mean, est.filtered_var
 
 
-def predict_series(
-    params: DlmParams,
-    a_mean: np.ndarray,
-    a_var: np.ndarray,
-    c_tilde: np.ndarray,
-    y1: np.ndarray,
-    include_obs_noise: bool = True,
-):
-    """Prediction and 95% CI half-width for one site's offset series."""
-    if not (np.all(np.isfinite(c_tilde)) and np.all(np.isfinite(y1))):
-        raise DataError("predict_series: missing additive-bias or gridded value")
-    pred = a_mean + params.beta_c * c_tilde + params.gamma_hat * y1
-    var = a_var + (params.sigma_z**2 if include_obs_noise else 0.0)
-    return pred, 1.96 * np.sqrt(np.clip(var, 0.0, None))
-
-
-def predict_site(
-    site_id: str,
-    params: DlmParams,
-    inputs: DlmInputs,
-    c_tilde_new: np.ndarray,
-    y1_new: np.ndarray,
-    days=None,
-    smoothed: bool = False,
-    include_obs_noise: bool = True,
-) -> SitePrediction:
-    """Augmented-observation prediction at a new site.
-
-    The new site's observation column is always missing, so the state path
-    equals the un-augmented fit; only the offset differs.
+def predict_site(site_id: str, params: DlmParams, state, c_tilde, y1) -> SitePrediction:
+    """Prediction ``(a + beta_c*c_tilde) + gamma_hat*y1`` and its 95% CI
+    half-width at a target, on the days where y1 is present.  The target is an
+    always-missing observation column, so ``state = (mean, variance)`` is the
+    shared state path; the interval adds the observation noise.
     """
-    a_mean, a_var, _ = state_path(params, inputs, smoothed=smoothed)
-    if days is None:
-        days = np.arange(1, inputs.n_days + 1)
-    days = np.asarray(days, dtype=int)
-    idx = days - 1
-    if idx.min() < 0 or idx.max() >= inputs.n_days:
-        raise DataError("predict_site: requested day outside fitted range")
-    pred, half = predict_series(
-        params, a_mean[idx], a_var[idx],
-        np.asarray(c_tilde_new, dtype=float)[idx],
-        np.asarray(y1_new, dtype=float)[idx],
-        include_obs_noise=include_obs_noise,
-    )
-    return SitePrediction(site_id, days, pred, half)
+    a_mean, a_var = state
+    if len(c_tilde) != len(a_mean) or len(y1) != len(a_mean):
+        raise DataError(
+            f"predict_site: offsets span {len(y1)} days, not the fitted range "
+            f"of {len(a_mean)}"
+        )
+    idx = np.flatnonzero(np.isfinite(y1))
+    c = np.asarray(c_tilde)[idx]
+    if not np.all(np.isfinite(c)):
+        raise DataError(f"predict_site: missing additive bias at {site_id}")
+    pred = a_mean[idx] + params.beta_c * c + params.gamma_hat * y1[idx]
+    half = 1.96 * np.sqrt(np.clip(a_var[idx] + params.sigma_z**2, 0.0, None))
+    return SitePrediction(site_id, idx + 1, pred, half)
 
 
 def predict_grid(
-    dataset: Dataset,
-    fit: StepOneFit,
+    targets: Targets,
     params: DlmParams,
-    inputs: DlmInputs,
+    state,
     n_cols: int,
     n_rows: int,
     x_ll: float,
     y_ll: float,
     cell_size: float,
     days,
-    smoothed: bool = False,
-    spec: cov.BufferSpec = cov.BufferSpec(),
     nodata: float = -9999.0,
 ):
     """One RasterGrid of predicted concentration per requested day.
 
-    Pixels outside the coarse-grid coverage (or outside every census tract)
-    are nodata.  Returns {day: RasterGrid}.
+    Every pixel centroid is a target.  Pixels outside the coarse-grid
+    coverage (or outside every census tract) are nodata.  Returns
+    {day: RasterGrid}.
     """
-    a_mean, a_var, _ = state_path(params, inputs, smoothed=smoothed)
     days = [int(d) for d in days]
     for d in days:
-        if d < 1 or d > inputs.n_days:
+        if d < 1 or d > targets.n_days:
             raise DataError(f"predict_grid: day {d} outside fitted range")
-    segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-    half_cell = dataset.cmaq.cell_size / 2.0
-
-    grids = {d: np.full((n_rows, n_cols), nodata) for d in days}
-    template = RasterGrid(n_cols, n_rows, x_ll, y_ll, cell_size, nodata,
-                          np.zeros((n_rows, n_cols)))
-    from scarr.data_model import SiteRecord, nearest_cmaq_centroid
-
-    for r in range(n_rows):
-        for c_i in range(n_cols):
-            px, py = template.cell_centroid(r, c_i)
-            pixel_site = SiteRecord(f"px_{r}_{c_i}", px, py, "prediction")
-            if dataset.cmaq.pixel_ids.size == 0:
-                continue
-            pid = nearest_cmaq_centroid(pixel_site, dataset.cmaq)
-            k = int(np.where(dataset.cmaq.pixel_ids == pid)[0][0])
-            if (
-                abs(dataset.cmaq.xs[k] - px) > half_cell
-                or abs(dataset.cmaq.ys[k] - py) > half_cell
-            ):
-                continue  # outside coarse-grid coverage
-            try:
-                static = cov.site_static_covariates(dataset, pixel_site, segments, spec)
-            except DataError:
-                continue  # e.g. outside every census tract
-            cser = dataset.cmaq.series.get(pid)
-            if cser is None:
-                continue
-            for d in days:
-                y1_val, n_used = interval_mean(cser, d, d)
-                if n_used == 0:
-                    continue
-                ct = c_tilde_for_day(fit, static, dataset.manifest.dyr(d), spec)
-                grids[d][r, c_i] = (
-                    a_mean[d - 1] + params.beta_c * ct + params.gamma_hat * y1_val
-                )
-    return {
-        d: RasterGrid(n_cols, n_rows, x_ll, y_ll, cell_size, nodata, grids[d])
+    cmaq = targets.dataset.cmaq
+    half_cell = cmaq.cell_size / 2.0
+    grids = {
+        d: RasterGrid(n_cols, n_rows, x_ll, y_ll, cell_size, nodata,
+                      np.full((n_rows, n_cols), nodata))
         for d in days
     }
+    if not grids or cmaq.pixel_ids.size == 0:
+        return grids
+    by_day = np.full(targets.n_days + 1, nodata)
+    for i, (px, py) in enumerate(grids[days[0]].centroids().tolist()):
+        r, c_i = divmod(i, n_cols)
+        pixel = SiteRecord(f"px_{r}_{c_i}", px, py, "prediction")
+        k = int(np.where(cmaq.pixel_ids == nearest_cmaq_centroid(pixel, cmaq))[0][0])
+        if abs(cmaq.xs[k] - px) > half_cell or abs(cmaq.ys[k] - py) > half_cell:
+            continue  # outside coarse-grid coverage
+        try:
+            p = predict_site(pixel.id, params, state, *targets.compute(pixel))
+        except DataError:
+            continue  # e.g. outside every census tract
+        by_day[:] = nodata
+        by_day[p.days] = p.pred
+        for d in days:
+            grids[d].values[r, c_i] = by_day[d]
+    return grids
 
 
 @dataclass

@@ -111,6 +111,7 @@ class StepOneFit:
     rmspe: float = math.nan
     loglik: float = math.nan
     rank_warnings: list = field(default_factory=list)
+    spec: BufferSpec = BufferSpec()  # buffer rings the design columns were named from
 
     @property
     def p(self) -> int:
@@ -384,6 +385,9 @@ def parse_step1_config(kv: dict) -> Step1Config:
             raise ConfigError(f"step1 config: unknown key {key!r}")
     if cfg.error_model not in ("independent", "spherical", "exponential", "matern"):
         raise ConfigError(f"step1 config: unknown error model {cfg.error_model!r}")
+    if not cfg.landuse_combined and cfg.buffer_spec.ring_labels()[0] == "0-2km":
+        # design columns are keyed by name: lu_<cat>_0-2km is the combined column
+        raise ConfigError("step1 config: a first buffer ring of 0-2 km needs landuse_combined")
     return cfg
 
 
@@ -401,8 +405,33 @@ class Design:
     rank_deficient: bool
 
 
+def design_columns(static, season, spec: BufferSpec) -> dict:
+    """Value of every design column but ``cmaq`` at one target, by name.
+
+    ``static`` is ``site_static_covariates`` output or a CovariateRow's
+    fields; ``season`` is the four seasonal-basis values, each a number or an
+    array over days.
+    """
+    labels = spec.ring_labels()
+    cols = {
+        "intercept": 1.0,
+        "pop_density_10k": static["pop_density"] / POP_DENSITY_SCALE,
+        "elevation_m": static["elevation"],
+        **dict(zip(SEASON_NAMES, season)),
+    }
+    cols.update(zip([f"ttv_{lab}" for lab in labels], static["ttv"]))
+    for q, quadrant in zip(QUADRANTS, static["ttv_quadrant"]):
+        cols.update(zip([f"ttv_{q}_{lab}" for lab in labels], quadrant))
+    for cat in LANDUSE_CATEGORIES:
+        areas = np.asarray(static["lu_area"].get(cat, np.zeros(N_LANDUSE_RINGS)))
+        lu_labels = labels[:N_LANDUSE_RINGS]
+        cols.update(zip([f"lu_{cat}_{lab}" for lab in lu_labels], areas / LANDUSE_SCALE))
+        cols[f"lu_{cat}_0-2km"] = float(areas.sum()) / LANDUSE_SCALE
+    return cols
+
+
 def assemble_design(dataset, rows, config: Step1Config = Step1Config()) -> Design:
-    """Build the design matrix from covariate rows.
+    """Build the design matrix from covariate rows and their responses.
 
     Column order: intercept, pop density (per 10,000), season basis (4),
     optional elevation, TTV rings inner->outer (or 4x quadrant rings),
@@ -439,27 +468,16 @@ def assemble_design(dataset, rows, config: Step1Config = Step1Config()) -> Desig
 
     data, resp, coords, site_ids, warn = [], [], [], [], []
     for row in rows:
-        vals = [1.0, row.pop_density / POP_DENSITY_SCALE, *row.season]
-        if config.use_elevation:
-            vals.append(row.elevation)
-        if config.use_quadrants:
-            for q in range(4):
-                vals += list(row.ttv_quadrant[q])
-        else:
-            vals += list(row.ttv)
-        for cat in config.landuse_categories:
-            areas = np.asarray(row.lu_area.get(cat, np.zeros(N_LANDUSE_RINGS)))
-            if config.landuse_combined:
-                vals.append(float(areas.sum()) / LANDUSE_SCALE)
-            else:
-                vals += list(areas / LANDUSE_SCALE)
-        vals.append(row.cmaq_mean)
+        values = design_columns(vars(row), row.season, spec)
+        values["cmaq"] = row.cmaq_mean
+        vals = [values[nm] for nm in names]
         if not all(math.isfinite(v) for v in vals) or not math.isfinite(row.response):
             warn.append(f"site {row.site_id}: dropped (missing covariate or response)")
             continue
+        site = dataset.sites[row.site_id]
         data.append(vals)
         resp.append(row.response)
-        coords.append((row.x, row.y))
+        coords.append((site.x, site.y))
         site_ids.append(row.site_id)
 
     X = np.asarray(data, dtype=float)
@@ -472,45 +490,6 @@ def assemble_design(dataset, rows, config: Step1Config = Step1Config()) -> Desig
         site_ids=site_ids, groups=groups, warnings=warn,
         rank_deficient=rank_deficient,
     )
-
-
-@dataclass
-class DesignRow:
-    """One usable observation with its covariates, response and location."""
-
-    site_id: str
-    x: float
-    y: float
-    response: float
-    pop_density: float
-    season: tuple
-    elevation: float
-    ttv: np.ndarray
-    ttv_quadrant: np.ndarray
-    lu_area: dict
-    cmaq_mean: float
-
-
-def design_rows_from_covariates(dataset, cov_rows) -> list:
-    """Join covariate rows with their interval-observation responses."""
-    obs_by_key = {}
-    for o in dataset.interval_obs:
-        obs_by_key[(o.site_id, o.t_start, o.t_end)] = o
-    out = []
-    for r in cov_rows:
-        o = obs_by_key.get((r.site_id, r.t_start, r.t_end))
-        if o is None:
-            continue
-        s = dataset.sites[r.site_id]
-        out.append(
-            DesignRow(
-                site_id=r.site_id, x=s.x, y=s.y, response=o.value,
-                pop_density=r.pop_density, season=tuple(r.season),
-                elevation=r.elevation, ttv=r.ttv, ttv_quadrant=r.ttv_quadrant,
-                lu_area=r.lu_area, cmaq_mean=r.cmaq_mean,
-            )
-        )
-    return out
 
 
 def collinearity_report(X: np.ndarray, names, threshold: float = 0.85):
@@ -628,8 +607,9 @@ def quadrant_step_functions(design: Design, fitter=None) -> dict:
     return out
 
 
-def additive_bias_c_tilde(fit: StepOneFit, covariate_values: dict) -> float:
-    """Additive bias: inner product of retained non-CMAQ columns with estimates."""
+def additive_bias_c_tilde(fit: StepOneFit, covariate_values: dict):
+    """Additive bias: inner product of retained non-CMAQ columns with estimates,
+    summed in ``fit.names`` order; columns may be arrays over days."""
     total = 0.0
     for nm, b in zip(fit.names, fit.beta):
         if nm == "cmaq":
@@ -637,7 +617,7 @@ def additive_bias_c_tilde(fit: StepOneFit, covariate_values: dict) -> float:
         if nm not in covariate_values:
             raise DataError(f"additive_bias: missing retained covariate {nm!r}")
         total += b * covariate_values[nm]
-    return float(total)
+    return total
 
 
 def gamma_hat(fit: StepOneFit) -> float:
@@ -673,6 +653,7 @@ def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
         fh.write(f"error_range={float(em.range_)!r}\n")
         fh.write(f"error_nugget={float(em.nugget)!r}\n")
         fh.write(f"error_nu={float(em.nu)!r}\n")
+        fh.write("buffer_radii_km=" + _join(fit.spec.radii_km) + "\n")
 
 
 def read_step1_fit(path: str) -> StepOneFit:
@@ -690,4 +671,6 @@ def read_step1_fit(path: str) -> StepOneFit:
         names=names, beta=beta, cov=cov, n=int(kv["n"]), rss=float(kv["rss"]),
         tss=float(kv["tss"]), sigma2=float(kv["sigma2"]), error_model=em,
         press=float(kv["press"]), rmspe=float(kv["rmspe"]), loglik=float(kv["loglik"]),
+        spec=BufferSpec(tuple(float(r) for r in kv["buffer_radii_km"].split()))
+        if "buffer_radii_km" in kv else BufferSpec(),
     )

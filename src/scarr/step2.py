@@ -333,7 +333,7 @@ def _fit_once(inputs, gamma_hat, config, fix_mu):
         raise ConvergenceError("fit_mle: no multistart converged")
     params = _unpack(best.x, gamma_hat, fix_mu)
     params.loglik = -float(best.fun)
-    params.converged = bool(best.success) or math.isfinite(best.fun)
+    params.converged = bool(best.success)
 
     # standard errors: inverse numeric Hessian in the natural parameterization
     if fix_mu:

@@ -23,7 +23,6 @@ from scarr.step1 import (
     backward_buffer_selection,
     cov_matrix,
     cov_value,
-    design_rows_from_covariates,
     f_test,
     fit_gls,
     fit_ols,
@@ -138,8 +137,7 @@ def test_criterion_3_regression_exactness(capsys, mini_dataset):
 
         ds, _ = mini_dataset
         rows, _ = cov.build_covariates(ds)
-        drows = design_rows_from_covariates(ds, rows)
-        design = assemble_design(ds, drows)
+        design = assemble_design(ds, rows)
         coefs = SimulationConfig().coefficients
         beta_true = np.array([coefs.get(nm, 0.0) for nm in design.names])
         y = design.X @ beta_true

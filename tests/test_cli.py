@@ -34,10 +34,14 @@ class TestPipeline:
             assert os.path.exists(os.path.join(out, name)), name
 
     def test_output_headers_carry_version_and_hash(self, pipeline_dir):
-        path = os.path.join(pipeline_dir, "out", "step1_fit.txt")
-        text = open(path).read()
-        assert f"# scarr {__version__}" in text
-        assert "# config_hash=" in text
+        for name in (
+            "covariates.csv", "step1_fit.txt", "step2_fit.txt",
+            "state_path.csv", "site_predictions.csv", "metrics.csv",
+        ):
+            with open(os.path.join(pipeline_dir, "out", name)) as fh:
+                head = [fh.readline(), fh.readline()]
+            assert head[0] == f"# scarr {__version__}\n", name
+            assert head[1].startswith("# config_hash="), name
 
     def test_step1_fit_reparses(self, pipeline_dir):
         from scarr.step1 import gamma_hat, read_step1_fit
@@ -99,6 +103,27 @@ class TestPipeline:
 
     def test_smoothed_predict(self, pipeline_dir):
         assert main(["predict", pipeline_dir, "--smoothed"]) == 0
+
+
+def test_fit_carries_its_buffer_radii(tmp_path):
+    """Prediction names the design columns from the radii the fit used, not
+    from the default rings."""
+    d = str(tmp_path / "radii")
+    assert main(["simulate", "--seed", "7", "--days", "90", "--out", d]) == 0
+    with open(os.path.join(d, "step1_config.txt"), "w") as fh:
+        fh.write("buffer_radii_km=0.25 1 2 3\nalpha=1.0\n")
+    for command in ("features", "fit-step1", "fit-step2", "predict", "validate"):
+        assert main([command, d]) == 0, command
+
+    from scarr.step1 import read_step1_fit
+
+    out = os.path.join(d, "out")
+    fit = read_step1_fit(os.path.join(out, "step1_fit.txt"))
+    assert fit.spec.radii_km == (0.25, 1.0, 2.0, 3.0)
+    assert "ttv_0-0.25km" in fit.names
+    with open(os.path.join(out, "covariates.csv")) as fh:
+        columns = [line for line in fh if not line.startswith("#")][0].split(",")
+    assert "ttv_0-0.25km" in columns and "ttv_3-4km" not in columns
 
 
 class TestErrorExits:

@@ -7,13 +7,12 @@ from scarr import covariates as cov
 from scarr.data_model import RasterGrid
 from scarr.errors import DataError
 from scarr.prediction import (
+    Targets,
     build_dlm_inputs,
     c_tilde_for_day,
-    covariate_value,
     metrics,
     pearson_r,
     predict_grid,
-    predict_series,
     predict_site,
     raster_day_filename,
     state_path,
@@ -21,11 +20,7 @@ from scarr.prediction import (
     write_prediction_rasters,
     write_site_predictions,
 )
-from scarr.step1 import (
-    assemble_design,
-    design_rows_from_covariates,
-    fit_ols,
-)
+from scarr.step1 import assemble_design, design_columns, fit_ols
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter
 
 
@@ -33,8 +28,7 @@ from scarr.step2 import DlmInputs, DlmParams, kalman_filter
 def mini_fit(mini_dataset):
     ds, _ = mini_dataset
     rows, _ = cov.build_covariates(ds)
-    drows = design_rows_from_covariates(ds, rows)
-    design = assemble_design(ds, drows)
+    design = assemble_design(ds, rows)
     return fit_ols(design.X, design.y, design.names)
 
 
@@ -46,52 +40,72 @@ STATIC = {
     "elevation": 120.0,
     "cmaq_pixel": 1,
 }
-SEASON = dict(zip(cov.SEASON_NAMES, (0.1, 0.2, 0.3, 0.4)))
+SEASON = (0.1, 0.2, 0.3, 0.4)
+SPEC = cov.BufferSpec()
 
 
 class TestCovariateValue:
+    """The design column map that both the Step I design and c-tilde use."""
+
+    def column(self, name):
+        return design_columns(STATIC, SEASON, SPEC)[name]
+
     def test_intercept(self):
-        assert covariate_value("intercept", STATIC, SEASON) == 1.0
+        assert self.column("intercept") == 1.0
 
     def test_pop_density_scaled(self):
-        assert covariate_value("pop_density_10k", STATIC, SEASON) == pytest.approx(2.5)
+        assert self.column("pop_density_10k") == pytest.approx(2.5)
 
     def test_season(self):
-        assert covariate_value("cos_2pi_dyr", STATIC, SEASON) == 0.2
+        assert self.column("cos_2pi_dyr") == 0.2
 
     def test_elevation(self):
-        assert covariate_value("elevation_m", STATIC, SEASON) == 120.0
+        assert self.column("elevation_m") == 120.0
 
     def test_ttv_ring(self):
-        assert covariate_value("ttv_1-2km", STATIC, SEASON) == 3.0
+        assert self.column("ttv_1-2km") == 3.0
 
     def test_ttv_quadrant_ring(self):
         # NW is quadrant row 1; 0.5-1km is ring column 1
-        assert covariate_value("ttv_NW_0.5-1km", STATIC, SEASON) == 8.0
+        assert self.column("ttv_NW_0.5-1km") == 8.0
 
     def test_landuse_combined_scaled(self):
-        assert covariate_value("lu_forest_0-2km", STATIC, SEASON) == pytest.approx(0.06)
+        assert self.column("lu_forest_0-2km") == pytest.approx(0.06)
 
     def test_landuse_per_ring(self):
-        assert covariate_value("lu_forest_1-2km", STATIC, SEASON) == pytest.approx(0.03)
+        assert self.column("lu_forest_1-2km") == pytest.approx(0.03)
 
-    def test_unknown_column(self):
-        with pytest.raises(DataError, match="unknown design column"):
-            covariate_value("mystery", STATIC, SEASON)
+    def test_unknown_column(self, mini_fit):
+        import copy
+
+        other = copy.deepcopy(mini_fit)
+        other.names[other.names.index("intercept")] = "mystery"
+        with pytest.raises(DataError, match="missing retained covariate 'mystery'"):
+            c_tilde_for_day(other, STATIC, np.array([SEASON]))
+
+
+def season_table(*dyrs):
+    return np.array([cov.seasonal_basis(d) for d in dyrs])
 
 
 class TestCTilde:
     def test_matches_manual_dot_product(self, mini_fit):
         dyr = 0.37
-        season = dict(zip(cov.SEASON_NAMES, cov.seasonal_basis(dyr)))
+        by_hand = {
+            "intercept": 1.0,
+            "pop_density_10k": 2.5,
+            **dict(zip(cov.SEASON_NAMES, cov.seasonal_basis(dyr))),
+            **{f"ttv_{lab}": float(k + 1) for k, lab in enumerate(SPEC.ring_labels())},
+            "lu_forest_0-2km": 0.06,
+        }
         expected = sum(
-            b * covariate_value(nm, STATIC, season)
+            b * by_hand[nm]
             for nm, b in zip(mini_fit.names, mini_fit.beta)
             if nm != "cmaq"
         )
-        assert c_tilde_for_day(mini_fit, STATIC, dyr) == pytest.approx(
-            expected, rel=1e-12
-        )
+        got = c_tilde_for_day(mini_fit, STATIC, season_table(0.9, dyr))
+        assert got.shape == (2,)
+        assert got[1] == pytest.approx(expected, rel=1e-12)
 
     def test_excludes_gridded_term(self, mini_fit):
         # changing the CMAQ coefficient must not change the additive bias
@@ -100,23 +114,32 @@ class TestCTilde:
         other = copy.deepcopy(mini_fit)
         other.beta = other.beta.copy()
         other.beta[other.names.index("cmaq")] += 100.0
-        assert c_tilde_for_day(mini_fit, STATIC, 0.5) == c_tilde_for_day(
-            other, STATIC, 0.5
+        season = season_table(0.5)
+        assert c_tilde_for_day(mini_fit, STATIC, season) == c_tilde_for_day(
+            other, STATIC, season
         )
+
+    def test_all_days_equal_one_day_at_a_time(self, mini_fit):
+        season = season_table(*(np.arange(1, 40) / 365.0))
+        whole = c_tilde_for_day(mini_fit, STATIC, season)
+        for t in range(len(season)):
+            assert whole[t] == c_tilde_for_day(mini_fit, STATIC, season[t : t + 1])[0]
 
 
 class TestBuildDlmInputs:
     def test_shapes_and_order(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset
-        inputs, site_ids, T = build_dlm_inputs(ds, mini_fit)
-        assert T == 90
+        targets = Targets(ds, mini_fit)
+        inputs = build_dlm_inputs(targets)
+        site_ids = [s.id for s in targets.dense]
+        assert targets.n_days == 90
         assert site_ids == sorted(site_ids)
         assert inputs.y.shape == (90, 4)
         assert np.all(np.isfinite(inputs.c_tilde))
 
     def test_observation_masked_without_gridded_value(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset
-        inputs, _, _ = build_dlm_inputs(ds, mini_fit)
+        inputs = build_dlm_inputs(Targets(ds, mini_fit))
         present = np.isfinite(inputs.y)
         assert np.all(np.isfinite(inputs.y1[present]))
 
@@ -127,7 +150,7 @@ class TestBuildDlmInputs:
         ds2 = copy.copy(ds)
         ds2.sites = {k: v for k, v in ds.sites.items() if v.role != "dense_time"}
         with pytest.raises(DataError, match="no dense_time sites"):
-            build_dlm_inputs(ds2, mini_fit)
+            build_dlm_inputs(Targets(ds2, mini_fit))
 
 
 def small_state_problem(rng, T=30, n=3):
@@ -159,9 +182,10 @@ class TestAugmentation:
         T = inputs.n_days
         c_new = rng.normal(4, 1, size=T)
         y1_new = rng.uniform(2, 15, size=T)
-        p = predict_site("new", params, inputs, c_new, y1_new)
-        a_mean, a_var, _ = state_path(params, inputs)
+        a_mean, a_var = state_path(params, inputs)
+        p = predict_site("new", params, (a_mean, a_var), c_new, y1_new)
         expected = a_mean + params.beta_c * c_new + params.gamma_hat * y1_new
+        np.testing.assert_array_equal(p.days, np.arange(1, T + 1))
         np.testing.assert_allclose(p.pred, expected, rtol=1e-12)
         np.testing.assert_allclose(
             p.ci_half, 1.96 * np.sqrt(a_var + params.sigma_z**2), rtol=1e-12
@@ -172,38 +196,47 @@ class TestAugmentation:
         T = inputs.n_days
         c_new = np.zeros(T)
         y1_new = np.ones(T)
-        pf = predict_site("new", params, inputs, c_new, y1_new, smoothed=False)
-        ps = predict_site("new", params, inputs, c_new, y1_new, smoothed=True)
+        filtered = state_path(params, inputs, smoothed=False)
+        smoothed = state_path(params, inputs, smoothed=True)
+        pf = predict_site("new", params, filtered, c_new, y1_new)
+        ps = predict_site("new", params, smoothed, c_new, y1_new)
         assert not np.allclose(pf.pred, ps.pred)
 
     def test_day_outside_range(self, rng):
         params, inputs = small_state_problem(rng)
-        with pytest.raises(DataError, match="outside fitted range"):
-            predict_site("new", params, inputs, np.zeros(30), np.ones(30), days=[31])
+        state = state_path(params, inputs)
+        with pytest.raises(DataError, match="fitted range"):
+            predict_site("new", params, state, np.zeros(31), np.ones(31))
 
-    def test_predict_series_rejects_missing_offsets(self):
-        params = DlmParams(1.0, 1.0, 0.5)
-        with pytest.raises(DataError):
-            predict_series(params, np.zeros(2), np.ones(2),
-                           np.array([1.0, np.nan]), np.ones(2))
+    def test_predict_series_rejects_missing_offsets(self, rng):
+        params, inputs = small_state_problem(rng)
+        state = state_path(params, inputs)
+        c_new = np.zeros(inputs.n_days)
+        c_new[3] = np.nan
+        with pytest.raises(DataError, match="missing additive bias"):
+            predict_site("new", params, state, c_new, np.ones(inputs.n_days))
 
-    def test_exclude_obs_noise_narrows_ci(self, rng):
+    def test_only_days_with_gridded_value(self, rng):
         params, inputs = small_state_problem(rng)
         T = inputs.n_days
-        wide = predict_site("n", params, inputs, np.zeros(T), np.ones(T))
-        narrow = predict_site("n", params, inputs, np.zeros(T), np.ones(T),
-                              include_obs_noise=False)
-        assert np.all(narrow.ci_half < wide.ci_half)
+        y1_new = np.ones(T)
+        y1_new[[0, 5]] = np.nan
+        c_new = np.zeros(T)
+        c_new[5] = np.nan  # no prediction on day 6, so no bias needed there
+        p = predict_site("new", params, state_path(params, inputs), c_new, y1_new)
+        assert 1 not in p.days and 6 not in p.days
+        assert p.n_days == T - 2
 
 
 class TestPredictGrid:
     def test_grid_days_and_nodata(self, mini_dataset, mini_fit, rng):
         ds, _ = mini_dataset
-        inputs, _, T = build_dlm_inputs(ds, mini_fit)
+        targets = Targets(ds, mini_fit)
+        inputs = build_dlm_inputs(targets)
         params = DlmParams(3.0, 4.0, 0.6, mu_a=0.0, beta_c=0.7, gamma_hat=0.5)
         # grid straddles the domain edge: left half outside coarse coverage
         grids = predict_grid(
-            ds, mini_fit, params, inputs,
+            targets, params, state_path(params, inputs),
             n_cols=8, n_rows=4, x_ll=-24_000.0, y_ll=18_000.0, cell_size=6_000.0,
             days=[10, 40],
         )
@@ -218,17 +251,36 @@ class TestPredictGrid:
 
     def test_day_out_of_range(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset
-        inputs, _, T = build_dlm_inputs(ds, mini_fit)
+        targets = Targets(ds, mini_fit)
+        inputs = build_dlm_inputs(targets)
         params = DlmParams(3.0, 4.0, 0.6)
+        state = state_path(params, inputs)
         with pytest.raises(DataError, match="outside fitted range"):
-            predict_grid(ds, mini_fit, params, inputs, 2, 2, 0, 0, 1000.0, [T + 1])
+            predict_grid(targets, params, state, 2, 2, 0, 0, 1000.0, [targets.n_days + 1])
+
+    def test_pixel_is_a_target(self, mini_dataset, mini_fit):
+        from scarr.data_model import SiteRecord
+
+        ds, _ = mini_dataset
+        targets = Targets(ds, mini_fit)
+        params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
+        state = state_path(params, build_dlm_inputs(targets))
+        grid = predict_grid(
+            targets, params, state, 4, 4, 12_000.0, 12_000.0, 6_000.0, [7]
+        )[7]
+        px, py = grid.cell_centroid(1, 2)
+        site = SiteRecord("p", px, py, "prediction")
+        p = predict_site("p", params, state, *targets.compute(site))
+        assert grid.values[1, 2] == p.pred[list(p.days).index(7)]
 
     def test_raster_writer(self, tmp_path, mini_dataset, mini_fit):
         ds, _ = mini_dataset
-        inputs, _, _ = build_dlm_inputs(ds, mini_fit)
+        targets = Targets(ds, mini_fit)
+        inputs = build_dlm_inputs(targets)
         params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
         grids = predict_grid(
-            ds, mini_fit, params, inputs, 4, 4, 12_000.0, 12_000.0, 6_000.0, [7]
+            targets, params, state_path(params, inputs),
+            4, 4, 12_000.0, 12_000.0, 6_000.0, [7],
         )
         paths = write_prediction_rasters(grids, str(tmp_path))
         assert paths == [str(tmp_path / "no2_day0007.asc")]
@@ -280,7 +332,7 @@ class TestMetrics:
     def test_site_predictions_csv(self, tmp_path, rng):
         params, inputs = small_state_problem(rng)
         T = inputs.n_days
-        p = predict_site("s1", params, inputs, np.zeros(T), np.ones(T))
+        p = predict_site("s1", params, state_path(params, inputs), np.zeros(T), np.ones(T))
         path = tmp_path / "preds.csv"
         write_site_predictions([p], str(path))
         lines = path.read_text().splitlines()

@@ -15,7 +15,6 @@ from scarr.step1 import (
     collinearity_report,
     cov_matrix,
     cov_value,
-    design_rows_from_covariates,
     dispersion_step_function,
     f_test,
     fit_gls,
@@ -289,6 +288,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_step1_config({"error_model": "gaussian"})
 
+    def test_per_ring_landuse_cannot_reuse_combined_name(self):
+        # a first ring of 0-2 km would name its column lu_<cat>_0-2km
+        parse_step1_config({"buffer_radii_km": "2 4 6"})
+        with pytest.raises(ConfigError, match="landuse_combined"):
+            parse_step1_config({"buffer_radii_km": "2 4 6", "landuse_combined": "false"})
+
     def test_unknown_landuse_category(self):
         with pytest.raises(ConfigError):
             parse_step1_config({"landuse_categories": "wetland"})
@@ -300,8 +305,7 @@ def design(mini_dataset):
 
     ds, _ = mini_dataset
     rows, _ = build_covariates(ds)
-    drows = design_rows_from_covariates(ds, rows)
-    return assemble_design(ds, drows)
+    return assemble_design(ds, rows)
 
 
 class TestAssembleDesign:
@@ -333,8 +337,7 @@ class TestAssembleDesign:
 
         ds, _ = mini_dataset
         rows, _ = build_covariates(ds)
-        drows = design_rows_from_covariates(ds, rows)
-        d = assemble_design(ds, drows, Step1Config(use_quadrants=True))
+        d = assemble_design(ds, rows, Step1Config(use_quadrants=True))
         assert "ttv_NE" in d.groups and len(d.groups["ttv_NE"]) == 7
         assert "ttv_NE_0-0.5km" in d.names
 
@@ -343,12 +346,28 @@ class TestAssembleDesign:
 
         ds, _ = mini_dataset
         rows, _ = build_covariates(ds)
-        drows = design_rows_from_covariates(ds, rows)
-        drows[0].cmaq_mean = math.nan
-        d = assemble_design(ds, drows)
-        assert len(d.y) == len(drows) - 1
+        rows[0].cmaq_mean = math.nan
+        d = assemble_design(ds, rows)
+        assert len(d.y) == len(rows) - 1
         assert any("dropped" in w for w in d.warnings)
-        drows[0].cmaq_mean = 10.0  # restore for other tests
+
+    def test_duplicate_intervals_keep_their_own_responses(self, mini_dataset):
+        import copy
+
+        from scarr.covariates import build_covariates
+        from scarr.data_model import IntervalObservation
+
+        ds, _ = mini_dataset
+        first = ds.interval_obs[0]
+        twin = IntervalObservation(first.site_id, first.t_start, first.t_end,
+                                   first.value + 5.0)
+        ds2 = copy.copy(ds)
+        ds2.interval_obs = [first, twin]
+        rows, _ = build_covariates(ds2)
+        d = assemble_design(ds2, rows)
+        assert d.X.shape[0] == 2
+        np.testing.assert_array_equal(d.X[0], d.X[1])
+        assert list(d.y) == [first.value, first.value + 5.0]
 
     def test_collinearity_report(self, rng):
         x = rng.normal(size=50)
@@ -410,8 +429,7 @@ class TestStepFunction:
 
         ds, _ = mini_dataset
         rows, _ = build_covariates(ds)
-        drows = design_rows_from_covariates(ds, rows)
-        d = assemble_design(ds, drows, Step1Config(use_quadrants=True))
+        d = assemble_design(ds, rows, Step1Config(use_quadrants=True))
         out = quadrant_step_functions(d)
         assert set(out) == {"NE", "NW", "SW", "SE"}
         for sf in out.values():

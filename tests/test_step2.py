@@ -209,6 +209,26 @@ class TestMle:
         fit = fit_mle(inputs, gamma_hat=0.5, config=Step2Config(drop_mu_a=False))
         assert not fit.mu_a_dropped
 
+    def test_converged_false_when_optimizer_fails(self, monkeypatch, tmp_path):
+        from scarr import step2
+
+        minimize = step2.optimize.minimize
+
+        def failing(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(step2.optimize, "minimize", failing)
+        inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
+        fit = fit_mle(inputs, gamma_hat=0.5)
+        assert math.isfinite(fit.loglik)
+        assert fit.converged is False
+        path = tmp_path / "fit.txt"
+        write_step2_fit(fit, str(path))
+        assert "converged=false" in path.read_text().splitlines()
+        assert read_step2_fit(str(path)).converged is False
+
 
 class TestConfigAndSerialization:
     def test_parse_defaults(self):
