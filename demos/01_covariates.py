@@ -11,10 +11,11 @@ from scarr.data_model import load_dataset
 dataset = load_dataset("data/mini")
 print(f"loaded {len(dataset.sites)} sites, {len(dataset.traffic)} road polylines")
 
-# Roads are cut into ~50 m pieces; each piece carries length_km * ADT
-# vehicle-kilometres per day of traffic volume.
+# Roads are cut into ~50 m pieces, one table row each: midpoint x, y (m),
+# length_km and ADT.  A piece carries length_km * ADT vehicle-kilometres per
+# day of traffic volume.
 segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-total_vkm = sum(s.tv for s in segments)
+total_vkm = segments[:, 2] @ segments[:, 3]
 print(f"{len(segments)} road segments, {total_vkm / 1e4:,.1f} x 10^4 v-km/day total")
 
 # Ring totals around one monitoring site (units of 10,000 v-km/day).

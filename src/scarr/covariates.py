@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +30,13 @@ LANDUSE_CATEGORIES = ("developed", "forest", "other")
 N_LANDUSE_RINGS = 3
 
 
-@dataclass(frozen=True)
-class TrafficSegment:
+class TrafficSegment(NamedTuple):
+    """One row of the ``segmentize`` table."""
+
     x: float
     y: float
     length_km: float
     adt: float
-
-    @property
-    def tv(self) -> float:
-        """Traffic volume: vehicle-kilometers per day."""
-        return self.length_km * self.adt
 
 
 @dataclass(frozen=True)
@@ -59,21 +56,21 @@ class BufferSpec:
         inner = (0.0,) + tuple(self.radii_km[:-1])
         return [f"{a:g}-{b:g}km" for a, b in zip(inner, self.radii_km)]
 
-    def ring_index(self, d_km: float) -> int:
-        """Ring containing distance d (boundary assigned to the inner ring); -1 if beyond."""
-        for k, r in enumerate(self.radii_km):
-            if d_km <= r:
-                return k
-        return -1
+    def ring_index(self, d_km):
+        """Ring of each distance (boundary to the inner ring); -1 if beyond."""
+        k = np.searchsorted(self.radii_km, d_km, side="left")
+        return np.where(k < self.n_rings, k, -1)
 
 
-def segmentize(polylines, target_len: float = 50.0):
+def segmentize(polylines, target_len: float = 50.0) -> np.ndarray:
     """Split (vertices, adt) polylines into consecutive ~target_len m segments.
 
     Each polyline yields pieces of length target_len plus one residual piece;
     segment midpoints lie on the polyline and lengths sum to the polyline length.
+    Returns an (S, 4) table with the columns of ``TrafficSegment``: midpoint
+    x and y (m), length_km and adt.
     """
-    segments = []
+    tables = [np.empty((0, 4))]
     for vertices, adt in polylines:
         verts = np.asarray(vertices, dtype=float)
         if verts.shape[0] < 2:
@@ -85,54 +82,54 @@ def segmentize(polylines, target_len: float = 50.0):
             raise DataError("segmentize: zero-length polyline")
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
 
-        def point_at(s):
-            i = int(np.searchsorted(cum, s, side="right") - 1)
-            i = min(i, len(seg_len) - 1)
-            frac = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
-            return verts[i] + frac * seg_vec[i]
-
-        n_full = int(total // target_len)
-        breaks = [k * target_len for k in range(n_full + 1)]
+        breaks = np.arange(int(total // target_len) + 1) * target_len
         if total - breaks[-1] > 1e-9:
-            breaks.append(total)
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            mid = point_at(0.5 * (a + b))
-            segments.append(
-                TrafficSegment(float(mid[0]), float(mid[1]), (b - a) / 1000.0, adt)
-            )
-    return segments
+            breaks = np.append(breaks, total)
+        mids = 0.5 * (breaks[:-1] + breaks[1:])
+        i = np.minimum(np.searchsorted(cum, mids, side="right") - 1, len(seg_len) - 1)
+        frac = np.divide(mids - cum[i], seg_len[i], out=np.zeros(len(mids)),
+                         where=seg_len[i] > 0)
+        xy = verts[i] + frac[:, None] * seg_vec[i]
+        tables.append(np.column_stack(
+            [xy, np.diff(breaks) / 1000.0, np.full(len(mids), adt)]
+        ))
+    return np.concatenate(tables)
+
+
+def _ring_sources(site: SiteRecord, sources, spec: BufferSpec):
+    """(ring, quadrant, volume) of the sources inside the last ring.
+
+    ``sources`` is a ``segmentize`` table or a list of ``TrafficSegment``.
+    Quadrants follow the signs of (dx, dy) from the site: NE dx>0, dy>=0 (and
+    a source at the site itself), NW dx<=0, dy>0, SW dx<0, dy<=0, SE the rest.
+    Volume is vehicle-km/day.
+    """
+    seg = np.asarray(sources, dtype=float).reshape(-1, 4)
+    dx, dy = seg[:, 0] - site.x, seg[:, 1] - site.y
+    ring = spec.ring_index(np.hypot(dx, dy) / 1000.0)
+    inside = ring >= 0
+    dx, dy, seg = dx[inside], dy[inside], seg[inside]
+    quadrant = np.select(
+        [((dx > 0) & (dy >= 0)) | ((dx == 0) & (dy == 0)),
+         (dx <= 0) & (dy > 0),
+         (dx < 0) & (dy <= 0)],
+        [0, 1, 2], default=3,
+    )
+    return ring[inside], quadrant, seg[:, 2] * seg[:, 3]
 
 
 def ring_ttv(site: SiteRecord, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
     """Total traffic volume per buffer ring, in 10,000 vehicle-km/day units."""
-    out = np.zeros(spec.n_rings)
-    for seg in sources:
-        d_km = math.hypot(seg.x - site.x, seg.y - site.y) / 1000.0
-        k = spec.ring_index(d_km)
-        if k >= 0:
-            out[k] += seg.tv
-    return out / 10_000.0
-
-
-def _quadrant_index(dx: float, dy: float) -> int:
-    """Quadrant by bearing from east, counter-clockwise: [0,90)=NE, [90,180)=NW,
-    [180,270)=SW, [270,360)=SE.  A source coincident with the site is NE."""
-    if dx == 0.0 and dy == 0.0:
-        return 0
-    ang = math.degrees(math.atan2(dy, dx)) % 360.0
-    return int(ang // 90.0)
+    ring, _, volume = _ring_sources(site, sources, spec)
+    return np.bincount(ring, weights=volume, minlength=spec.n_rings) / 10_000.0
 
 
 def quadrant_ttv(site: SiteRecord, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
     """(4, n_rings) TTV table by quadrant (NE, NW, SW, SE order)."""
-    out = np.zeros((4, spec.n_rings))
-    for seg in sources:
-        dx, dy = seg.x - site.x, seg.y - site.y
-        d_km = math.hypot(dx, dy) / 1000.0
-        k = spec.ring_index(d_km)
-        if k >= 0:
-            out[_quadrant_index(dx, dy), k] += seg.tv
-    return out / 10_000.0
+    ring, quadrant, volume = _ring_sources(site, sources, spec)
+    n = spec.n_rings
+    out = np.bincount(quadrant * n + ring, weights=volume, minlength=4 * n)
+    return out.reshape(4, n) / 10_000.0
 
 
 def ring_landuse_area(
@@ -147,31 +144,23 @@ def ring_landuse_area(
     Returns {category: array of n_rings ring areas}.  Every non-nodata raster
     code must appear in the reclass map.
     """
-    radii_m = [r * 1000.0 for r in spec.radii_km[:n_rings]]
     cats = sorted(set(reclass.values()))
-    out = {c: np.zeros(n_rings) for c in cats}
+    codes = sorted(reclass)
+    cat_of_code = np.array([cats.index(reclass[c]) for c in codes], dtype=np.intp)
     cell_ha = raster.cell_size**2 / 10_000.0
 
     pts = raster.centroids()
-    d = np.hypot(pts[:, 0] - site.x, pts[:, 1] - site.y)
+    ring = spec.ring_index(np.hypot(pts[:, 0] - site.x, pts[:, 1] - site.y) / 1000.0)
     vals = raster.values.ravel()
-    within = d <= radii_m[-1]
-    bounds = np.array([0.0] + radii_m)
-    for dist, code in zip(d[within], vals[within]):
-        if code == raster.nodata_value:
-            continue
-        icode = int(code)
-        if icode not in reclass:
-            raise DataError(f"land-use code {icode} absent from reclass map")
-        # boundary belongs to the inner ring
-        k = int(np.searchsorted(bounds[1:], dist, side="left"))
-        out[reclass[icode]][k] += cell_ha
-    return out
-
-
-def combined_landuse(areas: dict) -> dict:
-    """Combined 0-2 km value per category: sum of its rings."""
-    return {c: float(np.sum(v)) for c, v in areas.items()}
+    keep = (ring >= 0) & (ring < n_rings) & (vals != raster.nodata_value)
+    ring, cell_codes = ring[keep], vals[keep].astype(np.int64)
+    unknown = ~np.isin(cell_codes, codes)
+    if unknown.any():
+        raise DataError(f"land-use code {cell_codes[unknown][0]} absent from reclass map")
+    cat = cat_of_code[np.searchsorted(codes, cell_codes)]
+    out = np.bincount(cat * n_rings + ring, weights=np.full(len(ring), cell_ha),
+                      minlength=len(cats) * n_rings)
+    return dict(zip(cats, out.reshape(len(cats), n_rings)))
 
 
 def _point_in_polygon(x: float, y: float, verts: np.ndarray) -> bool:
@@ -247,12 +236,14 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     offending site.
     """
     segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-    rows, warnings = [], []
+    rows, warnings, static = [], [], {}
     for obs in dataset.interval_obs:
         site = dataset.sites[obs.site_id]
         try:
+            if site.id not in static:
+                static[site.id] = site_static_covariates(dataset, site, segments, spec)
             row = covariate_row_for_site(
-                dataset, site, obs.t_start, obs.t_end, segments, spec
+                dataset, site, obs.t_start, obs.t_end, static[site.id]
             )
         except DataError as exc:
             warnings.append(f"site {site.id}: {exc}")
@@ -291,36 +282,26 @@ def covariate_row_for_site(
     site: SiteRecord,
     t_start: int,
     t_end: int,
-    segments,
-    spec: BufferSpec = BufferSpec(),
-    static: dict | None = None,
+    static: dict,
 ) -> CovariateRow:
-    if static is None:
-        static = site_static_covariates(dataset, site, segments, spec)
-    midpoint = 0.5 * (t_start + t_end)
-    dyr = dataset.manifest.dyr(midpoint)
-    ttv = static["ttv"]
-    quad = static["ttv_quadrant"]
-    lu = static["lu_area"]
-    pop = static["pop_density"]
-    elev = static["elevation"]
-
+    """Covariates of one observation interval at a site, from the site's
+    ``site_static_covariates``."""
+    dyr = dataset.manifest.dyr(0.5 * (t_start + t_end))
     cmaq_mean, n_used = math.nan, 0
-    if static["cmaq_pixel"] is not None:
-        ser = dataset.cmaq.series.get(static["cmaq_pixel"])
-        if ser is not None:
-            cmaq_mean, n_used = interval_mean(ser, t_start, t_end)
+    ser = dataset.cmaq.series.get(static["cmaq_pixel"])
+    if ser is not None:
+        cmaq_mean, n_used = interval_mean(ser, t_start, t_end)
 
     return CovariateRow(
         site_id=site.id,
         t_start=t_start,
         t_end=t_end,
         dyr=dyr,
-        ttv=ttv,
-        ttv_quadrant=quad,
-        lu_area=lu,
-        pop_density=pop,
-        elevation=elev,
+        ttv=static["ttv"],
+        ttv_quadrant=static["ttv_quadrant"],
+        lu_area=static["lu_area"],
+        pop_density=static["pop_density"],
+        elevation=static["elevation"],
         cmaq_mean=cmaq_mean,
         cmaq_days_used=n_used,
     )

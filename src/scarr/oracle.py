@@ -374,9 +374,7 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
             length = int(rng.integers(lo, hi + 1))
             t_start = int(rng.integers(1, max(config.n_days - length, 1) + 1))
             t_end = t_start + length - 1
-            row = cov.covariate_row_for_site(
-                dataset, sites[sid], t_start, t_end, segments, static=static
-            )
+            row = cov.covariate_row_for_site(dataset, sites[sid], t_start, t_end, static)
             mean = _true_mean_row(config, row)
             value = mean + config.noise_sd * rng.standard_normal()
             while value <= 0:  # observations are strictly positive by schema
@@ -396,9 +394,7 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
         y1_ser = cmaq.series[pid]
         vals = np.empty(config.n_days)
         for t_i, day in enumerate(days):
-            row = cov.covariate_row_for_site(
-                dataset, site, int(day), int(day), segments, static=static
-            )
+            row = cov.covariate_row_for_site(dataset, site, int(day), int(day), static)
             ct = _true_c_tilde(config, row)
             y1_val, _ = interval_mean(y1_ser, int(day), int(day))
             vals[t_i] = (

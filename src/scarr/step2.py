@@ -232,27 +232,31 @@ def _expit(x):
 _PARAM_NAMES = ("sigma_z", "sigma_a", "psi_a", "mu_a", "beta_c")
 
 
-def _unpack(theta, gamma_hat, fix_mu):
-    sigma_z = math.exp(theta[0])
-    sigma_a = math.exp(theta[1])
-    psi = _expit(theta[2])
+def _params(vec, gamma_hat, fix_mu) -> DlmParams:
+    """DlmParams from a natural parameter vector
+    (sigma_z, sigma_a, psi_a, [mu_a,] beta_c)."""
     if fix_mu:
-        mu, beta_c = 0.0, theta[3]
+        sigma_z, sigma_a, psi, beta_c = vec
+        mu = 0.0
     else:
-        mu, beta_c = theta[3], theta[4]
-    return DlmParams(sigma_z, sigma_a, min(psi, 1.0 - 1e-12),
-                     mu_a=mu, beta_c=beta_c, gamma_hat=gamma_hat)
+        sigma_z, sigma_a, psi, mu, beta_c = vec
+    return DlmParams(sigma_z, sigma_a, psi, mu_a=mu, beta_c=beta_c, gamma_hat=gamma_hat)
 
 
-def _nll_factory(inputs, gamma_hat, fix_mu):
-    def nll(theta):
+def _natural(theta):
+    """Natural parameter vector of an optimizer point
+    (log sigma_z, log sigma_a, logit psi_a, [mu_a,] beta_c)."""
+    return [math.exp(theta[0]), math.exp(theta[1]),
+            min(_expit(theta[2]), 1.0 - 1e-12), *theta[3:]]
+
+
+def _nll(inputs, gamma_hat, fix_mu):
+    """Negative log-likelihood of a natural parameter vector; 1e12 outside
+    the parameter space or where the likelihood is not finite."""
+    def nll(vec):
         try:
-            params = _unpack(theta, gamma_hat, fix_mu)
-        except (OverflowError, DataError):
-            return 1e12
-        try:
-            val = -log_likelihood(params, inputs)
-        except (FloatingPointError, ValueError):
+            val = -log_likelihood(_params(vec, gamma_hat, fix_mu), inputs)
+        except (DataError, FloatingPointError, ValueError):
             return 1e12
         return val if math.isfinite(val) else 1e12
 
@@ -303,48 +307,34 @@ def _numeric_hessian(fun, x, rel_step=1e-4):
     return H
 
 
-def _natural_nll(inputs, gamma_hat, fix_mu):
-    def nll(vec):
-        if fix_mu:
-            sigma_z, sigma_a, psi, beta_c = vec
-            mu = 0.0
-        else:
-            sigma_z, sigma_a, psi, mu, beta_c = vec
-        if sigma_z <= 0 or sigma_a < 0 or not (0 <= psi < 1):
-            return 1e12
-        p = DlmParams(sigma_z, sigma_a, psi, mu_a=mu, beta_c=beta_c, gamma_hat=gamma_hat)
-        val = -log_likelihood(p, inputs)
-        return val if math.isfinite(val) else 1e12
-
-    return nll
-
-
 def _fit_once(inputs, gamma_hat, config, fix_mu):
-    nll = _nll_factory(inputs, gamma_hat, fix_mu)
+    nll = _nll(inputs, gamma_hat, fix_mu)
+
+    def objective(theta):
+        try:
+            vec = _natural(theta)
+        except OverflowError:
+            return 1e12
+        return nll(vec)
+
     best = None
     for theta0 in _moment_starts(inputs, gamma_hat, config.n_starts, fix_mu):
         res = optimize.minimize(
-            nll, theta0, method="L-BFGS-B",
+            objective, theta0, method="L-BFGS-B",
             options={"gtol": config.grad_tol, "ftol": config.step_tol, "maxiter": 500},
         )
         if best is None or res.fun < best.fun:
             best = res
     if best is None or not math.isfinite(best.fun) or best.fun >= 1e12:
         raise ConvergenceError("fit_mle: no multistart converged")
-    params = _unpack(best.x, gamma_hat, fix_mu)
+    vec = _natural(best.x)
+    params = _params(vec, gamma_hat, fix_mu)
     params.loglik = -float(best.fun)
     params.converged = bool(best.success)
 
     # standard errors: inverse numeric Hessian in the natural parameterization
-    if fix_mu:
-        vec = np.array([params.sigma_z, params.sigma_a, params.psi_a, params.beta_c])
-        names = ("sigma_z", "sigma_a", "psi_a", "beta_c")
-    else:
-        vec = np.array(
-            [params.sigma_z, params.sigma_a, params.psi_a, params.mu_a, params.beta_c]
-        )
-        names = _PARAM_NAMES
-    H = _numeric_hessian(_natural_nll(inputs, gamma_hat, fix_mu), vec)
+    names = [nm for nm in _PARAM_NAMES if not (fix_mu and nm == "mu_a")]
+    H = _numeric_hessian(nll, np.array(vec))
     try:
         cov = np.linalg.inv(H)
         diag = np.diag(cov)

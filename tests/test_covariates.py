@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scarr import covariates as cov
 from scarr.covariates import (
     BufferSpec,
     DataError,
     TrafficSegment,
     _point_in_polygon,
     build_covariates,
-    combined_landuse,
     covariate_header,
     population_density,
     quadrant_ttv,
@@ -46,27 +48,27 @@ class TestSegmentize:
     def test_100m_line_two_halves(self):
         segs = segmentize([(np.array([[0.0, 0.0], [100.0, 0.0]]), 1000.0)])
         assert len(segs) == 2
-        assert [s.length_km for s in segs] == [0.05, 0.05]
-        assert [(s.x, s.y) for s in segs] == [(25.0, 0.0), (75.0, 0.0)]
+        assert segs[:, 2].tolist() == [0.05, 0.05]
+        assert segs[:, :2].tolist() == [[25.0, 0.0], [75.0, 0.0]]
 
     def test_120m_line_residual(self):
         segs = segmentize([(np.array([[0.0, 0.0], [120.0, 0.0]]), 1.0)])
-        assert [pytest.approx(s.length_km) for s in segs] == [0.05, 0.05, 0.02]
-        assert segs[-1].x == pytest.approx(110.0)
+        assert [pytest.approx(v) for v in segs[:, 2]] == [0.05, 0.05, 0.02]
+        assert segs[-1, 0] == pytest.approx(110.0)
 
     def test_lengths_sum_to_polyline_length(self, rng):
         verts = rng.uniform(0, 2000, size=(8, 2))
         total = float(np.hypot(*np.diff(verts, axis=0).T).sum())
         segs = segmentize([(verts, 5.0)])
-        assert sum(s.length_km for s in segs) * 1000 == pytest.approx(total)
-        assert all(s.length_km <= 0.05 + 1e-12 for s in segs)
+        assert sum(segs[:, 2]) * 1000 == pytest.approx(total)
+        assert all(segs[:, 2] <= 0.05 + 1e-12)
 
     def test_vertex_spanning_midpoint_on_polyline(self):
         # 90-degree corner at (40, 0): the first 50 m piece spans the corner
         verts = np.array([[0.0, 0.0], [40.0, 0.0], [40.0, 60.0]])
         segs = segmentize([(verts, 1.0)])
-        assert (segs[0].x, segs[0].y) == (25.0, 0.0)
-        assert (segs[1].x, segs[1].y) == (40.0, 35.0)
+        assert segs[0, :2].tolist() == [25.0, 0.0]
+        assert segs[1, :2].tolist() == [40.0, 35.0]
 
 
 class TestRingTtv:
@@ -100,7 +102,7 @@ class TestRingTtv:
         radii = (0.0,) + spec.radii_km
         for k in range(spec.n_rings):
             expected = sum(
-                s.tv for s in segs
+                s.length_km * s.adt for s in segs
                 if radii[k] < math.hypot(s.x, s.y) / 1000 <= radii[k + 1]
             ) / 10_000.0
             assert out[k] == pytest.approx(expected, rel=1e-12)
@@ -156,6 +158,58 @@ class TestQuadrantTtv:
         # 90-degree CCW rotation moves NE->NW->SW->SE->NE
         np.testing.assert_allclose(rot, base[[3, 0, 1, 2]], rtol=1e-12)
 
+    def test_bearing_just_below_east_is_se(self):
+        # the bearing of this source, taken modulo 360 degrees, rounds to 360
+        site = SiteRecord("s", 0.0, 10_000.0, "calibration")
+        seg = TrafficSegment(5000.0, math.nextafter(10_000.0, 0.0), 0.05, 1000.0)
+        out = quadrant_ttv(site, [seg])
+        assert BufferSpec().ring_labels()[5] == "4-5km"
+        assert out[3, 5] == pytest.approx(0.005)
+        assert out.sum() == pytest.approx(0.005)
+
+
+# Integer coordinates keep every (dx, dy) exact, so translations are exact too.
+_coord = st.integers(-8000, 8000)
+_segments = st.lists(
+    st.tuples(_coord, _coord, st.sampled_from([0.02, 0.05]),
+              st.floats(1.0, 50_000.0)),
+    max_size=60,
+)
+
+
+class TestTrafficProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_coord, _coord, _segments)
+    def test_quadrants_sum_to_rings(self, sx, sy, rows):
+        site = SiteRecord("s", float(sx), float(sy), "calibration")
+        segs = [TrafficSegment(*map(float, row)) for row in rows]
+        np.testing.assert_allclose(
+            quadrant_ttv(site, segs).sum(axis=0), ring_ttv(site, segs),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coord, _coord, _segments, _coord, _coord)
+    def test_translation_invariant(self, sx, sy, rows, ox, oy):
+        site = SiteRecord("s", float(sx), float(sy), "calibration")
+        moved = SiteRecord("s", float(sx + ox), float(sy + oy), "calibration")
+        segs = [TrafficSegment(float(x), float(y), ln, adt) for x, y, ln, adt in rows]
+        shifted = [TrafficSegment(float(x + ox), float(y + oy), ln, adt)
+                   for x, y, ln, adt in rows]
+        assert ring_ttv(moved, shifted).tobytes() == ring_ttv(site, segs).tobytes()
+        assert (quadrant_ttv(moved, shifted).tobytes()
+                == quadrant_ttv(site, segs).tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coord, _coord, _segments)
+    def test_ring_total_is_volume_within_outer_radius(self, sx, sy, rows):
+        site = SiteRecord("s", float(sx), float(sy), "calibration")
+        segs = [TrafficSegment(*map(float, row)) for row in rows]
+        inside = sum(ln * adt for x, y, ln, adt in rows
+                     if math.hypot(x - sx, y - sy) <= 6000.0)
+        assert ring_ttv(site, segs).sum() == pytest.approx(inside / 10_000.0,
+                                                           rel=1e-12, abs=1e-12)
+
 
 def uniform_raster(code=2, n=80, cell=100.0, center=4000.0):
     vals = np.full((n, n), float(code))
@@ -201,10 +255,6 @@ class TestLanduse:
         site = SiteRecord("s", 4000.0, 4000.0, "calibration")
         with pytest.raises(DataError, match="code 9"):
             ring_landuse_area(site, raster, {2: "forest"})
-
-    def test_combined_is_ring_sum(self):
-        areas = {"forest": np.array([1.0, 2.0, 4.0])}
-        assert combined_landuse(areas) == {"forest": 7.0}
 
 
 SQUARE = TractPolygon(
@@ -295,3 +345,17 @@ class TestBuildCovariates:
         lines = path.read_text().splitlines()
         width = len(covariate_header())
         assert all(len(line.split(",")) == width for line in lines)
+
+    def test_static_covariates_once_per_site(self, mini_dataset, monkeypatch):
+        ds, _ = mini_dataset
+        calls = []
+        original = cov.site_static_covariates
+
+        def counted(dataset, site, *args):
+            calls.append(site.id)
+            return original(dataset, site, *args)
+
+        monkeypatch.setattr(cov, "site_static_covariates", counted)
+        rows, _ = build_covariates(ds)
+        assert len(rows) > len(set(calls))
+        assert sorted(calls) == sorted({obs.site_id for obs in ds.interval_obs})
