@@ -122,6 +122,8 @@ def cmd_fit_step1(args) -> int:
     if args.alpha is not None:
         kv["alpha"] = str(args.alpha)
     cfg, fit = _run_step1(dataset, kv)
+    if not fit.converged:
+        _log(f"fit-step1: warning: GLS optimizer did not converge: {fit.optimizer_message}")
     out = _out_dir(args.dataset, args.out)
     step1.write_step1_fit(fit, os.path.join(out, "step1_fit.txt"), _header(kv))
     _log(

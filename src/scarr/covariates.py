@@ -149,9 +149,19 @@ def ring_landuse_area(
     cat_of_code = np.array([cats.index(reclass[c]) for c in codes], dtype=np.intp)
     cell_ha = raster.cell_size**2 / 10_000.0
 
-    pts = raster.centroids()
-    ring = spec.ring_index(np.hypot(pts[:, 0] - site.x, pts[:, 1] - site.y) / 1000.0)
-    vals = raster.values.ravel()
+    # only the cells within the outer land-use radius (plus one cell) can
+    # count; the centroid formula of ``RasterGrid.centroids`` over that window
+    # keeps the distances, and row-major order, of the whole raster
+    reach = spec.radii_km[n_rings - 1] * 1000.0 / raster.cell_size + 1.0
+    fx = (site.x - raster.x_ll) / raster.cell_size
+    fy = raster.n_rows - (site.y - raster.y_ll) / raster.cell_size
+    c0, c1 = (min(max(int(f), 0), raster.n_cols) for f in (fx - reach, fx + reach + 1.0))
+    r0, r1 = (min(max(int(f), 0), raster.n_rows) for f in (fy - reach, fy + reach + 1.0))
+    x = raster.x_ll + (np.arange(c0, c1) + 0.5) * raster.cell_size
+    y = raster.y_ll + (raster.n_rows - np.arange(r0, r1) - 0.5) * raster.cell_size
+    xx, yy = np.meshgrid(x, y)
+    ring = spec.ring_index(np.hypot(xx.ravel() - site.x, yy.ravel() - site.y) / 1000.0)
+    vals = raster.values[r0:r1, c0:c1].ravel()
     keep = (ring >= 0) & (ring < n_rings) & (vals != raster.nodata_value)
     ring, cell_codes = ring[keep], vals[keep].astype(np.int64)
     unknown = ~np.isin(cell_codes, codes)

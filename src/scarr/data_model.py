@@ -338,26 +338,25 @@ def load_dataset(path: str) -> Dataset:
             files[key] = raw[key]
     manifest = Manifest(epoch=epoch, crs=raw.get("crs", "unspecified"), files=files)
 
-    def fpath(key):
-        return os.path.join(path, files[key])
+    fpath = {key: os.path.join(path, name) for key, name in files.items()}
 
-    if not os.path.exists(fpath("sites")):
-        raise DataError(f"missing sites file: {fpath('sites')}")
+    if not os.path.exists(fpath["sites"]):
+        raise DataError(f"missing sites file: {fpath['sites']}")
     sites = {}
-    for ln, row in _read_csv(fpath("sites"), ("id", "x", "y", "role")):
+    for ln, row in _read_csv(fpath["sites"], ("id", "x", "y", "role")):
         if row["id"] in sites:
-            raise DataError(f"{fpath('sites')}:{ln}: duplicate site id {row['id']!r}")
+            raise DataError(f"{fpath['sites']}:{ln}: duplicate site id {row['id']!r}")
         sites[row["id"]] = SiteRecord(
             row["id"], float(row["x"]), float(row["y"]), row["role"]
         )
 
     interval_obs = []
-    if os.path.exists(fpath("interval_obs")):
+    if os.path.exists(fpath["interval_obs"]):
         cols = ("site_id", "t_start", "t_end", "value_ppb")
-        for ln, row in _read_csv(fpath("interval_obs"), cols):
+        for ln, row in _read_csv(fpath["interval_obs"], cols):
             if row["site_id"] not in sites:
                 raise DataError(
-                    f"{fpath('interval_obs')}:{ln}: unknown site_id {row['site_id']!r}"
+                    f"{fpath['interval_obs']}:{ln}: unknown site_id {row['site_id']!r}"
                 )
             interval_obs.append(
                 IntervalObservation(
@@ -367,18 +366,18 @@ def load_dataset(path: str) -> Dataset:
             )
 
     daily_series = {}
-    if os.path.exists(fpath("daily_series")):
+    if os.path.exists(fpath["daily_series"]):
         acc = {}
-        for ln, row in _read_csv(fpath("daily_series"), ("site_id", "day", "value_ppb")):
+        for ln, row in _read_csv(fpath["daily_series"], ("site_id", "day", "value_ppb")):
             sid = row["site_id"]
             if sid not in sites:
-                raise DataError(f"{fpath('daily_series')}:{ln}: unknown site_id {sid!r}")
+                raise DataError(f"{fpath['daily_series']}:{ln}: unknown site_id {sid!r}")
             day = int(row["day"])
-            val = _parse_value(fpath("daily_series"), ln, row["value_ppb"], allow_na=True)
+            val = _parse_value(fpath["daily_series"], ln, row["value_ppb"], allow_na=True)
             days, vals = acc.setdefault(sid, ([], []))
             if days and day <= days[-1]:
                 raise DataError(
-                    f"{fpath('daily_series')}:{ln}: non-monotone day index for {sid!r}"
+                    f"{fpath['daily_series']}:{ln}: non-monotone day index for {sid!r}"
                 )
             days.append(day)
             vals.append(val)
@@ -386,29 +385,29 @@ def load_dataset(path: str) -> Dataset:
             daily_series[sid] = DailySeries(sid, np.array(days), np.array(vals))
 
     cmaq = None
-    if os.path.exists(fpath("cmaq_centroids")):
+    if os.path.exists(fpath["cmaq_centroids"]):
         pid, xs, ys = [], [], []
-        for ln, row in _read_csv(fpath("cmaq_centroids"), ("pixel_id", "x", "y")):
+        for ln, row in _read_csv(fpath["cmaq_centroids"], ("pixel_id", "x", "y")):
             pid.append(int(row["pixel_id"]))
             xs.append(float(row["x"]))
             ys.append(float(row["y"]))
         cell = float(raw.get("cmaq_cell_size", 12000.0))
         series = {}
-        if os.path.exists(fpath("cmaq_daily")):
+        if os.path.exists(fpath["cmaq_daily"]):
             acc = {}
             known = set(pid)
-            for ln, row in _read_csv(fpath("cmaq_daily"), ("pixel_id", "day", "value_ppb")):
+            for ln, row in _read_csv(fpath["cmaq_daily"], ("pixel_id", "day", "value_ppb")):
                 p = int(row["pixel_id"])
                 if p not in known:
-                    raise DataError(f"{fpath('cmaq_daily')}:{ln}: unknown pixel_id {p}")
+                    raise DataError(f"{fpath['cmaq_daily']}:{ln}: unknown pixel_id {p}")
                 days, vals = acc.setdefault(p, ([], []))
                 day = int(row["day"])
                 if days and day <= days[-1]:
                     raise DataError(
-                        f"{fpath('cmaq_daily')}:{ln}: non-monotone day index for pixel {p}"
+                        f"{fpath['cmaq_daily']}:{ln}: non-monotone day index for pixel {p}"
                     )
                 days.append(day)
-                vals.append(_parse_value(fpath("cmaq_daily"), ln, row["value_ppb"], True))
+                vals.append(_parse_value(fpath["cmaq_daily"], ln, row["value_ppb"], True))
             for p, (days, vals) in acc.items():
                 series[p] = DailySeries(str(p), np.array(days), np.array(vals))
         cmaq = CmaqGrid(np.array(pid), np.array(xs), np.array(ys), cell, series)
@@ -416,11 +415,11 @@ def load_dataset(path: str) -> Dataset:
         cmaq = CmaqGrid(np.array([], dtype=int), np.array([]), np.array([]), 12000.0, {})
 
     traffic = []
-    if os.path.exists(fpath("traffic")):
+    if os.path.exists(fpath["traffic"]):
         acc = {}
         order = []
         cols = ("line_id", "vertex_index", "x", "y", "adt")
-        for ln, row in _read_csv(fpath("traffic"), cols):
+        for ln, row in _read_csv(fpath["traffic"], cols):
             lid = row["line_id"]
             if lid not in acc:
                 acc[lid] = {"verts": [], "adt": float(row["adt"])}
@@ -434,13 +433,13 @@ def load_dataset(path: str) -> Dataset:
             traffic.append(TrafficPolyline(lid, arr, acc[lid]["adt"]))
 
     tracts = []
-    if os.path.exists(fpath("tracts")) and os.path.exists(fpath("tract_attrs")):
+    if os.path.exists(fpath["tracts"]) and os.path.exists(fpath["tract_attrs"]):
         attrs = {}
-        for ln, row in _read_csv(fpath("tract_attrs"), ("tract_id", "population", "area_mi2")):
+        for ln, row in _read_csv(fpath["tract_attrs"], ("tract_id", "population", "area_mi2")):
             attrs[row["tract_id"]] = (float(row["population"]), float(row["area_mi2"]))
         acc = {}
         order = []
-        for ln, row in _read_csv(fpath("tracts"), ("tract_id", "vertex_index", "x", "y")):
+        for ln, row in _read_csv(fpath["tracts"], ("tract_id", "vertex_index", "x", "y")):
             tid = row["tract_id"]
             if tid not in acc:
                 acc[tid] = []
@@ -448,27 +447,27 @@ def load_dataset(path: str) -> Dataset:
             acc[tid].append((int(row["vertex_index"]), float(row["x"]), float(row["y"])))
         for tid in order:
             if tid not in attrs:
-                raise DataError(f"{fpath('tracts')}: tract {tid!r} missing attributes")
+                raise DataError(f"{fpath['tracts']}: tract {tid!r} missing attributes")
             verts = np.array([(x, y) for _, x, y in sorted(acc[tid])])
             pop, area = attrs[tid]
             tracts.append(TractPolygon(tid, verts, pop, area))
 
     site_attrs = {}
-    if os.path.exists(fpath("site_attrs")):
-        for ln, row in _read_csv(fpath("site_attrs"), ("site_id", "elevation_m")):
+    if os.path.exists(fpath["site_attrs"]):
+        for ln, row in _read_csv(fpath["site_attrs"], ("site_id", "elevation_m")):
             if row["site_id"] not in sites:
                 raise DataError(
-                    f"{fpath('site_attrs')}:{ln}: unknown site_id {row['site_id']!r}"
+                    f"{fpath['site_attrs']}:{ln}: unknown site_id {row['site_id']!r}"
                 )
             site_attrs[row["site_id"]] = {"elevation_m": float(row["elevation_m"])}
 
     landuse = None
     reclass = None
-    if os.path.exists(fpath("landuse")):
-        landuse = read_raster(fpath("landuse"))
-        if os.path.exists(fpath("landuse_reclass")):
+    if os.path.exists(fpath["landuse"]):
+        landuse = read_raster(fpath["landuse"])
+        if os.path.exists(fpath["landuse_reclass"]):
             reclass = {}
-            for ln, row in _read_csv(fpath("landuse_reclass"), ("code", "category")):
+            for ln, row in _read_csv(fpath["landuse_reclass"], ("code", "category")):
                 reclass[int(row["code"])] = row["category"]
 
     return Dataset(

@@ -51,49 +51,62 @@ def cov_value(model: ErrorModel, d: float) -> float:
     """Spatial covariance at separation d; the nugget contributes only at d = 0."""
     if d < 0:
         raise DataError("cov_value: negative distance")
-    nug = model.nugget if d == 0 else 0.0
     if d == 0:
-        return model.sill + nug
+        return model.sill + model.nugget
+    return float(_cov_kernel(model, np.array([d], dtype=float))[0])
+
+
+def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
+    """Spatial covariance at the nonzero separations ``d`` (1-d array)."""
+    out = np.zeros(len(d))
     if model.kind == "independent" or model.range_ == 0:
-        return 0.0
+        return out
     h = d / model.range_
-    if model.kind == "exponential":
-        return model.sill * math.exp(-h)
+    # the cut-offs below are negated comparisons, so that a NaN separation
+    # takes the formula (and gives NaN) as in the scalar closed form
     if model.kind == "spherical":
-        if h >= 1.0:
-            return 0.0
-        return model.sill * (1.0 - 1.5 * h + 0.5 * h**3)
-    # matern; nu = 0.5 reduces exactly to the exponential
+        inside = ~(h >= 1.0)
+        poly = [1.0 - 1.5 * x + 0.5 * x**3 for x in h[inside].tolist()]
+        out[inside] = model.sill * np.array(poly, dtype=float)
+        return out
     nu = model.nu
-    if nu == 0.5:
-        return model.sill * math.exp(-h)
+    if model.kind == "exponential" or nu == 0.5:  # matern nu = 0.5 is the exponential
+        return model.sill * np.fromiter(map(math.exp, (-h).tolist()), float, len(h))
     arg = math.sqrt(2.0 * nu) * h
-    if arg > 700.0:
-        return 0.0
-    val = (2.0 ** (1.0 - nu) / special.gamma(nu)) * arg**nu * special.kv(nu, arg)
-    return model.sill * float(val)
+    near = ~(arg > 700.0)
+    a = arg[near]
+    scale = 2.0 ** (1.0 - nu) / special.gamma(nu)
+    powers = np.array([x**nu for x in a.tolist()], dtype=float)
+    out[near] = model.sill * (scale * powers * special.kv(nu, a))
+    return out
 
 
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     """Error covariance over observations; the nugget is per-observation, so
-    two distinct observations at the same location share only the sill."""
+    two distinct observations at the same location share only the sill.
+
+    The off-diagonal entries are array code over the upper triangle, but every
+    transcendental (exp, pow, the Bessel function) still runs element by
+    element through libm or ``special.kv``: numpy's own SIMD ``exp`` and
+    ``power`` differ from libm in the last bit for some inputs, and the
+    fitted digits must not depend on which one ran.
+    """
     d = np.hypot(
         coords[:, None, 0] - coords[None, :, 0],
         coords[:, None, 1] - coords[None, :, 1],
     )
     n = len(coords)
+    i, j = np.triu_indices(n, 1)
+    dij = d[i, j]
+    v = np.zeros(len(dij))
+    if model.kind != "independent":
+        same = dij == 0.0
+        v[same] = model.sill
+        v[~same] = _cov_kernel(model, dij[~same])
     out = np.empty((n, n))
-    for i in range(n):
-        out[i, i] = model.sill + model.nugget
-        for j in range(i + 1, n):
-            dij = float(d[i, j])
-            if model.kind == "independent":
-                v = 0.0
-            elif dij == 0.0:
-                v = model.sill
-            else:
-                v = cov_value(model, dij)
-            out[i, j] = out[j, i] = v
+    out[i, j] = v
+    out[j, i] = v
+    np.fill_diagonal(out, model.sill + model.nugget)
     return out
 
 
@@ -111,6 +124,8 @@ class StepOneFit:
     rmspe: float = math.nan
     loglik: float = math.nan
     rank_warnings: list = field(default_factory=list)
+    converged: bool = True  # the GLS optimizer reported success
+    optimizer_message: str = ""
     spec: BufferSpec = BufferSpec()  # buffer rings the design columns were named from
 
     @property
@@ -175,7 +190,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names, allow_singular: bool = False) -
 
 
 def _gls_nll(theta, X, y, coords, kind, nu):
-    sill, rng, nugget = np.exp(theta)
+    with np.errstate(over="ignore"):  # range -> inf is the fully correlated limit
+        sill, rng, nugget = np.exp(theta)
     model = ErrorModel(kind, sill=sill, range_=rng, nugget=nugget, nu=nu)
     V = cov_matrix(model, coords)
     n = len(y)
@@ -264,6 +280,7 @@ def fit_gls(
     return StepOneFit(
         names=list(names), beta=beta, cov=cov_beta, n=n, rss=rss, tss=tss,
         sigma2=sigma2, error_model=model, loglik=-float(best.fun),
+        converged=bool(best.success), optimizer_message=str(best.message),
     )
 
 

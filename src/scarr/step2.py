@@ -118,64 +118,58 @@ def kalman_filter(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
     T = inputs.n_days
     if T < 1:
         raise DataError("kalman_filter: need at least one day")
-    m, s1, s2 = _day_stats(params, inputs)
+    m, s1, s2 = (x.tolist() for x in _day_stats(params, inputs))
     sz2 = params.sigma_z**2
     sa2 = params.sigma_a**2
     psi = params.psi_a
     mu = params.mu_a
 
-    pred_mean = np.empty(T)
-    pred_var = np.empty(T)
-    filt_mean = np.empty(T)
-    filt_var = np.empty(T)
-    ll = np.zeros(T)
-
+    pred_mean, pred_var, filt_mean, filt_var, ll = [], [], [], [], []
     a = mu
     P = params.stationary_var
     log2pi = math.log(2.0 * math.pi)
-    for t in range(T):
-        pred_mean[t] = a
-        pred_var[t] = P
-        mt = int(m[t])
+    log_sz2 = math.log(sz2)
+    for mt, s1t, s2t in zip(m, s1, s2):
+        pred_mean.append(a)
+        pred_var.append(P)
         if mt == 0:
-            filt_mean[t], filt_var[t] = a, P
+            ll.append(0.0)
         else:
             denom = sz2 + mt * P
-            sv = s1[t] - mt * a  # sum of innovations
-            vsq = s2[t] - 2.0 * a * s1[t] + mt * a * a  # squared innovation norm
+            sv = s1t - mt * a  # sum of innovations
+            vsq = s2t - 2.0 * a * s1t + mt * a * a  # squared innovation norm
             quad = (vsq - P * sv * sv / denom) / sz2
-            logdet = (mt - 1) * math.log(sz2) + math.log(denom)
-            ll[t] = -0.5 * (mt * log2pi + logdet + quad)
+            logdet = (mt - 1) * log_sz2 + math.log(denom)
+            ll.append(-0.5 * (mt * log2pi + logdet + quad))
             a = a + P * sv / denom
             P = P * sz2 / denom
-            filt_mean[t], filt_var[t] = a, P
+        filt_mean.append(a)
+        filt_var.append(P)
         # time update to t+1
         a = mu + psi * (a - mu)
         P = psi * psi * P + sa2
-    return StateEstimate(pred_mean, pred_var, filt_mean, filt_var, ll)
+    return StateEstimate(*(np.array(x, dtype=float) for x in
+                           (pred_mean, pred_var, filt_mean, filt_var, ll)))
 
 
 def kalman_smoother(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
     """Fixed-interval (RTS) smoother on top of the filter output."""
     est = kalman_filter(params, inputs)
-    T = inputs.n_days
     psi = params.psi_a
     sa2 = params.sigma_a**2
     mu = params.mu_a
 
-    sm = np.empty(T)
-    sv = np.empty(T)
-    sm[-1] = est.filtered_mean[-1]
-    sv[-1] = est.filtered_var[-1]
-    for t in range(T - 2, -1, -1):
+    fm, fv = est.filtered_mean.tolist(), est.filtered_var.tolist()
+    sm, sv = fm[:], fv[:]
+    for t in range(len(fm) - 2, -1, -1):
         # one-step-ahead prior at t+1 derived from the filtered state at t
-        P_pred = psi * psi * est.filtered_var[t] + sa2
-        a_pred = mu + psi * (est.filtered_mean[t] - mu)
-        J = est.filtered_var[t] * psi / P_pred if P_pred > 0 else 0.0
-        sm[t] = est.filtered_mean[t] + J * (sm[t + 1] - a_pred)
-        sv[t] = est.filtered_var[t] + J * J * (sv[t + 1] - P_pred)
-    est.smoothed_mean = sm
-    est.smoothed_var = np.maximum(sv, 0.0)
+        P_pred = psi * psi * fv[t] + sa2
+        a_pred = mu + psi * (fm[t] - mu)
+        J = fv[t] * psi / P_pred if P_pred > 0 else 0.0
+        sm[t] = fm[t] + J * (sm[t + 1] - a_pred)
+        sv[t] = fv[t] + J * J * (sv[t + 1] - P_pred)
+    est.smoothed_mean = np.array(sm, dtype=float)
+    est.smoothed_var = np.maximum(np.array(sv, dtype=float), 0.0)
     return est
 
 

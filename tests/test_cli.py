@@ -126,6 +126,29 @@ def test_fit_carries_its_buffer_radii(tmp_path):
     assert "ttv_0-0.25km" in columns and "ttv_3-4km" not in columns
 
 
+def test_fit_step1_reports_unconverged_gls(tmp_path, monkeypatch, capsys):
+    from scarr import step1
+
+    minimize = step1.optimize.minimize
+
+    def one_iteration(*args, **kwargs):
+        kwargs["options"] = {**kwargs["options"], "maxiter": 1}
+        return minimize(*args, **kwargs)
+
+    d = str(tmp_path / "gls")
+    assert main(["simulate", "--seed", "7", "--days", "90", "--out", d]) == 0
+    with open(os.path.join(d, "step1_config.txt"), "w") as fh:
+        fh.write("error_model=exponential\nrun_selection=false\n")
+    monkeypatch.setattr(step1.optimize, "minimize", one_iteration)
+    capsys.readouterr()
+    assert main(["fit-step1", d]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "converge" in ln]
+    assert lines == [
+        "fit-step1: warning: GLS optimizer did not converge: "
+        "Maximum number of iterations has been exceeded."
+    ]
+
+
 class TestErrorExits:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(["features", str(tmp_path / "nowhere")]) == EXIT_DATA

@@ -256,6 +256,42 @@ class TestLanduse:
         with pytest.raises(DataError, match="code 9"):
             ring_landuse_area(site, raster, {2: "forest"})
 
+    def test_first_unknown_code_in_row_major_order(self):
+        raster = uniform_raster()
+        raster.values[30, 45] = 8.0
+        raster.values[31, 35] = 9.0
+        site = SiteRecord("s", 4000.0, 4000.0, "calibration")
+        with pytest.raises(DataError, match="code 8"):
+            ring_landuse_area(site, raster, {2: "forest"})
+
+    @pytest.mark.parametrize("x, y", [
+        (150.0, 5900.0),  # near the top-left corner
+        (5990.0, 10.0),  # near the bottom-right corner
+        (-1500.0, 3000.0),  # beyond the left edge, within the outer ring
+        (3000.0, 7700.0),  # beyond the top edge, within the outer ring
+        (-5000.0, -5000.0),  # out of reach
+    ])
+    def test_window_matches_full_raster(self, rng, x, y):
+        """The windowed areas equal, bit for bit, a sum over every cell."""
+        n, cell = 60, 100.0
+        vals = rng.integers(1, 4, size=(n, n)).astype(float)
+        vals[rng.random((n, n)) < 0.1] = -9999.0
+        raster = RasterGrid(n, n, 0.0, 0.0, cell, -9999.0, vals)
+        reclass = {1: "developed", 2: "forest", 3: "other"}
+        site = SiteRecord("s", x, y, "calibration")
+        spec = BufferSpec()
+        cell_ha = cell**2 / 10_000.0
+        want = {c: np.zeros(3) for c in reclass.values()}
+        pts = raster.centroids()
+        ring = spec.ring_index(np.hypot(pts[:, 0] - x, pts[:, 1] - y) / 1000.0)
+        for k, v in zip(ring, vals.ravel()):
+            if 0 <= k < 3 and v != -9999.0:
+                want[reclass[int(v)]][k] += cell_ha
+        got = ring_landuse_area(site, raster, reclass, spec)
+        assert sorted(got) == sorted(want)
+        for c in want:
+            assert got[c].tobytes() == want[c].tobytes(), c
+
 
 SQUARE = TractPolygon(
     "t1", np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]), 5000.0, 2.0

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from scarr.covariates import BufferSpec
 from scarr.errors import ConfigError, DataError
@@ -135,6 +138,41 @@ class TestPress:
             loocv_press(fit, hand_design(), HAND_Y, method="jackknife")
 
 
+_coord = st.one_of(st.integers(-3, 3).map(lambda k: 1000.0 * k), st.floats(-2e4, 2e4))
+
+
+def _closed_form(m, d):
+    """Covariance at a separation d > 0, one scalar at a time."""
+    if m.range_ == 0:
+        return 0.0
+    h = d / m.range_
+    if m.kind == "exponential" or (m.kind == "matern" and m.nu == 0.5):
+        return m.sill * math.exp(-h)
+    if m.kind == "spherical":
+        return 0.0 if h >= 1.0 else m.sill * (1.0 - 1.5 * h + 0.5 * h**3)
+    arg = math.sqrt(2.0 * m.nu) * h
+    if arg > 700.0:
+        return 0.0
+    scale = 2.0 ** (1.0 - m.nu) / special.gamma(m.nu)
+    return m.sill * float(scale * arg**m.nu * special.kv(m.nu, arg))
+
+
+def _assert_closed_form(m, coords):
+    V = cov_matrix(m, np.array(coords, dtype=float))
+    for i, (xi, yi) in enumerate(coords):
+        assert V[i, i] == m.sill + m.nugget
+        for j in range(i + 1, len(coords)):
+            d = float(np.hypot(xi - coords[j][0], yi - coords[j][1]))
+            if m.kind == "independent":
+                want = 0.0
+            elif d == 0.0:
+                want = m.sill
+            else:
+                want = _closed_form(m, d)
+                assert cov_value(m, d) == want
+            assert V[i, j] == want and V[j, i] == want
+
+
 class TestCovarianceFunctions:
     def test_nugget_only_at_zero(self):
         m = ErrorModel("exponential", sill=2.0, range_=1000.0, nugget=0.5)
@@ -192,6 +230,31 @@ class TestCovarianceFunctions:
         with pytest.raises(ConfigError):
             ErrorModel("gaussian")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["independent", "spherical", "exponential", "matern"]),
+        st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8),
+        st.floats(1e-3, 1e3),
+        st.one_of(st.just(0.0), st.floats(1.0, 1e5)),
+        st.floats(0.0, 10.0),
+        st.sampled_from([0.5, 0.7, 1.5, 2.5, 3.3]),
+    )
+    def test_entries_equal_closed_form(self, kind, coords, sill, range_, nugget, nu):
+        """Every entry equals, bit for bit, the scalar closed form in libm floats."""
+        _assert_closed_form(ErrorModel(kind, sill=sill, range_=range_, nugget=nugget, nu=nu),
+                            coords)
+
+    @pytest.mark.parametrize("kind, nu", [
+        ("spherical", 0.5), ("exponential", 0.5), ("matern", 0.5), ("matern", 1.5),
+        ("matern", 0.7),
+    ])
+    def test_dense_entries_equal_closed_form(self, rng, kind, nu):
+        # 1,770 separations, nearly all inside the range, so that a kernel
+        # computing exp or pow with numpy's own routines would differ somewhere
+        coords = rng.uniform(0, 10_000, size=(60, 2)).tolist()
+        _assert_closed_form(ErrorModel(kind, sill=2.5, range_=15_000.0, nugget=0.4, nu=nu),
+                            coords)
+
 
 class TestGls:
     def test_loglik_never_below_ols(self, rng):
@@ -244,6 +307,44 @@ class TestGls:
         se = gls.se
         assert abs(gls.coef("b1") - 2.0) < 4 * se[1]
         assert gls.error_model.sill > 0
+
+    def test_converged_false_when_optimizer_fails(self, monkeypatch, rng):
+        from scarr import step1
+
+        minimize = step1.optimize.minimize
+
+        def failing(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.success = False
+            res.message = "stopped by the test"
+            return res
+
+        n = 20
+        coords = rng.uniform(0, 10000, size=(n, 2))
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
+        assert fit_gls(X, y, coords, ["b0", "b1"]).converged is True
+        monkeypatch.setattr(step1.optimize, "minimize", failing)
+        fit = fit_gls(X, y, coords, ["b0", "b1"])
+        assert fit.converged is False
+        assert fit.optimizer_message == "stopped by the test"
+        assert math.isfinite(fit.loglik)
+
+    def test_nll_finite_at_infinite_range(self, rng):
+        """exp(800) overflows to an infinite range: the fully correlated
+        limit, whose likelihood is finite and computed without a warning."""
+        import warnings
+
+        from scarr.step1 import _gls_nll
+
+        n = 20
+        coords = rng.uniform(0, 10000, size=(n, 2))
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nll = _gls_nll(np.array([0.0, 800.0, -1.0]), X, y, coords, "exponential", 0.5)
+        assert math.isfinite(nll) and nll < 1e12
 
     def test_requires_three_distinct_locations(self):
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])

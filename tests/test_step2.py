@@ -175,6 +175,54 @@ def fitted():
     return truth, inputs, fit_mle(inputs, gamma_hat=0.5)
 
 
+def test_filter_matches_recorded_values():
+    """Bit-exact filter output on a fixed input with empty days, a varying
+    observed count and a nonzero state mean; the hex values were recorded from
+    the numpy-scalar filter loop this one replaced."""
+    nan = math.nan
+    y = np.array([
+        [31.5, 28.25, nan],
+        [nan, nan, nan],
+        [29.0, nan, 33.75],
+        [27.5, 30.5, 26.0],
+        [nan, nan, nan],
+        [nan, 35.125, nan],
+        [32.0, 29.5, 30.25],
+    ])
+    c = np.array([[0.5, -1.25, 2.0]] * 7) + np.arange(7)[:, None] * 0.125
+    y1 = np.array([[20.0, 22.5, 19.75]] * 7) - np.arange(7)[:, None] * 0.25
+    params = DlmParams(sigma_z=1.75, sigma_a=2.5, psi_a=0.6, mu_a=3.25,
+                       beta_c=0.9, gamma_hat=1.1)
+    est = kalman_filter(params, DlmInputs(y, c, y1))
+    recorded = {
+        "pred_mean": [
+            "0x1.a000000000000p+1", "0x1.47164e9b164e8p+2", "0x1.1773c8c373c8bp+2",
+            "0x1.88b68fc0e8610p+2", "0x1.2289d44c4d1edp+2", "0x1.0185e5c76178ep+2",
+            "0x1.d886bc659c17dp+2"],
+        "pred_var": [
+            "0x1.3880000000000p+3", "0x1.ae7f78087f781p+2", "0x1.157d582a7d583p+3",
+            "0x1.adfc31816ccf9p+2", "0x1.a46aec98d7751p+2", "0x1.13acd8aadf1a3p+3",
+            "0x1.c40e10d62b5a3p+2"],
+        "filtered_mean": [
+            "0x1.967a83027a82ep+2", "0x1.47164e9b164e8p+2", "0x1.01ed77cb6c50ep+3",
+            "0x1.599061d48088bp+2", "0x1.2289d44c4d1edp+2", "0x1.447047aa0213ep+3",
+            "0x1.0786c47c0e04dp+3"],
+        "filtered_var": [
+            "0x1.52dda77adda78p+0", "0x1.ae7f78087f781p+2", "0x1.4d2b099e0e577p+0",
+            "0x1.c5b9df0b977f2p-1", "0x1.a46aec98d7751p+2", "0x1.2131b2deb7f50p+1",
+            "0x1.c8aab3a1ad666p-1"],
+        "loglik_terms": [
+            "-0x1.87f5dd34dc378p+2", "0x0.0p+0", "-0x1.7bbf104345e0dp+2",
+            "-0x1.c5ceec6b163aap+2", "0x0.0p+0", "-0x1.45b9d45f679ddp+2",
+            "-0x1.af376759d0007p+2"],
+    }
+    for name, values in recorded.items():
+        arr = getattr(est, name)
+        assert arr.dtype == np.float64, name
+        assert [float(v).hex() for v in arr] == values, name
+    assert est.loglik.hex() == "-0x1.ef9d45671bfc5p+4"
+
+
 class TestMle:
     def test_recovers_parameters(self, fitted):
         truth, _, fit = fitted
