@@ -49,7 +49,8 @@ for day in (15, 75):
           f"range {vals.min():.1f}..{vals.max():.1f} ppb")
 
 # Validation compares the calibrated predictions and the raw coarse grid
-# against the held-out daily monitors.
+# against the dense monitors' daily series (in-sample: those series also fed
+# the filter) and against the interval observations.
 print("\nmetrics.csv:")
 for line in (out / "metrics.csv").read_text().splitlines():
     if not line.startswith("#"):

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from scarr import __version__, covariates as cov, oracle, prediction, step1, step2
-from scarr.data_model import load_dataset, read_keyvalue, write_dataset
+from scarr.data_model import KeyValues, load_dataset, parse_config, read_keyvalue, write_dataset
 from scarr.errors import ConfigError, ConvergenceError, DataError
 
 EXIT_CONFIG = 2
@@ -47,11 +47,15 @@ def _out_dir(dataset_dir: str, out: str | None) -> str:
     return d
 
 
-def _read_optional_config(dataset_dir: str, name: str, override: str | None) -> dict:
+def _read_optional_config(dataset_dir: str, name: str, override: str | None) -> KeyValues:
+    """The ``--config`` file, which must exist, or else the dataset's own
+    ``name`` file, if it has one."""
     path = override or os.path.join(dataset_dir, name)
-    if os.path.exists(path):
-        return read_keyvalue(path)
-    return {}
+    if not os.path.exists(path):
+        if override:
+            raise ConfigError(f"{path}: no such config file")
+        return KeyValues()
+    return read_keyvalue(path, ConfigError)
 
 
 def cmd_simulate(args) -> int:
@@ -69,7 +73,7 @@ def cmd_simulate(args) -> int:
 def cmd_features(args) -> int:
     dataset = load_dataset(args.dataset)
     kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
-    spec = step1.parse_step1_config(kv).buffer_spec
+    spec = parse_config(step1.Step1Config, kv).buffer_spec
     rows, warnings = cov.build_covariates(dataset, spec)
     for w in warnings:
         _log(f"features: warning: {w}")
@@ -80,7 +84,7 @@ def cmd_features(args) -> int:
 
 
 def _run_step1(dataset, kv):
-    cfg = step1.parse_step1_config(kv)
+    cfg = parse_config(step1.Step1Config, kv)
     rows, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
     for w in warnings:
         _log(f"fit-step1: warning: {w}")
@@ -141,7 +145,7 @@ def cmd_fit_step2(args) -> int:
         raise DataError(f"missing Step I fit: {fit_path} (run fit-step1 first)")
     s1fit = step1.read_step1_fit(fit_path)
     kv = _read_optional_config(args.dataset, "step2_config.txt", args.config)
-    cfg = step2.parse_step2_config(kv)
+    cfg = parse_config(step2.Step2Config, kv)
     inputs = prediction.build_dlm_inputs(prediction.Targets(dataset, s1fit))
     _log(f"fit-step2: {inputs.n_sites} sites x {inputs.n_days} days")
     params = step2.fit_mle(inputs, gamma_hat=step1.gamma_hat(s1fit), config=cfg)
@@ -172,20 +176,21 @@ def _load_fits(dataset_dir, out):
 
 
 def _prediction_setup(args):
-    """(out dir, predict config, targets, Step II params, state path): one
-    filter or smoother pass that every target's prediction shares."""
+    """(out dir, predict config text and values, targets, Step II params, state
+    path): one filter or smoother pass that every target's prediction shares."""
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
     s1fit, params = _load_fits(args.dataset, out)
     kv = _read_optional_config(args.dataset, "predict_config.txt", args.config)
-    smoothed = bool(args.smoothed) or kv.get("smoothed", "false") == "true"
+    cfg = parse_config(prediction.PredictConfig, kv)
+    smoothed = bool(args.smoothed) or cfg.smoothed
     targets = prediction.Targets(dataset, s1fit)
     inputs = prediction.build_dlm_inputs(targets)
-    return out, kv, targets, params, prediction.state_path(params, inputs, smoothed)
+    return out, kv, cfg, targets, params, prediction.state_path(params, inputs, smoothed)
 
 
 def cmd_predict(args) -> int:
-    out, kv, targets, params, state = _prediction_setup(args)
+    out, kv, cfg, targets, params, state = _prediction_setup(args)
     dataset = targets.dataset
     sites = sorted(
         dataset.sites_with_role("dense_time") + dataset.sites_with_role("prediction"),
@@ -202,15 +207,10 @@ def cmd_predict(args) -> int:
     )
     _log(f"predict: wrote daily predictions for {len(preds)} sites")
 
-    grid_days = [int(d) for d in kv.get("grid_days", "").split() if d]
-    if grid_days:
-        n_cols = int(kv.get("grid_ncols", "16"))
-        n_rows = int(kv.get("grid_nrows", "16"))
-        cell = float(kv.get("grid_cell_size", "3000"))
-        x_ll = float(kv.get("grid_xll", "0"))
-        y_ll = float(kv.get("grid_yll", "0"))
+    if cfg.grid_days:
         grids = prediction.predict_grid(
-            targets, params, state, n_cols, n_rows, x_ll, y_ll, cell, grid_days
+            targets, params, state, cfg.grid_ncols, cfg.grid_nrows, cfg.grid_xll,
+            cfg.grid_yll, cfg.grid_cell_size, cfg.grid_days,
         )
         paths = prediction.write_prediction_rasters(grids, os.path.join(out, "rasters"))
         _log(f"predict: wrote {len(paths)} raster(s)")
@@ -256,7 +256,7 @@ def _compute_metrics(targets, params, state):
 
 
 def cmd_validate(args) -> int:
-    out, kv, targets, params, state = _prediction_setup(args)
+    out, kv, _, targets, params, state = _prediction_setup(args)
     report = _compute_metrics(targets, params, state)
     metrics_path = os.path.join(out, "metrics.csv")
     prediction.write_metrics(report, metrics_path, _header(kv))

@@ -20,6 +20,7 @@ from scarr.data_model import (
     TractPolygon,
     interval_mean,
     nearest_cmaq_centroid,
+    write_table,
 )
 from scarr.errors import DataError
 
@@ -332,21 +333,12 @@ def covariate_header(spec: BufferSpec = BufferSpec()):
 
 def write_covariates(rows, path: str, spec: BufferSpec = BufferSpec(),
                      header_lines=()) -> None:
-    from scarr.data_model import fmt_num
+    def values(r):
+        yield from (r.site_id, r.t_start, r.t_end, r.dyr, *r.ttv)
+        for quadrant in r.ttv_quadrant:
+            yield from quadrant
+        for cat in LANDUSE_CATEGORIES:
+            yield from r.lu_area.get(cat, np.zeros(N_LANDUSE_RINGS))
+        yield from (r.pop_density, r.elevation, *r.season, r.cmaq_mean, r.cmaq_days_used)
 
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(covariate_header(spec)) + "\n")
-        for r in rows:
-            vals = [r.site_id, str(r.t_start), str(r.t_end), fmt_num(r.dyr)]
-            vals += [fmt_num(v) for v in r.ttv]
-            for q in range(4):
-                vals += [fmt_num(v) for v in r.ttv_quadrant[q]]
-            for cat in LANDUSE_CATEGORIES:
-                ring_vals = r.lu_area.get(cat, np.zeros(N_LANDUSE_RINGS))
-                vals += [fmt_num(v) for v in ring_vals]
-            vals += [fmt_num(r.pop_density), fmt_num(r.elevation)]
-            vals += [fmt_num(v) for v in r.season]
-            vals += [fmt_num(r.cmaq_mean), str(r.cmaq_days_used)]
-            fh.write(",".join(vals) + "\n")
+    write_table(path, covariate_header(spec), map(values, rows), header_lines)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import datetime
 import math
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from scarr.errors import DataError
+from scarr.errors import ConfigError, DataError
 
 SITE_ROLES = ("calibration", "dense_time", "prediction")
 
@@ -182,26 +183,26 @@ def _g6(v) -> str:
 
 def read_raster(path: str) -> RasterGrid:
     with open(path) as fh:
-        header = {}
-        for _ in range(6):
-            line = fh.readline()
-            if not line:
-                raise DataError(f"{path}: truncated raster header")
-            key, val = line.split()
-            header[key.lower()] = val
-        try:
-            n_cols = int(header["ncols"])
-            n_rows = int(header["nrows"])
-            x_ll = float(header["xllcorner"])
-            y_ll = float(header["yllcorner"])
-            cell = float(header["cellsize"])
-            nodata = float(header["nodata_value"])
-        except KeyError as exc:
-            raise DataError(f"{path}: missing raster header field {exc}") from exc
-        body = fh.read().split()
+        lines = fh.read().split("\n")
+    header = {}
+    for ln, line in enumerate(lines[:6], start=1):
+        name, *text = line.split() or [""]
+        header[name.lower()] = (" ".join(text), f"{path}:{ln}")
+    n_cols, n_rows, x_ll, y_ll, cell, nodata = (  # a missing field reads as ''
+        parse_text(kind, *header.get(name, ("", path)), name)
+        for name, kind in (("ncols", int), ("nrows", int), ("xllcorner", float),
+                           ("yllcorner", float), ("cellsize", float), ("nodata_value", float))
+    )
+    body = " ".join(lines[6:]).split()
     if len(body) != n_rows * n_cols:
         raise DataError(f"{path}: expected {n_rows * n_cols} values, got {len(body)}")
-    values = np.array(body, dtype=float).reshape(n_rows, n_cols)
+    try:
+        values = np.array(body, dtype=float).reshape(n_rows, n_cols)
+    except ValueError:  # name the first value that does not parse
+        for ln, line in enumerate(lines[6:], start=7):
+            for text in line.split():
+                parse_text(float, text, f"{path}:{ln}", "value")
+        raise
     bad = ~(np.isfinite(values) | (values == nodata))
     if bad.any():
         raise DataError(f"{path}: non-finite value not equal to NODATA")
@@ -277,47 +278,171 @@ _DEFAULT_FILES = {
 
 _MANIFEST_KEYS = {"epoch", "crs", "cmaq_cell_size"} | set(_DEFAULT_FILES)
 
+_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-def read_keyvalue(path: str) -> dict:
-    """Parse a ``key=value`` plain-text file; '#' starts a comment."""
-    out = {}
+
+def na_float(text: str) -> float:
+    """A number, or NaN for the literal ``NA``."""
+    return math.nan if text == "NA" else float(text)
+
+
+#: Parser and its description in messages, per type of config field, table
+#: column or header value.
+_PARSERS = {
+    bool: (lambda text: _BOOL[text.lower()], "true/false/yes/no/1/0"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    na_float: (na_float, "a number or NA"),
+    str: (str, "text"),
+    datetime.date: (datetime.date.fromisoformat, "a YYYY-MM-DD date"),
+    tuple[float, ...]: (lambda text: tuple(map(float, text.split())), "numbers"),
+    tuple[int, ...]: (lambda text: tuple(map(int, text.split())), "integers"),
+    tuple[str, ...]: (lambda text: tuple(text.split()), "words"),
+}
+
+#: Column names and types of each dataset table, keyed as in ``_DEFAULT_FILES``.
+_COLUMNS = {
+    "sites": {"id": str, "x": float, "y": float, "role": str},
+    "interval_obs": {"site_id": str, "t_start": int, "t_end": int, "value_ppb": float},
+    "daily_series": {"site_id": str, "day": int, "value_ppb": na_float},
+    "cmaq_centroids": {"pixel_id": int, "x": float, "y": float},
+    "cmaq_daily": {"pixel_id": int, "day": int, "value_ppb": na_float},
+    "traffic": {"line_id": str, "vertex_index": int, "x": float, "y": float, "adt": float},
+    "tracts": {"tract_id": str, "vertex_index": int, "x": float, "y": float},
+    "tract_attrs": {"tract_id": str, "population": float, "area_mi2": float},
+    "site_attrs": {"site_id": str, "elevation_m": float},
+    "landuse_reclass": {"code": int, "category": str},
+}
+
+
+def parse_text(kind, text: str, where: str, name: str, error=DataError):
+    """``text`` parsed as ``kind`` (a key of ``_PARSERS``); when it does not
+    parse, ``error`` names ``where`` (a ``path:line``) and ``name``."""
+    parse, expected = _PARSERS[kind]
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise error(f"{where}: {name}: expected {expected}, got {text!r}") from None
+
+
+class KeyValues(dict):
+    """``key -> value`` text, with ``where[key]`` the ``path:line`` that set it."""
+
+    def __init__(self):
+        super().__init__()
+        self.where = {}
+
+
+def read_keyvalue(path: str, error=DataError) -> KeyValues:
+    """Parse a ``key=value`` plain-text file; '#' starts a comment.  A line
+    without '=' raises ``error`` naming ``path:line``."""
+    out = KeyValues()
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise DataError(f"{path}:{ln}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+                raise error(f"{path}:{ln}: expected key=value, got {line!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            out[key] = val
+            out.where[key] = f"{path}:{ln}"
     return out
 
 
-def _read_csv(path: str, columns):
-    """Minimal CSV reader with header check; yields (lineno, row-dict)."""
+def parse_config(cls, kv: dict):
+    """The config dataclass ``cls`` with each key's text parsed as the type
+    of the field of that name.  An unknown key, a value that does not parse,
+    or a ``ConfigError`` from ``cls`` itself raises ``ConfigError`` naming
+    where the key was set (``kv.where``, for text read from a file)."""
+    where = getattr(kv, "where", {})
+    types = typing.get_type_hints(cls)
+    values = {}
+    for key, text in kv.items():
+        at = where.get(key, cls.__name__)
+        if key not in types:
+            raise ConfigError(f"{at}: unknown key {key!r}")
+        values[key] = parse_text(types[key], text, at, key, ConfigError)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where.get(exc.key, cls.__name__)}: {exc}") from None
+
+
+def read_table(path: str, columns: dict, add=None) -> list:
+    """One typed list per column of a CSV file whose header is exactly
+    ``columns`` (name -> a key of ``_PARSERS``); ``add``, if given, is called
+    with each row's values in file order.  A field that does not parse, or a
+    ``DataError`` raised by ``add``, raises ``DataError`` naming ``path:line``.
+    """
+    names = list(columns)
+    lines, texts = [], []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header.split(",") != list(columns):
-            raise DataError(f"{path}:1: expected header {','.join(columns)!r}, got {header!r}")
+        if header.split(",") != names:
+            raise DataError(f"{path}:1: expected header {','.join(names)!r}, got {header!r}")
         for ln, raw in enumerate(fh, start=2):
             line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
-                raise DataError(f"{path}:{ln}: expected {len(columns)} fields")
-            yield ln, dict(zip(columns, parts))
-
-
-def _parse_value(path, ln, text, allow_na=False):
-    if text == "NA":
-        if allow_na:
-            return math.nan
-        raise DataError(f"{path}:{ln}: NA not allowed here")
+            if line:
+                if line.count(",") != len(names) - 1:
+                    raise DataError(f"{path}:{ln}: expected {len(names)} fields")
+                lines.append(ln)
+                texts.append(line)
+    # one flat list of fields, parsed column by column: no container per row,
+    # so a large table does not set off the cyclic garbage collector
+    fields = ",".join(texts).split(",") if texts else []
     try:
-        return float(text)
-    except ValueError as exc:
-        raise DataError(f"{path}:{ln}: bad number {text!r}") from exc
+        values = [
+            list(map(_PARSERS[kind][0], fields[i::len(names)]))
+            for i, kind in enumerate(columns.values())
+        ]
+    except ValueError:  # name the first field that does not parse
+        for ln, line in zip(lines, texts):
+            for (name, kind), text in zip(columns.items(), line.split(",")):
+                parse_text(kind, text, f"{path}:{ln}", name)
+        raise
+    if add is not None:
+        for ln, row in zip(lines, zip(*values)):
+            try:
+                add(*row)
+            except DataError as exc:
+                raise DataError(f"{path}:{ln}: {exc}") from None
+    return values
+
+
+def _read_groups(path: str, columns: dict, known=None, increasing=False) -> dict:
+    """``id -> [one list per further column]`` from a table whose first column
+    is an id, in order of first appearance.  Each id must be in ``known``, if
+    given; with ``increasing``, the second column must increase within an id."""
+    what, second = list(columns)[:2]
+    groups = {}
+
+    def add(key, *rest):
+        if key not in groups:
+            if known is not None and key not in known:
+                raise DataError(f"unknown {what} {key!r}")
+            groups[key] = [[] for _ in rest]
+        cols = groups[key]
+        if increasing and cols[0] and rest[0] <= cols[0][-1]:
+            raise DataError(f"non-monotone {second} for {what} {key!r}")
+        for col, value in zip(cols, rest):
+            col.append(value)
+
+    read_table(path, columns, add)
+    return groups
+
+
+def _series(groups: dict) -> dict:
+    """``id -> DailySeries`` from ``_read_groups`` of ``day, value`` columns."""
+    return {
+        key: DailySeries(str(key), np.array(days), np.array(values))
+        for key, (days, values) in groups.items()
+    }
+
+
+def _vertices(cols) -> np.ndarray:
+    """(k, 2) vertices from ``vertex_index, x, y, ...`` columns, by vertex_index."""
+    return np.array([row[1:3] for row in sorted(zip(*cols))])
 
 
 def load_dataset(path: str) -> Dataset:
@@ -326,149 +451,79 @@ def load_dataset(path: str) -> Dataset:
     if not os.path.exists(manifest_path):
         raise DataError(f"missing manifest file: {manifest_path}")
     raw = read_keyvalue(manifest_path)
-    unknown = set(raw) - _MANIFEST_KEYS
-    if unknown:
-        raise DataError(f"{manifest_path}: unknown keys {sorted(unknown)}")
+    for key in raw:
+        if key not in _MANIFEST_KEYS:
+            raise DataError(f"{raw.where[key]}: unknown key {key!r}")
     if "epoch" not in raw:
         raise DataError(f"{manifest_path}: missing 'epoch'")
-    epoch = datetime.date.fromisoformat(raw["epoch"])
-    files = dict(_DEFAULT_FILES)
-    for key in _DEFAULT_FILES:
-        if key in raw:
-            files[key] = raw[key]
-    manifest = Manifest(epoch=epoch, crs=raw.get("crs", "unspecified"), files=files)
 
+    def value(key, kind, default=None):
+        return parse_text(kind, raw[key], raw.where[key], key) if key in raw else default
+
+    files = {key: raw.get(key, name) for key, name in _DEFAULT_FILES.items()}
+    manifest = Manifest(value("epoch", datetime.date), raw.get("crs", "unspecified"), files)
+    cell = value("cmaq_cell_size", float, 12000.0)
     fpath = {key: os.path.join(path, name) for key, name in files.items()}
 
-    if not os.path.exists(fpath["sites"]):
+    def exists(*keys):
+        return all(os.path.exists(fpath[key]) for key in keys)
+
+    def table(key, *args, reader=read_table, **kwargs):
+        return reader(fpath[key], _COLUMNS[key], *args, **kwargs)
+
+    if not exists("sites"):
         raise DataError(f"missing sites file: {fpath['sites']}")
-    sites = {}
-    for ln, row in _read_csv(fpath["sites"], ("id", "x", "y", "role")):
-        if row["id"] in sites:
-            raise DataError(f"{fpath['sites']}:{ln}: duplicate site id {row['id']!r}")
-        sites[row["id"]] = SiteRecord(
-            row["id"], float(row["x"]), float(row["y"]), row["role"]
-        )
+    sites, interval_obs = {}, []
 
-    interval_obs = []
-    if os.path.exists(fpath["interval_obs"]):
-        cols = ("site_id", "t_start", "t_end", "value_ppb")
-        for ln, row in _read_csv(fpath["interval_obs"], cols):
-            if row["site_id"] not in sites:
-                raise DataError(
-                    f"{fpath['interval_obs']}:{ln}: unknown site_id {row['site_id']!r}"
-                )
-            interval_obs.append(
-                IntervalObservation(
-                    row["site_id"], int(row["t_start"]), int(row["t_end"]),
-                    float(row["value_ppb"]),
-                )
-            )
+    def add_site(site_id, *fields):
+        if site_id in sites:
+            raise DataError(f"duplicate site id {site_id!r}")
+        sites[site_id] = SiteRecord(site_id, *fields)
 
-    daily_series = {}
-    if os.path.exists(fpath["daily_series"]):
-        acc = {}
-        for ln, row in _read_csv(fpath["daily_series"], ("site_id", "day", "value_ppb")):
-            sid = row["site_id"]
-            if sid not in sites:
-                raise DataError(f"{fpath['daily_series']}:{ln}: unknown site_id {sid!r}")
-            day = int(row["day"])
-            val = _parse_value(fpath["daily_series"], ln, row["value_ppb"], allow_na=True)
-            days, vals = acc.setdefault(sid, ([], []))
-            if days and day <= days[-1]:
-                raise DataError(
-                    f"{fpath['daily_series']}:{ln}: non-monotone day index for {sid!r}"
-                )
-            days.append(day)
-            vals.append(val)
-        for sid, (days, vals) in acc.items():
-            daily_series[sid] = DailySeries(sid, np.array(days), np.array(vals))
+    def add_obs(site_id, *fields):
+        if site_id not in sites:
+            raise DataError(f"unknown site_id {site_id!r}")
+        interval_obs.append(IntervalObservation(site_id, *fields))
 
-    cmaq = None
-    if os.path.exists(fpath["cmaq_centroids"]):
-        pid, xs, ys = [], [], []
-        for ln, row in _read_csv(fpath["cmaq_centroids"], ("pixel_id", "x", "y")):
-            pid.append(int(row["pixel_id"]))
-            xs.append(float(row["x"]))
-            ys.append(float(row["y"]))
-        cell = float(raw.get("cmaq_cell_size", 12000.0))
-        series = {}
-        if os.path.exists(fpath["cmaq_daily"]):
-            acc = {}
-            known = set(pid)
-            for ln, row in _read_csv(fpath["cmaq_daily"], ("pixel_id", "day", "value_ppb")):
-                p = int(row["pixel_id"])
-                if p not in known:
-                    raise DataError(f"{fpath['cmaq_daily']}:{ln}: unknown pixel_id {p}")
-                days, vals = acc.setdefault(p, ([], []))
-                day = int(row["day"])
-                if days and day <= days[-1]:
-                    raise DataError(
-                        f"{fpath['cmaq_daily']}:{ln}: non-monotone day index for pixel {p}"
-                    )
-                days.append(day)
-                vals.append(_parse_value(fpath["cmaq_daily"], ln, row["value_ppb"], True))
-            for p, (days, vals) in acc.items():
-                series[p] = DailySeries(str(p), np.array(days), np.array(vals))
-        cmaq = CmaqGrid(np.array(pid), np.array(xs), np.array(ys), cell, series)
-    else:
-        cmaq = CmaqGrid(np.array([], dtype=int), np.array([]), np.array([]), 12000.0, {})
+    table("sites", add_site)
+    if exists("interval_obs"):
+        table("interval_obs", add_obs)
+    site_attrs, daily_series = {}, {}
+    if exists("site_attrs"):
+        groups = table("site_attrs", sites, reader=_read_groups)
+        site_attrs = {sid: {"elevation_m": elev[-1]} for sid, (elev,) in groups.items()}
+    if exists("daily_series"):
+        daily_series = _series(table("daily_series", sites, reader=_read_groups, increasing=True))
+
+    pid, xs, ys = table("cmaq_centroids") if exists("cmaq_centroids") else ([], [], [])
+    series = {}
+    if exists("cmaq_centroids", "cmaq_daily"):
+        series = _series(table("cmaq_daily", set(pid), reader=_read_groups, increasing=True))
+    cmaq = CmaqGrid(np.array(pid, dtype=int), np.array(xs), np.array(ys), cell, series)
 
     traffic = []
-    if os.path.exists(fpath["traffic"]):
-        acc = {}
-        order = []
-        cols = ("line_id", "vertex_index", "x", "y", "adt")
-        for ln, row in _read_csv(fpath["traffic"], cols):
-            lid = row["line_id"]
-            if lid not in acc:
-                acc[lid] = {"verts": [], "adt": float(row["adt"])}
-                order.append(lid)
-            acc[lid]["verts"].append(
-                (int(row["vertex_index"]), float(row["x"]), float(row["y"]))
-            )
-        for lid in order:
-            verts = sorted(acc[lid]["verts"])
-            arr = np.array([(x, y) for _, x, y in verts])
-            traffic.append(TrafficPolyline(lid, arr, acc[lid]["adt"]))
+    if exists("traffic"):
+        traffic = [
+            TrafficPolyline(line_id, _vertices(cols), cols[3][0])
+            for line_id, cols in table("traffic", reader=_read_groups).items()
+        ]
 
     tracts = []
-    if os.path.exists(fpath["tracts"]) and os.path.exists(fpath["tract_attrs"]):
+    if exists("tracts", "tract_attrs"):
         attrs = {}
-        for ln, row in _read_csv(fpath["tract_attrs"], ("tract_id", "population", "area_mi2")):
-            attrs[row["tract_id"]] = (float(row["population"]), float(row["area_mi2"]))
-        acc = {}
-        order = []
-        for ln, row in _read_csv(fpath["tracts"], ("tract_id", "vertex_index", "x", "y")):
-            tid = row["tract_id"]
-            if tid not in acc:
-                acc[tid] = []
-                order.append(tid)
-            acc[tid].append((int(row["vertex_index"]), float(row["x"]), float(row["y"])))
-        for tid in order:
-            if tid not in attrs:
-                raise DataError(f"{fpath['tracts']}: tract {tid!r} missing attributes")
-            verts = np.array([(x, y) for _, x, y in sorted(acc[tid])])
-            pop, area = attrs[tid]
-            tracts.append(TractPolygon(tid, verts, pop, area))
 
-    site_attrs = {}
-    if os.path.exists(fpath["site_attrs"]):
-        for ln, row in _read_csv(fpath["site_attrs"], ("site_id", "elevation_m")):
-            if row["site_id"] not in sites:
-                raise DataError(
-                    f"{fpath['site_attrs']}:{ln}: unknown site_id {row['site_id']!r}"
-                )
-            site_attrs[row["site_id"]] = {"elevation_m": float(row["elevation_m"])}
+        def add_attrs(tract_id, population, area):
+            attrs[tract_id] = TractPolygon(tract_id, np.empty((0, 2)), population, area)
 
-    landuse = None
-    reclass = None
-    if os.path.exists(fpath["landuse"]):
+        table("tract_attrs", add_attrs)
+        polygons = table("tracts", attrs, reader=_read_groups)
+        tracts = [replace(attrs[tid], vertices=_vertices(cols)) for tid, cols in polygons.items()]
+
+    landuse = reclass = None
+    if exists("landuse"):
         landuse = read_raster(fpath["landuse"])
-        if os.path.exists(fpath["landuse_reclass"]):
-            reclass = {}
-            for ln, row in _read_csv(fpath["landuse_reclass"], ("code", "category")):
-                reclass[int(row["code"])] = row["category"]
+        if exists("landuse_reclass"):
+            reclass = dict(zip(*table("landuse_reclass")))
 
     return Dataset(
         manifest=manifest,
@@ -484,75 +539,63 @@ def load_dataset(path: str) -> Dataset:
     )
 
 
+def write_table(path: str, columns, rows, header_lines=()) -> None:
+    """Write a CSV file: ``# `` comment lines, the column names, then one
+    line per row, with text as is and numbers as ``fmt_num`` writes them."""
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else fmt_num(v) for v in row) + "\n")
+
+
 def write_dataset(dataset: Dataset, path: str) -> None:
     """Write a dataset directory in canonical field order (round-trip stable)."""
     os.makedirs(path, exist_ok=True)
-    files = dataset.manifest.files or dict(_DEFAULT_FILES)
-
-    def fpath(key):
-        return os.path.join(path, files.get(key, _DEFAULT_FILES[key]))
+    files = {**_DEFAULT_FILES, **dataset.manifest.files}
 
     with open(os.path.join(path, "manifest.txt"), "w") as fh:
         fh.write(f"epoch={dataset.manifest.epoch.isoformat()}\n")
         fh.write(f"crs={dataset.manifest.crs}\n")
         fh.write(f"cmaq_cell_size={fmt_num(dataset.cmaq.cell_size)}\n")
+        for key, name in files.items():
+            if name != _DEFAULT_FILES[key]:
+                fh.write(f"{key}={name}\n")
 
-    with open(fpath("sites"), "w") as fh:
-        fh.write("id,x,y,role\n")
-        for s in dataset.sites.values():
-            fh.write(f"{s.id},{fmt_num(s.x)},{fmt_num(s.y)},{s.role}\n")
+    def write(key, rows):
+        write_table(os.path.join(path, files[key]), _COLUMNS[key], rows)
 
-    with open(fpath("interval_obs"), "w") as fh:
-        fh.write("site_id,t_start,t_end,value_ppb\n")
-        for o in dataset.interval_obs:
-            fh.write(f"{o.site_id},{o.t_start},{o.t_end},{fmt_num(o.value)}\n")
-
-    with open(fpath("daily_series"), "w") as fh:
-        fh.write("site_id,day,value_ppb\n")
-        for sid, ser in dataset.daily_series.items():
-            for d, v in zip(ser.days, ser.values):
-                fh.write(f"{sid},{int(d)},{fmt_num(v)}\n")
-
-    with open(fpath("cmaq_centroids"), "w") as fh:
-        fh.write("pixel_id,x,y\n")
-        for p, x, y in zip(dataset.cmaq.pixel_ids, dataset.cmaq.xs, dataset.cmaq.ys):
-            fh.write(f"{int(p)},{fmt_num(x)},{fmt_num(y)}\n")
-
-    with open(fpath("cmaq_daily"), "w") as fh:
-        fh.write("pixel_id,day,value_ppb\n")
-        for p in dataset.cmaq.pixel_ids:
-            ser = dataset.cmaq.series.get(int(p))
-            if ser is None:
-                continue
-            for d, v in zip(ser.days, ser.values):
-                fh.write(f"{int(p)},{int(d)},{fmt_num(v)}\n")
-
-    with open(fpath("traffic"), "w") as fh:
-        fh.write("line_id,vertex_index,x,y,adt\n")
-        for line in dataset.traffic:
-            for i, (x, y) in enumerate(line.vertices):
-                fh.write(f"{line.line_id},{i},{fmt_num(x)},{fmt_num(y)},{fmt_num(line.adt)}\n")
-
-    with open(fpath("tracts"), "w") as fh:
-        fh.write("tract_id,vertex_index,x,y\n")
-        for tr in dataset.tracts:
-            for i, (x, y) in enumerate(tr.vertices):
-                fh.write(f"{tr.tract_id},{i},{fmt_num(x)},{fmt_num(y)}\n")
-
-    with open(fpath("tract_attrs"), "w") as fh:
-        fh.write("tract_id,population,area_mi2\n")
-        for tr in dataset.tracts:
-            fh.write(f"{tr.tract_id},{fmt_num(tr.population)},{fmt_num(tr.area_mi2)}\n")
-
-    with open(fpath("site_attrs"), "w") as fh:
-        fh.write("site_id,elevation_m\n")
-        for sid, attrs in dataset.site_attrs.items():
-            fh.write(f"{sid},{fmt_num(attrs['elevation_m'])}\n")
-
+    cmaq = dataset.cmaq
+    write("sites", ((s.id, s.x, s.y, s.role) for s in dataset.sites.values()))
+    write("interval_obs", (
+        (o.site_id, o.t_start, o.t_end, o.value) for o in dataset.interval_obs
+    ))
+    write("daily_series", (
+        (sid, int(d), v) for sid, ser in dataset.daily_series.items()
+        for d, v in zip(ser.days, ser.values)
+    ))
+    write("cmaq_centroids", (
+        (int(p), x, y) for p, x, y in zip(cmaq.pixel_ids, cmaq.xs, cmaq.ys)
+    ))
+    write("cmaq_daily", (
+        (int(p), int(d), v) for p in cmaq.pixel_ids if int(p) in cmaq.series
+        for d, v in zip(cmaq.series[int(p)].days, cmaq.series[int(p)].values)
+    ))
+    write("traffic", (
+        (line.line_id, i, x, y, line.adt)
+        for line in dataset.traffic for i, (x, y) in enumerate(line.vertices)
+    ))
+    write("tracts", (
+        (tr.tract_id, i, x, y) for tr in dataset.tracts for i, (x, y) in enumerate(tr.vertices)
+    ))
+    write("tract_attrs", ((tr.tract_id, tr.population, tr.area_mi2) for tr in dataset.tracts))
+    write("site_attrs", (
+        (sid, attrs["elevation_m"]) for sid, attrs in dataset.site_attrs.items()
+    ))
     if dataset.landuse is not None:
-        write_raster(dataset.landuse, fpath("landuse"))
+        write_raster(dataset.landuse, os.path.join(path, files["landuse"]))
         if dataset.landuse_reclass is not None:
-            with open(fpath("landuse_reclass"), "w") as fh:
-                fh.write("code,category\n")
-                for code in sorted(dataset.landuse_reclass):
-                    fh.write(f"{code},{dataset.landuse_reclass[code]}\n")
+            write("landuse_reclass", (
+                (code, dataset.landuse_reclass[code]) for code in sorted(dataset.landuse_reclass)
+            ))

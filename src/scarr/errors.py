@@ -6,7 +6,12 @@ class DataError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Raised for invalid or unknown configuration keys/values."""
+    """Raised for invalid or unknown configuration keys/values; ``key`` names
+    the offending configuration key, where one does."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ConvergenceError(RuntimeError):

@@ -20,8 +20,9 @@ from scarr.data_model import (
     Dataset,
     RasterGrid,
     SiteRecord,
-    fmt_num,
     nearest_cmaq_centroid,
+    write_raster,
+    write_table,
 )
 from scarr.errors import DataError
 from scarr.step1 import StepOneFit, additive_bias_c_tilde, design_columns
@@ -105,6 +106,19 @@ class SitePrediction:
     @property
     def n_days(self) -> int:
         return len(self.days)
+
+
+@dataclass(frozen=True)
+class PredictConfig:
+    """``predict_config.txt``: each field is a key, parsed by its type."""
+
+    smoothed: bool = False  # smoothed instead of filtered states
+    grid_days: tuple[int, ...] = ()  # days to draw a raster for
+    grid_ncols: int = 16
+    grid_nrows: int = 16
+    grid_cell_size: float = 3000.0
+    grid_xll: float = 0.0
+    grid_yll: float = 0.0
 
 
 def state_path(params: DlmParams, inputs: DlmInputs, smoothed: bool = False):
@@ -254,31 +268,21 @@ def metrics(
 
 
 def write_site_predictions(preds, path: str, header_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("site_id,day,pred,ci_lo,ci_hi\n")
-        for p in preds:
-            for d, v, h in zip(p.days, p.pred, p.ci_half):
-                fh.write(
-                    f"{p.site_id},{int(d)},{fmt_num(v)},{fmt_num(v - h)},{fmt_num(v + h)}\n"
-                )
+    rows = (
+        (p.site_id, int(d), v, v - h, v + h)
+        for p in preds for d, v, h in zip(p.days, p.pred, p.ci_half)
+    )
+    write_table(path, ("site_id", "day", "pred", "ci_lo", "ci_hi"), rows, header_lines)
 
 
 def write_metrics(report: MetricsReport, path: str, header_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("site_id,r,mse,r_raw,mse_raw\n")
-        for sid in sorted(report.per_site):
-            e = report.per_site[sid]
-            fh.write(
-                f"{sid},{fmt_num(e.get('r', math.nan))},{fmt_num(e['mse'])},"
-                f"{fmt_num(e.get('r_raw', math.nan))},{fmt_num(e.get('mse_raw', math.nan))}\n"
-            )
-        fh.write(
-            f"OVERALL_MSPE,{fmt_num(report.mspe)},NA,{fmt_num(report.mspe_raw)},NA\n"
-        )
+    rows = [
+        (sid, e.get("r", math.nan), e["mse"], e.get("r_raw", math.nan),
+         e.get("mse_raw", math.nan))
+        for sid, e in sorted(report.per_site.items())
+    ]
+    rows.append(("OVERALL_MSPE", report.mspe, "NA", report.mspe_raw, "NA"))
+    write_table(path, ("site_id", "r", "mse", "r_raw", "mse_raw"), rows, header_lines)
 
 
 def raster_day_filename(day: int) -> str:
@@ -286,8 +290,6 @@ def raster_day_filename(day: int) -> str:
 
 
 def write_prediction_rasters(grids: dict, out_dir: str) -> list:
-    from scarr.data_model import write_raster
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for day in sorted(grids):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 from scipy.linalg import solve_triangular
 
 from scarr.covariates import (
@@ -23,6 +23,7 @@ from scarr.covariates import (
     SEASON_NAMES,
     BufferSpec,
 )
+from scarr.data_model import read_keyvalue
 from scarr.errors import ConfigError, ConvergenceError, DataError
 
 #: Scaling applied at design assembly (raw files stay in natural units).
@@ -77,7 +78,13 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
     a = arg[near]
     scale = 2.0 ** (1.0 - nu) / special.gamma(nu)
     powers = np.array([x**nu for x in a.tolist()], dtype=float)
-    out[near] = model.sill * (scale * powers * special.kv(nu, a))
+    bessel = special.kv(nu, a)
+    with np.errstate(invalid="ignore"):
+        corr = scale * powers * bessel
+    # where K_nu(x) overflows, x is so small that the correlation is 1 to
+    # double precision, but x**nu * inf is inf (or NaN, once x**nu underflows)
+    corr[np.isinf(bessel)] = 1.0
+    out[near] = model.sill * corr
     return out
 
 
@@ -159,7 +166,7 @@ class StepOneFit:
 
     def conf_int(self, name: str, level: float = 0.95):
         i = self.names.index(name)
-        t = stats.t.ppf(0.5 + level / 2.0, self.dof)
+        t = special.stdtrit(self.dof, 0.5 + level / 2.0)
         return (self.beta[i] - t * self.se[i], self.beta[i] + t * self.se[i])
 
 
@@ -303,7 +310,7 @@ def f_test(reduced: StepOneFit, full: StepOneFit):
     else:
         F = num / den
     F = max(F, 0.0)
-    return F, q, df2, float(stats.f.sf(F, q, df2))
+    return F, q, df2, float(special.fdtrc(q, df2, F))
 
 
 def loocv_press(fit: StepOneFit, X: np.ndarray, y: np.ndarray, method: str = "hat"):
@@ -352,60 +359,40 @@ def loocv_press(fit: StepOneFit, X: np.ndarray, y: np.ndarray, method: str = "ha
 
 @dataclass
 class Step1Config:
+    """``step1_config.txt``: each field is a key, parsed by its type."""
+
     error_model: str = "independent"
     alpha: float = 0.05
     use_elevation: bool = False
     use_quadrants: bool = False
-    landuse_categories: tuple = ("forest",)  # collinearity choice, user-named
+    landuse_categories: tuple[str, ...] = ("forest",)  # collinearity choice, user-named
     landuse_combined: bool = True  # 0-2 km aggregate vs. per-ring columns
-    buffer_radii_km: tuple = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    buffer_radii_km: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     run_selection: bool = True
     matern_nu: float = 1.5
     collinearity_threshold: float = 0.85
 
+    def __post_init__(self):
+        if self.error_model not in ("independent", "spherical", "exponential", "matern"):
+            raise ConfigError(f"unknown error model {self.error_model!r}", "error_model")
+        if self.error_model == "matern" and not self.matern_nu > 0:
+            raise ConfigError("matern smoothness must be > 0", "matern_nu")
+        bad = set(self.landuse_categories) - set(LANDUSE_CATEGORIES)
+        if bad:
+            raise ConfigError(f"unknown land-use categories {sorted(bad)}", "landuse_categories")
+        try:
+            spec = self.buffer_spec
+        except DataError as exc:
+            raise ConfigError(str(exc), "buffer_radii_km") from None
+        if not self.landuse_combined and spec.ring_labels()[0] == "0-2km":
+            # design columns are keyed by name: lu_<cat>_0-2km is the combined column
+            raise ConfigError(
+                "a first buffer ring of 0-2 km needs landuse_combined", "landuse_combined"
+            )
+
     @property
     def buffer_spec(self) -> BufferSpec:
         return BufferSpec(tuple(self.buffer_radii_km))
-
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def parse_step1_config(kv: dict) -> Step1Config:
-    cfg = Step1Config()
-    for key, val in kv.items():
-        if key == "error_model":
-            cfg = replace(cfg, error_model=val)
-        elif key == "alpha":
-            cfg = replace(cfg, alpha=float(val))
-        elif key == "use_elevation":
-            cfg = replace(cfg, use_elevation=_BOOL[val.lower()])
-        elif key == "use_quadrants":
-            cfg = replace(cfg, use_quadrants=_BOOL[val.lower()])
-        elif key == "landuse_categories":
-            cats = tuple(c for c in val.split() if c)
-            bad = set(cats) - set(LANDUSE_CATEGORIES)
-            if bad:
-                raise ConfigError(f"unknown land-use categories {sorted(bad)}")
-            cfg = replace(cfg, landuse_categories=cats)
-        elif key == "landuse_combined":
-            cfg = replace(cfg, landuse_combined=_BOOL[val.lower()])
-        elif key == "buffer_radii_km":
-            cfg = replace(cfg, buffer_radii_km=tuple(float(v) for v in val.split()))
-        elif key == "run_selection":
-            cfg = replace(cfg, run_selection=_BOOL[val.lower()])
-        elif key == "matern_nu":
-            cfg = replace(cfg, matern_nu=float(val))
-        elif key == "collinearity_threshold":
-            cfg = replace(cfg, collinearity_threshold=float(val))
-        else:
-            raise ConfigError(f"step1 config: unknown key {key!r}")
-    if cfg.error_model not in ("independent", "spherical", "exponential", "matern"):
-        raise ConfigError(f"step1 config: unknown error model {cfg.error_model!r}")
-    if not cfg.landuse_combined and cfg.buffer_spec.ring_labels()[0] == "0-2km":
-        # design columns are keyed by name: lu_<cat>_0-2km is the combined column
-        raise ConfigError("step1 config: a first buffer ring of 0-2 km needs landuse_combined")
-    return cfg
 
 
 @dataclass
@@ -674,8 +661,6 @@ def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
 
 
 def read_step1_fit(path: str) -> StepOneFit:
-    from scarr.data_model import read_keyvalue
-
     kv = read_keyvalue(path)
     names = kv["columns"].split()
     beta = np.array([float(v) for v in kv["estimates"].split()])

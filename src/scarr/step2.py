@@ -15,12 +15,13 @@ day's residuals, which keeps full-length filtering cheap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
-from scarr.errors import ConfigError, ConvergenceError, DataError
+from scarr.data_model import read_keyvalue, write_table
+from scarr.errors import ConvergenceError, DataError
 
 
 @dataclass
@@ -184,31 +185,13 @@ def log_likelihood(params: DlmParams, inputs: DlmInputs) -> float:
 
 @dataclass
 class Step2Config:
+    """``step2_config.txt``: each field is a key, parsed by its type."""
+
     drop_mu_a: bool = True  # refit with mu_a = 0 when not significant
     n_starts: int = 3
     grad_tol: float = 1e-6
     step_tol: float = 1e-9
     min_days_per_param: int = 10
-
-
-def parse_step2_config(kv: dict) -> Step2Config:
-    from scarr.step1 import _BOOL
-
-    cfg = Step2Config()
-    for key, val in kv.items():
-        if key == "drop_mu_a":
-            cfg = replace(cfg, drop_mu_a=_BOOL[val.lower()])
-        elif key == "n_starts":
-            cfg = replace(cfg, n_starts=int(val))
-        elif key == "grad_tol":
-            cfg = replace(cfg, grad_tol=float(val))
-        elif key == "step_tol":
-            cfg = replace(cfg, step_tol=float(val))
-        elif key == "min_days_per_param":
-            cfg = replace(cfg, min_days_per_param=int(val))
-        else:
-            raise ConfigError(f"step2 config: unknown key {key!r}")
-    return cfg
 
 
 def _logit(p):
@@ -382,17 +365,9 @@ def write_step2_fit(params: DlmParams, path: str, header_lines=()) -> None:
 
 
 def read_step2_fit(path: str) -> DlmParams:
-    from scarr.data_model import read_keyvalue
-
     kv = read_keyvalue(path)
-    params = DlmParams(
-        sigma_z=float(kv["sigma_z"]), sigma_a=float(kv["sigma_a"]),
-        psi_a=float(kv["psi_a"]), mu_a=float(kv["mu_a"]),
-        beta_c=float(kv["beta_c"]), gamma_hat=float(kv["gamma_hat"]),
-    )
-    params.se = {
-        nm: float(kv[f"se_{nm}"]) for nm in _PARAM_NAMES if f"se_{nm}" in kv
-    }
+    params = DlmParams(**{nm: float(kv[nm]) for nm in (*_PARAM_NAMES, "gamma_hat")})
+    params.se = {nm: float(kv[f"se_{nm}"]) for nm in _PARAM_NAMES if f"se_{nm}" in kv}
     params.mu_a_dropped = kv.get("mu_a_dropped", "false") == "true"
     params.loglik = float(kv.get("loglik", "nan"))
     params.converged = kv.get("converged", "true") == "true"
@@ -400,17 +375,9 @@ def read_step2_fit(path: str) -> DlmParams:
 
 
 def write_state_path(est: StateEstimate, path: str, header_lines=()) -> None:
-    from scarr.data_model import fmt_num
-
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("day,filtered_mean,filtered_var,smoothed_mean,smoothed_var\n")
-        T = len(est.filtered_mean)
-        sm = est.smoothed_mean if est.smoothed_mean is not None else [math.nan] * T
-        sv = est.smoothed_var if est.smoothed_var is not None else [math.nan] * T
-        for t in range(T):
-            fh.write(
-                f"{t + 1},{fmt_num(est.filtered_mean[t])},{fmt_num(est.filtered_var[t])},"
-                f"{fmt_num(sm[t])},{fmt_num(sv[t])}\n"
-            )
+    T = len(est.filtered_mean)
+    sm = est.smoothed_mean if est.smoothed_mean is not None else [math.nan] * T
+    sv = est.smoothed_var if est.smoothed_var is not None else [math.nan] * T
+    columns = ("day", "filtered_mean", "filtered_var", "smoothed_mean", "smoothed_var")
+    rows = zip(range(1, T + 1), est.filtered_mean, est.filtered_var, sm, sv)
+    write_table(path, columns, rows, header_lines)

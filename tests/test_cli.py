@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.metadata
+import math
 import os
 import shutil
 import subprocess
@@ -239,3 +241,183 @@ def test_installed_console_script_runs(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert f"scarr {__version__}" in done.stdout
+
+
+MINI = os.path.join(REPO_ROOT, "data", "mini")
+
+
+def _edit_line(path, line, column, text):
+    """Set one field of line ``line`` (1-based): a CSV column by name, a
+    whitespace-separated token by index, or the whole line (column None)."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    old = lines[line - 1]
+    if column is None:
+        lines[line - 1] = text
+    elif isinstance(column, int):
+        tokens = old.split()
+        tokens[column] = text
+        lines[line - 1] = " ".join(tokens)
+    else:
+        fields = old.split(",")
+        fields[lines[0].split(",").index(column)] = text
+        lines[line - 1] = ",".join(fields)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+
+
+_DATA_CASES = [
+    ("manifest.txt", 1, None, "epoch=1994-13-01"),
+    ("manifest.txt", 2, None, "crs synthetic"),
+    ("manifest.txt", 3, None, "cmaq_cell_size=twelve"),
+    ("manifest.txt", 3, None, "cell=12000"),
+    ("sites.csv", 3, "x", "abc"),
+    ("sites.csv", 4, "role", "roadside"),
+    ("interval_obs.csv", 2, "t_start", "1.5"),
+    ("interval_obs.csv", 3, "value_ppb", "NA"),
+    ("interval_obs.csv", 4, "value_ppb", "-1"),
+    ("daily_series.csv", 5, "day", "five"),
+    ("daily_series.csv", 6, "value_ppb", "n/a"),
+    ("cmaq_centroids.csv", 2, "y", "abc"),
+    ("cmaq_daily.csv", 7, "value_ppb", "1,5"),
+    ("traffic_polylines.csv", 3, "adt", "heavy"),
+    ("tracts.csv", 2, "vertex_index", "one"),
+    ("tract_attrs.csv", 3, "area_mi2", "abc"),
+    ("tract_attrs.csv", 4, "area_mi2", "0"),
+    ("site_attrs.csv", 2, "elevation_m", "high"),
+    ("landuse_reclass.csv", 3, "code", "x3"),
+    ("landuse.asc", 1, 1, "many"),
+    ("landuse.asc", 8, 5, "abc"),
+]
+
+
+@pytest.mark.parametrize("name, line, column, text", _DATA_CASES)
+def test_bad_dataset_value_names_file_and_line(tmp_path, capsys, name, line, column, text):
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    path = os.path.join(str(d), name)
+    _edit_line(path, line, column, text)
+    capsys.readouterr()
+    assert main(["features", str(d), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}:{line}:" in err
+    assert "Traceback" not in err
+
+
+_CONFIG_CASES = [
+    ("step1_config.txt", "features", "selection_alpha=0.1"),
+    ("step1_config.txt", "features", "alpha 0.1"),
+    ("step1_config.txt", "features", "run_selection=maybe"),
+    ("step1_config.txt", "features", "alpha=abc"),
+    ("step1_config.txt", "features", "buffer_radii_km=1 two 3"),
+    ("step1_config.txt", "features", "buffer_radii_km=2 1"),
+    ("step1_config.txt", "features", "error_model=gaussian"),
+    ("step1_config.txt", "features", "landuse_categories=wetland"),
+    ("step2_config.txt", "fit-step2", "n_start=2"),
+    ("step2_config.txt", "fit-step2", "drop_mu_a"),
+    ("step2_config.txt", "fit-step2", "drop_mu_a=sometimes"),
+    ("step2_config.txt", "fit-step2", "n_starts=two"),
+    ("step2_config.txt", "fit-step2", "grad_tol=tiny"),
+    ("predict_config.txt", "predict", "grid_day=5"),
+    ("predict_config.txt", "predict", "grid_days"),
+    ("predict_config.txt", "predict", "smoothed=perhaps"),
+    ("predict_config.txt", "predict", "grid_ncols=16.5"),
+    ("predict_config.txt", "predict", "grid_days=5 x"),
+    ("predict_config.txt", "predict", "grid_cell_size=3km"),
+]
+
+
+@pytest.fixture
+def fitted_out(pipeline_dir, tmp_path):
+    """A copy of the pipeline's products, so a failing command writes nothing
+    that other tests read."""
+    out = str(tmp_path / "out")
+    shutil.copytree(os.path.join(pipeline_dir, "out"), out)
+    return out
+
+
+@pytest.mark.parametrize("name, command, bad", _CONFIG_CASES)
+def test_bad_config_line_names_file_and_line(pipeline_dir, fitted_out, tmp_path, capsys,
+                                             name, command, bad):
+    path = str(tmp_path / name)
+    with open(path, "w") as fh:
+        fh.write(f"# {name}\n\n{bad}\n")
+    capsys.readouterr()
+    argv = [command, pipeline_dir, "--config", path, "--out", fitted_out]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path}:3:" in err
+    assert "Traceback" not in err
+
+
+def test_alpha_flag_without_config_file(pipeline_dir, fitted_out):
+    assert main(["fit-step1", pipeline_dir, "--out", fitted_out, "--alpha", "0.5"]) == 0
+
+
+def test_missing_config_file_is_config_error(pipeline_dir, fitted_out, tmp_path, capsys):
+    missing = str(tmp_path / "nowhere.txt")
+    capsys.readouterr()
+    assert main(["features", pipeline_dir, "--config", missing, "--out", fitted_out]) == EXIT_CONFIG
+    assert missing in capsys.readouterr().err
+
+
+def test_predict_config_smoothed_yes_equals_flag(pipeline_dir, fitted_out, tmp_path):
+    def predictions(*extra):
+        assert main(["predict", pipeline_dir, "--out", fitted_out, *extra]) == 0
+        with open(os.path.join(fitted_out, "site_predictions.csv")) as fh:
+            # the config hash header differs with the config text
+            return [line for line in fh if not line.startswith("#")]
+
+    cfg = tmp_path / "predict_config.txt"
+    cfg.write_text("smoothed=yes\n")
+    by_config = predictions("--config", str(cfg))
+    assert by_config == predictions("--smoothed")
+    assert by_config != predictions()
+
+
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    code = "import sys, scarr.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scarr.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_matern_selection_run_completes(tmp_path):
+    """Nelder-Mead walks the range towards infinity, where the Matern kernel
+    used to give inf/NaN entries and the fit died in solve_triangular."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    (d / "step1_config.txt").write_text(
+        "error_model=matern\nmatern_nu=1.5\nrun_selection=true\n"
+    )
+    assert main(["fit-step1", str(d)]) == 0
+    from scarr.step1 import read_step1_fit
+
+    fit = read_step1_fit(str(d / "out" / "step1_fit.txt"))
+    assert fit.error_model.kind == "matern" and math.isfinite(fit.loglik)
+
+
+def test_readme_configuration_table_matches_config_classes():
+    """README's Configuration table lists exactly the fields of the three
+    config dataclasses, in order, with the type each is parsed as."""
+    import re
+    import typing
+
+    from scarr import prediction, step1, step2
+
+    type_names = {
+        str: "text", float: "number", int: "integer", bool: "boolean",
+        tuple[str, ...]: "words", tuple[float, ...]: "numbers", tuple[int, ...]: "integers",
+    }
+    with open(os.path.join(REPO_ROOT, "README.md")) as fh:
+        rows = re.findall(r"^\| `(\w+_config\.txt)` \| `(\w+)` \| (\w+) \|", fh.read(), re.M)
+    for name, cls in (("step1_config.txt", step1.Step1Config),
+                      ("step2_config.txt", step2.Step2Config),
+                      ("predict_config.txt", prediction.PredictConfig)):
+        hints = typing.get_type_hints(cls)
+        want = [(f.name, type_names[hints[f.name]]) for f in dataclasses.fields(cls)]
+        assert [(key, kind) for file, key, kind in rows if file == name] == want, name

@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ class TestLoadDataset:
             assert (tmp_path / name).read_bytes() == (
                 mini_dataset_dir / name
             ).read_bytes(), name
+
+    def test_roundtrip_keeps_renamed_file(self, mini_dataset_dir, tmp_path):
+        src = tmp_path / "src"
+        shutil.copytree(mini_dataset_dir, src)
+        (src / "sites.csv").rename(src / "stations.csv")
+        with open(src / "manifest.txt", "a") as fh:
+            fh.write("sites=stations.csv\n")
+        ds = load_dataset(str(src))
+        assert ds.manifest.files["sites"] == "stations.csv"
+        write_dataset(ds, str(tmp_path / "dst"))
+        again = load_dataset(str(tmp_path / "dst"))
+        assert again.sites == ds.sites
+        for name in sorted(p.name for p in src.iterdir()):
+            if name in ("truth.txt", "out"):
+                continue
+            assert (tmp_path / "dst" / name).read_bytes() == (src / name).read_bytes(), name
+        assert not (tmp_path / "dst" / "sites.csv").exists()
 
 
 class TestNearestCentroid:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from scarr.covariates import BufferSpec
+from scarr.data_model import parse_config
 from scarr.errors import ConfigError, DataError
 from scarr.step1 import (
     Design,
@@ -24,7 +25,6 @@ from scarr.step1 import (
     fit_ols,
     gamma_hat,
     loocv_press,
-    parse_step1_config,
     quadrant_step_functions,
     read_step1_fit,
     write_step1_fit,
@@ -154,7 +154,10 @@ def _closed_form(m, d):
     if arg > 700.0:
         return 0.0
     scale = 2.0 ** (1.0 - m.nu) / special.gamma(m.nu)
-    return m.sill * float(scale * arg**m.nu * special.kv(m.nu, arg))
+    bessel = special.kv(m.nu, arg)
+    if math.isinf(bessel):
+        return m.sill  # arg -> 0: the correlation is 1 to double precision
+    return m.sill * float(scale * arg**m.nu * bessel)
 
 
 def _assert_closed_form(m, coords):
@@ -213,6 +216,16 @@ class TestCovarianceFunctions:
             assert cov_value(m, d) == pytest.approx(
                 2.0 * (1 + a) * math.exp(-a), rel=1e-9
             )
+
+    @pytest.mark.parametrize("nu", [1.5, 2.5])
+    @pytest.mark.parametrize("h", [1e-300, 1e-206])
+    def test_matern_sill_at_vanishing_separation(self, nu, h):
+        # K_nu(x) overflows to inf while x**nu underflows to 0 or, at h = 1e-206
+        # and nu = 1.5, to a subnormal; the limit there is the sill
+        m = ErrorModel("matern", sill=2.5, range_=1000.0, nugget=0.4, nu=nu)
+        assert cov_value(m, h * m.range_) == m.sill
+        V = cov_matrix(m, np.array([[0.0, 0.0], [h * m.range_, 0.0]]))
+        assert V[0, 1] == V[1, 0] == m.sill
 
     def test_cov_matrix_symmetric_psd(self, rng):
         coords = rng.uniform(0, 5000, size=(12, 2))
@@ -354,13 +367,14 @@ class TestGls:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = parse_step1_config({})
+        cfg = parse_config(Step1Config, {})
         assert cfg.error_model == "independent"
         assert cfg.alpha == 0.05
         assert cfg.landuse_categories == ("forest",)
 
     def test_parses_all_keys(self):
-        cfg = parse_step1_config(
+        cfg = parse_config(
+            Step1Config,
             {
                 "error_model": "exponential",
                 "alpha": "0.1",
@@ -383,21 +397,23 @@ class TestConfig:
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_step1_config({"mystery": "1"})
+            parse_config(Step1Config, {"mystery": "1"})
 
     def test_unknown_error_model(self):
         with pytest.raises(ConfigError):
-            parse_step1_config({"error_model": "gaussian"})
+            parse_config(Step1Config, {"error_model": "gaussian"})
 
     def test_per_ring_landuse_cannot_reuse_combined_name(self):
         # a first ring of 0-2 km would name its column lu_<cat>_0-2km
-        parse_step1_config({"buffer_radii_km": "2 4 6"})
+        parse_config(Step1Config, {"buffer_radii_km": "2 4 6"})
         with pytest.raises(ConfigError, match="landuse_combined"):
-            parse_step1_config({"buffer_radii_km": "2 4 6", "landuse_combined": "false"})
+            parse_config(
+                Step1Config, {"buffer_radii_km": "2 4 6", "landuse_combined": "false"}
+            )
 
     def test_unknown_landuse_category(self):
         with pytest.raises(ConfigError):
-            parse_step1_config({"landuse_categories": "wetland"})
+            parse_config(Step1Config, {"landuse_categories": "wetland"})
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from scarr.data_model import parse_config
 from scarr.errors import ConfigError, DataError
 from scarr.oracle import dense_gaussian_oracle, simulate_step2_series
 from scarr.step2 import (
@@ -14,7 +15,6 @@ from scarr.step2 import (
     kalman_filter,
     kalman_smoother,
     log_likelihood,
-    parse_step2_config,
     read_step2_fit,
     write_state_path,
     write_step2_fit,
@@ -280,16 +280,16 @@ class TestMle:
 
 class TestConfigAndSerialization:
     def test_parse_defaults(self):
-        cfg = parse_step2_config({})
+        cfg = parse_config(Step2Config, {})
         assert cfg.drop_mu_a and cfg.n_starts == 3
 
     def test_parse_keys(self):
-        cfg = parse_step2_config({"drop_mu_a": "false", "n_starts": "5"})
+        cfg = parse_config(Step2Config, {"drop_mu_a": "false", "n_starts": "5"})
         assert not cfg.drop_mu_a and cfg.n_starts == 5
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
-            parse_step2_config({"nope": "1"})
+            parse_config(Step2Config, {"nope": "1"})
 
     def test_fit_roundtrip_exact(self, tmp_path):
         p = DlmParams(2.5, 1.75, 0.61234, mu_a=0.0, beta_c=0.71, gamma_hat=0.52)
