@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import logging
 import os
 import sys
 
@@ -264,8 +265,11 @@ def cmd_validate(args) -> int:
     if args.golden:
         with open(metrics_path, "rb") as fh:
             got = fh.read()
-        with open(args.golden, "rb") as fh:
-            want = fh.read()
+        try:
+            with open(args.golden, "rb") as fh:
+                want = fh.read()
+        except OSError as exc:
+            raise DataError(f"{args.golden}: cannot read golden file: {exc.strerror}") from None
         if got != want:
             _log("validate: metrics differ from golden file")
             return EXIT_DATA
@@ -327,6 +331,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
+    # the package's log records, as "<command>: <message>" lines on stderr
+    logger = logging.getLogger("scarr")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(f"{args.command}: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -338,6 +348,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         _log(f"error: numeric: {exc}")
         return EXIT_NUMERIC
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -325,18 +325,33 @@ def parse_text(kind, text: str, where: str, name: str, error=DataError):
         raise error(f"{where}: {name}: expected {expected}, got {text!r}") from None
 
 
-class KeyValues(dict):
-    """``key -> value`` text, with ``where[key]`` the ``path:line`` that set it."""
+_REQUIRED = object()
 
-    def __init__(self):
+
+class KeyValues(dict):
+    """``key -> value`` text read from ``path``, with ``where[key]`` the
+    ``path:line`` that set it."""
+
+    def __init__(self, path: str = ""):
         super().__init__()
+        self.path = path
         self.where = {}
+
+    def parse(self, key: str, kind, default=_REQUIRED):
+        """``key``'s text parsed as ``kind`` (a key of ``_PARSERS``), or
+        ``default`` when the key is absent.  Text that does not parse, or a
+        missing key without a default, raises ``DataError`` naming the file."""
+        if key not in self:
+            if default is _REQUIRED:
+                raise DataError(f"{self.path}: missing key {key}")
+            return default
+        return parse_text(kind, self[key], self.where[key], key)
 
 
 def read_keyvalue(path: str, error=DataError) -> KeyValues:
     """Parse a ``key=value`` plain-text file; '#' starts a comment.  A line
     without '=' raises ``error`` naming ``path:line``."""
-    out = KeyValues()
+    out = KeyValues(path)
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -454,15 +469,9 @@ def load_dataset(path: str) -> Dataset:
     for key in raw:
         if key not in _MANIFEST_KEYS:
             raise DataError(f"{raw.where[key]}: unknown key {key!r}")
-    if "epoch" not in raw:
-        raise DataError(f"{manifest_path}: missing 'epoch'")
-
-    def value(key, kind, default=None):
-        return parse_text(kind, raw[key], raw.where[key], key) if key in raw else default
-
     files = {key: raw.get(key, name) for key, name in _DEFAULT_FILES.items()}
-    manifest = Manifest(value("epoch", datetime.date), raw.get("crs", "unspecified"), files)
-    cell = value("cmaq_cell_size", float, 12000.0)
+    manifest = Manifest(raw.parse("epoch", datetime.date), raw.get("crs", "unspecified"), files)
+    cell = raw.parse("cmaq_cell_size", float, 12000.0)
     fpath = {key: os.path.join(path, name) for key, name in files.items()}
 
     def exists(*keys):
@@ -495,10 +504,17 @@ def load_dataset(path: str) -> Dataset:
     if exists("daily_series"):
         daily_series = _series(table("daily_series", sites, reader=_read_groups, increasing=True))
 
-    pid, xs, ys = table("cmaq_centroids") if exists("cmaq_centroids") else ([], [], [])
+    pixels = set()
+
+    def add_pixel(pixel_id, x, y):
+        if pixel_id in pixels:
+            raise DataError(f"duplicate pixel_id {pixel_id}")
+        pixels.add(pixel_id)
+
+    pid, xs, ys = table("cmaq_centroids", add_pixel) if exists("cmaq_centroids") else ([], [], [])
     series = {}
     if exists("cmaq_centroids", "cmaq_daily"):
-        series = _series(table("cmaq_daily", set(pid), reader=_read_groups, increasing=True))
+        series = _series(table("cmaq_daily", pixels, reader=_read_groups, increasing=True))
     cmaq = CmaqGrid(np.array(pid, dtype=int), np.array(xs), np.array(ys), cell, series)
 
     traffic = []

@@ -662,17 +662,21 @@ def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
 
 def read_step1_fit(path: str) -> StepOneFit:
     kv = read_keyvalue(path)
-    names = kv["columns"].split()
-    beta = np.array([float(v) for v in kv["estimates"].split()])
-    cov = np.array([float(v) for v in kv["cov"].split()]).reshape(len(names), len(names))
-    em = ErrorModel(
-        kv["error_kind"], sill=float(kv["error_sill"]), range_=float(kv["error_range"]),
-        nugget=float(kv["error_nugget"]), nu=float(kv["error_nu"]),
-    )
+    names = list(kv.parse("columns", tuple[str, ...]))
+    k = len(names)
+    beta, cov = (np.array(kv.parse(key, tuple[float, ...])) for key in ("estimates", "cov"))
+    for key, values, size in (("estimates", beta, k), ("cov", cov, k * k)):
+        if values.size != size:
+            raise DataError(f"{kv.where[key]}: {key}: expected {size} numbers, got {values.size}")
+    em_fields = [kv.parse(f"error_{key}", kind) for key, kind in (
+        ("kind", str), ("sill", float), ("range", float), ("nugget", float), ("nu", float))]
+    radii = kv.parse("buffer_radii_km", tuple[float, ...], BufferSpec().radii_km)
+    try:
+        em, spec = ErrorModel(*em_fields), BufferSpec(radii)
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from None
     return StepOneFit(
-        names=names, beta=beta, cov=cov, n=int(kv["n"]), rss=float(kv["rss"]),
-        tss=float(kv["tss"]), sigma2=float(kv["sigma2"]), error_model=em,
-        press=float(kv["press"]), rmspe=float(kv["rmspe"]), loglik=float(kv["loglik"]),
-        spec=BufferSpec(tuple(float(r) for r in kv["buffer_radii_km"].split()))
-        if "buffer_radii_km" in kv else BufferSpec(),
+        names=names, beta=beta, cov=cov.reshape(k, k), n=kv.parse("n", int),
+        error_model=em, spec=spec,
+        **{key: kv.parse(key, float) for key in ("rss", "tss", "sigma2", "press", "rmspe", "loglik")},
     )

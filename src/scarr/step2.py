@@ -10,10 +10,19 @@ Because the state is scalar and the day-t observation covariance is
 P 11' + sigma_z^2 I, the filter update and the Gaussian prediction-error
 log-likelihood have closed forms in (count, sum, sum of squares) of the
 day's residuals, which keeps full-length filtering cheap.
+
+The maximum-likelihood fit uses the same closed forms on per-day sums of
+u = y - gamma_hat*y1 and c_tilde, computed once per fit.  The mean of u is
+linear in (mu_a, beta_c) and sigma_z^2 scales the covariance, so one filter
+pass at sigma_z = 1 over the columns (u, 1, c_tilde) gives mu_a, beta_c and
+sigma_z^2 in closed form for each q = sigma_a^2/sigma_z^2 and psi_a (the
+augmented filter for regression effects: de Jong 1991, Ann. Statist. 19;
+Harvey 1989, section 3.4), and the search is over those two parameters only.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -208,58 +217,93 @@ def _expit(x):
 
 _PARAM_NAMES = ("sigma_z", "sigma_a", "psi_a", "mu_a", "beta_c")
 
+#: Starting AR(1) coefficient of each optimizer start, in order of use.
+_PSI_STARTS = (0.5, 0.2, 0.8, 0.35, 0.65)
 
-def _params(vec, gamma_hat, fix_mu) -> DlmParams:
-    """DlmParams from a natural parameter vector
-    (sigma_z, sigma_a, psi_a, [mu_a,] beta_c)."""
-    if fix_mu:
-        sigma_z, sigma_a, psi, beta_c = vec
-        mu = 0.0
-    else:
-        sigma_z, sigma_a, psi, mu, beta_c = vec
-    return DlmParams(sigma_z, sigma_a, psi, mu_a=mu, beta_c=beta_c, gamma_hat=gamma_hat)
+#: Starting q = sigma_a^2 / sigma_z^2 of every start.
+_Q_START = 0.5625
 
+#: Rows of the kernel's columns (u, 1, c_tilde) that carry the mean, with
+#: mu_a free and with mu_a fixed at 0.
+_MEAN_ROWS = {False: [1, 2], True: [2]}
 
-def _natural(theta):
-    """Natural parameter vector of an optimizer point
-    (log sigma_z, log sigma_a, logit psi_a, [mu_a,] beta_c)."""
-    return [math.exp(theta[0]), math.exp(theta[1]),
-            min(_expit(theta[2]), 1.0 - 1e-12), *theta[3:]]
+_LOG2PI = math.log(2.0 * math.pi)
+
+_LOG = logging.getLogger(__name__)
 
 
-def _nll(inputs, gamma_hat, fix_mu):
-    """Negative log-likelihood of a natural parameter vector; 1e12 outside
-    the parameter space or where the likelihood is not finite."""
-    def nll(vec):
-        try:
-            val = -log_likelihood(_params(vec, gamma_hat, fix_mu), inputs)
-        except (DataError, FloatingPointError, ValueError):
-            return 1e12
-        return val if math.isfinite(val) else 1e12
-
-    return nll
-
-
-def _moment_starts(inputs: DlmInputs, gamma_hat: float, n_starts: int, fix_mu: bool):
-    """Deterministic multistart points from pooled moment estimates."""
+def _day_sums(inputs: DlmInputs, gamma_hat: float):
+    """Per-day sufficient statistics over the observed entries, as lists of
+    floats: the count m_t and the sums of u, c, u*u, u*c and c*c, where
+    u = y - gamma_hat*y1 and c = c_tilde."""
     present = np.isfinite(inputs.y)
-    u = (inputs.y - gamma_hat * inputs.y1)[present]
-    c = inputs.c_tilde[present]
-    # crude regression of u on c for a beta_c guess
-    cc = float(np.sum((c - c.mean()) ** 2))
-    beta0 = float(np.sum((c - c.mean()) * (u - u.mean())) / cc) if cc > 0 else 1.0
-    resid_sd = float(np.std(u - beta0 * c))
-    resid_sd = max(resid_sd, 1e-3)
-    mu0 = float(np.mean(u - beta0 * c))
-    starts = []
-    for psi0 in (0.5, 0.2, 0.8, 0.35, 0.65)[: max(n_starts, 1)]:
-        theta = [math.log(0.8 * resid_sd), math.log(0.6 * resid_sd), _logit(psi0)]
-        if fix_mu:
-            theta += [beta0]
-        else:
-            theta += [mu0, beta0]
-        starts.append(np.array(theta))
-    return starts
+    u = np.where(present, inputs.y - gamma_hat * inputs.y1, 0.0)
+    c = np.where(present, inputs.c_tilde, 0.0)
+    return [x.tolist() for x in (present.sum(axis=1), u.sum(axis=1), c.sum(axis=1),
+                                 (u * u).sum(axis=1), (u * c).sum(axis=1),
+                                 (c * c).sum(axis=1))]
+
+
+def _profile_stats(sums, q: float, psi: float):
+    """The scalar filter at sigma_z = 1, sigma_a^2 = q and state mean 0, run
+    over the three data columns (u, 1, c_tilde), which share one gain sequence.
+
+    Returns (Q, logdet): Q is the 3x3 matrix of the innovations' quadratic
+    forms summed over days, each day's under its inverse innovation covariance
+    I - g 11' with g = P/(1 + m P); logdet is sum_t log(1 + m_t P_t).  Because
+    the filter is linear in the data, the innovations of u - X b are those of u
+    less those of X b (de Jong 1991), so Q gives the likelihood at every mean.
+    """
+    au = a1 = ac = 0.0  # predicted state of each column
+    P = q / (1.0 - psi * psi)
+    psi2 = psi * psi
+    quu = qu1 = quc = q11 = q1c = qcc = logdet = 0.0
+    for m, su, sc, suu, suc, scc in zip(*sums):
+        if m:
+            f = 1.0 + m * P
+            g = P / f
+            vu = su - m * au  # the day's summed innovations of u and c
+            vc = sc - m * ac
+            e1 = 1.0 - a1  # each innovation of the column of ones
+            quu += suu - au * (su + vu) - g * vu * vu
+            quc += suc - au * sc - ac * vu - g * vu * vc
+            qcc += scc - ac * (sc + vc) - g * vc * vc
+            qu1 += e1 * vu / f
+            q1c += e1 * vc / f
+            q11 += m * e1 * e1 / f
+            logdet += math.log(f)
+            au += g * vu
+            ac += g * vc
+            a1 += g * m * e1
+            P = g
+        au *= psi
+        ac *= psi
+        a1 *= psi
+        P = psi2 * P + q
+    Q = np.array([[quu, qu1, quc], [qu1, q11, q1c], [quc, q1c, qcc]])
+    return Q, logdet
+
+
+def _full_nll(stats, n_obs: int, sigma_z: float, b, rows) -> float:
+    """Negative log-likelihood from ``_profile_stats`` at q = sigma_a^2 /
+    sigma_z^2, with mean coefficients ``b`` on the kernel columns ``rows``."""
+    Q, logdet = stats
+    b = np.asarray(b, dtype=float)
+    quad = Q[0, 0] - 2.0 * (Q[rows, 0] @ b) + b @ Q[np.ix_(rows, rows)] @ b
+    sz2 = sigma_z * sigma_z
+    return 0.5 * (n_obs * (_LOG2PI + math.log(sz2)) + logdet + quad / sz2)
+
+
+def _profile_nll(stats, n_obs: int, rows):
+    """(-loglik, b, sigma_z^2): the negative log-likelihood from
+    ``_profile_stats``, minimised in closed form over the mean coefficients
+    ``b`` on the kernel columns ``rows`` (GLS normal equations) and over
+    sigma_z^2 (RSS / N)."""
+    Q, logdet = stats
+    qxu = Q[rows, 0]
+    b = np.linalg.solve(Q[np.ix_(rows, rows)], qxu)
+    s2 = float(Q[0, 0] - qxu @ b) / n_obs
+    return 0.5 * (n_obs * (_LOG2PI + math.log(s2) + 1.0) + logdet), b.tolist(), s2
 
 
 def _numeric_hessian(fun, x, rel_step=1e-4):
@@ -284,34 +328,55 @@ def _numeric_hessian(fun, x, rel_step=1e-4):
     return H
 
 
-def _fit_once(inputs, gamma_hat, config, fix_mu):
-    nll = _nll(inputs, gamma_hat, fix_mu)
+def _fit_once(stats, n_obs, gamma_hat, config, fix_mu):
+    """Fit with mu_a free or fixed at 0; ``stats(q, psi)`` is the memoised
+    kernel."""
+    rows = _MEAN_ROWS[fix_mu]
+    model = "mu_a = 0" if fix_mu else "mu_a free"
 
-    def objective(theta):
+    def point(theta):
+        return math.exp(theta[0]), min(_expit(theta[1]), 1.0 - 1e-12)
+
+    def profile(theta):
         try:
-            vec = _natural(theta)
-        except OverflowError:
+            val = _profile_nll(stats(*point(theta)), n_obs, rows)[0]
+        except (OverflowError, ValueError, np.linalg.LinAlgError):
             return 1e12
-        return nll(vec)
+        return val if math.isfinite(val) else 1e12
 
     best = None
-    for theta0 in _moment_starts(inputs, gamma_hat, config.n_starts, fix_mu):
+    for psi0 in _PSI_STARTS[: max(config.n_starts, 1)]:
         res = optimize.minimize(
-            objective, theta0, method="L-BFGS-B",
+            profile, np.array([math.log(_Q_START), _logit(psi0)]), method="L-BFGS-B",
             options={"gtol": config.grad_tol, "ftol": config.step_tol, "maxiter": 500},
         )
+        _LOG.info("%s, start psi0=%g: nit=%d nfev=%d success=%s -loglik=%.9f",
+                  model, psi0, res.nit, res.nfev, str(bool(res.success)).lower(), res.fun)
         if best is None or res.fun < best.fun:
             best = res
     if best is None or not math.isfinite(best.fun) or best.fun >= 1e12:
         raise ConvergenceError("fit_mle: no multistart converged")
-    vec = _natural(best.x)
-    params = _params(vec, gamma_hat, fix_mu)
+    q, psi = point(best.x)
+    _, b, s2 = _profile_nll(stats(q, psi), n_obs, rows)
+    sigma_z = math.sqrt(s2)
+    mu, beta_c = (0.0, *b) if fix_mu else b
+    params = DlmParams(sigma_z, math.sqrt(q) * sigma_z, psi, mu_a=mu, beta_c=beta_c,
+                       gamma_hat=gamma_hat)
     params.loglik = -float(best.fun)
     params.converged = bool(best.success)
 
+    def nll(vec):
+        """Full negative log-likelihood of (sigma_z, sigma_a, psi_a, [mu_a,]
+        beta_c); 1e12 outside the parameter space."""
+        sigma_z, sigma_a, psi, *b = vec.tolist()
+        if not (sigma_z > 0 and sigma_a >= 0 and 0.0 <= psi < 1.0):
+            return 1e12
+        val = _full_nll(stats(sigma_a**2 / sigma_z**2, psi), n_obs, sigma_z, b, rows)
+        return val if math.isfinite(val) else 1e12
+
     # standard errors: inverse numeric Hessian in the natural parameterization
     names = [nm for nm in _PARAM_NAMES if not (fix_mu and nm == "mu_a")]
-    H = _numeric_hessian(nll, np.array(vec))
+    H = _numeric_hessian(nll, np.array([getattr(params, nm) for nm in names]))
     try:
         cov = np.linalg.inv(H)
         diag = np.diag(cov)
@@ -328,10 +393,16 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0,
             config: Step2Config = Step2Config()) -> DlmParams:
     """Maximum-likelihood fit of the state-space parameters.
 
-    Optimizes over (log sigma_z, log sigma_a, logit psi_a, mu_a, beta_c) by
-    quasi-Newton with numeric gradients from deterministic multistarts.  With
-    ``drop_mu_a`` set, the model is refit with mu_a fixed at zero when the
-    estimate is not significant at the 5% level.
+    The mean of u = y - gamma_hat*y1 is linear in (mu_a, beta_c), and sigma_z^2
+    scales the whole covariance, so given q = sigma_a^2/sigma_z^2 and psi_a all
+    three have closed forms.  The profile likelihood is maximised over
+    (log q, logit psi_a) by quasi-Newton with numeric gradients, one start per
+    starting psi_a (``n_starts`` of them, at most five).  Each evaluation is
+    one O(T) filter pass over per-day sums computed once.  Standard errors are
+    the inverse numeric Hessian of the full negative log-likelihood in
+    (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
+    model is refit with mu_a fixed at zero when the estimate is not
+    significant at the 5% level.
     """
     n_free = 5
     n_obs_days = int(np.sum(np.any(np.isfinite(inputs.y), axis=1)))
@@ -340,12 +411,28 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0,
             f"fit_mle: {n_obs_days} observed days < "
             f"{config.min_days_per_param * n_free} required"
         )
-    params = _fit_once(inputs, gamma_hat, config, fix_mu=False)
+    c = inputs.c_tilde[np.isfinite(inputs.y)]
+    if not np.sum((c - c.mean()) ** 2) > 1e-12 * np.sum(c * c):
+        raise DataError(
+            "fit_mle: c_tilde is constant over the observed entries, so the "
+            "(1, c_tilde) normal matrix is singular and mu_a, beta_c are not identified"
+        )
+    sums = _day_sums(inputs, gamma_hat)
+    n_obs = sum(sums[0])
+    memo = {}
+
+    def stats(q, psi):
+        if (q, psi) not in memo:
+            memo[q, psi] = _profile_stats(sums, q, psi)
+        return memo[q, psi]
+
+    params = _fit_once(stats, n_obs, gamma_hat, config, fix_mu=False)
     if config.drop_mu_a:
         se_mu = params.se.get("mu_a")
         if se_mu is not None and abs(params.mu_a) < 1.96 * se_mu:
-            params = _fit_once(inputs, gamma_hat, config, fix_mu=True)
+            params = _fit_once(stats, n_obs, gamma_hat, config, fix_mu=True)
             params.mu_a_dropped = True
+    _LOG.info("%d likelihood kernel passes", len(memo))
     return params
 
 
@@ -366,11 +453,15 @@ def write_step2_fit(params: DlmParams, path: str, header_lines=()) -> None:
 
 def read_step2_fit(path: str) -> DlmParams:
     kv = read_keyvalue(path)
-    params = DlmParams(**{nm: float(kv[nm]) for nm in (*_PARAM_NAMES, "gamma_hat")})
-    params.se = {nm: float(kv[f"se_{nm}"]) for nm in _PARAM_NAMES if f"se_{nm}" in kv}
-    params.mu_a_dropped = kv.get("mu_a_dropped", "false") == "true"
-    params.loglik = float(kv.get("loglik", "nan"))
-    params.converged = kv.get("converged", "true") == "true"
+    values = {nm: kv.parse(nm, float) for nm in (*_PARAM_NAMES, "gamma_hat")}
+    try:
+        params = DlmParams(**values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    params.se = {nm: kv.parse(f"se_{nm}", float) for nm in _PARAM_NAMES if f"se_{nm}" in kv}
+    params.mu_a_dropped = kv.parse("mu_a_dropped", bool, False)
+    params.loglik = kv.parse("loglik", float, math.nan)
+    params.converged = kv.parse("converged", bool, True)
     return params
 
 

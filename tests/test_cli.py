@@ -350,6 +350,54 @@ def test_bad_config_line_names_file_and_line(pipeline_dir, fitted_out, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, key, text, want", [
+    ("step2_fit.txt", "psi_a", "psi_a=abc", "{path}:{line}: psi_a:"),
+    ("step2_fit.txt", "psi_a", "psi_a=1.5", "{path}: psi_a must lie in [0, 1)"),
+    ("step1_fit.txt", "n", None, "{path}: missing key n"),  # the line deleted
+    ("step1_fit.txt", "cov", "cov=1 2 3", "{path}:{line}: cov: expected"),
+    ("step1_fit.txt", "error_kind", "error_kind=gaussian", "{path}: unknown error model kind"),
+])
+def test_bad_fit_file_names_file_and_line(pipeline_dir, fitted_out, capsys, name, key, text,
+                                          want):
+    path = os.path.join(fitted_out, name)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    line = next(i for i, old in enumerate(lines, start=1) if old.startswith(f"{key}="))
+    if text is None:
+        del lines[line - 1]
+    else:
+        lines[line - 1] = text
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["predict", pipeline_dir, "--out", fitted_out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert want.format(path=path, line=line) in err
+    assert "Traceback" not in err
+
+
+def test_validate_missing_golden_is_data_error(pipeline_dir, fitted_out, tmp_path, capsys):
+    missing = str(tmp_path / "nowhere.csv")
+    capsys.readouterr()
+    assert main(["validate", pipeline_dir, "--out", fitted_out, "--golden", missing]) == EXIT_DATA
+    assert missing in capsys.readouterr().err
+
+
+def test_fit_step2_logs_each_start(pipeline_dir, fitted_out, capsys):
+    capsys.readouterr()
+    assert main(["fit-step2", pipeline_dir, "--out", fitted_out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    starts = [line for line in lines if "start psi0=" in line]
+    assert len(starts) in (3, 6)  # three starts, and three more if mu_a is dropped
+    for line in starts:
+        assert line.startswith("fit-step2: mu_a ")
+        for word in ("nit=", "nfev=", "success=", "-loglik="):
+            assert word in line, line
+    assert sum(line.endswith("likelihood kernel passes") for line in lines) == 1
+
+
 def test_alpha_flag_without_config_file(pipeline_dir, fitted_out):
     assert main(["fit-step1", pipeline_dir, "--out", fitted_out, "--alpha", "0.5"]) == 0
 

@@ -64,6 +64,18 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="non-monotone"):
             load_dataset(str(tmp_path))
 
+    def test_duplicate_pixel_id_names_file_and_line(self, mini_dataset_dir, tmp_path):
+        d = tmp_path / "ds"
+        shutil.copytree(mini_dataset_dir, d)
+        path = d / "cmaq_centroids.csv"
+        lines = path.read_text().splitlines()
+        lines.append(lines[1])  # the first pixel again
+        path.write_text("\n".join(lines) + "\n")
+        pixel = lines[1].split(",")[0]
+        with pytest.raises(DataError) as err:
+            load_dataset(str(d))
+        assert str(err.value) == f"{path}:{len(lines)}: duplicate pixel_id {pixel}"
+
     def test_roundtrip_byte_identical(self, mini_dataset_dir, tmp_path):
         ds = load_dataset(str(mini_dataset_dir))
         write_dataset(ds, str(tmp_path))

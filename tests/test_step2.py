@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from scarr.data_model import parse_config
@@ -11,6 +13,10 @@ from scarr.step2 import (
     DlmInputs,
     DlmParams,
     Step2Config,
+    _day_sums,
+    _full_nll,
+    _profile_nll,
+    _profile_stats,
     fit_mle,
     kalman_filter,
     kalman_smoother,
@@ -168,6 +174,90 @@ class TestSmootherProperties:
         np.testing.assert_allclose(est.smoothed_var, est.filtered_var, rtol=1e-12)
 
 
+@st.composite
+def kernel_instances(draw):
+    """Small Step II instances with empty days, psi_a = 0 among the AR(1)
+    coefficients and a varying observed count per day."""
+    T = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = DlmParams(
+        sigma_z=draw(st.floats(0.3, 4.0)),
+        sigma_a=draw(st.floats(0.0, 4.0)),
+        psi_a=draw(st.sampled_from([0.0]) | st.floats(0.0, 0.97)),
+        mu_a=draw(st.floats(-5.0, 5.0)),
+        beta_c=draw(st.floats(-2.0, 2.0)),
+        gamma_hat=draw(st.floats(0.2, 1.5)),
+    )
+    y = rng.normal(10, 5, size=(T, n))
+    y[rng.uniform(size=(T, n)) < draw(st.sampled_from([0.0, 0.3, 0.6]))] = np.nan
+    y[draw(st.lists(st.integers(0, T - 1), max_size=T)), :] = np.nan  # empty days
+    c = rng.normal(3, 2, size=(T, n))
+    y1 = rng.uniform(0.5, 20, size=(T, n))
+    return params, DlmInputs(y=y, c_tilde=c, y1=y1)
+
+
+def kernel_loglik(p, inputs, rows=(1, 2)):
+    """Log-likelihood at ``p`` through the kernel, with mu_a free (rows 1, 2)
+    or fixed at 0 (row 2)."""
+    sums = _day_sums(inputs, p.gamma_hat)
+    kernel = _profile_stats(sums, p.sigma_a**2 / p.sigma_z**2, p.psi_a)
+    b = [p.mu_a, p.beta_c][2 - len(rows):]
+    return -_full_nll(kernel, sum(sums[0]), p.sigma_z, b, list(rows))
+
+
+class TestProfileKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances())
+    def test_full_loglik_equals_filter_and_oracle(self, instance):
+        p, inputs = instance
+        ll = kernel_loglik(p, inputs)
+        assert ll == pytest.approx(log_likelihood(p, inputs), rel=1e-9, abs=1e-12)
+        assert ll == pytest.approx(dense_gaussian_oracle(p, inputs).log_density(), abs=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances(), st.booleans(), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+           st.floats(-0.5, 0.5))
+    def test_closed_forms_maximise_at_fixed_q_psi(self, instance, fix_mu, d_mu, d_beta,
+                                                   d_log_sz):
+        p, inputs = instance
+        sums = _day_sums(inputs, p.gamma_hat)
+        n_obs = sum(sums[0])
+        assume(n_obs >= 3)
+        rows = [2] if fix_mu else [1, 2]
+        kernel = _profile_stats(sums, p.sigma_a**2 / p.sigma_z**2, p.psi_a)
+        nll, b, s2 = _profile_nll(kernel, n_obs, rows)
+        sigma_z = math.sqrt(s2)
+        assert _full_nll(kernel, n_obs, sigma_z, b, rows) == pytest.approx(nll, rel=1e-10)
+        moved = [b[0] + d_mu, b[1] + d_beta] if len(b) == 2 else [b[0] + d_beta]
+        for sz, coef in ((sigma_z * math.exp(d_log_sz), b), (sigma_z, moved),
+                         (sigma_z * math.exp(d_log_sz), moved)):
+            assert _full_nll(kernel, n_obs, sz, coef, rows) >= nll - 1e-9 * abs(nll)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_instances())
+    def test_no_mean_kernel_is_full_kernel_at_zero_mean(self, instance):
+        p, inputs = instance
+        p0 = DlmParams(p.sigma_z, p.sigma_a, p.psi_a, mu_a=0.0, beta_c=p.beta_c,
+                       gamma_hat=p.gamma_hat)
+        ll = kernel_loglik(p, inputs, rows=(2,))
+        assert ll == pytest.approx(kernel_loglik(p0, inputs), rel=1e-12, abs=1e-12)
+        assert ll == pytest.approx(log_likelihood(p0, inputs), rel=1e-9, abs=1e-12)
+
+    def test_no_mean_profile_slope(self, rng):
+        p, inputs = random_instance(rng, 9, 3)
+        sums = _day_sums(inputs, p.gamma_hat)
+        (Q, _) = kernel = _profile_stats(sums, 0.8, 0.4)
+        _, b, _ = _profile_nll(kernel, sum(sums[0]), [2])
+        assert b[0] == pytest.approx(Q[0, 2] / Q[2, 2], rel=1e-13)
+
+    def test_constant_c_tilde_is_data_error(self):
+        inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
+        flat = DlmInputs(y=inputs.y, c_tilde=np.full_like(inputs.y, 4.25), y1=inputs.y1)
+        with pytest.raises(DataError, match="c_tilde is constant"):
+            fit_mle(flat, gamma_hat=0.5)
+
+
 @pytest.fixture(scope="module")
 def fitted():
     truth = DlmParams(3.0, 4.0, 0.6, mu_a=0.0, beta_c=0.7, gamma_hat=0.5)
@@ -237,6 +327,10 @@ class TestMle:
     def test_loglik_at_estimate_beats_truth(self, fitted):
         truth, inputs, fit = fitted
         assert fit.loglik >= log_likelihood(truth, inputs) - 1e-6
+
+    def test_loglik_is_the_filter_loglik_at_the_estimate(self, fitted):
+        _, inputs, fit = fitted
+        assert fit.loglik == pytest.approx(log_likelihood(fit, inputs), rel=1e-10)
 
     def test_insignificant_mean_dropped(self, fitted):
         _, _, fit = fitted
