@@ -84,49 +84,22 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _run_step1(dataset, kv):
+def cmd_fit_step1(args) -> int:
+    dataset = load_dataset(args.dataset)
+    kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
+    if args.alpha is not None:
+        kv["alpha"] = str(args.alpha)
     cfg = parse_config(step1.Step1Config, kv)
     rows, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
-    for w in warnings:
-        _log(f"fit-step1: warning: {w}")
     design = step1.assemble_design(dataset, rows, cfg)
-    for w in design.warnings:
+    for w in warnings + design.warnings:
         _log(f"fit-step1: warning: {w}")
     if design.rank_deficient:
         raise DataError("design matrix is rank deficient")
     report = step1.collinearity_report(design.X, design.names, cfg.collinearity_threshold)
     for a, b, r in report:
         _log(f"fit-step1: collinearity |r|={abs(r):.3f} between {a} and {b}")
-
-    if cfg.error_model == "independent":
-        fitter = step1.fit_ols
-    else:
-        def fitter(X, y, names):
-            return step1.fit_gls(
-                X, y, design.coords, names, kind=cfg.error_model, nu=cfg.matern_nu
-            )
-
-    if cfg.run_selection:
-        retained, fit = step1.backward_buffer_selection(design, cfg.alpha, fitter)
-        kept = {g: len(cols) for g, cols in retained.items()}
-        _log(f"fit-step1: retained buffer rings {kept}")
-    else:
-        fit = fitter(design.X, design.y, design.names)
-
-    if cfg.error_model == "independent":
-        idx = [design.names.index(nm) for nm in fit.names]
-        press, rmspe = step1.loocv_press(fit, design.X[:, idx], design.y)
-        fit.press, fit.rmspe = press, rmspe
-    fit.spec = cfg.buffer_spec
-    return cfg, fit
-
-
-def cmd_fit_step1(args) -> int:
-    dataset = load_dataset(args.dataset)
-    kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
-    if args.alpha is not None:
-        kv["alpha"] = str(args.alpha)
-    cfg, fit = _run_step1(dataset, kv)
+    _, fit = step1.fit_design(design, cfg)
     if not fit.converged:
         _log(f"fit-step1: warning: GLS optimizer did not converge: {fit.optimizer_message}")
     out = _out_dir(args.dataset, args.out)
@@ -241,8 +214,8 @@ def _compute_metrics(targets, params, state):
     for site_id in dict.fromkeys(obs.site_id for obs in dataset.interval_obs):
         try:
             at_site[site_id] = predict(dataset.sites[site_id])
-        except DataError:
-            continue  # e.g. outside every census tract: its intervals are skipped
+        except DataError as exc:  # e.g. outside every census tract
+            _log(f"validate: interval site {site_id} skipped: {exc}")
     interval_pairs, raw_pairs = [], []
     for obs in dataset.interval_obs:
         if obs.site_id in at_site:

@@ -9,6 +9,7 @@ interval-averaged observations.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ from scarr.data_model import (
 from scarr.errors import DataError
 from scarr.step1 import StepOneFit, additive_bias_c_tilde, design_columns
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter, kalman_smoother
+
+_LOG = logging.getLogger(__name__)
 
 
 def c_tilde_for_day(fit: StepOneFit, static: dict, season: np.ndarray) -> np.ndarray:
@@ -166,8 +169,8 @@ def predict_grid(
     """One RasterGrid of predicted concentration per requested day.
 
     Every pixel centroid is a target.  Pixels outside the coarse-grid
-    coverage (or outside every census tract) are nodata.  Returns
-    {day: RasterGrid}.
+    coverage, or without a prediction (e.g. outside every census tract),
+    are nodata; their counts are logged.  Returns {day: RasterGrid}.
     """
     days = [int(d) for d in days]
     for d in days:
@@ -183,20 +186,28 @@ def predict_grid(
     if not grids or cmaq.pixel_ids.size == 0:
         return grids
     by_day = np.full(targets.n_days + 1, nodata)
+    outside, failed, first = 0, 0, None
     for i, (px, py) in enumerate(grids[days[0]].centroids().tolist()):
         r, c_i = divmod(i, n_cols)
         pixel = SiteRecord(f"px_{r}_{c_i}", px, py, "prediction")
         k = int(np.where(cmaq.pixel_ids == nearest_cmaq_centroid(pixel, cmaq))[0][0])
         if abs(cmaq.xs[k] - px) > half_cell or abs(cmaq.ys[k] - py) > half_cell:
-            continue  # outside coarse-grid coverage
+            outside += 1
+            continue
         try:
             p = predict_site(pixel.id, params, state, *targets.compute(pixel))
-        except DataError:
-            continue  # e.g. outside every census tract
+        except DataError as exc:
+            failed += 1
+            first = first or str(exc)
+            continue
         by_day[:] = nodata
         by_day[p.days] = p.pred
         for d in days:
             grids[d].values[r, c_i] = by_day[d]
+    if outside or failed:
+        _LOG.info("%d of %d raster pixels nodata: %d outside the coarse grid, %d without a "
+                  "prediction%s", outside + failed, n_cols * n_rows, outside, failed,
+                  f" (first: {first})" if failed else "")
     return grids
 
 

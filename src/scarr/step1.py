@@ -1,16 +1,17 @@
 """Step I: calibration and spatial refinement regression.
 
 Fits the interval-averaged calibration model (OLS or spatially correlated
-GLS errors), runs backward buffer selection with nested-model F-tests,
-computes LOOCV PRESS, estimates the traffic dispersion step function, and
-exports the additive bias field and multiplicative bias for Step II.
+GLS errors), runs backward buffer selection with nested-model F-tests (on
+whitened data under GLS), computes LOOCV PRESS, estimates the traffic
+dispersion step function, and exports the additive and multiplicative bias.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize, special
@@ -30,21 +31,26 @@ from scarr.errors import ConfigError, ConvergenceError, DataError
 POP_DENSITY_SCALE = 10_000.0  # persons/mi^2 per design unit
 LANDUSE_SCALE = 1_000.0  # hectares per design unit
 
+#: Error-model kinds: iid errors, then the three spatial covariance families.
+ERROR_KINDS = ("independent", "spherical", "exponential", "matern")
+
+_LOG = logging.getLogger(__name__)
+
 
 @dataclass
 class ErrorModel:
-    kind: str = "independent"  # independent | spherical | exponential | matern
+    kind: str = "independent"  # one of ERROR_KINDS
     sill: float = 1.0
     range_: float = 0.0
     nugget: float = 0.0
     nu: float = 0.5  # matern smoothness
 
     def __post_init__(self):
-        if self.kind not in ("independent", "spherical", "exponential", "matern"):
+        if self.kind not in ERROR_KINDS:
             raise ConfigError(f"unknown error model kind {self.kind!r}")
         if self.sill <= 0 or self.range_ < 0 or self.nugget < 0:
             raise ConfigError("error model requires sill > 0, range >= 0, nugget >= 0")
-        if self.kind == "matern" and self.nu <= 0:
+        if self.kind == "matern" and not self.nu > 0:
             raise ConfigError("matern smoothness must be > 0")
 
 
@@ -62,7 +68,10 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
     out = np.zeros(len(d))
     if model.kind == "independent" or model.range_ == 0:
         return out
-    h = d / model.range_
+    # a subnormal range overflows h (and sqrt(2 nu) h below) to inf, the
+    # separation at which the correlation is 0
+    with np.errstate(over="ignore"):
+        h = d / model.range_
     # the cut-offs below are negated comparisons, so that a NaN separation
     # takes the formula (and gives NaN) as in the scalar closed form
     if model.kind == "spherical":
@@ -73,7 +82,8 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
     nu = model.nu
     if model.kind == "exponential" or nu == 0.5:  # matern nu = 0.5 is the exponential
         return model.sill * np.fromiter(map(math.exp, (-h).tolist()), float, len(h))
-    arg = math.sqrt(2.0 * nu) * h
+    with np.errstate(over="ignore"):
+        arg = math.sqrt(2.0 * nu) * h
     near = ~(arg > 700.0)
     a = arg[near]
     scale = 2.0 ** (1.0 - nu) / special.gamma(nu)
@@ -88,6 +98,11 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distances(coords: np.ndarray) -> np.ndarray:
+    x, y = coords[:, 0], coords[:, 1]
+    return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+
+
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     """Error covariance over observations; the nugget is per-observation, so
     two distinct observations at the same location share only the sill.
@@ -98,10 +113,7 @@ def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     ``power`` differ from libm in the last bit for some inputs, and the
     fitted digits must not depend on which one ran.
     """
-    d = np.hypot(
-        coords[:, None, 0] - coords[None, :, 0],
-        coords[:, None, 1] - coords[None, :, 1],
-    )
+    d = _distances(coords)
     n = len(coords)
     i, j = np.triu_indices(n, 1)
     dij = d[i, j]
@@ -130,7 +142,6 @@ class StepOneFit:
     press: float = math.nan
     rmspe: float = math.nan
     loglik: float = math.nan
-    rank_warnings: list = field(default_factory=list)
     converged: bool = True  # the GLS optimizer reported success
     optimizer_message: str = ""
     spec: BufferSpec = BufferSpec()  # buffer rings the design columns were named from
@@ -170,24 +181,22 @@ class StepOneFit:
         return (self.beta[i] - t * self.se[i], self.beta[i] + t * self.se[i])
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, names, allow_singular: bool = False) -> StepOneFit:
+def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
     """Ordinary least squares with unbiased residual variance."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    if n <= p and not allow_singular:
+    if n <= p:
         raise DataError(f"fit_ols: n={n} <= p={p}")
     rank = np.linalg.matrix_rank(X)
-    if rank < p and not allow_singular:
+    if rank < p:
         raise DataError(f"fit_ols: design is rank deficient (rank {rank} < {p})")
     beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
     rss = float(resid @ resid)
     tss = float(np.sum((y - y.mean()) ** 2))
-    dof = max(n - p, 0)
-    sigma2 = rss / dof if dof > 0 else math.nan
-    xtx_inv = np.linalg.pinv(X.T @ X)
-    cov = sigma2 * xtx_inv if dof > 0 else np.full((p, p), math.nan)
+    sigma2 = rss / (n - p)
+    cov = sigma2 * np.linalg.pinv(X.T @ X)
     ll = -0.5 * n * (math.log(2 * math.pi) + math.log(max(rss / n, 1e-300)) + 1.0)
     return StepOneFit(
         names=list(names), beta=beta, cov=cov, n=n, rss=rss, tss=tss,
@@ -196,18 +205,22 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names, allow_singular: bool = False) -
     )
 
 
+def _whiten(model: ErrorModel, coords, *arrays):
+    """(L, L^-1 a for each array a), L the Cholesky factor of ``cov_matrix``;
+    ``np.linalg.LinAlgError`` if that is numerically singular."""
+    L = np.linalg.cholesky(cov_matrix(model, coords))
+    return (L, *(solve_triangular(L, a, lower=True) for a in arrays))
+
+
 def _gls_nll(theta, X, y, coords, kind, nu):
     with np.errstate(over="ignore"):  # range -> inf is the fully correlated limit
         sill, rng, nugget = np.exp(theta)
     model = ErrorModel(kind, sill=sill, range_=rng, nugget=nugget, nu=nu)
-    V = cov_matrix(model, coords)
     n = len(y)
     try:
-        L = np.linalg.cholesky(V)
+        L, Xs, ys = _whiten(model, coords, X, y)
     except np.linalg.LinAlgError:
         return 1e12
-    Xs = solve_triangular(L, X, lower=True)
-    ys = solve_triangular(L, y, lower=True)
     beta, _, _, _ = np.linalg.lstsq(Xs, ys, rcond=None)
     r = ys - Xs @ beta
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
@@ -221,13 +234,12 @@ def fit_gls(
     names,
     kind: str = "exponential",
     nu: float = 0.5,
-    n_starts: int = 5,
 ) -> StepOneFit:
     """Maximum-likelihood GLS with a spatial error covariance.
 
-    Optimizes (sill, range, nugget) on the log scale by Nelder-Mead from
-    deterministic multistarts; the first start is the iid-equivalent point so
-    the fitted likelihood can never fall below the OLS reduction.
+    Optimizes (sill, range, nugget) on the log scale by Nelder-Mead from five
+    deterministic starts, each logged; the first is the iid-equivalent point
+    so the fitted likelihood can never fall below the OLS reduction.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -237,10 +249,7 @@ def fit_gls(
     ols = fit_ols(X, y, names)
     s2_ml = max(ols.rss / len(y), 1e-12)
 
-    d = np.hypot(
-        coords[:, None, 0] - coords[None, :, 0],
-        coords[:, None, 1] - coords[None, :, 1],
-    )
+    d = _distances(coords)
     pos = d[d > 0]
     dmed = float(np.median(pos))
     tiny_range = max(pos.min() * 1e-6, 1e-9)
@@ -251,39 +260,38 @@ def fit_gls(
         (0.9 * s2_ml, dmed, 0.1 * s2_ml),
         (0.5 * s2_ml, 2.0 * dmed, 0.5 * s2_ml),
         (0.2 * s2_ml, 0.5 * dmed, 0.8 * s2_ml),
-    ][: max(n_starts, 1)]
+    ]
 
     best = None
-    for s0 in starts:
+    for i, s0 in enumerate(starts, start=1):
         theta0 = np.log(np.asarray(s0))
         res = optimize.minimize(
             _gls_nll, theta0, args=(X, y, coords, kind, nu),
             method="Nelder-Mead",
             options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10},
         )
+        _LOG.info("%s GLS, start %d: nit=%d nfev=%d success=%s -loglik=%.9f",
+                  kind, i, res.nit, res.nfev, str(bool(res.success)).lower(), res.fun)
         if best is None or res.fun < best.fun:
             best = res
-    if best is None or not np.all(np.isfinite(best.x)):
+    if not np.all(np.isfinite(best.x)):
         raise ConvergenceError("fit_gls: all multistarts failed")
 
     sill, rng, nugget = np.exp(best.x)
     model = ErrorModel(kind, sill=float(sill), range_=float(rng), nugget=float(nugget), nu=nu)
-    V = cov_matrix(model, coords)
     try:
-        L = np.linalg.cholesky(V)
+        _, Xw, yw = _whiten(model, coords, X, y)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             "fit_gls: fitted covariance is numerically singular"
         ) from exc
-    Xw = solve_triangular(L, X, lower=True)
-    yw = solve_triangular(L, y, lower=True)
     cov_beta = np.linalg.pinv(Xw.T @ Xw)
     beta = cov_beta @ (Xw.T @ yw)
     resid = y - X @ beta
     rss = float(resid @ resid)
     tss = float(np.sum((y - y.mean()) ** 2))
     n, p = X.shape
-    sigma2 = rss / max(n - p, 1)
+    sigma2 = rss / (n - p)
     return StepOneFit(
         names=list(names), beta=beta, cov=cov_beta, n=n, rss=rss, tss=tss,
         sigma2=sigma2, error_model=model, loglik=-float(best.fun),
@@ -373,10 +381,11 @@ class Step1Config:
     collinearity_threshold: float = 0.85
 
     def __post_init__(self):
-        if self.error_model not in ("independent", "spherical", "exponential", "matern"):
-            raise ConfigError(f"unknown error model {self.error_model!r}", "error_model")
-        if self.error_model == "matern" and not self.matern_nu > 0:
-            raise ConfigError("matern smoothness must be > 0", "matern_nu")
+        try:  # the kind and smoothness are checked by the ErrorModel they configure
+            ErrorModel(self.error_model, nu=self.matern_nu)
+        except ConfigError as exc:
+            key = "matern_nu" if self.error_model in ERROR_KINDS else "error_model"
+            raise ConfigError(str(exc), key) from None
         bad = set(self.landuse_categories) - set(LANDUSE_CATEGORIES)
         if bad:
             raise ConfigError(f"unknown land-use categories {sorted(bad)}", "landuse_categories")
@@ -511,53 +520,72 @@ def collinearity_report(X: np.ndarray, names, threshold: float = 0.85):
     return out
 
 
-def _subset_fit(X, y, names, keep_names, fitter):
-    idx = [names.index(nm) for nm in keep_names]
-    return fitter(X[:, idx], y, keep_names)
+def _columns(design: Design, names) -> np.ndarray:
+    return design.X[:, [design.names.index(nm) for nm in names]]
 
 
-def backward_buffer_selection(design: Design, alpha: float = 0.05, fitter=None):
-    """Backward elimination of buffer rings, preferring inner rings.
+def backward_buffer_selection(design: Design, alpha: float = 0.05):
+    """Backward elimination of buffer rings by OLS F-tests, preferring inner
+    rings; under GLS ``fit_design`` passes the whitened design.
 
     Only the outermost remaining ring of a group may be dropped (hierarchy
     rule).  At each step every group's outermost ring is F-tested against the
     current model and the first non-significant candidate in group order
-    (TTV groups before land-use groups) is removed.  Returns
-    (retained: {group: [column names]}, final fit).
+    (TTV groups before land-use groups) is removed and logged.  Returns
+    (retained: {group: [column names]}, final OLS fit).
     """
-    if fitter is None:
-        fitter = fit_ols
-    names = list(design.names)
     retained = {g: list(cols) for g, cols in design.groups.items()}
     order = sorted(retained, key=lambda g: (0 if g.startswith("ttv") else 1, g))
 
-    def current_names():
-        sel = []
-        dropped = {c for g in retained for c in design.groups[g] if c not in retained[g]}
-        for nm in names:
-            if nm not in dropped:
-                sel.append(nm)
-        return sel
+    def fit(keep):
+        return fit_ols(_columns(design, keep), design.y, keep)
 
-    full = _subset_fit(design.X, design.y, names, current_names(), fitter)
+    full = fit(design.names)
     while True:
-        dropped_one = False
         for g in order:
             if not retained[g]:
                 continue
             candidate = retained[g][-1]
-            cur = current_names()
-            reduced_names = [nm for nm in cur if nm != candidate]
-            reduced = _subset_fit(design.X, design.y, names, reduced_names, fitter)
-            _, _, _, p = f_test(reduced, full)
+            reduced = fit([nm for nm in full.names if nm != candidate])
+            F, df1, df2, p = f_test(reduced, full)
             if p > alpha:
+                _LOG.info("dropped %s: F=%.6g df1=%d df2=%d p=%.6g", candidate, F, df1, df2, p)
                 retained[g].pop()
                 full = reduced
-                dropped_one = True
                 break
-        if not dropped_one:
-            break
-    return retained, full
+        else:
+            return retained, full
+
+
+def fit_design(design: Design, cfg: Step1Config):
+    """Step I: fit every column by OLS or ML GLS, select buffer rings if
+    configured, refit if a ring was dropped; returns (retained, fit).
+
+    Under GLS the selection's F-tests run on (L^-1 X, L^-1 y), L the Cholesky
+    factor of the full model's fitted covariance, so each is a GLS test with
+    that covariance fixed.  PRESS is attached under OLS only.
+    """
+    def fit(names):
+        X = design.X if names == design.names else _columns(design, names)
+        if cfg.error_model == "independent":
+            return fit_ols(X, design.y, names)
+        return fit_gls(X, design.y, design.coords, names, cfg.error_model, cfg.matern_nu)
+
+    result = fit(design.names)
+    retained = {g: list(cols) for g, cols in design.groups.items()}
+    if cfg.run_selection:
+        tested = design
+        if cfg.error_model != "independent":
+            _, X, y = _whiten(result.error_model, design.coords, design.X, design.y)
+            tested = replace(design, X=X, y=y)
+        retained, selected = backward_buffer_selection(tested, cfg.alpha)
+        _LOG.info("retained buffer rings %s", {g: len(cols) for g, cols in retained.items()})
+        if selected.names != design.names:
+            result = fit(selected.names)
+    if cfg.error_model == "independent":
+        result.press, result.rmspe = loocv_press(result, _columns(design, result.names), design.y)
+    result.spec = cfg.buffer_spec
+    return retained, result
 
 
 @dataclass
@@ -571,21 +599,15 @@ class StepFunction:
 
 def dispersion_step_function(fit: StepOneFit, prefix: str = "ttv_") -> StepFunction:
     """Extract TTV ring coefficients from a fit as a distance step function."""
-    labels, heights, ses = [], [], []
-    se = fit.se
-    for i, nm in enumerate(fit.names):
-        if nm.startswith(prefix) and not any(
-            nm.startswith(f"ttv_{q}_") for q in QUADRANTS if prefix == "ttv_"
-        ):
-            labels.append(nm[len(prefix):])
-            heights.append(fit.beta[i])
-            ses.append(se[i])
-    if not labels:
+    quadrants = tuple(f"ttv_{q}_" for q in QUADRANTS) if prefix == "ttv_" else ()
+    idx = [i for i, nm in enumerate(fit.names)
+           if nm.startswith(prefix) and not nm.startswith(quadrants)]
+    if not idx:
         raise DataError("dispersion_step_function: no TTV columns retained")
-    return StepFunction(labels, np.asarray(heights), np.asarray(ses))
+    return StepFunction([fit.names[i][len(prefix):] for i in idx], fit.beta[idx], fit.se[idx])
 
 
-def quadrant_step_functions(design: Design, fitter=None) -> dict:
+def quadrant_step_functions(design: Design) -> dict:
     """Separate TTV-only model per quadrant; returns {quadrant: StepFunction}.
 
     Each directional model regresses the response on an intercept and that
@@ -593,20 +615,14 @@ def quadrant_step_functions(design: Design, fitter=None) -> dict:
     site (constant zero column) are unidentifiable and are left out of that
     quadrant's step function.
     """
-    if fitter is None:
-        fitter = fit_ols
     out = {}
     for q in QUADRANTS:
-        cols = [
-            nm
-            for nm in design.names
-            if nm.startswith(f"ttv_{q}_")
-            and np.ptp(design.X[:, design.names.index(nm)]) > 0
-        ]
+        cols = [nm for nm in design.names
+                if nm.startswith(f"ttv_{q}_") and np.ptp(_columns(design, [nm])) > 0]
         if not cols:
             raise DataError("quadrant_step_functions: design lacks quadrant columns")
         keep = ["intercept"] + cols
-        fit = _subset_fit(design.X, design.y, design.names, keep, fitter)
+        fit = fit_ols(_columns(design, keep), design.y, keep)
         out[q] = dispersion_step_function(fit, prefix=f"ttv_{q}_")
     return out
 
@@ -637,6 +653,11 @@ def _join(values):
     return " ".join(repr(float(v)) for v in values)
 
 
+#: Scalar keys of step1_fit.txt, and the error model's keys and attributes.
+_FIT_SCALARS = ("rss", "tss", "sigma2", "press", "rmspe", "loglik")
+_ERROR_FIELDS = {"sill": "sill", "range": "range_", "nugget": "nugget", "nu": "nu"}
+
+
 def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
     with open(path, "w") as fh:
         for line in header_lines:
@@ -645,18 +666,11 @@ def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
         fh.write("estimates=" + _join(fit.beta) + "\n")
         fh.write("cov=" + _join(fit.cov.ravel()) + "\n")
         fh.write(f"n={fit.n}\n")
-        fh.write(f"rss={float(fit.rss)!r}\n")
-        fh.write(f"tss={float(fit.tss)!r}\n")
-        fh.write(f"sigma2={float(fit.sigma2)!r}\n")
-        fh.write(f"press={float(fit.press)!r}\n")
-        fh.write(f"rmspe={float(fit.rmspe)!r}\n")
-        fh.write(f"loglik={float(fit.loglik)!r}\n")
-        em = fit.error_model
-        fh.write(f"error_kind={em.kind}\n")
-        fh.write(f"error_sill={float(em.sill)!r}\n")
-        fh.write(f"error_range={float(em.range_)!r}\n")
-        fh.write(f"error_nugget={float(em.nugget)!r}\n")
-        fh.write(f"error_nu={float(em.nu)!r}\n")
+        for key in _FIT_SCALARS:
+            fh.write(f"{key}={float(getattr(fit, key))!r}\n")
+        fh.write(f"error_kind={fit.error_model.kind}\n")
+        for key, attr in _ERROR_FIELDS.items():
+            fh.write(f"error_{key}={float(getattr(fit.error_model, attr))!r}\n")
         fh.write("buffer_radii_km=" + _join(fit.spec.radii_km) + "\n")
 
 
@@ -668,8 +682,8 @@ def read_step1_fit(path: str) -> StepOneFit:
     for key, values, size in (("estimates", beta, k), ("cov", cov, k * k)):
         if values.size != size:
             raise DataError(f"{kv.where[key]}: {key}: expected {size} numbers, got {values.size}")
-    em_fields = [kv.parse(f"error_{key}", kind) for key, kind in (
-        ("kind", str), ("sill", float), ("range", float), ("nugget", float), ("nu", float))]
+    em_fields = [kv.parse("error_kind", str)]
+    em_fields += [kv.parse(f"error_{key}", float) for key in _ERROR_FIELDS]
     radii = kv.parse("buffer_radii_km", tuple[float, ...], BufferSpec().radii_km)
     try:
         em, spec = ErrorModel(*em_fields), BufferSpec(radii)
@@ -678,5 +692,5 @@ def read_step1_fit(path: str) -> StepOneFit:
     return StepOneFit(
         names=names, beta=beta, cov=cov.reshape(k, k), n=kv.parse("n", int),
         error_model=em, spec=spec,
-        **{key: kv.parse(key, float) for key in ("rss", "tss", "sigma2", "press", "rmspe", "loglik")},
+        **{key: kv.parse(key, float) for key in _FIT_SCALARS},
     )

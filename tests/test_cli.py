@@ -398,6 +398,46 @@ def test_fit_step2_logs_each_start(pipeline_dir, fitted_out, capsys):
     assert sum(line.endswith("likelihood kernel passes") for line in lines) == 1
 
 
+def test_fit_step1_logs_each_gls_start_and_dropped_ring(pipeline_dir, fitted_out, tmp_path,
+                                                        capsys):
+    config = tmp_path / "step1_config.txt"
+    config.write_text("error_model=exponential\n")
+    capsys.readouterr()
+    assert main(["fit-step1", pipeline_dir, "--config", str(config), "--out", fitted_out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    dropped = [line for line in lines if line.startswith("fit-step1: dropped ")]
+    assert dropped
+    for line in dropped:
+        for word in ("F=", "df1=1 ", "df2=", "p="):
+            assert word in line, line
+    assert sum(line.startswith("fit-step1: retained buffer rings {") for line in lines) == 1
+    starts = [line for line in lines if " GLS, start " in line]
+    assert len(starts) == 10  # five for the full model, five for the refit
+    for line in starts:
+        assert line.startswith("fit-step1: exponential GLS, start ")
+        for word in ("nit=", "nfev=", "success=", "-loglik="):
+            assert word in line, line
+
+
+def test_validate_names_interval_site_it_skips(tmp_path, capsys):
+    """A calibration site outside every census tract has no prediction: its
+    intervals are left out of MSPE and validate says so."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    _edit_line(str(d / "sites.csv"), 2, "x", "-500000.0")
+    with open(d / "sites.csv") as fh:
+        site_id = fh.read().split("\n")[1].split(",")[0]
+    for command in ("fit-step1", "fit-step2"):
+        assert main([command, str(d)]) == 0
+    capsys.readouterr()
+    assert main(["validate", str(d)]) == 0
+    err = capsys.readouterr().err
+    assert f"validate: interval site {site_id} skipped: " in err
+    assert "outside all census tracts" in err
+
+
 def test_alpha_flag_without_config_file(pipeline_dir, fitted_out):
     assert main(["fit-step1", pipeline_dir, "--out", fitted_out, "--alpha", "0.5"]) == 0
 

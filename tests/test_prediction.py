@@ -1,4 +1,7 @@
+import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +251,26 @@ class TestPredictGrid:
             inside = g.values[:, 5:]
             assert np.all(inside != g.nodata_value)
             assert np.all(inside > 0)
+
+    def test_nodata_pixels_are_counted_in_the_log(self, mini_dataset, mini_fit, caplog):
+        ds, _ = mini_dataset
+        params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
+        state = state_path(params, build_dlm_inputs(Targets(ds, mini_fit)))
+        # with one census tract left, pixels outside it have no covariates
+        targets = Targets(dataclasses.replace(ds, tracts=ds.tracts[:1]), mini_fit)
+        caplog.set_level(logging.INFO, logger="scarr")
+        grid = predict_grid(
+            targets, params, state, n_cols=8, n_rows=4, x_ll=-24_000.0, y_ll=18_000.0,
+            cell_size=6_000.0, days=[10],
+        )[10]
+        (message,) = caplog.messages
+        m = re.fullmatch(r"(\d+) of 32 raster pixels nodata: (\d+) outside the coarse grid, "
+                         r"(\d+) without a prediction \(first: (.*)\)", message)
+        assert m, message
+        nodata, outside, failed = int(m[1]), int(m[2]), int(m[3])
+        assert nodata == int(np.sum(grid.values == grid.nodata_value)) == outside + failed
+        assert outside >= 12 and failed > 0  # the left three columns lie off the grid
+        assert m[4].endswith("outside all census tracts")
 
     def test_day_out_of_range(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.linalg import solve_triangular
 
 from scarr.covariates import BufferSpec
 from scarr.data_model import parse_config
@@ -21,6 +24,7 @@ from scarr.step1 import (
     cov_value,
     dispersion_step_function,
     f_test,
+    fit_design,
     fit_gls,
     fit_ols,
     gamma_hat,
@@ -227,6 +231,17 @@ class TestCovarianceFunctions:
         V = cov_matrix(m, np.array([[0.0, 0.0], [h * m.range_, 0.0]]))
         assert V[0, 1] == V[1, 0] == m.sill
 
+    @pytest.mark.parametrize("kind", ["spherical", "exponential", "matern"])
+    def test_subnormal_range_is_uncorrelated_without_warning(self, kind):
+        # d / range overflows to inf (and, at d = 0.01, sqrt(3) d / range
+        # does): the limit there is correlation 0
+        m = ErrorModel(kind, sill=2.5, range_=1e-310, nugget=0.4, nu=1.5)
+        coords = np.array([[0.0, 0.0], [1000.0, 0.0], [0.01, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            V = cov_matrix(m, coords)
+        np.testing.assert_array_equal(V, np.eye(3) * (m.sill + m.nugget))
+
     def test_cov_matrix_symmetric_psd(self, rng):
         coords = rng.uniform(0, 5000, size=(12, 2))
         m = ErrorModel("exponential", sill=2.0, range_=1500.0, nugget=0.3)
@@ -346,8 +361,6 @@ class TestGls:
     def test_nll_finite_at_infinite_range(self, rng):
         """exp(800) overflows to an infinite range: the fully correlated
         limit, whose likelihood is finite and computed without a warning."""
-        import warnings
-
         from scarr.step1 import _gls_nll
 
         n = 20
@@ -526,6 +539,75 @@ class TestBackwardSelection:
         retained, fit = backward_buffer_selection(design, alpha=0.001)
         assert retained["ttv"] == []
         assert fit.names == ["intercept"]
+
+
+def correlated_ring_design(rng, n=40):
+    """``synthetic_ring_design`` at scattered sites, with exponentially
+    correlated errors in place of the iid noise."""
+    design = synthetic_ring_design(rng, n=n, active=(1.0,), noise=0.0)
+    coords = rng.uniform(0, 20_000, size=(n, 2))
+    truth = ErrorModel("exponential", sill=1.0, range_=5000.0, nugget=0.3)
+    L = np.linalg.cholesky(cov_matrix(truth, coords))
+    return dataclasses.replace(design, y=design.y + L @ rng.normal(size=n), coords=coords)
+
+
+class TestFitDesign:
+    def test_gls_selection_is_ols_selection_on_whitened_data(self, rng, monkeypatch):
+        from scarr import step1
+
+        design = correlated_ring_design(rng)
+        cfg = Step1Config(error_model="exponential")
+        rss_pairs = []
+
+        def recording_f_test(reduced, full):
+            rss_pairs.append((reduced.rss, full.rss))
+            return f_test(reduced, full)
+
+        monkeypatch.setattr(step1, "f_test", recording_f_test)
+        retained, fit = fit_design(design, cfg)
+        tested, rss_pairs[:] = list(rss_pairs), []
+        assert tested
+        # nested OLS fits on the same whitened data: the F-statistic is >= 0
+        # without the clip in f_test
+        assert all(reduced >= full for reduced, full in tested)
+
+        full = fit_gls(design.X, design.y, design.coords, design.names, kind="exponential",
+                       nu=cfg.matern_nu)
+        L = np.linalg.cholesky(cov_matrix(full.error_model, design.coords))
+        whitened = dataclasses.replace(
+            design, X=solve_triangular(L, design.X, lower=True),
+            y=solve_triangular(L, design.y, lower=True),
+        )
+        want, selected = backward_buffer_selection(whitened, cfg.alpha)
+        assert retained == want
+        assert tested == rss_pairs  # every F-test, not only the outcome
+        assert fit.names == selected.names
+        assert len(fit.names) < len(design.names)  # a ring was dropped, so refitted
+        idx = [design.names.index(nm) for nm in fit.names]
+        refit = fit_gls(design.X[:, idx], design.y, design.coords, fit.names,
+                        kind="exponential", nu=cfg.matern_nu)
+        np.testing.assert_array_equal(fit.beta, refit.beta)
+        assert fit.error_model == refit.error_model
+        assert math.isnan(fit.press) and fit.spec == cfg.buffer_spec
+
+    def test_ols_selection_unwhitened_with_press(self, rng):
+        design = synthetic_ring_design(rng)
+        retained, fit = fit_design(design, Step1Config(buffer_radii_km=(0.5, 1.0, 2.0, 3.0)))
+        want, selected = backward_buffer_selection(design, 0.05)
+        assert retained == want
+        assert fit.names == selected.names
+        np.testing.assert_array_equal(fit.beta, selected.beta)
+        idx = [design.names.index(nm) for nm in fit.names]
+        assert (fit.press, fit.rmspe) == loocv_press(selected, design.X[:, idx], design.y)
+        assert fit.spec == BufferSpec((0.5, 1.0, 2.0, 3.0))
+
+    def test_without_selection_every_column_is_kept(self, rng):
+        design = synthetic_ring_design(rng, active=())
+        retained, fit = fit_design(design, Step1Config(run_selection=False))
+        assert retained == design.groups
+        np.testing.assert_array_equal(
+            fit.beta, fit_ols(design.X, design.y, design.names).beta
+        )
 
 
 class TestStepFunction:
