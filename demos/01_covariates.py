@@ -18,31 +18,46 @@ segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
 total_vkm = segments[:, 2] @ segments[:, 3]
 print(f"{len(segments)} road segments, {total_vkm / 1e4:,.1f} x 10^4 v-km/day total")
 
-# Ring totals around one monitoring site (units of 10,000 v-km/day).
+# The geometry kernels take N points at once, as an (N, 2) array, and give
+# arrays with a leading N axis.  Here: the monitoring sites.
 spec = cov.BufferSpec()
-site = dataset.sites["C000"]
-ttv = cov.ring_ttv(site, segments, spec)
-print(f"\ntraffic volume around {site.id} by ring:")
-for label, v in zip(spec.ring_labels(), ttv):
+sites = sorted(dataset.sites.values(), key=lambda s: s.id)
+xy = np.array([(s.x, s.y) for s in sites])
+ttv = cov.ring_ttv(xy, segments, spec)
+print(f"\nring totals (10^4 v-km/day) at {len(sites)} sites: array {ttv.shape}")
+
+# Ring totals around one site (row 0).
+site = sites[0]
+print(f"traffic volume around {site.id} by ring:")
+for label, v in zip(spec.ring_labels(), ttv[0]):
     bar = "#" * int(round(4 * v))
     print(f"  {label:>9}  {v:8.3f}  {bar}")
 
 # The same totals split by compass quadrant; columns sum to the ring totals.
-quad = cov.quadrant_ttv(site, segments, spec)
+quad = cov.quadrant_ttv(xy, segments, spec)
 print("\nby quadrant (rows NE/NW/SW/SE):")
-for q, row in zip(cov.QUADRANTS, quad):
+for q, row in zip(cov.QUADRANTS, quad[0]):
     print(f"  {q}: " + " ".join(f"{v:7.3f}" for v in row))
-assert np.allclose(quad.sum(axis=0), ttv)
+assert np.allclose(quad.sum(axis=1), ttv)
 
 # Land-use ring areas come from the classified raster (hectares per ring).
-areas = cov.ring_landuse_area(site, dataset.landuse, dataset.landuse_reclass, spec)
+areas = cov.ring_landuse_area(xy, dataset.landuse, dataset.landuse_reclass, spec)
 print("\nland-use area (ha) in the first three rings:")
 for cat, vals in sorted(areas.items()):
-    print(f"  {cat:>10}: " + " ".join(f"{v:8.1f}" for v in vals))
+    print(f"  {cat:>10}: " + " ".join(f"{v:8.1f}" for v in vals[0]))
 
-# Population density is read off the census tract containing the site.
-dens = cov.population_density(site, dataset.tracts)
-print(f"\npopulation density at {site.id}: {dens:,.0f} persons/mi^2")
+# Population density is read off the census tract containing each point
+# (NaN outside every tract).
+dens = cov.population_density(xy, dataset.tracts)
+print(f"\npopulation density at {site.id}: {dens[0]:,.0f} persons/mi^2; "
+      f"range over the sites {np.nanmin(dens):,.0f}-{np.nanmax(dens):,.0f}")
+
+# ``static_covariates`` runs all of the above (and the nearest coarse-grid
+# pixel) in one chunked pass; sites and raster pixels both go through it.
+static = cov.static_covariates(dataset, xy, segments, spec)
+assert static["ttv"].tobytes() == ttv.tobytes()
+pids = dataset.cmaq.pixel_ids[static["cmaq_index"]]
+print(f"nearest coarse pixel of {site.id}: {pids[0]}")
 
 # Seasonality enters through four trigonometric basis functions of the
 # day-of-year ratio; here at the spring equinox (day 80 of 365).

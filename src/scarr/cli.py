@@ -149,22 +149,24 @@ def _load_fits(dataset_dir, out):
     return step1.read_step1_fit(s1_path), step2.read_step2_fit(s2_path)
 
 
-def _prediction_setup(args):
+def _prediction_setup(args, sites_of):
     """(out dir, predict config text and values, targets, Step II params, state
-    path): one filter or smoother pass that every target's prediction shares."""
+    path): one filter or smoother pass that every target's prediction shares.
+    The targets' offsets cover the dense-time sites and ``sites_of(dataset)``."""
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
     s1fit, params = _load_fits(args.dataset, out)
     kv = _read_optional_config(args.dataset, "predict_config.txt", args.config)
     cfg = parse_config(prediction.PredictConfig, kv)
     smoothed = bool(args.smoothed) or cfg.smoothed
-    targets = prediction.Targets(dataset, s1fit)
+    targets = prediction.Targets(dataset, s1fit, sites_of(dataset))
     inputs = prediction.build_dlm_inputs(targets)
     return out, kv, cfg, targets, params, prediction.state_path(params, inputs, smoothed)
 
 
 def cmd_predict(args) -> int:
-    out, kv, cfg, targets, params, state = _prediction_setup(args)
+    out, kv, cfg, targets, params, state = _prediction_setup(
+        args, lambda dataset: dataset.sites_with_role("prediction"))
     dataset = targets.dataset
     sites = sorted(
         dataset.sites_with_role("dense_time") + dataset.sites_with_role("prediction"),
@@ -172,7 +174,7 @@ def cmd_predict(args) -> int:
     )
     preds = []
     for site in sites:
-        p = prediction.predict_site(site.id, params, state, *targets.offsets(site))
+        p = prediction.predict_site(site.id, params, state, *targets.site(site.id))
         if not p.n_days:
             raise DataError(f"predict: no usable days for site {site.id}")
         preds.append(p)
@@ -197,7 +199,7 @@ def _compute_metrics(targets, params, state):
     dataset = targets.dataset
 
     def predict(site):
-        c_tilde, y1 = targets.offsets(site)
+        c_tilde, y1 = targets.site(site.id)
         p = prediction.predict_site(site.id, params, state, c_tilde, y1)
         return p, y1[p.days - 1]
 
@@ -211,11 +213,11 @@ def _compute_metrics(targets, params, state):
             raw[site.id] = (p.days, y1)
 
     at_site = {}
-    for site_id in dict.fromkeys(obs.site_id for obs in dataset.interval_obs):
+    for site in cov.interval_sites(dataset):
         try:
-            at_site[site_id] = predict(dataset.sites[site_id])
+            at_site[site.id] = predict(site)
         except DataError as exc:  # e.g. outside every census tract
-            _log(f"validate: interval site {site_id} skipped: {exc}")
+            _log(f"validate: interval site {site.id} skipped: {exc}")
     interval_pairs, raw_pairs = [], []
     for obs in dataset.interval_obs:
         if obs.site_id in at_site:
@@ -230,7 +232,7 @@ def _compute_metrics(targets, params, state):
 
 
 def cmd_validate(args) -> int:
-    out, kv, _, targets, params, state = _prediction_setup(args)
+    out, kv, _, targets, params, state = _prediction_setup(args, cov.interval_sites)
     report = _compute_metrics(targets, params, state)
     metrics_path = os.path.join(out, "metrics.csv")
     prediction.write_metrics(report, metrics_path, _header(kv))

@@ -3,6 +3,9 @@
 Ring-buffer traffic volumes (optionally split by quadrant), land-use ring
 areas from a classified raster, census-tract population density, per-site
 elevation and the trigonometric seasonal basis.
+
+The geometry kernels take N points at once, as an (N, 2) array: sites and
+raster pixels share ``static_covariates``, one chunked array pass.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from scarr.data_model import (
     Dataset,
     RasterGrid,
     SiteRecord,
-    TractPolygon,
     interval_mean,
     nearest_cmaq_centroid,
     write_table,
@@ -97,114 +99,138 @@ def segmentize(polylines, target_len: float = 50.0) -> np.ndarray:
     return np.concatenate(tables)
 
 
-def _ring_sources(site: SiteRecord, sources, spec: BufferSpec):
-    """(ring, quadrant, volume) of the sources inside the last ring.
+def _points(xy) -> np.ndarray:
+    return np.asarray(xy, dtype=float).reshape(-1, 2)
+
+
+def _ring_sources(xy, sources, spec: BufferSpec):
+    """(point, ring, quadrant, volume) of each (point, source) pair inside the
+    last ring, by point and then in source order.
 
     ``sources`` is a ``segmentize`` table or a list of ``TrafficSegment``.
-    Quadrants follow the signs of (dx, dy) from the site: NE dx>0, dy>=0 (and
-    a source at the site itself), NW dx<=0, dy>0, SW dx<0, dy<=0, SE the rest.
+    Quadrants follow the signs of (dx, dy) from the point: NE dx>0, dy>=0 (and
+    a source at the point itself), NW dx<=0, dy>0, SW dx<0, dy<=0, SE the rest.
     Volume is vehicle-km/day.
     """
-    seg = np.asarray(sources, dtype=float).reshape(-1, 4)
-    dx, dy = seg[:, 0] - site.x, seg[:, 1] - site.y
+    xy, seg = _points(xy), np.asarray(sources, dtype=float).reshape(-1, 4)
+    # a source farther than the last ring (+1 m) along x or y cannot count:
+    # drop it for all points, then for each pair, before the exact distance
+    reach = spec.radii_km[-1] * 1000.0 + 1.0
+    if len(xy):
+        near = (seg[:, :2] >= xy.min(axis=0) - reach) & (seg[:, :2] <= xy.max(axis=0) + reach)
+        seg = seg[near.all(axis=1)]
+    dx, dy = seg[:, 0] - xy[:, :1], seg[:, 1] - xy[:, 1:]
+    point, source = np.nonzero((np.abs(dx) <= reach) & (np.abs(dy) <= reach))
+    dx, dy = dx[point, source], dy[point, source]
     ring = spec.ring_index(np.hypot(dx, dy) / 1000.0)
     inside = ring >= 0
-    dx, dy, seg = dx[inside], dy[inside], seg[inside]
+    point, source, ring, dx, dy = (a[inside] for a in (point, source, ring, dx, dy))
     quadrant = np.select(
         [((dx > 0) & (dy >= 0)) | ((dx == 0) & (dy == 0)),
          (dx <= 0) & (dy > 0),
          (dx < 0) & (dy <= 0)],
         [0, 1, 2], default=3,
     )
-    return ring[inside], quadrant, seg[:, 2] * seg[:, 3]
+    return point, ring, quadrant, seg[source, 2] * seg[source, 3]
 
 
-def ring_ttv(site: SiteRecord, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
-    """Total traffic volume per buffer ring, in 10,000 vehicle-km/day units."""
-    ring, _, volume = _ring_sources(site, sources, spec)
-    return np.bincount(ring, weights=volume, minlength=spec.n_rings) / 10_000.0
+def ring_ttv(xy, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
+    """(N, n_rings) total traffic volume per buffer ring around the N points
+    ``xy``, in 10,000 vehicle-km/day units.  ``np.bincount`` adds each bin in
+    input order, so each point's sums have the bits of that point alone."""
+    point, ring, _, volume = _ring_sources(xy, sources, spec)
+    n, r = len(_points(xy)), spec.n_rings
+    return np.bincount(point * r + ring, volume, n * r).reshape(n, r) / 10_000.0
 
 
-def quadrant_ttv(site: SiteRecord, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
-    """(4, n_rings) TTV table by quadrant (NE, NW, SW, SE order)."""
-    ring, quadrant, volume = _ring_sources(site, sources, spec)
-    n = spec.n_rings
-    out = np.bincount(quadrant * n + ring, weights=volume, minlength=4 * n)
-    return out.reshape(4, n) / 10_000.0
+def quadrant_ttv(xy, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
+    """(N, 4, n_rings) TTV tables by quadrant (NE, NW, SW, SE order)."""
+    point, ring, quadrant, volume = _ring_sources(xy, sources, spec)
+    n, r = len(_points(xy)), spec.n_rings
+    out = np.bincount((point * 4 + quadrant) * r + ring, volume, n * 4 * r)
+    return out.reshape(n, 4, r) / 10_000.0
 
 
-def ring_landuse_area(
-    site: SiteRecord,
-    raster: RasterGrid,
-    reclass: dict,
-    spec: BufferSpec = BufferSpec(),
-    n_rings: int = N_LANDUSE_RINGS,
-) -> dict:
-    """Hectares of each reclassified category per ring (pixel-centroid membership).
+def _landuse_window(raster: RasterGrid, spec: BufferSpec, n_rings: int = N_LANDUSE_RINGS):
+    """(reach, side): cells from a point to the outer land-use radius plus
+    one, and the side of a window of cells that holds every cell in reach."""
+    reach = spec.radii_km[n_rings - 1] * 1000.0 / raster.cell_size + 1.0
+    return reach, int(2.0 * reach) + 3
 
-    Returns {category: array of n_rings ring areas}.  Every non-nodata raster
-    code must appear in the reclass map.
+
+def ring_landuse_area(xy, raster: RasterGrid, reclass: dict, spec: BufferSpec = BufferSpec(),
+                      n_rings: int = N_LANDUSE_RINGS) -> dict:
+    """Hectares of each reclassified category per ring (pixel-centroid
+    membership) around the N points ``xy``: {category: (N, n_rings) array}.
+
+    Every non-nodata raster code in reach of a point must appear in the
+    reclass map; the error names the first missing one by point, then in
+    row-major order.
     """
+    xy = _points(xy)
+    n = len(xy)
     cats = sorted(set(reclass.values()))
     codes = sorted(reclass)
     cat_of_code = np.array([cats.index(reclass[c]) for c in codes], dtype=np.intp)
     cell_ha = raster.cell_size**2 / 10_000.0
 
-    # only the cells within the outer land-use radius (plus one cell) can
-    # count; the centroid formula of ``RasterGrid.centroids`` over that window
-    # keeps the distances, and row-major order, of the whole raster
-    reach = spec.radii_km[n_rings - 1] * 1000.0 / raster.cell_size + 1.0
-    fx = (site.x - raster.x_ll) / raster.cell_size
-    fy = raster.n_rows - (site.y - raster.y_ll) / raster.cell_size
-    c0, c1 = (min(max(int(f), 0), raster.n_cols) for f in (fx - reach, fx + reach + 1.0))
-    r0, r1 = (min(max(int(f), 0), raster.n_rows) for f in (fy - reach, fy + reach + 1.0))
-    x = raster.x_ll + (np.arange(c0, c1) + 0.5) * raster.cell_size
-    y = raster.y_ll + (raster.n_rows - np.arange(r0, r1) - 0.5) * raster.cell_size
-    xx, yy = np.meshgrid(x, y)
-    ring = spec.ring_index(np.hypot(xx.ravel() - site.x, yy.ravel() - site.y) / 1000.0)
-    vals = raster.values[r0:r1, c0:c1].ravel()
-    keep = (ring >= 0) & (ring < n_rings) & (vals != raster.nodata_value)
+    # each point reads a window from the cell of its outer reach on; the
+    # centroid formula of ``RasterGrid.centroids`` there keeps the distances,
+    # and row-major order, of the whole raster.  Window cells off the raster
+    # are masked, and the others beyond reach fall outside every ring.
+    reach, side = _landuse_window(raster, spec, n_rings)
+    fx = (xy[:, 0] - raster.x_ll) / raster.cell_size
+    fy = raster.n_rows - (xy[:, 1] - raster.y_ll) / raster.cell_size
+    cols, rows = (np.clip(np.trunc(f - reach), 0, size).astype(np.intp)[:, None] + np.arange(side)
+                  for f, size in ((fx, raster.n_cols), (fy, raster.n_rows)))
+    x = raster.x_ll + (cols + 0.5) * raster.cell_size
+    y = raster.y_ll + (raster.n_rows - rows - 0.5) * raster.cell_size
+    ring = spec.ring_index(np.hypot(x[:, None, :] - xy[:, :1, None],
+                                    y[:, :, None] - xy[:, 1:, None]) / 1000.0)
+    vals = raster.values[np.minimum(rows, raster.n_rows - 1)[:, :, None],
+                         np.minimum(cols, raster.n_cols - 1)[:, None, :]]
+    keep = ((rows < raster.n_rows)[:, :, None] & (cols < raster.n_cols)[:, None, :]
+            & (ring >= 0) & (ring < n_rings) & (vals != raster.nodata_value))
+    point = np.nonzero(keep)[0]
     ring, cell_codes = ring[keep], vals[keep].astype(np.int64)
     unknown = ~np.isin(cell_codes, codes)
     if unknown.any():
         raise DataError(f"land-use code {cell_codes[unknown][0]} absent from reclass map")
     cat = cat_of_code[np.searchsorted(codes, cell_codes)]
-    out = np.bincount(cat * n_rings + ring, weights=np.full(len(ring), cell_ha),
-                      minlength=len(cats) * n_rings)
-    return dict(zip(cats, out.reshape(len(cats), n_rings)))
+    out = np.bincount((point * len(cats) + cat) * n_rings + ring,
+                      np.full(len(ring), cell_ha), n * len(cats) * n_rings)
+    return dict(zip(cats, np.moveaxis(out.reshape(n, len(cats), n_rings), 1, 0)))
 
 
-def _point_in_polygon(x: float, y: float, verts: np.ndarray) -> bool:
-    """Even-odd rule ray casting; points on an edge count as inside."""
-    inside = False
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        # on-edge check
-        if (
-            min(x1, x2) - 1e-12 <= x <= max(x1, x2) + 1e-12
-            and min(y1, y2) - 1e-12 <= y <= max(y1, y2) + 1e-12
-        ):
-            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-            if abs(cross) < 1e-9 * max(1.0, abs(x2 - x1) + abs(y2 - y1)):
-                return True
-        if (y1 > y) != (y2 > y):
-            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xint:
-                inside = not inside
-    return inside
+def population_density(xy, tracts) -> np.ndarray:
+    """Population density (persons/mi^2) of the tract containing each of the
+    N points ``xy``, NaN outside every tract; a point on a shared boundary
+    takes the lowest-index containing tract.
 
-
-def population_density(site: SiteRecord, tracts) -> float:
-    """Population density (persons/mi^2) of the tract containing the site.
-
-    A site on a shared boundary is assigned the lowest-index containing tract.
+    Membership is the even-odd rule, as array code over (points, edges of
+    all tracts); a point on an edge counts as inside.
     """
-    for tract in tracts:
-        if _point_in_polygon(site.x, site.y, tract.vertices):
-            return tract.population / tract.area_mi2
-    raise DataError(f"site {site.id}: outside all census tracts")
+    xy = _points(xy)
+    x, y = xy[:, :1], xy[:, 1:]
+    x1, y1 = np.concatenate([t.vertices for t in tracts]).T
+    x2, y2 = np.concatenate([np.roll(t.vertices, -1, axis=0) for t in tracts]).T
+    on_edge = (
+        (np.minimum(x1, x2) - 1e-12 <= x) & (x <= np.maximum(x1, x2) + 1e-12)
+        & (np.minimum(y1, y2) - 1e-12 <= y) & (y <= np.maximum(y1, y2) + 1e-12)
+        & (np.abs((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1))
+           < 1e-9 * np.maximum(1.0, np.abs(x2 - x1) + np.abs(y2 - y1)))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # edges that y does not cross
+        crossing = ((y1 > y) != (y2 > y)) & (x < x1 + (y - y1) * (x2 - x1) / (y2 - y1))
+    first_edge = np.cumsum([0] + [len(t.vertices) for t in tracts[:-1]])
+    inside = (np.logical_or.reduceat(on_edge, first_edge, axis=1)
+              | np.logical_xor.reduceat(crossing, first_edge, axis=1))
+    density = np.array([t.population / t.area_mi2 for t in tracts])
+    return np.where(inside.any(axis=1), density[inside.argmax(axis=1)], np.nan)
+
+
+def outside_tracts(target_id: str) -> DataError:
+    return DataError(f"site {target_id}: outside all census tracts")
 
 
 def seasonal_basis(dyr: float):
@@ -239,22 +265,32 @@ class CovariateRow:
             self.season = seasonal_basis(self.dyr)
 
 
+def interval_sites(dataset: Dataset) -> list:
+    """The sites with interval observations, in order of first observation."""
+    return [dataset.sites[sid]
+            for sid in dict.fromkeys(obs.site_id for obs in dataset.interval_obs)]
+
+
 def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     """One CovariateRow per interval observation, carrying the observed value
-    as its response (warns and skips on failure).
+    as its response (warns and skips on failure); the sites' static
+    covariates come from one ``static_covariates`` call.
 
     Returns (rows, warnings); warnings are human-readable strings naming the
     offending site.
     """
     segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-    rows, warnings, static = [], [], {}
+    sites = interval_sites(dataset)
+    static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec)
+    at_site = {s.id: _row(static, j, site_elevation(dataset, s.id)) for j, s in enumerate(sites)}
+    rows, warnings = [], []
     for obs in dataset.interval_obs:
         site = dataset.sites[obs.site_id]
         try:
-            if site.id not in static:
-                static[site.id] = site_static_covariates(dataset, site, segments, spec)
+            if math.isnan(at_site[site.id]["pop_density"]):
+                raise outside_tracts(site.id)
             row = covariate_row_for_site(
-                dataset, site, obs.t_start, obs.t_end, static[site.id]
+                dataset, site, obs.t_start, obs.t_end, at_site[site.id]
             )
         except DataError as exc:
             warnings.append(f"site {site.id}: {exc}")
@@ -264,28 +300,73 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     return rows, warnings
 
 
+#: Bound on the (points x sources) pairs of a ``static_covariates`` chunk; the
+#: sources are road segments, coarse-grid centroids, tract edges or land-use
+#: cells.  1 MB per float array.
+CHUNK_ELEMENTS = 1 << 17
+
+
+def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferSpec()) -> dict:
+    """Time-constant covariates at the N points ``xy`` (N, 2), each with a
+    leading N axis: ``ttv``, ``ttv_quadrant``, ``lu_area`` {category: (N, 3)},
+    ``pop_density`` (NaN outside every tract), ``elevation`` (NaN: only sites
+    have one) and ``cmaq_index``, of the nearest coarse-grid centroid (-1
+    without a grid).  Each chunk of points has at most ``CHUNK_ELEMENTS``
+    (points x sources) pairs; each row has the bits of its point alone.
+    """
+    xy, segments = _points(xy), np.asarray(segments, dtype=float).reshape(-1, 4)
+    landuse = dataset.landuse is not None and dataset.landuse_reclass is not None
+    window = _landuse_window(dataset.landuse, spec)[1] ** 2 if landuse else 0
+    edges = sum(len(t.vertices) for t in dataset.tracts)
+    widest = max(len(segments), dataset.cmaq.pixel_ids.size, window, edges, 1)
+    step = max(1, CHUNK_ELEMENTS // widest)
+
+    def chunk(pts):
+        n = len(pts)
+        return {
+            "ttv": ring_ttv(pts, segments, spec),
+            "ttv_quadrant": quadrant_ttv(pts, segments, spec),
+            "lu_area": (ring_landuse_area(pts, dataset.landuse, dataset.landuse_reclass, spec)
+                        if landuse else
+                        {c: np.zeros((n, N_LANDUSE_RINGS)) for c in LANDUSE_CATEGORIES}),
+            "pop_density": (population_density(pts, dataset.tracts)
+                            if dataset.tracts else np.zeros(n)),
+            "elevation": np.full(n, math.nan),
+            "cmaq_index": (nearest_cmaq_centroid(pts, dataset.cmaq)
+                           if dataset.cmaq.pixel_ids.size else np.full(n, -1)),
+        }
+
+    def stack(parts):
+        if isinstance(parts[0], dict):
+            return {key: stack([p[key] for p in parts]) for key in parts[0]}
+        return np.concatenate(parts)
+
+    return stack([chunk(xy[i:i + step]) for i in range(0, len(xy), step) or [0]])
+
+
+def _row(static: dict, j: int, elevation: float) -> dict:
+    """Row ``j`` of ``static_covariates`` output as one site's covariates."""
+    row = {key: values[j] for key, values in static.items() if key != "lu_area"}
+    lu = {c: areas[j] for c, areas in static["lu_area"].items()}
+    return {**row, "lu_area": lu, "elevation": elevation}
+
+
+def site_elevation(dataset: Dataset, site_id: str) -> float:
+    return dataset.site_attrs.get(site_id, {}).get("elevation_m", math.nan)
+
+
 def site_static_covariates(
     dataset: Dataset,
     site: SiteRecord,
     segments,
     spec: BufferSpec = BufferSpec(),
 ) -> dict:
-    """Time-constant covariates for one site (reusable across days/intervals)."""
-    if dataset.landuse is not None and dataset.landuse_reclass is not None:
-        lu = ring_landuse_area(site, dataset.landuse, dataset.landuse_reclass, spec)
-    else:
-        lu = {c: np.zeros(N_LANDUSE_RINGS) for c in LANDUSE_CATEGORIES}
-    pid = None
-    if dataset.cmaq.pixel_ids.size:
-        pid = nearest_cmaq_centroid(site, dataset.cmaq)
-    return {
-        "ttv": ring_ttv(site, segments, spec),
-        "ttv_quadrant": quadrant_ttv(site, segments, spec),
-        "lu_area": lu,
-        "pop_density": population_density(site, dataset.tracts) if dataset.tracts else 0.0,
-        "elevation": dataset.site_attrs.get(site.id, {}).get("elevation_m", math.nan),
-        "cmaq_pixel": pid,
-    }
+    """Time-constant covariates for one site (reusable across days/intervals):
+    the one-row view of ``static_covariates``."""
+    static = static_covariates(dataset, [(site.x, site.y)], segments, spec)
+    if math.isnan(static["pop_density"][0]):
+        raise outside_tracts(site.id)
+    return _row(static, 0, site_elevation(dataset, site.id))
 
 
 def covariate_row_for_site(
@@ -298,8 +379,8 @@ def covariate_row_for_site(
     """Covariates of one observation interval at a site, from the site's
     ``site_static_covariates``."""
     dyr = dataset.manifest.dyr(0.5 * (t_start + t_end))
-    cmaq_mean, n_used = math.nan, 0
-    ser = dataset.cmaq.series.get(static["cmaq_pixel"])
+    cmaq_mean, n_used, k = math.nan, 0, static["cmaq_index"]
+    ser = dataset.cmaq.series.get(int(dataset.cmaq.pixel_ids[k])) if k >= 0 else None
     if ser is not None:
         cmaq_mean, n_used = interval_mean(ser, t_start, t_end)
 

@@ -122,12 +122,15 @@ class CmaqGrid:
             raise DataError("cmaq grid: duplicate pixel ids")
 
 
-def nearest_cmaq_centroid(site: SiteRecord, grid: CmaqGrid) -> int:
-    """Pixel id of the centroid nearest the site (ties -> smallest pixel_id)."""
+def nearest_cmaq_centroid(xy, grid: CmaqGrid) -> np.ndarray:
+    """Index into the grid's arrays of the centroid nearest each of the N
+    points ``xy`` (N, 2); ties go to the smallest pixel_id."""
     if grid.pixel_ids.size == 0:
         raise DataError("nearest_cmaq_centroid: empty grid")
-    d2 = (grid.xs - site.x) ** 2 + (grid.ys - site.y) ** 2
-    return int(grid.pixel_ids[d2 == d2.min()].min())
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    d2 = (grid.xs - xy[:, :1]) ** 2 + (grid.ys - xy[:, 1:]) ** 2
+    tied = d2 == d2.min(axis=1, keepdims=True)
+    return np.where(tied, grid.pixel_ids, np.iinfo(grid.pixel_ids.dtype).max).argmin(axis=1)
 
 
 @dataclass
@@ -236,9 +239,11 @@ class Manifest:
     files: dict = field(default_factory=dict)
 
     def day_of_year(self, day) -> float:
-        """Calendar day-of-year (1..365 cycle) for a possibly fractional day index."""
+        """Calendar day-of-year in (0, 365] (a 365-day cycle; 365.5 wraps to
+        0.5) for a possibly fractional day index."""
         base = self.epoch.timetuple().tm_yday  # day index 1 maps here
-        return (base - 1 + float(day) - 1) % 365 + 1
+        doy = (base - 1 + float(day) - 1) % 365 + 1
+        return doy - 365 if doy > 365 else doy
 
     def dyr(self, day) -> float:
         """Day-of-year ratio in (0, 1] for a (possibly fractional) day index."""

@@ -31,7 +31,6 @@ from scarr.data_model import (
     TractPolygon,
     TrafficPolyline,
     interval_mean,
-    nearest_cmaq_centroid,
 )
 from scarr.errors import DataError
 from scarr.step2 import DlmInputs, DlmParams
@@ -390,8 +389,7 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
     for sid in sorted(s for s in sites if sites[s].role == "dense_time"):
         site = sites[sid]
         static = cov.site_static_covariates(dataset, site, segments)
-        pid = nearest_cmaq_centroid(site, cmaq)
-        y1_ser = cmaq.series[pid]
+        y1_ser = cmaq.series[int(cmaq.pixel_ids[static["cmaq_index"]])]
         vals = np.empty(config.n_days)
         for t_i, day in enumerate(days):
             row = cov.covariate_row_for_site(dataset, site, int(day), int(day), static)

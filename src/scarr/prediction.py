@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scarr import covariates as cov
-from scarr.data_model import (
-    Dataset,
-    RasterGrid,
-    SiteRecord,
-    nearest_cmaq_centroid,
-    write_raster,
-    write_table,
-)
+from scarr.data_model import Dataset, RasterGrid, write_raster, write_table
 from scarr.errors import DataError
 from scarr.step1 import StepOneFit, additive_bias_c_tilde, design_columns
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter, kalman_smoother
@@ -33,19 +26,26 @@ _LOG = logging.getLogger(__name__)
 
 
 def c_tilde_for_day(fit: StepOneFit, static: dict, season: np.ndarray) -> np.ndarray:
-    """Additive bias at one location on every day of a (T, 4) seasonal basis."""
-    values = design_columns(static, season.T, fit.spec)
-    return np.broadcast_to(additive_bias_c_tilde(fit, values), len(season))
+    """Additive bias at N targets (``static_covariates`` output) on each day
+    of a (D, 4) seasonal basis: an (N, D) array.  Terms are added in
+    ``fit.names`` order elementwise, not by a matrix product, so each entry
+    has the bits of its target and day computed alone."""
+    # season columns (D, 1) against static columns (N,) sum to (D, N)
+    values = design_columns(static, season.T[:, :, None], fit.spec)
+    shape = (len(season), len(static["pop_density"]))
+    return np.broadcast_to(additive_bias_c_tilde(fit, values), shape).T
 
 
 class Targets:
-    """Days 1..T of a dataset's record and the linear offset of any target
-    (site or raster pixel) on them: c-tilde from its static covariates and
-    each day's seasonal basis, y1 from its nearest coarse pixel (NaN where
-    that has no value).  Offsets of sites are kept, so each is computed once.
+    """Days 1..T of a dataset's record and the linear offsets of targets
+    (sites or raster pixels) on them, N at a time: c-tilde from their static
+    covariates and each day's seasonal basis, y1 from their nearest coarse
+    pixel (NaN where that has no value).  The offsets over days 1..T of the
+    dense-time sites and of ``sites`` come from one ``static_covariates``
+    call here; ``site`` reads them.
     """
 
-    def __init__(self, dataset: Dataset, fit: StepOneFit):
+    def __init__(self, dataset: Dataset, fit: StepOneFit, sites=()):
         self.dense = sorted(dataset.sites_with_role("dense_time"), key=lambda s: s.id)
         if not self.dense:
             raise DataError("no dense_time sites in dataset")
@@ -60,24 +60,35 @@ class Targets:
         self.season = np.array(
             [cov.seasonal_basis(dataset.manifest.dyr(d)) for d in range(1, T + 1)]
         )
-        self._sites = {}
-
-    def compute(self, target: SiteRecord):
-        """(c_tilde, y1) arrays over days 1..T at one target."""
-        static = cov.site_static_covariates(
-            self.dataset, target, self.segments, self.fit.spec
+        # coarse values by grid index; the last row, all NaN, is that of the
+        # index -1 (no coarse grid)
+        cmaq = dataset.cmaq
+        self.coarse = np.full((cmaq.pixel_ids.size + 1, T), np.nan)
+        for k, pid in enumerate(cmaq.pixel_ids.tolist()):
+            if pid in cmaq.series:
+                self.coarse[k, cmaq.series[pid].days - 1] = cmaq.series[pid].values
+        named = {s.id: s for s in [*self.dense, *sites]}
+        self._row = {sid: j for j, sid in enumerate(named)}
+        static = cov.static_covariates(
+            dataset, [(s.x, s.y) for s in named.values()], self.segments, fit.spec
         )
-        y1 = np.full(self.n_days, np.nan)
-        cser = self.dataset.cmaq.series.get(static["cmaq_pixel"])
-        if cser is not None:
-            y1[cser.days - 1] = cser.values
-        return c_tilde_for_day(self.fit, static, self.season), y1
+        static["elevation"] = np.array([cov.site_elevation(dataset, s) for s in named])
+        self._outside = np.isnan(static["pop_density"])
+        self._offsets = self.offsets(static)
 
-    def offsets(self, site: SiteRecord):
-        """``compute(site)``, kept for the next request of the same site."""
-        if site.id not in self._sites:
-            self._sites[site.id] = self.compute(site)
-        return self._sites[site.id]
+    def offsets(self, static: dict, days=None):
+        """(c_tilde, y1), each (N, D), at the N targets of ``static`` on
+        ``days`` (default 1..T)."""
+        idx = slice(None) if days is None else np.asarray(days) - 1
+        y1 = self.coarse[:, idx][static["cmaq_index"]]
+        return c_tilde_for_day(self.fit, static, self.season[idx]), y1
+
+    def site(self, site_id: str):
+        """(c_tilde, y1) over days 1..T at a dense-time site or one of ``sites``."""
+        j = self._row[site_id]
+        if self._outside[j]:
+            raise cov.outside_tracts(site_id)
+        return self._offsets[0][j], self._offsets[1][j]
 
 
 def build_dlm_inputs(targets: Targets) -> DlmInputs:
@@ -91,7 +102,7 @@ def build_dlm_inputs(targets: Targets) -> DlmInputs:
     c_t = np.empty((T, n))
     y1 = np.empty((T, n))
     for j, site in enumerate(targets.dense):
-        c_t[:, j], y1[:, j] = targets.offsets(site)
+        c_t[:, j], y1[:, j] = targets.site(site.id)
         ser = dataset.daily_series.get(site.id)
         if ser is not None:
             y[ser.days - 1, j] = ser.values
@@ -133,6 +144,10 @@ def state_path(params: DlmParams, inputs: DlmInputs, smoothed: bool = False):
     return est.filtered_mean, est.filtered_var
 
 
+def _missing_bias(target_id: str) -> DataError:
+    return DataError(f"predict_site: missing additive bias at {target_id}")
+
+
 def predict_site(site_id: str, params: DlmParams, state, c_tilde, y1) -> SitePrediction:
     """Prediction ``(a + beta_c*c_tilde) + gamma_hat*y1`` and its 95% CI
     half-width at a target, on the days where y1 is present.  The target is an
@@ -148,7 +163,7 @@ def predict_site(site_id: str, params: DlmParams, state, c_tilde, y1) -> SitePre
     idx = np.flatnonzero(np.isfinite(y1))
     c = np.asarray(c_tilde)[idx]
     if not np.all(np.isfinite(c)):
-        raise DataError(f"predict_site: missing additive bias at {site_id}")
+        raise _missing_bias(site_id)
     pred = a_mean[idx] + params.beta_c * c + params.gamma_hat * y1[idx]
     half = 1.96 * np.sqrt(np.clip(a_var[idx] + params.sigma_z**2, 0.0, None))
     return SitePrediction(site_id, idx + 1, pred, half)
@@ -168,16 +183,18 @@ def predict_grid(
 ):
     """One RasterGrid of predicted concentration per requested day.
 
-    Every pixel centroid is a target.  Pixels outside the coarse-grid
-    coverage, or without a prediction (e.g. outside every census tract),
-    are nodata; their counts are logged.  Returns {day: RasterGrid}.
+    Every pixel centroid is a target, ``px_<row>_<col>``, with the values
+    ``predict_site`` gives it; all of them go through one
+    ``static_covariates`` call, with offsets on the requested days only.
+    Pixels outside the coarse-grid coverage, or without a prediction (e.g.
+    outside every census tract), are nodata; their counts are logged.
+    Returns {day: RasterGrid}.
     """
     days = [int(d) for d in days]
     for d in days:
         if d < 1 or d > targets.n_days:
             raise DataError(f"predict_grid: day {d} outside fitted range")
     cmaq = targets.dataset.cmaq
-    half_cell = cmaq.cell_size / 2.0
     grids = {
         d: RasterGrid(n_cols, n_rows, x_ll, y_ll, cell_size, nodata,
                       np.full((n_rows, n_cols), nodata))
@@ -185,29 +202,33 @@ def predict_grid(
     }
     if not grids or cmaq.pixel_ids.size == 0:
         return grids
-    by_day = np.full(targets.n_days + 1, nodata)
-    outside, failed, first = 0, 0, None
-    for i, (px, py) in enumerate(grids[days[0]].centroids().tolist()):
-        r, c_i = divmod(i, n_cols)
-        pixel = SiteRecord(f"px_{r}_{c_i}", px, py, "prediction")
-        k = int(np.where(cmaq.pixel_ids == nearest_cmaq_centroid(pixel, cmaq))[0][0])
-        if abs(cmaq.xs[k] - px) > half_cell or abs(cmaq.ys[k] - py) > half_cell:
-            outside += 1
-            continue
-        try:
-            p = predict_site(pixel.id, params, state, *targets.compute(pixel))
-        except DataError as exc:
-            failed += 1
-            first = first or str(exc)
-            continue
-        by_day[:] = nodata
-        by_day[p.days] = p.pred
-        for d in days:
-            grids[d].values[r, c_i] = by_day[d]
-    if outside or failed:
+    xy = grids[days[0]].centroids()
+    static = cov.static_covariates(targets.dataset, xy, targets.segments, targets.fit.spec)
+    c_tilde, y1 = targets.offsets(static, days)
+    k = static["cmaq_index"]
+    half_cell = cmaq.cell_size / 2.0
+    covered = ((np.abs(cmaq.xs[k] - xy[:, 0]) <= half_cell)
+               & (np.abs(cmaq.ys[k] - xy[:, 1]) <= half_cell))
+    # predict_site's reasons, in its order; c-tilde is non-finite on every day
+    # or on none, and is needed when y1 is present on any day
+    no_tract = covered & np.isnan(static["pop_density"])
+    failed = no_tract | (covered & ~np.isfinite(c_tilde).all(axis=1)
+                         & np.isfinite(targets.coarse).any(axis=1)[k])
+    a_mean, _ = state
+    pred = a_mean[np.asarray(days) - 1] + params.beta_c * c_tilde + params.gamma_hat * y1
+    values = np.where((covered & ~failed)[:, None] & np.isfinite(y1), pred, nodata)
+    for j, d in enumerate(days):
+        grids[d].values[:] = values[:, j].reshape(n_rows, n_cols)
+    outside, n_failed = int(np.sum(~covered)), int(np.sum(failed))
+    if outside or n_failed:
+        first = ""
+        if n_failed:
+            j = int(np.argmax(failed))
+            pixel = "px_%d_%d" % divmod(j, n_cols)
+            reason = cov.outside_tracts(pixel) if no_tract[j] else _missing_bias(pixel)
+            first = f" (first: {reason})"
         _LOG.info("%d of %d raster pixels nodata: %d outside the coarse grid, %d without a "
-                  "prediction%s", outside + failed, n_cols * n_rows, outside, failed,
-                  f" (first: {first})" if failed else "")
+                  "prediction%s", outside + n_failed, n_cols * n_rows, outside, n_failed, first)
     return grids
 
 

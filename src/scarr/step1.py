@@ -422,8 +422,8 @@ def design_columns(static, season, spec: BufferSpec) -> dict:
     """Value of every design column but ``cmaq`` at one target, by name.
 
     ``static`` is ``site_static_covariates`` output or a CovariateRow's
-    fields; ``season`` is the four seasonal-basis values, each a number or an
-    array over days.
+    fields, or ``static_covariates`` output with a leading target axis;
+    ``season`` is the four seasonal-basis values, each a number or an array.
     """
     labels = spec.ring_labels()
     cols = {
@@ -432,14 +432,15 @@ def design_columns(static, season, spec: BufferSpec) -> dict:
         "elevation_m": static["elevation"],
         **dict(zip(SEASON_NAMES, season)),
     }
-    cols.update(zip([f"ttv_{lab}" for lab in labels], static["ttv"]))
-    for q, quadrant in zip(QUADRANTS, static["ttv_quadrant"]):
-        cols.update(zip([f"ttv_{q}_{lab}" for lab in labels], quadrant))
+    cols.update(zip([f"ttv_{lab}" for lab in labels], np.moveaxis(static["ttv"], -1, 0)))
+    for q, quadrant in zip(QUADRANTS, np.moveaxis(static["ttv_quadrant"], -2, 0)):
+        cols.update(zip([f"ttv_{q}_{lab}" for lab in labels], np.moveaxis(quadrant, -1, 0)))
     for cat in LANDUSE_CATEGORIES:
         areas = np.asarray(static["lu_area"].get(cat, np.zeros(N_LANDUSE_RINGS)))
         lu_labels = labels[:N_LANDUSE_RINGS]
-        cols.update(zip([f"lu_{cat}_{lab}" for lab in lu_labels], areas / LANDUSE_SCALE))
-        cols[f"lu_{cat}_0-2km"] = float(areas.sum()) / LANDUSE_SCALE
+        cols.update(zip([f"lu_{cat}_{lab}" for lab in lu_labels],
+                        np.moveaxis(areas / LANDUSE_SCALE, -1, 0)))
+        cols[f"lu_{cat}_0-2km"] = areas.sum(axis=-1) / LANDUSE_SCALE
     return cols
 
 
@@ -565,11 +566,14 @@ def fit_design(design: Design, cfg: Step1Config):
     factor of the full model's fitted covariance, so each is a GLS test with
     that covariance fixed.  PRESS is attached under OLS only.
     """
+    # only the Matern has a smoothness; the others record the default
+    nu = cfg.matern_nu if cfg.error_model == "matern" else ErrorModel.nu
+
     def fit(names):
         X = design.X if names == design.names else _columns(design, names)
         if cfg.error_model == "independent":
             return fit_ols(X, design.y, names)
-        return fit_gls(X, design.y, design.coords, names, cfg.error_model, cfg.matern_nu)
+        return fit_gls(X, design.y, design.coords, names, cfg.error_model, nu)
 
     result = fit(design.names)
     retained = {g: list(cols) for g, cols in design.groups.items()}
@@ -636,7 +640,7 @@ def additive_bias_c_tilde(fit: StepOneFit, covariate_values: dict):
             continue
         if nm not in covariate_values:
             raise DataError(f"additive_bias: missing retained covariate {nm!r}")
-        total += b * covariate_values[nm]
+        total = total + b * covariate_values[nm]  # shapes may broadcast
     return total
 
 

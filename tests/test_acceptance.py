@@ -14,7 +14,7 @@ import pytest
 
 from scarr import covariates as cov
 from scarr.cli import main as cli_main
-from scarr.data_model import RasterGrid, SiteRecord
+from scarr.data_model import RasterGrid
 from scarr.oracle import dense_gaussian_oracle, simulate_step2_series
 from scarr.step1 import (
     Design,
@@ -359,9 +359,8 @@ def test_criterion_8_end_to_end_golden(capsys, tmp_path):
 def test_criterion_9_covariate_geometry(capsys):
     def body():
         # 50 m segment at 20,000 ADT, 700 m away: exactly 0.1 in ring 2
-        site = SiteRecord("s", 0.0, 0.0, "calibration")
         seg = cov.TrafficSegment(700.0, 0.0, 0.05, 20_000.0)
-        out = cov.ring_ttv(site, [seg])
+        (out,) = cov.ring_ttv([(0.0, 0.0)], [seg])
         assert out[1] == 0.1
         assert np.all(out[[0, 2, 3, 4, 5, 6]] == 0.0)
 
@@ -370,8 +369,8 @@ def test_criterion_9_covariate_geometry(capsys):
         n = 25
         raster = RasterGrid(n, n, 0.0, 0.0, cell, -9999.0,
                             np.full((n, n), 2.0))
-        site_c = SiteRecord("c", (12 + 0.2) * cell, (12 + 0.4) * cell, "calibration")
-        areas = cov.ring_landuse_area(site_c, raster, {2: "all"})
+        site_c = [((12 + 0.2) * cell, (12 + 0.4) * cell)]
+        areas = {cat: a[0] for cat, a in cov.ring_landuse_area(site_c, raster, {2: "all"}).items()}
         cell_area_ha = cell * cell / 10_000.0
         prev = 0.0
         for k, r_km in enumerate((0.5, 1.0, 2.0)):

@@ -487,6 +487,52 @@ def test_matern_selection_run_completes(tmp_path):
 
     fit = read_step1_fit(str(d / "out" / "step1_fit.txt"))
     assert fit.error_model.kind == "matern" and math.isfinite(fit.loglik)
+    assert fit.error_model.nu == 1.5
+
+
+@pytest.mark.parametrize("kind", ["exponential", "spherical"])
+def test_gls_fit_records_no_matern_smoothness(tmp_path, kind):
+    """Only a Matern fit records ``matern_nu``; the other kinds keep the
+    ErrorModel default, the exponential's own 0.5."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    (d / "step1_config.txt").write_text(
+        f"error_model={kind}\nrun_selection=false\nmatern_nu=2.5\n"
+    )
+    assert main(["fit-step1", str(d)]) == 0
+    lines = (d / "out" / "step1_fit.txt").read_text().splitlines()
+    assert f"error_kind={kind}" in lines
+    assert "error_nu=0.5" in lines
+
+
+def test_unknown_landuse_code_exits_3(tmp_path, capsys):
+    """A land-use code missing from the reclass map, within reach of a
+    target, stops ``features`` and ``predict`` with exit 3 naming it."""
+    from scarr.data_model import load_dataset
+
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    for command in ("fit-step1", "fit-step2"):
+        assert main([command, str(d)]) == 0
+    ds = load_dataset(str(d))
+    # a calibration and a dense-time site 1.4 km apart: the cell halfway
+    # between them lies in the first land-use rings of both
+    a, b = ds.sites["C002"], ds.sites["E000"]
+    assert math.hypot(a.x - b.x, a.y - b.y) < 1500.0
+    raster = ds.landuse
+    col = int(((a.x + b.x) / 2 - raster.x_ll) // raster.cell_size)
+    row = raster.n_rows - 1 - int(((a.y + b.y) / 2 - raster.y_ll) // raster.cell_size)
+    lines = (d / "landuse.asc").read_text().split("\n")
+    cells = lines[6 + row].split()
+    cells[col] = "99"
+    lines[6 + row] = " ".join(cells)
+    (d / "landuse.asc").write_text("\n".join(lines))
+    capsys.readouterr()
+    for command in ("features", "predict"):
+        assert main([command, str(d)]) == EXIT_DATA, command
+        err = capsys.readouterr().err
+        assert "error: data: land-use code 99 absent from reclass map" in err, err
+        assert "Traceback" not in err
 
 
 def test_readme_configuration_table_matches_config_classes():

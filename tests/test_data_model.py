@@ -1,3 +1,4 @@
+import datetime
 import math
 import shutil
 
@@ -9,6 +10,7 @@ from scarr.data_model import (
     DailySeries,
     DataError,
     IntervalObservation,
+    Manifest,
     RasterGrid,
     SiteRecord,
     interval_mean,
@@ -104,46 +106,50 @@ class TestLoadDataset:
         assert not (tmp_path / "dst" / "sites.csv").exists()
 
 
+def nearest_id(grid, x, y):
+    """Pixel id of the nearest centroid to one point, by the array kernel."""
+    (k,) = nearest_cmaq_centroid(np.array([[x, y]]), grid)
+    return int(grid.pixel_ids[k])
+
+
 class TestNearestCentroid:
     def test_site_at_centroid(self):
         grid = make_grid()
-        site = SiteRecord("s", float(grid.xs[6]), float(grid.ys[6]), "calibration")
-        assert nearest_cmaq_centroid(site, grid) == 7
+        assert nearest_id(grid, float(grid.xs[6]), float(grid.ys[6])) == 7
 
     def test_tie_smallest_pixel_id(self):
         grid = make_grid()
         # midpoint between adjacent pixels 1 and 2 is an exact tie
         x = 0.5 * (grid.xs[0] + grid.xs[1])
         y = float(grid.ys[0])
-        site = SiteRecord("s", float(x), y, "calibration")
-        assert nearest_cmaq_centroid(site, grid) == 1
+        assert nearest_id(grid, float(x), y) == 1
+        # the same tie with the ids listed in the other order
+        flipped = CmaqGrid(grid.pixel_ids[::-1], grid.xs[::-1], grid.ys[::-1],
+                           grid.cell_size, {})
+        assert nearest_id(flipped, float(x), y) == 1
 
     def test_matches_brute_force(self, rng):
         grid = make_grid()
-        for _ in range(50):
-            site = SiteRecord(
-                "s", float(rng.uniform(0, 48000)), float(rng.uniform(0, 48000)),
-                "calibration",
-            )
-            d2 = (grid.xs - site.x) ** 2 + (grid.ys - site.y) ** 2
+        pts = rng.uniform(0, 48000, size=(50, 2))
+        got = grid.pixel_ids[nearest_cmaq_centroid(pts, grid)]
+        for (x, y), pid in zip(pts, got):
+            d2 = (grid.xs - x) ** 2 + (grid.ys - y) ** 2
             expected = int(grid.pixel_ids[np.lexsort((grid.pixel_ids, d2))[0]])
-            assert nearest_cmaq_centroid(site, grid) == expected
+            assert pid == expected
 
     def test_translation_invariance(self, rng):
         grid = make_grid()
-        site = SiteRecord("s", 11000.0, 23000.0, "calibration")
-        base = nearest_cmaq_centroid(site, grid)
+        base = nearest_id(grid, 11000.0, 23000.0)
         dx, dy = 1234.5, -987.6
         moved = CmaqGrid(
             grid.pixel_ids, grid.xs + dx, grid.ys + dy, grid.cell_size, {}
         )
-        site2 = SiteRecord("s", site.x + dx, site.y + dy, "calibration")
-        assert nearest_cmaq_centroid(site2, moved) == base
+        assert nearest_id(moved, 11000.0 + dx, 23000.0 + dy) == base
 
     def test_empty_grid(self):
         grid = CmaqGrid(np.array([], dtype=int), np.array([]), np.array([]), 1.0, {})
         with pytest.raises(DataError):
-            nearest_cmaq_centroid(SiteRecord("s", 0, 0, "calibration"), grid)
+            nearest_cmaq_centroid(np.zeros((1, 2)), grid)
 
 
 class TestIntervalMean:
@@ -219,3 +225,10 @@ class TestSchemas:
         ds, _ = mini_dataset
         assert ds.manifest.dyr(1) == pytest.approx(1 / 365)
         assert ds.manifest.dyr(365) == pytest.approx(1.0)
+
+    def test_manifest_day_of_year_wraps_at_the_year_boundary(self):
+        m = Manifest(epoch=datetime.date(1994, 1, 1), crs="planar")
+        assert m.day_of_year(365) == 365.0
+        assert m.day_of_year(365.5) == 0.5  # the midpoint of days 365 and 366
+        assert m.day_of_year(366) == 1.0
+        assert 0.0 < m.dyr(365.5) <= 1.0

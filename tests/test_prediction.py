@@ -41,10 +41,19 @@ STATIC = {
     "lu_area": {"forest": np.array([10.0, 20.0, 30.0])},
     "pop_density": 25_000.0,
     "elevation": 120.0,
-    "cmaq_pixel": 1,
+    "cmaq_index": 0,
 }
 SEASON = (0.1, 0.2, 0.3, 0.4)
 SPEC = cov.BufferSpec()
+
+
+def rows(*statics):
+    """``static_covariates``-style arrays, one row per single-site dict."""
+    return {
+        key: ({c: np.array([s[key][c] for s in statics]) for c in statics[0][key]}
+              if key == "lu_area" else np.array([s[key] for s in statics]))
+        for key in statics[0]
+    }
 
 
 class TestCovariateValue:
@@ -84,7 +93,7 @@ class TestCovariateValue:
         other = copy.deepcopy(mini_fit)
         other.names[other.names.index("intercept")] = "mystery"
         with pytest.raises(DataError, match="missing retained covariate 'mystery'"):
-            c_tilde_for_day(other, STATIC, np.array([SEASON]))
+            c_tilde_for_day(other, rows(STATIC), np.array([SEASON]))
 
 
 def season_table(*dyrs):
@@ -106,9 +115,9 @@ class TestCTilde:
             for nm, b in zip(mini_fit.names, mini_fit.beta)
             if nm != "cmaq"
         )
-        got = c_tilde_for_day(mini_fit, STATIC, season_table(0.9, dyr))
-        assert got.shape == (2,)
-        assert got[1] == pytest.approx(expected, rel=1e-12)
+        got = c_tilde_for_day(mini_fit, rows(STATIC), season_table(0.9, dyr))
+        assert got.shape == (1, 2)
+        assert got[0, 1] == pytest.approx(expected, rel=1e-12)
 
     def test_excludes_gridded_term(self, mini_fit):
         # changing the CMAQ coefficient must not change the additive bias
@@ -118,15 +127,28 @@ class TestCTilde:
         other.beta = other.beta.copy()
         other.beta[other.names.index("cmaq")] += 100.0
         season = season_table(0.5)
-        assert c_tilde_for_day(mini_fit, STATIC, season) == c_tilde_for_day(
-            other, STATIC, season
+        assert c_tilde_for_day(mini_fit, rows(STATIC), season) == c_tilde_for_day(
+            other, rows(STATIC), season
         )
 
     def test_all_days_equal_one_day_at_a_time(self, mini_fit):
         season = season_table(*(np.arange(1, 40) / 365.0))
-        whole = c_tilde_for_day(mini_fit, STATIC, season)
+        whole = c_tilde_for_day(mini_fit, rows(STATIC), season)
         for t in range(len(season)):
-            assert whole[t] == c_tilde_for_day(mini_fit, STATIC, season[t : t + 1])[0]
+            assert whole[0, t] == c_tilde_for_day(mini_fit, rows(STATIC), season[t : t + 1])[0, 0]
+
+    def test_n_targets_equal_one_at_a_time(self, mini_fit, rng):
+        statics = [
+            {**STATIC, "ttv": rng.uniform(0, 5, 7), "pop_density": float(rng.uniform(1e3, 5e4)),
+             "lu_area": {"forest": rng.uniform(0, 300, 3)}}
+            for _ in range(6)
+        ]
+        season = season_table(*(np.arange(1, 30) / 365.0))
+        whole = c_tilde_for_day(mini_fit, rows(*statics), season)
+        assert whole.shape == (6, 29)
+        for j, static in enumerate(statics):
+            alone = c_tilde_for_day(mini_fit, rows(static), season)
+            assert whole[j].tobytes() == alone[0].tobytes()
 
 
 class TestBuildDlmInputs:
@@ -272,6 +294,27 @@ class TestPredictGrid:
         assert outside >= 12 and failed > 0  # the left three columns lie off the grid
         assert m[4].endswith("outside all census tracts")
 
+    def test_pixels_without_additive_bias_are_counted(self, mini_dataset, mini_fit, caplog):
+        import copy
+
+        ds, _ = mini_dataset
+        # only sites have an elevation, so a fit that uses it has no c-tilde at a pixel
+        fit = copy.deepcopy(mini_fit)
+        fit.names[fit.names.index("pop_density_10k")] = "elevation_m"
+        targets = Targets(ds, fit)
+        params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
+        state = state_path(params, build_dlm_inputs(targets))
+        caplog.set_level(logging.INFO, logger="scarr")
+        grid = predict_grid(
+            targets, params, state, n_cols=8, n_rows=4, x_ll=-24_000.0, y_ll=18_000.0,
+            cell_size=6_000.0, days=[7],
+        )[7]
+        assert np.all(grid.values == grid.nodata_value)
+        assert caplog.messages == [
+            "32 of 32 raster pixels nodata: 16 outside the coarse grid, 16 without a "
+            "prediction (first: predict_site: missing additive bias at px_0_4)"
+        ]
+
     def test_day_out_of_range(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset
         targets = Targets(ds, mini_fit)
@@ -282,19 +325,33 @@ class TestPredictGrid:
             predict_grid(targets, params, state, 2, 2, 0, 0, 1000.0, [targets.n_days + 1])
 
     def test_pixel_is_a_target(self, mini_dataset, mini_fit):
-        from scarr.data_model import SiteRecord
-
+        """Every pixel's values, filtered and smoothed, are those of
+        ``predict_site`` at its centroid, a target of its own."""
         ds, _ = mini_dataset
         targets = Targets(ds, mini_fit)
         params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
-        state = state_path(params, build_dlm_inputs(targets))
-        grid = predict_grid(
-            targets, params, state, 4, 4, 12_000.0, 12_000.0, 6_000.0, [7]
-        )[7]
-        px, py = grid.cell_centroid(1, 2)
-        site = SiteRecord("p", px, py, "prediction")
-        p = predict_site("p", params, state, *targets.compute(site))
-        assert grid.values[1, 2] == p.pred[list(p.days).index(7)]
+        for smoothed in (False, True):
+            state = state_path(params, build_dlm_inputs(targets), smoothed)
+            grids = predict_grid(
+                targets, params, state, 4, 4, 12_000.0, 12_000.0, 6_000.0, [7, 30]
+            )
+            for i, (px, py) in enumerate(grids[7].centroids()):
+                static = cov.static_covariates(ds, [(px, py)], targets.segments, mini_fit.spec)
+                c_tilde, y1 = targets.offsets(static)
+                p = predict_site("p", params, state, c_tilde[0], y1[0])
+                for d in (7, 30):
+                    assert grids[d].values.flat[i] == p.pred[list(p.days).index(d)]
+
+    def test_pixel_offsets_on_grid_days_only(self, mini_dataset, mini_fit):
+        ds, _ = mini_dataset
+        targets = Targets(ds, mini_fit)
+        static = cov.static_covariates(ds, [(20_000.0, 30_000.0)], targets.segments,
+                                       mini_fit.spec)
+        c_all, y1_all = targets.offsets(static)
+        c_two, y1_two = targets.offsets(static, [9, 4])
+        assert c_all.shape == y1_all.shape == (1, targets.n_days)
+        assert c_two.tobytes() == c_all[:, [8, 3]].tobytes()
+        assert y1_two.tobytes() == y1_all[:, [8, 3]].tobytes()
 
     def test_raster_writer(self, tmp_path, mini_dataset, mini_fit):
         ds, _ = mini_dataset

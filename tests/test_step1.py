@@ -571,8 +571,7 @@ class TestFitDesign:
         # without the clip in f_test
         assert all(reduced >= full for reduced, full in tested)
 
-        full = fit_gls(design.X, design.y, design.coords, design.names, kind="exponential",
-                       nu=cfg.matern_nu)
+        full = fit_gls(design.X, design.y, design.coords, design.names, kind="exponential")
         L = np.linalg.cholesky(cov_matrix(full.error_model, design.coords))
         whitened = dataclasses.replace(
             design, X=solve_triangular(L, design.X, lower=True),
@@ -585,7 +584,7 @@ class TestFitDesign:
         assert len(fit.names) < len(design.names)  # a ring was dropped, so refitted
         idx = [design.names.index(nm) for nm in fit.names]
         refit = fit_gls(design.X[:, idx], design.y, design.coords, fit.names,
-                        kind="exponential", nu=cfg.matern_nu)
+                        kind="exponential")
         np.testing.assert_array_equal(fit.beta, refit.beta)
         assert fit.error_model == refit.error_model
         assert math.isnan(fit.press) and fit.spec == cfg.buffer_spec
