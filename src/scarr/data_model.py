@@ -13,6 +13,7 @@ import math
 import os
 import typing
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -238,11 +239,14 @@ class Manifest:
     crs: str
     files: dict = field(default_factory=dict)
 
+    @cached_property
+    def _epoch_yday(self) -> int:
+        return self.epoch.timetuple().tm_yday  # day index 1 maps here
+
     def day_of_year(self, day) -> float:
         """Calendar day-of-year in (0, 365] (a 365-day cycle; 365.5 wraps to
         0.5) for a possibly fractional day index."""
-        base = self.epoch.timetuple().tm_yday  # day index 1 maps here
-        doy = (base - 1 + float(day) - 1) % 365 + 1
+        doy = (self._epoch_yday - 1 + float(day) - 1) % 365 + 1
         return doy - 365 if doy > 365 else doy
 
     def dyr(self, day) -> float:

@@ -12,6 +12,7 @@ import logging
 import math
 import warnings as _warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize, special
@@ -98,35 +99,48 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distances(coords: np.ndarray) -> np.ndarray:
+class _Pairs(NamedTuple):
+    """The n observations' upper-triangle index pairs (i, j) and their
+    separations d, one vector."""
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    d: np.ndarray
+
+
+def _pairs(coords: np.ndarray) -> _Pairs:
+    i, j = np.triu_indices(len(coords), 1)
     x, y = coords[:, 0], coords[:, 1]
-    return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    return _Pairs(len(coords), i, j, np.hypot(x[i] - x[j], y[i] - y[j]))
+
+
+def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
+    """Error covariance over the observations of ``pairs``."""
+    v = np.zeros(len(pairs.d))
+    if model.kind != "independent":
+        same = pairs.d == 0.0
+        v[same] = model.sill
+        v[~same] = _cov_kernel(model, pairs.d[~same])
+    out = np.empty((pairs.n, pairs.n))
+    out[pairs.i, pairs.j] = v
+    out[pairs.j, pairs.i] = v
+    np.fill_diagonal(out, model.sill + model.nugget)
+    return out
 
 
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     """Error covariance over observations; the nugget is per-observation, so
     two distinct observations at the same location share only the sill.
 
-    The off-diagonal entries are array code over the upper triangle, but every
-    transcendental (exp, pow, the Bessel function) still runs element by
-    element through libm or ``special.kv``: numpy's own SIMD ``exp`` and
-    ``power`` differ from libm in the last bit for some inputs, and the
-    fitted digits must not depend on which one ran.
+    The separations are one vector over the upper triangle (``_pairs``),
+    which the GLS likelihood computes once per fit and passes to the same
+    kernel (``_pair_cov``).  Every transcendental (exp, pow, the Bessel
+    function) runs element by element through libm or ``special.kv``:
+    numpy's own SIMD ``exp`` and ``power`` differ from libm in the last bit
+    for some inputs, and the fitted digits must not depend on which one ran.
     """
-    d = _distances(coords)
-    n = len(coords)
-    i, j = np.triu_indices(n, 1)
-    dij = d[i, j]
-    v = np.zeros(len(dij))
-    if model.kind != "independent":
-        same = dij == 0.0
-        v[same] = model.sill
-        v[~same] = _cov_kernel(model, dij[~same])
-    out = np.empty((n, n))
-    out[i, j] = v
-    out[j, i] = v
-    np.fill_diagonal(out, model.sill + model.nugget)
-    return out
+    return _pair_cov(model, _pairs(coords))
 
 
 @dataclass
@@ -212,19 +226,48 @@ def _whiten(model: ErrorModel, coords, *arrays):
     return (L, *(solve_triangular(L, a, lower=True) for a in arrays))
 
 
-def _gls_nll(theta, X, y, coords, kind, nu):
+#: Sill share of the iid-equivalent start, and nugget share of the
+#: nugget-free one.  A fit whose share ends no higher than IID_SHARE is at
+#: the pure-nugget boundary, where the range is not identified.
+IID_SHARE = 1e-6
+
+
+def _theta_model(theta, kind: str, nu: float, scale: float = 1.0) -> ErrorModel:
+    """The error model of variance ``scale`` at theta = (log range, logit s),
+    s the sill share: sill = scale s, nugget = scale (1 - s).  s and 1 - s
+    are each computed from the logit, so neither loses its digits to a
+    cancellation as the other nears 1, and each is held above 0 where its
+    exponential would overflow: a zero sill is invalid, and a zero nugget
+    leaves only the correlation, which may not factor."""
     with np.errstate(over="ignore"):  # range -> inf is the fully correlated limit
-        sill, rng, nugget = np.exp(theta)
-    model = ErrorModel(kind, sill=sill, range_=rng, nugget=nugget, nu=nu)
-    n = len(y)
+        rng = float(np.exp(theta[0]))
+    s = 1.0 / (1.0 + math.exp(min(-theta[1], 700.0)))
+    s_nugget = 1.0 / (1.0 + math.exp(min(theta[1], 700.0)))
+    return ErrorModel(kind, sill=scale * s, range_=rng, nugget=scale * s_nugget, nu=nu)
+
+
+def _gls_profile(theta, Xy, pairs, kind, nu):
+    """(-loglik, sigma2-hat) of the GLS model at theta = (log range, logit s),
+    with beta and the scale profiled out.
+
+    The covariance is sigma2 R, R = s C1(range) + (1 - s) I with C1 the
+    unit-sill correlation; given R, sigma2-hat = RSS_w / n with RSS_w the
+    whitened residual sum of squares of y on X (``Xy`` = [X | y]), and
+    -loglik = (n log 2 pi + n log sigma2-hat + log|R| + n) / 2.  RSS_w is the
+    square of the last diagonal entry of the QR factor of L^-1 [X | y]
+    (``fit_ols`` has rejected a rank-deficient X).  ``pairs`` is
+    ``_pairs(coords)``.
+    """
+    n = len(Xy)
+    R = _pair_cov(_theta_model(theta, kind, nu), pairs)
     try:
-        L, Xs, ys = _whiten(model, coords, X, y)
+        L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
-        return 1e12
-    beta, _, _, _ = np.linalg.lstsq(Xs, ys, rcond=None)
-    r = ys - Xs @ beta
+        return 1e12, math.nan
+    rss = float(np.linalg.qr(solve_triangular(L, Xy, lower=True), mode="r")[-1, -1]) ** 2
+    s2 = max(rss / n, 1e-300)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return 0.5 * (n * math.log(2 * math.pi) + logdet + float(r @ r))
+    return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2
 
 
 def fit_gls(
@@ -237,48 +280,65 @@ def fit_gls(
 ) -> StepOneFit:
     """Maximum-likelihood GLS with a spatial error covariance.
 
-    Optimizes (sill, range, nugget) on the log scale by Nelder-Mead from five
-    deterministic starts, each logged; the first is the iid-equivalent point
-    so the fitted likelihood can never fall below the OLS reduction.
+    The covariance is sigma2 (s C1(range) + (1 - s) I), sill = sigma2 s and
+    nugget = sigma2 (1 - s); beta and sigma2 are profiled out (Mardia &
+    Marshall 1984; Diggle & Ribeiro 2007, sec. 5.4), so Nelder-Mead searches
+    (log range, logit s) only, from six deterministic starts, each logged.
+    The first is the iid-equivalent point, so the fitted likelihood can never
+    fall below the OLS reduction; the last is its mirror, nearly nugget-free,
+    from which the search reaches optima with a vanishing nugget that the
+    interior starts leave for another basin.  The pair separations are
+    computed once.
+    One line logs the fit: sigma2, range, sill share and the likelihood
+    evaluations of all starts, and whether the share is at the pure-nugget
+    boundary, where the range means nothing.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     coords = np.asarray(coords, dtype=float)
     if len({(float(a), float(b)) for a, b in coords}) < 3:
         raise DataError("fit_gls: need at least 3 distinct site locations")
-    ols = fit_ols(X, y, names)
-    s2_ml = max(ols.rss / len(y), 1e-12)
-
-    d = _distances(coords)
-    pos = d[d > 0]
+    fit_ols(X, y, names)  # rejects a rank-deficient design
+    Xy = np.column_stack([X, y])
+    pairs = _pairs(coords)
+    pos = pairs.d[pairs.d > 0]
     dmed = float(np.median(pos))
     tiny_range = max(pos.min() * 1e-6, 1e-9)
 
-    starts = [
-        (s2_ml * 1e-6, tiny_range, s2_ml),  # iid-equivalent (pure nugget)
-        (0.5 * s2_ml, 0.25 * dmed, 0.5 * s2_ml),
-        (0.9 * s2_ml, dmed, 0.1 * s2_ml),
-        (0.5 * s2_ml, 2.0 * dmed, 0.5 * s2_ml),
-        (0.2 * s2_ml, 0.5 * dmed, 0.8 * s2_ml),
+    starts = [  # (log range, logit sill share)
+        np.array([math.log(r), math.log(s / (1.0 - s))]) for r, s in (
+            (tiny_range, IID_SHARE),  # iid-equivalent (pure nugget)
+            (0.25 * dmed, 0.5),
+            (dmed, 0.9),
+            (2.0 * dmed, 0.5),
+            (0.5 * dmed, 0.2),
+            (dmed, 1.0 - IID_SHARE),  # nugget-free-equivalent
+        )
     ]
 
-    best = None
-    for i, s0 in enumerate(starts, start=1):
-        theta0 = np.log(np.asarray(s0))
+    def nll(theta):
+        return _gls_profile(theta, Xy, pairs, kind, nu)[0]
+
+    best, nfev = None, 0
+    for i, theta0 in enumerate(starts, start=1):
         res = optimize.minimize(
-            _gls_nll, theta0, args=(X, y, coords, kind, nu),
-            method="Nelder-Mead",
+            nll, theta0, method="Nelder-Mead",
             options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10},
         )
         _LOG.info("%s GLS, start %d: nit=%d nfev=%d success=%s -loglik=%.9f",
                   kind, i, res.nit, res.nfev, str(bool(res.success)).lower(), res.fun)
+        nfev += res.nfev
         if best is None or res.fun < best.fun:
             best = res
-    if not np.all(np.isfinite(best.x)):
+    if not (np.all(np.isfinite(best.x)) and best.fun < 1e12):
         raise ConvergenceError("fit_gls: all multistarts failed")
 
-    sill, rng, nugget = np.exp(best.x)
-    model = ErrorModel(kind, sill=float(sill), range_=float(rng), nugget=float(nugget), nu=nu)
+    _, s2 = _gls_profile(best.x, Xy, pairs, kind, nu)
+    model = _theta_model(best.x, kind, nu, s2)
+    _LOG.info("%s GLS: sigma2=%.9g range=%.9g sill share=%.3g, %d likelihood evaluations%s",
+              kind, s2, model.range_, model.sill / s2, nfev,
+              "; the share is at the pure-nugget boundary: range not identified"
+              if best.x[1] <= starts[0][1] else "")
     try:
         _, Xw, yw = _whiten(model, coords, X, y)
     except np.linalg.LinAlgError as exc:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.metadata
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -414,11 +415,30 @@ def test_fit_step1_logs_each_gls_start_and_dropped_ring(pipeline_dir, fitted_out
             assert word in line, line
     assert sum(line.startswith("fit-step1: retained buffer rings {") for line in lines) == 1
     starts = [line for line in lines if " GLS, start " in line]
-    assert len(starts) == 10  # five for the full model, five for the refit
+    assert len(starts) == 12  # six for the full model, six for the refit
     for line in starts:
         assert line.startswith("fit-step1: exponential GLS, start ")
         for word in ("nit=", "nfev=", "success=", "-loglik="):
             assert word in line, line
+
+
+def test_fit_step1_logs_each_gls_fit(pipeline_dir, fitted_out, tmp_path, capsys):
+    """One line per GLS fit, after its six starts: sigma2, range, sill share
+    and the likelihood evaluations of the six; the simulated design fits at
+    the pure-nugget boundary, so the line says the range means nothing."""
+    config = tmp_path / "step1_config.txt"
+    config.write_text("error_model=spherical\n")
+    capsys.readouterr()
+    assert main(["fit-step1", pipeline_dir, "--config", str(config), "--out", fitted_out]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if " GLS" in line]
+    assert len(lines) == 14  # the full model and the refit, six starts and a summary each
+    for fit in (lines[:7], lines[7:]):
+        starts, summary = fit[:6], fit[6]
+        nfev = sum(int(re.search(r" nfev=(\d+) ", line).group(1)) for line in starts)
+        assert re.fullmatch(
+            rf"fit-step1: spherical GLS: sigma2=\S+ range=\S+ sill share=\S+, {nfev} "
+            r"likelihood evaluations; the share is at the pure-nugget boundary: "
+            r"range not identified", summary), summary
 
 
 def test_validate_names_interval_site_it_skips(tmp_path, capsys):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import solve_triangular
 
-from scarr.covariates import BufferSpec
+from scarr.covariates import BufferSpec, build_covariates
 from scarr.data_model import parse_config
 from scarr.errors import ConfigError, DataError
 from scarr.step1 import (
+    IID_SHARE,
     Design,
     ErrorModel,
     Step1Config,
@@ -33,6 +34,7 @@ from scarr.step1 import (
     read_step1_fit,
     write_step1_fit,
 )
+from scarr.step1 import _gls_profile, _pairs, _theta_model
 
 # Four points constructed so the simple regression has slope 0.6,
 # intercept 0.5, RSS 0.2 and a slope F-statistic of exactly 18 on (1, 2) df.
@@ -284,6 +286,22 @@ class TestCovarianceFunctions:
                             coords)
 
 
+def _dense_nll(model, X, y, coords):
+    """-loglik of GLS at ``model`` from the dense covariance, beta at its GLS
+    estimate: the reference for the profiled likelihood."""
+    V = cov_matrix(model, coords)
+    ViX, Viy = np.linalg.solve(V, X), np.linalg.solve(V, y)
+    beta = np.linalg.solve(X.T @ ViX, X.T @ Viy)
+    r = y - X @ beta
+    _, logdet = np.linalg.slogdet(V)
+    return 0.5 * (len(y) * math.log(2 * math.pi) + logdet + r @ np.linalg.solve(V, r))
+
+
+_GLS_COORDS = np.random.default_rng(3).uniform(0, 10_000, size=(25, 2))
+_GLS_X = np.column_stack([np.ones(25), np.random.default_rng(4).normal(size=25)])
+_GLS_Y = _GLS_X @ np.array([2.0, -1.0]) + np.random.default_rng(5).normal(size=25)
+
+
 class TestGls:
     def test_loglik_never_below_ols(self, rng):
         n = 30
@@ -296,18 +314,16 @@ class TestGls:
             assert gls.loglik >= ols.loglik - 1e-6
 
     def test_iid_point_matches_ols_ml(self, rng):
-        from scarr.step1 import _gls_nll
-
         n = 20
         coords = rng.uniform(0, 10000, size=(n, 2))
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=n)
         ols = fit_ols(X, y, ["b0", "b1"])
-        s2 = ols.rss / n
-        nll = _gls_nll(
-            np.log([s2, 1e-6, s2 * 1e-12]), X, y, coords, "exponential", 0.5
-        )
+        # a range of 1e-6 m leaves distinct sites uncorrelated: R = I
+        nll, s2 = _gls_profile(np.array([math.log(1e-6), math.log(1e12)]),
+                               np.column_stack([X, y]), _pairs(coords), "exponential", 0.5)
         assert -nll == pytest.approx(ols.loglik, abs=1e-6)
+        assert s2 == pytest.approx(ols.rss / n, rel=1e-9)
 
     def test_fits_with_duplicate_coordinates(self, rng):
         # Two interval observations per site sit at identical coordinates;
@@ -361,16 +377,100 @@ class TestGls:
     def test_nll_finite_at_infinite_range(self, rng):
         """exp(800) overflows to an infinite range: the fully correlated
         limit, whose likelihood is finite and computed without a warning."""
-        from scarr.step1 import _gls_nll
-
         n = 20
         coords = rng.uniform(0, 10000, size=(n, 2))
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nll = _gls_nll(np.array([0.0, 800.0, -1.0]), X, y, coords, "exponential", 0.5)
-        assert math.isfinite(nll) and nll < 1e12
+            nll, s2 = _gls_profile(np.array([800.0, 1.0]), np.column_stack([X, y]),
+                                   _pairs(coords), "exponential", 0.5)
+        assert math.isfinite(nll) and nll < 1e12 and s2 > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(math.log(10.0), math.log(1e5)),
+        st.floats(1e-6, 0.999),
+        st.floats(1e-3, 1e3),
+        st.sampled_from([("spherical", 0.5), ("exponential", 0.5), ("matern", 1.5),
+                         ("matern", 2.5)]),
+    )
+    def test_profile_is_dense_loglik_maximised_over_scale(self, log_range, share, sigma2,
+                                                          kind_nu):
+        """The profiled -loglik equals the dense one at sigma2-hat and is at
+        most the dense one at any other scale."""
+        kind, nu = kind_nu
+        X, y, coords = _GLS_X, _GLS_Y, _GLS_COORDS
+        theta = np.array([log_range, math.log(share / (1.0 - share))])
+        nll, s2 = _gls_profile(theta, np.column_stack([X, y]), _pairs(coords), kind, nu)
+        rng_ = math.exp(log_range)
+
+        def dense(scale):
+            return _dense_nll(ErrorModel(kind, sill=scale * share, range_=rng_,
+                                         nugget=scale * (1.0 - share), nu=nu), X, y, coords)
+
+        assert nll == pytest.approx(dense(s2), rel=1e-9)
+        assert nll <= dense(sigma2) + 1e-9 * abs(nll)
+
+    def test_loglik_is_dense_loglik_at_fitted_model(self, rng):
+        n = 40
+        coords = rng.uniform(0, 8000, size=(n, 2))
+        truth = ErrorModel("exponential", sill=4.0, range_=3000.0, nugget=0.5)
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        y = X @ np.array([10.0, 2.0]) + np.linalg.cholesky(cov_matrix(truth, coords)) @ \
+            rng.normal(size=n)
+        for kind, nu in (("exponential", 0.5), ("spherical", 0.5), ("matern", 1.5)):
+            gls = fit_gls(X, y, coords, ["b0", "b1"], kind=kind, nu=nu)
+            share = gls.error_model.sill / (gls.error_model.sill + gls.error_model.nugget)
+            assert IID_SHARE < share < 1.0  # an interior optimum
+            assert -gls.loglik == pytest.approx(_dense_nll(gls.error_model, X, y, coords),
+                                                rel=1e-9)
+
+    def test_pure_nugget_fit_keeps_sill_positive(self, mini_dataset, caplog):
+        """A simulated design that fits at the pure-nugget boundary, as the
+        bundled data/mini does: the sill share is tiny but positive, and the
+        log says the range is not identified."""
+        ds, _ = mini_dataset
+        cfg = Step1Config(error_model="exponential", run_selection=False)
+        design = assemble_design(ds, build_covariates(ds, cfg.buffer_spec)[0], cfg)
+        with caplog.at_level("INFO", logger="scarr.step1"):
+            gls = fit_gls(design.X, design.y, design.coords, design.names)
+        em = gls.error_model
+        assert 0.0 < em.sill < IID_SHARE * (em.sill + em.nugget)
+        assert ErrorModel(**dataclasses.asdict(em)) == em
+        assert gls.loglik >= fit_ols(design.X, design.y, design.names).loglik - 1e-9
+        (line,) = [r.getMessage() for r in caplog.records if "GLS:" in r.getMessage()]
+        assert line.endswith("range not identified"), line
+        assert _theta_model(np.array([0.0, -1e6]), "exponential", 0.5).sill > 0.0
+
+    @pytest.mark.parametrize("logit", [-40.0, 40.0, -1e6, 1e6])
+    def test_shares_keep_their_digits_in_both_tails(self, logit):
+        """Sill and nugget shares are each computed from the logit, so the
+        smaller one is e^-|logit| to full precision, and never exactly 0."""
+        em = _theta_model(np.array([0.0, logit]), "exponential", 0.5)
+        small, large = sorted((em.sill, em.nugget))
+        assert large == 1.0
+        assert small > 0.0
+        if abs(logit) < 700:
+            assert small == pytest.approx(math.exp(-abs(logit)), rel=1e-15)
+
+    def test_nugget_free_optimum_is_reached(self):
+        """A Matern design whose ML fit has a vanishing nugget (range about
+        1 km, -loglik 56.3594).  The five interior starts all end in another
+        basin (range 4.4 km, sill share 0.39, -loglik 56.9020); the
+        nugget-free start reaches the optimum."""
+        rng = np.random.default_rng(108)
+        n = 40
+        coords = rng.uniform(0, 20_000, size=(n, 2))
+        truth = ErrorModel("matern", sill=2.0, range_=6000.0, nugget=0.5, nu=1.5)
+        X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)])
+        y = X @ np.array([1.0, 0.5, -1.0]) + \
+            np.linalg.cholesky(cov_matrix(truth, coords)) @ rng.normal(size=n)
+        gls = fit_gls(X, y, coords, ["b0", "b1", "b2"], kind="matern", nu=1.5)
+        em = gls.error_model
+        assert gls.loglik > -56.36
+        assert em.nugget < 1e-9 * em.sill
+        assert em.range_ == pytest.approx(1018.0, rel=1e-3)
 
     def test_requires_three_distinct_locations(self):
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
