@@ -422,4 +422,4 @@ def write_covariates(rows, path: str, spec: BufferSpec = BufferSpec(),
             yield from r.lu_area.get(cat, np.zeros(N_LANDUSE_RINGS))
         yield from (r.pop_density, r.elevation, *r.season, r.cmaq_mean, r.cmaq_days_used)
 
-    write_table(path, covariate_header(spec), map(values, rows), header_lines)
+    write_table(path, covariate_header(spec), zip(*map(values, rows)), header_lines)

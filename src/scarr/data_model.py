@@ -14,6 +14,7 @@ import os
 import typing
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,15 +24,32 @@ SITE_ROLES = ("calibration", "dense_time", "prediction")
 
 
 def fmt_num(v) -> str:
-    """Canonical text form of a number for CSV round-trips."""
+    """Canonical text form of a number for CSV round-trips: integers and
+    integral floats below 1e15 as ``str(int)`` (so -0.0 is ``0``), NaN as
+    ``NA``, any other float as ``repr`` (so ±inf is ``inf``/``-inf``)."""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
     if math.isnan(f):
         return "NA"
-    if f == int(f) and abs(f) < 1e15:
+    if abs(f) < 1e15 and f == int(f):
         return str(int(f))
     return repr(f)
+
+
+def _fmt_column(values) -> list:
+    """``fmt_num`` of each value: numeric arrays by one pass per rule, any
+    other sequence value by value, with text kept as it is."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "biuf"):
+        return [v if isinstance(v, str) else fmt_num(v) for v in values]
+    if values.dtype.kind != "f":
+        return list(map(str, map(int, values.tolist())))  # int(): bools as 0/1
+    a = values.astype(float, copy=False)
+    text = np.array(list(map(repr, a.tolist())), dtype=object)
+    whole = (np.abs(a) < 1e15) & (a == np.trunc(a))
+    text[whole] = list(map(str, a[whole].astype(np.int64).tolist()))
+    text[np.isnan(a)] = "NA"
+    return text.tolist()
 
 
 @dataclass(frozen=True)
@@ -178,7 +196,7 @@ def write_raster(raster: RasterGrid, path: str) -> None:
         fh.write(f"cellsize {_g6(raster.cell_size)}\n")
         fh.write(f"NODATA_value {_g6(raster.nodata_value)}\n")
         for row in raster.values:
-            fh.write(" ".join(_g6(v) for v in row) + "\n")
+            fh.write(" ".join(map("%.6g".__mod__, row.tolist())) + "\n")
 
 
 def _g6(v) -> str:
@@ -324,6 +342,11 @@ _COLUMNS = {
 }
 
 
+#: ``na_float`` by way of ``float``: the text ``NA`` as ``nan``, any other
+#: text as it is.
+_NA_AS_NAN = {"NA": "nan"}.get
+
+
 def parse_text(kind, text: str, where: str, name: str, error=DataError):
     """``text`` parsed as ``kind`` (a key of ``_PARSERS``); when it does not
     parse, ``error`` names ``where`` (a ``path:line``) and ``name``."""
@@ -393,75 +416,141 @@ def parse_config(cls, kv: dict):
         raise ConfigError(f"{where.get(exc.key, cls.__name__)}: {exc}") from None
 
 
-def read_table(path: str, columns: dict, add=None) -> list:
-    """One typed list per column of a CSV file whose header is exactly
-    ``columns`` (name -> a key of ``_PARSERS``); ``add``, if given, is called
-    with each row's values in file order.  A field that does not parse, or a
-    ``DataError`` raised by ``add``, raises ``DataError`` naming ``path:line``.
+def read_table(path: str, columns: dict):
+    """``(values, lines)`` of a CSV file whose header is exactly ``columns``
+    (name -> a key of ``_PARSERS``): one typed list per column, and an array
+    of the line number of each row.
+
+    The file is read at once and split into lines once; each line is stripped
+    and blank lines are skipped.  A row with the wrong number of fields, and
+    then a field that does not parse, raises ``DataError`` naming the first
+    such ``path:line`` in file order.  Each column is parsed by one ``map`` of
+    its parser (a ``na_float`` column by ``float``, with the text ``NA`` read
+    as ``nan``): no container is made per row, so a large table does not set
+    off the cyclic garbage collector, and no Python code runs per row.
     """
     names = list(columns)
-    lines, texts = [], []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header.split(",") != names:
-            raise DataError(f"{path}:1: expected header {','.join(names)!r}, got {header!r}")
-        for ln, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if line:
-                if line.count(",") != len(names) - 1:
-                    raise DataError(f"{path}:{ln}: expected {len(names)} fields")
-                lines.append(ln)
-                texts.append(line)
-    # one flat list of fields, parsed column by column: no container per row,
-    # so a large table does not set off the cyclic garbage collector
+        header, *body = fh.read().split("\n")
+    header = header.strip()
+    if header.split(",") != names:
+        raise DataError(f"{path}:1: expected header {','.join(names)!r}, got {header!r}")
+    body = list(map(str.strip, body))
+    texts = list(filter(None, body))
+    if all(body[:len(texts)]):  # blank lines at the end only
+        lines = np.arange(2, len(texts) + 2)
+    else:
+        lines = np.flatnonzero(list(map(bool, body))) + 2
+    commas = np.fromiter(map(str.count, texts, repeat(",")), int, len(texts))
+    wrong = np.flatnonzero(commas != len(names) - 1)
+    if wrong.size:
+        raise DataError(f"{path}:{lines[wrong[0]]}: expected {len(names)} fields")
     fields = ",".join(texts).split(",") if texts else []
+    values = []
     try:
-        values = [
-            list(map(_PARSERS[kind][0], fields[i::len(names)]))
-            for i, kind in enumerate(columns.values())
-        ]
+        for i, kind in enumerate(columns.values()):
+            column = fields[i::len(names)]
+            if kind is na_float:  # as float, with the text NA as nan
+                kind = float
+                if "NA" in column:
+                    column = map(_NA_AS_NAN, column, column)
+            values.append(list(map(_PARSERS[kind][0], column)))
     except ValueError:  # name the first field that does not parse
         for ln, line in zip(lines, texts):
             for (name, kind), text in zip(columns.items(), line.split(",")):
                 parse_text(kind, text, f"{path}:{ln}", name)
         raise
-    if add is not None:
-        for ln, row in zip(lines, zip(*values)):
-            try:
-                add(*row)
-            except DataError as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-    return values
+    return values, lines
+
+
+def _number(keys):
+    """``(distinct, codes)``: the distinct keys in order of first appearance,
+    and the index into ``distinct`` of each key."""
+    distinct = list(dict.fromkeys(keys))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+
+
+def _first_repeat(keys, message: str):
+    """``(row, message)`` of the first row whose key an earlier row has, with
+    the key put into ``message`` by ``str.format``; None if every key is new."""
+    distinct, codes = _number(keys)
+    if len(distinct) == len(keys):
+        return None
+    seen = np.maximum.accumulate(np.concatenate(([-1], codes[:-1])))
+    row = int(np.flatnonzero(codes <= seen)[0])
+    return row, message.format(keys[row])
+
+
+def _first_unknown(distinct, codes, known, what: str):
+    """``(row, message)`` of the first row whose key (numbered by ``_number``)
+    is not in ``known``; None if every key is known."""
+    for code, key in enumerate(distinct):
+        if key not in known:
+            return int(np.argmax(codes == code)), f"unknown {what} {key!r}"
+    return None
+
+
+def _records(make, *columns):
+    """``(records, failed)``: ``make(*row)`` of each row of ``columns`` up to
+    the first that raises ``DataError``, and ``(row, message)`` of that row,
+    or None."""
+    records = []
+    for row, values in enumerate(zip(*columns)):
+        try:
+            records.append(make(*values))
+        except DataError as exc:
+            return records, (row, str(exc))
+    return records, None
+
+
+def _check(path: str, lines, *found) -> None:
+    """Raise ``DataError`` naming ``path:line`` of the first row in file order
+    among ``found``, each a ``(row, message)`` of one check or None; of two
+    checks that reject the same row, the one given first."""
+    found = [f for f in found if f is not None]
+    if found:
+        row, message = min(found, key=lambda f: f[0])
+        raise DataError(f"{path}:{lines[row]}: {message}")
 
 
 def _read_groups(path: str, columns: dict, known=None, increasing=False) -> dict:
-    """``id -> [one list per further column]`` from a table whose first column
-    is an id, in order of first appearance.  Each id must be in ``known``, if
-    given; with ``increasing``, the second column must increase within an id."""
+    """``id -> [one array per further column]`` from a table whose first
+    column is an id, with the ids in order of first appearance and each
+    group's rows in file order.
+
+    The ids are numbered in order of first appearance, and one stable
+    ``argsort`` of those numbers groups the rows, each group a slice.  Each
+    id must be in ``known``, if given; with ``increasing``, the second column
+    must increase within an id.  Both are array checks, and the first row
+    in file order that fails one raises ``DataError`` naming its
+    ``path:line``."""
     what, second = list(columns)[:2]
-    groups = {}
-
-    def add(key, *rest):
-        if key not in groups:
-            if known is not None and key not in known:
-                raise DataError(f"unknown {what} {key!r}")
-            groups[key] = [[] for _ in rest]
-        cols = groups[key]
-        if increasing and cols[0] and rest[0] <= cols[0][-1]:
-            raise DataError(f"non-monotone {second} for {what} {key!r}")
-        for col, value in zip(cols, rest):
-            col.append(value)
-
-    read_table(path, columns, add)
-    return groups
+    (ids, *rest), lines = read_table(path, columns)
+    distinct, codes = _number(ids)
+    order = np.argsort(codes, kind="stable")
+    rest = [np.array(col)[order] for col in rest]
+    unknown = None if known is None else _first_unknown(distinct, codes, known, what)
+    down = None
+    if increasing:
+        same = codes[order][1:] == codes[order][:-1]
+        bad = order[1:][same & (rest[0][1:] <= rest[0][:-1])]
+        if bad.size:
+            row = int(bad.min())
+            down = row, f"non-monotone {second} for {what} {ids[row]!r}"
+    _check(path, lines, unknown, down)
+    counts = np.bincount(codes, minlength=len(distinct))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return {
+        key: [col[lo:hi] for col in rest]
+        for key, lo, hi in zip(distinct, starts.tolist(), ends.tolist())
+    }
 
 
 def _series(groups: dict) -> dict:
     """``id -> DailySeries`` from ``_read_groups`` of ``day, value`` columns."""
-    return {
-        key: DailySeries(str(key), np.array(days), np.array(values))
-        for key, (days, values) in groups.items()
-    }
+    return {key: DailySeries(str(key), days, values) for key, (days, values) in groups.items()}
 
 
 def _vertices(cols) -> np.ndarray:
@@ -491,56 +580,45 @@ def load_dataset(path: str) -> Dataset:
 
     if not exists("sites"):
         raise DataError(f"missing sites file: {fpath['sites']}")
-    sites, interval_obs = {}, []
-
-    def add_site(site_id, *fields):
-        if site_id in sites:
-            raise DataError(f"duplicate site id {site_id!r}")
-        sites[site_id] = SiteRecord(site_id, *fields)
-
-    def add_obs(site_id, *fields):
-        if site_id not in sites:
-            raise DataError(f"unknown site_id {site_id!r}")
-        interval_obs.append(IntervalObservation(site_id, *fields))
-
-    table("sites", add_site)
+    columns, lines = table("sites")
+    records, failed = _records(SiteRecord, *columns)
+    _check(fpath["sites"], lines, _first_repeat(columns[0], "duplicate site id {!r}"), failed)
+    sites = dict(zip(columns[0], records))
+    interval_obs = []
     if exists("interval_obs"):
-        table("interval_obs", add_obs)
+        columns, lines = table("interval_obs")
+        interval_obs, failed = _records(IntervalObservation, *columns)
+        unknown = _first_unknown(*_number(columns[0]), sites, "site_id")
+        _check(fpath["interval_obs"], lines, unknown, failed)
     site_attrs, daily_series = {}, {}
     if exists("site_attrs"):
         groups = table("site_attrs", sites, reader=_read_groups)
-        site_attrs = {sid: {"elevation_m": elev[-1]} for sid, (elev,) in groups.items()}
+        site_attrs = {sid: {"elevation_m": float(elev[-1])} for sid, (elev,) in groups.items()}
     if exists("daily_series"):
         daily_series = _series(table("daily_series", sites, reader=_read_groups, increasing=True))
 
-    pixels = set()
-
-    def add_pixel(pixel_id, x, y):
-        if pixel_id in pixels:
-            raise DataError(f"duplicate pixel_id {pixel_id}")
-        pixels.add(pixel_id)
-
-    pid, xs, ys = table("cmaq_centroids", add_pixel) if exists("cmaq_centroids") else ([], [], [])
+    pid, xs, ys = [], [], []
+    if exists("cmaq_centroids"):
+        (pid, xs, ys), lines = table("cmaq_centroids")
+        _check(fpath["cmaq_centroids"], lines, _first_repeat(pid, "duplicate pixel_id {}"))
     series = {}
     if exists("cmaq_centroids", "cmaq_daily"):
-        series = _series(table("cmaq_daily", pixels, reader=_read_groups, increasing=True))
+        series = _series(table("cmaq_daily", set(pid), reader=_read_groups, increasing=True))
     cmaq = CmaqGrid(np.array(pid, dtype=int), np.array(xs), np.array(ys), cell, series)
 
     traffic = []
     if exists("traffic"):
         traffic = [
-            TrafficPolyline(line_id, _vertices(cols), cols[3][0])
+            TrafficPolyline(line_id, _vertices(cols), float(cols[3][0]))
             for line_id, cols in table("traffic", reader=_read_groups).items()
         ]
 
     tracts = []
     if exists("tracts", "tract_attrs"):
-        attrs = {}
-
-        def add_attrs(tract_id, population, area):
-            attrs[tract_id] = TractPolygon(tract_id, np.empty((0, 2)), population, area)
-
-        table("tract_attrs", add_attrs)
+        (ids, population, area), lines = table("tract_attrs")
+        records, failed = _records(TractPolygon, ids, repeat(np.empty((0, 2))), population, area)
+        _check(fpath["tract_attrs"], lines, failed)
+        attrs = dict(zip(ids, records))
         polygons = table("tracts", attrs, reader=_read_groups)
         tracts = [replace(attrs[tid], vertices=_vertices(cols)) for tid, cols in polygons.items()]
 
@@ -548,7 +626,7 @@ def load_dataset(path: str) -> Dataset:
     if exists("landuse"):
         landuse = read_raster(fpath["landuse"])
         if exists("landuse_reclass"):
-            reclass = dict(zip(*table("landuse_reclass")))
+            reclass = dict(zip(*table("landuse_reclass")[0]))
 
     return Dataset(
         manifest=manifest,
@@ -564,15 +642,41 @@ def load_dataset(path: str) -> Dataset:
     )
 
 
-def write_table(path: str, columns, rows, header_lines=()) -> None:
-    """Write a CSV file: ``# `` comment lines, the column names, then one
-    line per row, with text as is and numbers as ``fmt_num`` writes them."""
+#: Rows that ``write_table`` formats and writes at a time, which bounds the
+#: text it holds for a long table.
+_WRITE_ROWS = 8192
+
+
+def write_table(path: str, names, columns, header_lines=()) -> None:
+    """Write a CSV file: ``# `` comment lines, the column ``names``, then one
+    line per row of ``columns`` (sequences of one length; none for no rows),
+    with text as is and numbers as ``fmt_num`` writes them.  The rows are
+    formatted and written ``_WRITE_ROWS`` at a time, each column of a chunk
+    by one ``_fmt_column`` call: one pass per rule for a numeric array."""
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"write_table {path}: columns of unequal length")
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else fmt_num(v) for v in row) + "\n")
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, n, _WRITE_ROWS):
+            texts = [_fmt_column(col[lo:lo + _WRITE_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def group_columns(groups) -> list:
+    """Table columns of ``(key, arrays)`` groups, one group's rows after
+    another: the key repeated on each row of its group, then each array
+    concatenated over the groups.  No groups give no columns."""
+    groups = list(groups)
+    if not groups:
+        return []
+    keys, arrays = zip(*groups)
+    counts = [len(group[0]) for group in arrays]
+    ids = list(chain.from_iterable(map(repeat, _fmt_column(keys), counts)))
+    return [ids, *map(np.concatenate, zip(*arrays))]
 
 
 def write_dataset(dataset: Dataset, path: str) -> None:
@@ -588,39 +692,36 @@ def write_dataset(dataset: Dataset, path: str) -> None:
             if name != _DEFAULT_FILES[key]:
                 fh.write(f"{key}={name}\n")
 
-    def write(key, rows):
-        write_table(os.path.join(path, files[key]), _COLUMNS[key], rows)
+    def write(key, columns):
+        write_table(os.path.join(path, files[key]), _COLUMNS[key], columns)
 
     cmaq = dataset.cmaq
-    write("sites", ((s.id, s.x, s.y, s.role) for s in dataset.sites.values()))
-    write("interval_obs", (
+    write("sites", zip(*((s.id, s.x, s.y, s.role) for s in dataset.sites.values())))
+    write("interval_obs", zip(*(
         (o.site_id, o.t_start, o.t_end, o.value) for o in dataset.interval_obs
+    )))
+    write("daily_series", group_columns(
+        (sid, (ser.days, ser.values)) for sid, ser in dataset.daily_series.items()
     ))
-    write("daily_series", (
-        (sid, int(d), v) for sid, ser in dataset.daily_series.items()
-        for d, v in zip(ser.days, ser.values)
+    write("cmaq_centroids", (cmaq.pixel_ids, cmaq.xs, cmaq.ys))
+    write("cmaq_daily", group_columns(
+        (p, (cmaq.series[p].days, cmaq.series[p].values))
+        for p in cmaq.pixel_ids.tolist() if p in cmaq.series
     ))
-    write("cmaq_centroids", (
-        (int(p), x, y) for p, x, y in zip(cmaq.pixel_ids, cmaq.xs, cmaq.ys)
-    ))
-    write("cmaq_daily", (
-        (int(p), int(d), v) for p in cmaq.pixel_ids if int(p) in cmaq.series
-        for d, v in zip(cmaq.series[int(p)].days, cmaq.series[int(p)].values)
-    ))
-    write("traffic", (
+    write("traffic", zip(*(
         (line.line_id, i, x, y, line.adt)
         for line in dataset.traffic for i, (x, y) in enumerate(line.vertices)
-    ))
-    write("tracts", (
+    )))
+    write("tracts", zip(*(
         (tr.tract_id, i, x, y) for tr in dataset.tracts for i, (x, y) in enumerate(tr.vertices)
-    ))
-    write("tract_attrs", ((tr.tract_id, tr.population, tr.area_mi2) for tr in dataset.tracts))
-    write("site_attrs", (
+    )))
+    write("tract_attrs", zip(*((tr.tract_id, tr.population, tr.area_mi2) for tr in dataset.tracts)))
+    write("site_attrs", zip(*(
         (sid, attrs["elevation_m"]) for sid, attrs in dataset.site_attrs.items()
-    ))
+    )))
     if dataset.landuse is not None:
         write_raster(dataset.landuse, os.path.join(path, files["landuse"]))
         if dataset.landuse_reclass is not None:
-            write("landuse_reclass", (
+            write("landuse_reclass", zip(*(
                 (code, dataset.landuse_reclass[code]) for code in sorted(dataset.landuse_reclass)
-            ))
+            )))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scarr import covariates as cov
-from scarr.data_model import Dataset, RasterGrid, write_raster, write_table
+from scarr.data_model import Dataset, RasterGrid, group_columns, write_raster, write_table
 from scarr.errors import DataError
 from scarr.step1 import StepOneFit, additive_bias_c_tilde, design_columns
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter, kalman_smoother
@@ -300,11 +300,10 @@ def metrics(
 
 
 def write_site_predictions(preds, path: str, header_lines=()) -> None:
-    rows = (
-        (p.site_id, int(d), v, v - h, v + h)
-        for p in preds for d, v, h in zip(p.days, p.pred, p.ci_half)
+    columns = group_columns(
+        (p.site_id, (p.days, p.pred, p.pred - p.ci_half, p.pred + p.ci_half)) for p in preds
     )
-    write_table(path, ("site_id", "day", "pred", "ci_lo", "ci_hi"), rows, header_lines)
+    write_table(path, ("site_id", "day", "pred", "ci_lo", "ci_hi"), columns, header_lines)
 
 
 def write_metrics(report: MetricsReport, path: str, header_lines=()) -> None:
@@ -314,7 +313,7 @@ def write_metrics(report: MetricsReport, path: str, header_lines=()) -> None:
         for sid, e in sorted(report.per_site.items())
     ]
     rows.append(("OVERALL_MSPE", report.mspe, "NA", report.mspe_raw, "NA"))
-    write_table(path, ("site_id", "r", "mse", "r_raw", "mse_raw"), rows, header_lines)
+    write_table(path, ("site_id", "r", "mse", "r_raw", "mse_raw"), zip(*rows), header_lines)
 
 
 def raster_day_filename(day: int) -> str:

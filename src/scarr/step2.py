@@ -467,8 +467,8 @@ def read_step2_fit(path: str) -> DlmParams:
 
 def write_state_path(est: StateEstimate, path: str, header_lines=()) -> None:
     T = len(est.filtered_mean)
-    sm = est.smoothed_mean if est.smoothed_mean is not None else [math.nan] * T
-    sv = est.smoothed_var if est.smoothed_var is not None else [math.nan] * T
-    columns = ("day", "filtered_mean", "filtered_var", "smoothed_mean", "smoothed_var")
-    rows = zip(range(1, T + 1), est.filtered_mean, est.filtered_var, sm, sv)
-    write_table(path, columns, rows, header_lines)
+    sm = est.smoothed_mean if est.smoothed_mean is not None else np.full(T, math.nan)
+    sv = est.smoothed_var if est.smoothed_var is not None else np.full(T, math.nan)
+    names = ("day", "filtered_mean", "filtered_var", "smoothed_mean", "smoothed_var")
+    columns = (np.arange(1, T + 1), est.filtered_mean, est.filtered_var, sm, sv)
+    write_table(path, names, columns, header_lines)

@@ -289,6 +289,9 @@ _DATA_CASES = [
     ("landuse_reclass.csv", 3, "code", "x3"),
     ("landuse.asc", 1, 1, "many"),
     ("landuse.asc", 8, 5, "abc"),
+    ("cmaq_daily.csv", 4, "day", "1"),  # non-monotone day
+    ("daily_series.csv", 4, "site_id", "GHOST"),  # unknown site_id
+    ("cmaq_daily.csv", 5, None, "1,5"),  # short row
 ]
 
 
