@@ -171,11 +171,6 @@ class RasterGrid:
                 f"raster values shape {self.values.shape} != ({self.n_rows}, {self.n_cols})"
             )
 
-    def cell_centroid(self, row: int, col: int):
-        x = self.x_ll + (col + 0.5) * self.cell_size
-        y = self.y_ll + (self.n_rows - row - 0.5) * self.cell_size
-        return x, y
-
     def centroids(self):
         """(n_rows*n_cols, 2) array of cell centroids, row-major from the top row."""
         cols = np.arange(self.n_cols)
@@ -592,8 +587,10 @@ def load_dataset(path: str) -> Dataset:
         _check(fpath["interval_obs"], lines, unknown, failed)
     site_attrs, daily_series = {}, {}
     if exists("site_attrs"):
-        groups = table("site_attrs", sites, reader=_read_groups)
-        site_attrs = {sid: {"elevation_m": float(elev[-1])} for sid, (elev,) in groups.items()}
+        (ids, elevation), lines = table("site_attrs")
+        _check(fpath["site_attrs"], lines, _first_unknown(*_number(ids), sites, "site_id"),
+               _first_repeat(ids, "duplicate site_id {!r}"))
+        site_attrs = {sid: {"elevation_m": elev} for sid, elev in zip(ids, elevation)}
     if exists("daily_series"):
         daily_series = _series(table("daily_series", sites, reader=_read_groups, increasing=True))
 
@@ -617,7 +614,7 @@ def load_dataset(path: str) -> Dataset:
     if exists("tracts", "tract_attrs"):
         (ids, population, area), lines = table("tract_attrs")
         records, failed = _records(TractPolygon, ids, repeat(np.empty((0, 2))), population, area)
-        _check(fpath["tract_attrs"], lines, failed)
+        _check(fpath["tract_attrs"], lines, failed, _first_repeat(ids, "duplicate tract_id {!r}"))
         attrs = dict(zip(ids, records))
         polygons = table("tracts", attrs, reader=_read_groups)
         tracts = [replace(attrs[tid], vertices=_vertices(cols)) for tid, cols in polygons.items()]

@@ -11,23 +11,25 @@ P 11' + sigma_z^2 I, the filter update and the Gaussian prediction-error
 log-likelihood have closed forms in (count, sum, sum of squares) of the
 day's residuals, which keeps full-length filtering cheap.
 
-The maximum-likelihood fit uses the same closed forms on per-day sums of
-u = y - gamma_hat*y1 and c_tilde, computed once per fit.  The mean of u is
-linear in (mu_a, beta_c) and sigma_z^2 scales the covariance, so one filter
-pass at sigma_z = 1 over the columns (u, 1, c_tilde) gives mu_a, beta_c and
-sigma_z^2 in closed form for each q = sigma_a^2/sigma_z^2 and psi_a (the
-augmented filter for regression effects: de Jong 1991, Ann. Statist. 19;
-Harvey 1989, section 3.4), and the search is over those two parameters only.
+The maximum-likelihood fit works on the columns (u, 1, c_tilde), with
+u = y - gamma_hat*y1.  The mean of u is linear in (mu_a, beta_c) and sigma_z^2
+scales the covariance, so their closed forms leave a search over
+q = sigma_a^2/sigma_z^2 and psi_a only (regression effects: de Jong 1991, Ann.
+Statist. 19; Harvey 1989, section 3.4).  The AR(1) precision is tridiagonal
+(Rue & Held 2005, ch. 1-2), so each evaluation is one tridiagonal LDL'
+factorization in LAPACK, not a filter pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from scarr.data_model import read_keyvalue, write_table
 from scarr.errors import ConvergenceError, DataError
@@ -111,10 +113,7 @@ def _day_stats(params: DlmParams, inputs: DlmInputs):
     u = inputs.y - params.beta_c * inputs.c_tilde - params.gamma_hat * inputs.y1
     present = np.isfinite(inputs.y)
     u = np.where(present, u, 0.0)
-    m = present.sum(axis=1)
-    s1 = u.sum(axis=1)
-    s2 = (u * u).sum(axis=1)
-    return m, s1, s2
+    return present.sum(axis=1), u.sum(axis=1), (u * u).sum(axis=1)
 
 
 def kalman_filter(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
@@ -232,99 +231,109 @@ _LOG2PI = math.log(2.0 * math.pi)
 _LOG = logging.getLogger(__name__)
 
 
-def _day_sums(inputs: DlmInputs, gamma_hat: float):
-    """Per-day sufficient statistics over the observed entries, as lists of
-    floats: the count m_t and the sums of u, c, u*u, u*c and c*c, where
-    u = y - gamma_hat*y1 and c = c_tilde."""
-    present = np.isfinite(inputs.y)
-    u = np.where(present, inputs.y - gamma_hat * inputs.y1, 0.0)
-    c = np.where(present, inputs.c_tilde, 0.0)
-    return [x.tolist() for x in (present.sum(axis=1), u.sum(axis=1), c.sum(axis=1),
-                                 (u * u).sum(axis=1), (u * c).sum(axis=1),
-                                 (c * c).sum(axis=1))]
+def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
+    """``(kernel, n_obs)``: ``kernel(q, psi)`` is ``(Q, logdet)`` at sigma_z = 1,
+    sigma_a^2 = q and state mean 0, where Q = X'V^-1 X for the columns
+    X = (u, 1, c_tilde) and logdet = log det V, V the observations' covariance.
+    Q gives the likelihood at every mean (de Jong 1991).
 
-
-def _profile_stats(sums, q: float, psi: float):
-    """The scalar filter at sigma_z = 1, sigma_a^2 = q and state mean 0, run
-    over the three data columns (u, 1, c_tilde), which share one gain sequence.
-
-    Returns (Q, logdet): Q is the 3x3 matrix of the innovations' quadratic
-    forms summed over days, each day's under its inverse innovation covariance
-    I - g 11' with g = P/(1 + m P); logdet is sum_t log(1 + m_t P_t).  Because
-    the filter is linear in the data, the innovations of u - X b are those of u
-    less those of X b (de Jong 1991), so Q gives the likelihood at every mean.
+    K, the AR(1) precision (diagonal 1, 1+psi^2, ..., 1+psi^2, 1, or 1-psi^2
+    when T = 1; off-diagonal -psi), and C = K + q diag(m_t) are tridiagonal.
+    With C = L diag(d) L' from LAPACK ``pttrf`` and C^-1 S from ``pttrs`` for
+    the per-day sums S, logdet = sum log d_t - log(1 - psi^2) and
+    Q = W + (C^-1 S)' K Ybar, where Ybar holds the day means (0 on empty days)
+    and W the within-day cross-products about them.  This Q has no division by
+    q, unlike X'X - q S'C^-1 S, which cancels at large q.  Q is summed without
+    BLAS and the logs go through libm, so the bytes do not depend on BLAS
+    threads.  Raises ``LinAlgError`` when C is not positive definite.
     """
-    au = a1 = ac = 0.0  # predicted state of each column
-    P = q / (1.0 - psi * psi)
-    psi2 = psi * psi
-    quu = qu1 = quc = q11 = q1c = qcc = logdet = 0.0
-    for m, su, sc, suu, suc, scc in zip(*sums):
-        if m:
-            f = 1.0 + m * P
-            g = P / f
-            vu = su - m * au  # the day's summed innovations of u and c
-            vc = sc - m * ac
-            e1 = 1.0 - a1  # each innovation of the column of ones
-            quu += suu - au * (su + vu) - g * vu * vu
-            quc += suc - au * sc - ac * vu - g * vu * vc
-            qcc += scc - ac * (sc + vc) - g * vc * vc
-            qu1 += e1 * vu / f
-            q1c += e1 * vc / f
-            q11 += m * e1 * e1 / f
-            logdet += math.log(f)
-            au += g * vu
-            ac += g * vc
-            a1 += g * m * e1
-            P = g
-        au *= psi
-        ac *= psi
-        a1 *= psi
-        P = psi2 * P + q
-    Q = np.array([[quu, qu1, quc], [qu1, q11, q1c], [quc, q1c, qcc]])
-    return Q, logdet
+    present = np.isfinite(inputs.y)
+    m = present.sum(axis=1).astype(float)
+    columns = (np.where(present, inputs.y - gamma_hat * inputs.y1, 0.0),
+               present.astype(float), np.where(present, inputs.c_tilde, 0.0))
+    sums = np.array([x.sum(axis=1) for x in columns])  # (3, T)
+    means = sums / np.maximum(m, 1.0)
+    resid = [np.where(present, x - mean[:, None], 0.0) for x, mean in zip(columns, means)]
+    W = np.array([[np.sum(a * b) for b in resid] for a in resid])
+    T = len(m)
+    k2 = np.ones(T)  # K's diagonal is 1 + psi^2 * k2
+    k2[[0, -1]] = 0.0 if T > 1 else -1.0
+    padded = np.pad(means, ((0, 0), (1, 1)))
+    neighbours = padded[:, :-2] + padded[:, 2:]  # Ybar[t-1] + Ybar[t+1]
+
+    def kernel(q: float, psi: float):
+        psi2 = psi * psi
+        k_diag = 1.0 + psi2 * k2
+        # LAPACK ignores e when T = 1, but the wrapper wants one element
+        d, e, info = dpttrf(k_diag + q * m, np.full(max(T - 1, 1), -psi))
+        if info:
+            raise np.linalg.LinAlgError("AR(1) kernel matrix is not positive definite")
+        x = dpttrs(d, e, sums.T)[0].T  # C^-1 S, (3, T)
+        k_means = k_diag * means - psi * neighbours  # K Ybar
+        G = (x[:, None, :] * k_means[None, :, :]).sum(axis=2)
+        # sum_t log d_t through libm on products of 8 mantissas in [0.5, 1)
+        mant, expo = np.frexp(d)
+        blocks = np.pad(mant, (0, -T % 8), constant_values=1.0).reshape(8, -1)
+        logdet = (math.fsum(map(math.log, np.multiply.reduce(blocks).tolist()))
+                  + math.log(2.0) * int(expo.sum()) - math.log(1.0 - psi2))
+        return W + 0.5 * (G + G.T), logdet
+
+    return kernel, int(m.sum())
+
+
+def _quadratic(Q, b, rows) -> float:
+    """(u - X b)' V^-1 (u - X b) from the kernel's Q, for coefficients ``b`` on
+    the kernel columns ``rows`` and 0 on the other mean column: the residual of
+    the GLS fit on both mean columns plus b's distance from it, which keeps its
+    digits near an exact fit and does the same arithmetic for either ``rows``."""
+    full = np.zeros(2)
+    full[[r - 1 for r in rows]] = b
+    b_hat = np.linalg.lstsq(Q[1:, 1:], Q[1:, 0], rcond=None)[0]
+    d = full - b_hat
+    return (Q[0, 0] - Q[1:, 0] @ b_hat) + d @ Q[1:, 1:] @ d
 
 
 def _full_nll(stats, n_obs: int, sigma_z: float, b, rows) -> float:
-    """Negative log-likelihood from ``_profile_stats`` at q = sigma_a^2 /
-    sigma_z^2, with mean coefficients ``b`` on the kernel columns ``rows``."""
+    """Negative log-likelihood from the kernel at q = sigma_a^2 / sigma_z^2, with
+    mean coefficients ``b`` on the kernel columns ``rows``."""
     Q, logdet = stats
-    b = np.asarray(b, dtype=float)
-    quad = Q[0, 0] - 2.0 * (Q[rows, 0] @ b) + b @ Q[np.ix_(rows, rows)] @ b
     sz2 = sigma_z * sigma_z
-    return 0.5 * (n_obs * (_LOG2PI + math.log(sz2)) + logdet + quad / sz2)
+    return 0.5 * (n_obs * (_LOG2PI + math.log(sz2)) + logdet + _quadratic(Q, b, rows) / sz2)
 
 
 def _profile_nll(stats, n_obs: int, rows):
-    """(-loglik, b, sigma_z^2): the negative log-likelihood from
-    ``_profile_stats``, minimised in closed form over the mean coefficients
-    ``b`` on the kernel columns ``rows`` (GLS normal equations) and over
-    sigma_z^2 (RSS / N)."""
+    """(-loglik, b, sigma_z^2): the negative log-likelihood from the kernel,
+    minimised in closed form over the mean coefficients ``b`` on the kernel
+    columns ``rows`` (GLS normal equations) and over sigma_z^2 (RSS / N)."""
     Q, logdet = stats
-    qxu = Q[rows, 0]
-    b = np.linalg.solve(Q[np.ix_(rows, rows)], qxu)
-    s2 = float(Q[0, 0] - qxu @ b) / n_obs
+    b = np.linalg.solve(Q[rows][:, rows], Q[rows, 0])
+    s2 = _quadratic(Q, b, rows) / n_obs
     return 0.5 * (n_obs * (_LOG2PI + math.log(s2) + 1.0) + logdet), b.tolist(), s2
 
 
+def _penalised(fun):
+    """``fun`` with 1e12 in place of a value that is not finite or not computed."""
+    def wrapped(x):
+        try:
+            val = fun(x)
+        except (OverflowError, ValueError, np.linalg.LinAlgError):
+            return 1e12
+        return val if math.isfinite(val) else 1e12
+    return wrapped
+
+
 def _numeric_hessian(fun, x, rel_step=1e-4):
-    n = len(x)
     h = np.maximum(np.abs(x), 1.0) * rel_step
-    H = np.empty((n, n))
+    e = np.diag(h)  # e[i] steps x by h[i] along axis i
     f0 = fun(x)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                xp = x.copy(); xp[i] += h[i]
-                xm = x.copy(); xm[i] -= h[i]
-                H[i, i] = (fun(xp) - 2.0 * f0 + fun(xm)) / h[i] ** 2
-            else:
-                xpp = x.copy(); xpp[i] += h[i]; xpp[j] += h[j]
-                xpm = x.copy(); xpm[i] += h[i]; xpm[j] -= h[j]
-                xmp = x.copy(); xmp[i] -= h[i]; xmp[j] += h[j]
-                xmm = x.copy(); xmm[i] -= h[i]; xmm[j] -= h[j]
-                H[i, j] = H[j, i] = (
-                    fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)
-                ) / (4.0 * h[i] * h[j])
+    H = np.empty((len(x), len(x)))
+    for i, j in itertools.combinations_with_replacement(range(len(x)), 2):
+        if i == j:
+            H[i, i] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / h[i] ** 2
+        else:
+            ei, ej = e[i], e[j]
+            H[i, j] = H[j, i] = (fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej)
+                                 + fun(x - ei - ej)) / (4.0 * h[i] * h[j])
     return H
 
 
@@ -337,12 +346,9 @@ def _fit_once(stats, n_obs, gamma_hat, config, fix_mu):
     def point(theta):
         return math.exp(theta[0]), min(_expit(theta[1]), 1.0 - 1e-12)
 
+    @_penalised
     def profile(theta):
-        try:
-            val = _profile_nll(stats(*point(theta)), n_obs, rows)[0]
-        except (OverflowError, ValueError, np.linalg.LinAlgError):
-            return 1e12
-        return val if math.isfinite(val) else 1e12
+        return _profile_nll(stats(*point(theta)), n_obs, rows)[0]
 
     best = None
     for psi0 in _PSI_STARTS[: max(config.n_starts, 1)]:
@@ -365,27 +371,24 @@ def _fit_once(stats, n_obs, gamma_hat, config, fix_mu):
     params.loglik = -float(best.fun)
     params.converged = bool(best.success)
 
+    @_penalised
     def nll(vec):
         """Full negative log-likelihood of (sigma_z, sigma_a, psi_a, [mu_a,]
         beta_c); 1e12 outside the parameter space."""
         sigma_z, sigma_a, psi, *b = vec.tolist()
         if not (sigma_z > 0 and sigma_a >= 0 and 0.0 <= psi < 1.0):
             return 1e12
-        val = _full_nll(stats(sigma_a**2 / sigma_z**2, psi), n_obs, sigma_z, b, rows)
-        return val if math.isfinite(val) else 1e12
+        return _full_nll(stats(sigma_a**2 / sigma_z**2, psi), n_obs, sigma_z, b, rows)
 
     # standard errors: inverse numeric Hessian in the natural parameterization
     names = [nm for nm in _PARAM_NAMES if not (fix_mu and nm == "mu_a")]
     H = _numeric_hessian(nll, np.array([getattr(params, nm) for nm in names]))
     try:
-        cov = np.linalg.inv(H)
-        diag = np.diag(cov)
-        if np.all(diag > 0):
-            params.se = {nm: float(math.sqrt(v)) for nm, v in zip(names, diag)}
-        else:
-            params.se = {}
+        diag = np.diag(np.linalg.inv(H))
     except np.linalg.LinAlgError:
-        params.se = {}
+        diag = np.zeros(1)
+    ok = np.all(diag > 0)
+    params.se = {nm: math.sqrt(v) for nm, v in zip(names, diag.tolist())} if ok else {}
     return params
 
 
@@ -398,9 +401,10 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0,
     three have closed forms.  The profile likelihood is maximised over
     (log q, logit psi_a) by quasi-Newton with numeric gradients, one start per
     starting psi_a (``n_starts`` of them, at most five).  Each evaluation is
-    one O(T) filter pass over per-day sums computed once.  Standard errors are
-    the inverse numeric Hessian of the full negative log-likelihood in
-    (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
+    one O(T) tridiagonal factorization and solve in LAPACK over per-day sums
+    computed once per fit (``_profile_kernel``), not a filter pass.  Standard
+    errors are the inverse numeric Hessian of the full negative log-likelihood
+    in (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
     model is refit with mu_a fixed at zero when the estimate is not
     significant at the 5% level.
     """
@@ -417,13 +421,12 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0,
             "fit_mle: c_tilde is constant over the observed entries, so the "
             "(1, c_tilde) normal matrix is singular and mu_a, beta_c are not identified"
         )
-    sums = _day_sums(inputs, gamma_hat)
-    n_obs = sum(sums[0])
+    kernel, n_obs = _profile_kernel(inputs, gamma_hat)
     memo = {}
 
     def stats(q, psi):
         if (q, psi) not in memo:
-            memo[q, psi] = _profile_stats(sums, q, psi)
+            memo[q, psi] = kernel(q, psi)
         return memo[q, psi]
 
     params = _fit_once(stats, n_obs, gamma_hat, config, fix_mu=False)

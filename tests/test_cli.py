@@ -292,6 +292,8 @@ _DATA_CASES = [
     ("cmaq_daily.csv", 4, "day", "1"),  # non-monotone day
     ("daily_series.csv", 4, "site_id", "GHOST"),  # unknown site_id
     ("cmaq_daily.csv", 5, None, "1,5"),  # short row
+    ("tract_attrs.csv", 18, None, "T00,999999,55.598710830112196"),  # repeated tract_id
+    ("site_attrs.csv", 26, None, "C000,9999"),  # repeated site_id
 ]
 
 

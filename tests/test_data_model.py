@@ -1,6 +1,7 @@
 import datetime
 import math
 import os
+import re
 import shutil
 import tempfile
 
@@ -391,7 +392,9 @@ def _inject(draw, tables):
     name = draw(st.sampled_from(["daily_series.csv", "cmaq_daily.csv"]))
     rows = tables[name][1]
     i = draw(st.integers(0, len(rows) - 1))
-    earlier = [j for j in range(i) if rows[j][0] == rows[i][0]]
+    # earlier rows of this key whose day is still an integer; a "parse" fault may have replaced it
+    earlier = [j for j in range(i)
+               if rows[j][0] == rows[i][0] and re.fullmatch(r"-?\d+", rows[j][1])]
     if kind == "day" and earlier:  # repeated or decreasing
         rows[i][1] = str(int(rows[earlier[-1]][1]) - draw(st.integers(0, 3)))
     elif kind == "unknown":

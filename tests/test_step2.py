@@ -13,10 +13,10 @@ from scarr.step2 import (
     DlmInputs,
     DlmParams,
     Step2Config,
-    _day_sums,
     _full_nll,
+    _penalised,
+    _profile_kernel,
     _profile_nll,
-    _profile_stats,
     fit_mle,
     kalman_filter,
     kalman_smoother,
@@ -200,10 +200,51 @@ def kernel_instances(draw):
 def kernel_loglik(p, inputs, rows=(1, 2)):
     """Log-likelihood at ``p`` through the kernel, with mu_a free (rows 1, 2)
     or fixed at 0 (row 2)."""
-    sums = _day_sums(inputs, p.gamma_hat)
-    kernel = _profile_stats(sums, p.sigma_a**2 / p.sigma_z**2, p.psi_a)
+    kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
+    stats = kernel(p.sigma_a**2 / p.sigma_z**2, p.psi_a)
     b = [p.mu_a, p.beta_c][2 - len(rows):]
-    return -_full_nll(kernel, sum(sums[0]), p.sigma_z, b, list(rows))
+    return -_full_nll(stats, n_obs, p.sigma_z, b, list(rows))
+
+
+def reference_stats(inputs, gamma_hat, q, psi):
+    """(Q, logdet) from the scalar filter at sigma_z = 1, sigma_a^2 = q and
+    state mean 0, run day by day over the columns (u, 1, c_tilde), which share
+    one gain sequence: the per-day loop that ``_profile_kernel`` replaced.
+
+    Q sums each day's innovations' quadratic forms under the inverse
+    innovation covariance I - g 11', g = P/(1 + m P); logdet is
+    sum_t log(1 + m_t P_t)."""
+    present = np.isfinite(inputs.y)
+    u = np.where(present, inputs.y - gamma_hat * inputs.y1, 0.0)
+    c = np.where(present, inputs.c_tilde, 0.0)
+    sums = [x.tolist() for x in (present.sum(axis=1), u.sum(axis=1), c.sum(axis=1),
+                                 (u * u).sum(axis=1), (u * c).sum(axis=1), (c * c).sum(axis=1))]
+    au = a1 = ac = 0.0  # predicted state of each column
+    P = q / (1.0 - psi * psi)
+    quu = qu1 = quc = q11 = q1c = qcc = logdet = 0.0
+    for m, su, sc, suu, suc, scc in zip(*sums):
+        if m:
+            f = 1.0 + m * P
+            g = P / f
+            vu = su - m * au  # the day's summed innovations of u and c
+            vc = sc - m * ac
+            e1 = 1.0 - a1  # each innovation of the column of ones
+            quu += suu - au * (su + vu) - g * vu * vu
+            quc += suc - au * sc - ac * vu - g * vu * vc
+            qcc += scc - ac * (sc + vc) - g * vc * vc
+            qu1 += e1 * vu / f
+            q1c += e1 * vc / f
+            q11 += m * e1 * e1 / f
+            logdet += math.log(f)
+            au += g * vu
+            ac += g * vc
+            a1 += g * m * e1
+            P = g
+        au *= psi
+        ac *= psi
+        a1 *= psi
+        P = psi * psi * P + q
+    return np.array([[quu, qu1, quc], [qu1, q11, q1c], [quc, q1c, qcc]]), logdet
 
 
 class TestProfileKernel:
@@ -221,11 +262,10 @@ class TestProfileKernel:
     def test_closed_forms_maximise_at_fixed_q_psi(self, instance, fix_mu, d_mu, d_beta,
                                                    d_log_sz):
         p, inputs = instance
-        sums = _day_sums(inputs, p.gamma_hat)
-        n_obs = sum(sums[0])
+        kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
         assume(n_obs >= 3)
         rows = [2] if fix_mu else [1, 2]
-        kernel = _profile_stats(sums, p.sigma_a**2 / p.sigma_z**2, p.psi_a)
+        kernel = kernel(p.sigma_a**2 / p.sigma_z**2, p.psi_a)
         nll, b, s2 = _profile_nll(kernel, n_obs, rows)
         sigma_z = math.sqrt(s2)
         assert _full_nll(kernel, n_obs, sigma_z, b, rows) == pytest.approx(nll, rel=1e-10)
@@ -246,10 +286,104 @@ class TestProfileKernel:
 
     def test_no_mean_profile_slope(self, rng):
         p, inputs = random_instance(rng, 9, 3)
-        sums = _day_sums(inputs, p.gamma_hat)
-        (Q, _) = kernel = _profile_stats(sums, 0.8, 0.4)
-        _, b, _ = _profile_nll(kernel, sum(sums[0]), [2])
+        kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
+        (Q, _) = stats = kernel(0.8, 0.4)
+        _, b, _ = _profile_nll(stats, n_obs, [2])
         assert b[0] == pytest.approx(Q[0, 2] / Q[2, 2], rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances())
+    def test_kernel_equals_reference_filter_loop(self, instance):
+        """Q and logdet against the per-day filter loop.  The tolerance was set
+        before the first run from the conditioning of C = K + q M on these
+        instances: q <= 4^2/0.3^2, m_t <= 4 and psi <= 0.97 give
+        cond(C) <= ((1 + psi)^2 + 4 q) / (1 - psi)^2 < 1e6, and T <= 10 terms
+        at double precision then leave about 2e-9 of the raw scale; 1e-8 of
+        it is allowed.  The raw scale of Q_jk is sqrt(X_j'X_j X_k'X_k) and
+        that of logdet is T."""
+        p, inputs = instance
+        q = p.sigma_a**2 / p.sigma_z**2
+        kernel, _ = _profile_kernel(inputs, p.gamma_hat)
+        Q, logdet = kernel(q, p.psi_a)
+        Q_ref, logdet_ref = reference_stats(inputs, p.gamma_hat, q, p.psi_a)
+        raw = np.sqrt(np.diag(reference_stats(inputs, p.gamma_hat, 0.0, 0.0)[0]))
+        assert np.all(np.abs(Q - Q_ref) <= 1e-8 * np.outer(raw, raw))
+        assert abs(logdet - logdet_ref) <= 1e-8 * inputs.n_days
+
+    @pytest.mark.parametrize("q", [1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("psi", [0.3, 0.9])
+    def test_kernel_keeps_its_digits_at_large_q(self, rng, q, psi):
+        """At large q the state absorbs the day means and Q_11 falls like 1/q,
+        so X'X - q S'C^-1 S would cancel.  Each Q_jk must match the reference
+        loop to 1e-8 of its own scale sqrt(Q_jj Q_kk), fixed before the first
+        run."""
+        _, inputs = random_instance(rng, 30, 3, missing=False)
+        kernel, _ = _profile_kernel(inputs, 0.7)
+        Q, logdet = kernel(q, psi)
+        Q_ref, logdet_ref = reference_stats(inputs, 0.7, q, psi)
+        scale = np.sqrt(np.outer(np.diag(Q_ref), np.diag(Q_ref)))
+        assert np.all(np.abs(Q - Q_ref) <= 1e-8 * scale)
+        assert logdet == pytest.approx(logdet_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["one day", "one observed day", "dense"])
+    @pytest.mark.parametrize("psi", [0.0, 0.5, 1.0 - 1e-12])
+    @pytest.mark.parametrize("q", [0.0, 1e-12, 1e6])
+    def test_extreme_cases_are_finite_or_penalised(self, case, psi, q):
+        """At the edges of the search the kernel either agrees with the filter
+        or signals that pttrf found C not positive definite, which the fit
+        turns into its 1e12 penalty; nothing else is raised.  Near a unit root
+        C = K + q M is ill-conditioned, so the bound, fixed before the first
+        run, is 1e-9 relative plus 10 T eps cond(C) times the likelihood's
+        raw scale N + sum(e^2)/sigma_z^2, e the observation residuals."""
+        rng = np.random.default_rng(17)
+        T, n = {"one day": (1, 3), "one observed day": (7, 3), "dense": (8, 3)}[case]
+        y = rng.normal(10, 4, size=(T, n))
+        if case == "one observed day":
+            y[np.arange(T) != 3] = np.nan
+        inputs = DlmInputs(y=y, c_tilde=rng.normal(3, 2, size=(T, n)),
+                           y1=rng.uniform(1, 20, size=(T, n)))
+        p = DlmParams(sigma_z=1.5, sigma_a=math.sqrt(q) * 1.5, psi_a=psi, mu_a=0.7,
+                      beta_c=0.9, gamma_hat=0.6)
+        value = _penalised(lambda params: -kernel_loglik(params, inputs))(p)
+        kernel, _ = _profile_kernel(inputs, p.gamma_hat)
+        try:
+            kernel(q, psi)
+        except np.linalg.LinAlgError:
+            assert value == 1e12
+            return
+        assert math.isfinite(value) and value != 1e12
+        m = np.isfinite(y).sum(axis=1)
+        C = (np.diag(1.0 + psi * psi * np.r_[0.0, np.ones(T - 2), 0.0] + q * m) if T > 1
+             else np.array([[1.0 - psi * psi + q * m[0]]]))
+        C -= psi * (np.eye(T, k=1) + np.eye(T, k=-1))
+        e = (y - p.mu_a - p.beta_c * inputs.c_tilde - p.gamma_hat * inputs.y1)[np.isfinite(y)]
+        scale = e.size + np.sum(e * e) / p.sigma_z**2
+        want = -log_likelihood(p, inputs)
+        bound = 1e-9 * abs(want) + 10 * T * np.finfo(float).eps * np.linalg.cond(C) * scale
+        assert abs(value - want) <= bound
+
+    def test_full_nll_keeps_its_digits_near_an_exact_fit(self):
+        """Three observations that u = mu + beta c fits to about 1e-3.  The
+        full likelihood at the closed-form point equals the profile at rel
+        1e-10, and a step delta of 1e-6 from it raises -loglik by
+        delta'Q_xx delta / (2 sigma_z^2) to rel 1e-6, as the numeric Hessian
+        needs; Q00 - 2 q'b + b'Qb loses both to cancellation.  The rounding of
+        two -loglik values of size |loglik| is below 1e-9 of that step."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            c, y1 = rng.normal(3, 2, size=(3, 1)), rng.uniform(1, 20, size=(3, 1))
+            y = 0.8 * y1 + 3.0 + 1.7 * c + rng.normal(0, 1e-3, size=(3, 1))
+            kernel, n_obs = _profile_kernel(DlmInputs(y=y, c_tilde=c, y1=y1), 0.8)
+            stats = kernel(0.3, 0.6)
+            nll, b, s2 = _profile_nll(stats, n_obs, [1, 2])
+            assert s2 < 1e-5
+            sigma_z = math.sqrt(s2)
+            full = _full_nll(stats, n_obs, sigma_z, b, [1, 2])
+            assert full == pytest.approx(nll, rel=1e-10)
+            delta = np.array([1e-6, -2e-6])
+            step = _full_nll(stats, n_obs, sigma_z, (b + delta).tolist(), [1, 2]) - full
+            want = 0.5 * delta @ stats[0][1:, 1:] @ delta / sigma_z**2
+            assert step == pytest.approx(want, rel=1e-6)
 
     def test_constant_c_tilde_is_data_error(self):
         inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
