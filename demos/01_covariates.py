@@ -65,9 +65,12 @@ basis = cov.seasonal_basis(80 / 365)
 print("seasonal basis at DYR=80/365:",
       " ".join(f"{nm}={v:+.3f}" for nm, v in zip(cov.SEASON_NAMES, basis)))
 
-# One covariate row per interval observation feeds the Step I regression.
-rows, warnings = cov.build_covariates(dataset, spec)
-print(f"\nbuilt {len(rows)} covariate rows ({len(warnings)} warnings)")
-r = rows[0]
-print(f"first row: site={r.site_id} days [{r.t_start},{r.t_end}] "
-      f"gridded-model mean={r.cmaq_mean:.2f} over {r.cmaq_days_used} days")
+# The Step I regression takes one column table with a row per interval
+# observation: the same static covariates, taken at each observation's site,
+# plus its days, seasonal basis, gridded-model mean and observed value.
+table, warnings = cov.build_covariates(dataset, spec)
+print(f"\nbuilt {len(table['response'])} covariate rows ({len(warnings)} warnings)")
+print(f"first row: site={table['site_id'][0]} "
+      f"days [{table['t_start'][0]},{table['t_end'][0]}] "
+      f"gridded-model mean={table['cmaq_mean'][0]:.2f} "
+      f"over {table['cmaq_days_used'][0]} days")

@@ -75,12 +75,12 @@ def cmd_features(args) -> int:
     dataset = load_dataset(args.dataset)
     kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
     spec = parse_config(step1.Step1Config, kv).buffer_spec
-    rows, warnings = cov.build_covariates(dataset, spec)
+    table, warnings = cov.build_covariates(dataset, spec)
     for w in warnings:
         _log(f"features: warning: {w}")
     out = _out_dir(args.dataset, args.out)
-    cov.write_covariates(rows, os.path.join(out, "covariates.csv"), spec, _header(kv))
-    _log(f"features: wrote {len(rows)} covariate rows")
+    cov.write_covariates(table, os.path.join(out, "covariates.csv"), spec, _header(kv))
+    _log(f"features: wrote {len(table['response'])} covariate rows")
     return 0
 
 
@@ -90,8 +90,8 @@ def cmd_fit_step1(args) -> int:
     if args.alpha is not None:
         kv["alpha"] = str(args.alpha)
     cfg = parse_config(step1.Step1Config, kv)
-    rows, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
-    design = step1.assemble_design(dataset, rows, cfg)
+    table, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
+    design = step1.assemble_design(dataset, table, cfg)
     for w in warnings + design.warnings:
         _log(f"fit-step1: warning: {w}")
     if design.rank_deficient:
@@ -140,7 +140,7 @@ def cmd_fit_step2(args) -> int:
     return 0
 
 
-def _load_fits(dataset_dir, out):
+def _load_fits(out):
     s1_path = os.path.join(out, "step1_fit.txt")
     s2_path = os.path.join(out, "step2_fit.txt")
     for p in (s1_path, s2_path):
@@ -155,7 +155,7 @@ def _prediction_setup(args, sites_of):
     The targets' offsets cover the dense-time sites and ``sites_of(dataset)``."""
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
-    s1fit, params = _load_fits(args.dataset, out)
+    s1fit, params = _load_fits(out)
     kv = _read_optional_config(args.dataset, "predict_config.txt", args.config)
     cfg = parse_config(prediction.PredictConfig, kv)
     smoothed = bool(args.smoothed) or cfg.smoothed

@@ -5,13 +5,15 @@ areas from a classified raster, census-tract population density, per-site
 elevation and the trigonometric seasonal basis.
 
 The geometry kernels take N points at once, as an (N, 2) array: sites and
-raster pixels share ``static_covariates``, one chunked array pass.
+raster pixels share ``static_covariates``, one chunked array pass.  The
+interval observations' covariates are one column table of its rows
+(``build_covariates``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -244,27 +246,6 @@ def seasonal_basis(dyr: float):
 SEASON_NAMES = ("sin_2pi_dyr", "cos_2pi_dyr", "sin_4pi_dyr", "cos_4pi_dyr")
 
 
-@dataclass
-class CovariateRow:
-    site_id: str
-    t_start: int
-    t_end: int
-    dyr: float
-    ttv: np.ndarray  # per ring, 10,000 v-km/day
-    ttv_quadrant: np.ndarray  # (4, n_rings)
-    lu_area: dict  # category -> per-ring hectares
-    pop_density: float  # persons/mi^2
-    elevation: float
-    season: tuple = field(default=None)
-    cmaq_mean: float = math.nan
-    cmaq_days_used: int = 0
-    response: float = math.nan  # the observed interval value
-
-    def __post_init__(self):
-        if self.season is None:
-            self.season = seasonal_basis(self.dyr)
-
-
 def interval_sites(dataset: Dataset) -> list:
     """The sites with interval observations, in order of first observation."""
     return [dataset.sites[sid]
@@ -272,32 +253,58 @@ def interval_sites(dataset: Dataset) -> list:
 
 
 def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
-    """One CovariateRow per interval observation, carrying the observed value
-    as its response (warns and skips on failure); the sites' static
-    covariates come from one ``static_covariates`` call.
+    """Step I covariates of the interval observations as one column table
+    (warns and skips an observation that fails).
 
-    Returns (rows, warnings); warnings are human-readable strings naming the
+    The table holds the ``static_covariates`` keys, taken row by row from one
+    call over the interval sites with each site's elevation, and
+    ``site_id``, ``t_start``, ``t_end``, ``dyr``, ``season`` (n, 4),
+    ``cmaq_mean``, ``cmaq_days_used`` and ``response``, the observed value:
+    each with a leading row axis.
+
+    Returns (table, warnings); warnings are human-readable strings naming the
     offending site.
     """
     segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
     sites = interval_sites(dataset)
     static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec)
-    at_site = {s.id: _row(static, j, site_elevation(dataset, s.id)) for j, s in enumerate(sites)}
-    rows, warnings = [], []
+    static["elevation"] = np.array([site_elevation(dataset, s.id) for s in sites], dtype=float)
+    index = {s.id: j for j, s in enumerate(sites)}
+    site_of_row, columns, warnings = [], [], []
     for obs in dataset.interval_obs:
-        site = dataset.sites[obs.site_id]
+        j = index[obs.site_id]
         try:
-            if math.isnan(at_site[site.id]["pop_density"]):
-                raise outside_tracts(site.id)
-            row = covariate_row_for_site(
-                dataset, site, obs.t_start, obs.t_end, at_site[site.id]
-            )
+            if math.isnan(static["pop_density"][j]):
+                raise outside_tracts(obs.site_id)
+            dyr = dataset.manifest.dyr(0.5 * (obs.t_start + obs.t_end))
+            cmaq_mean, n_used, k = math.nan, 0, static["cmaq_index"][j]
+            ser = dataset.cmaq.series.get(int(dataset.cmaq.pixel_ids[k])) if k >= 0 else None
+            if ser is not None:
+                cmaq_mean, n_used = interval_mean(ser, obs.t_start, obs.t_end)
+            season = seasonal_basis(dyr)
         except DataError as exc:
-            warnings.append(f"site {site.id}: {exc}")
+            warnings.append(f"site {obs.site_id}: {exc}")
             continue
-        row.response = obs.value
-        rows.append(row)
-    return rows, warnings
+        site_of_row.append(j)
+        columns.append((obs.site_id, obs.t_start, obs.t_end, dyr, season, cmaq_mean, n_used,
+                        obs.value))
+
+    rows = np.array(site_of_row, dtype=np.intp)
+    table = {key: {c: a[rows] for c, a in values.items()} if key == "lu_area" else values[rows]
+             for key, values in static.items()}
+    site_id, t_start, t_end, dyr, season, cmaq_mean, n_used, response = (
+        zip(*columns) if columns else [()] * 8)
+    table.update(
+        site_id=np.array(site_id, dtype=str),
+        t_start=np.array(t_start, dtype=int),
+        t_end=np.array(t_end, dtype=int),
+        dyr=np.array(dyr, dtype=float),
+        season=np.array(season, dtype=float).reshape(-1, len(SEASON_NAMES)),
+        cmaq_mean=np.array(cmaq_mean, dtype=float),
+        cmaq_days_used=np.array(n_used, dtype=int),
+        response=np.array(response, dtype=float),
+    )
+    return table, warnings
 
 
 #: Bound on the (points x sources) pairs of a ``static_covariates`` chunk; the
@@ -344,13 +351,6 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
     return stack([chunk(xy[i:i + step]) for i in range(0, len(xy), step) or [0]])
 
 
-def _row(static: dict, j: int, elevation: float) -> dict:
-    """Row ``j`` of ``static_covariates`` output as one site's covariates."""
-    row = {key: values[j] for key, values in static.items() if key != "lu_area"}
-    lu = {c: areas[j] for c, areas in static["lu_area"].items()}
-    return {**row, "lu_area": lu, "elevation": elevation}
-
-
 def site_elevation(dataset: Dataset, site_id: str) -> float:
     return dataset.site_attrs.get(site_id, {}).get("elevation_m", math.nan)
 
@@ -361,42 +361,14 @@ def site_static_covariates(
     segments,
     spec: BufferSpec = BufferSpec(),
 ) -> dict:
-    """Time-constant covariates for one site (reusable across days/intervals):
-    the one-row view of ``static_covariates``."""
+    """Time-constant covariates for one site: the one-row view of
+    ``static_covariates``, with the site's elevation."""
     static = static_covariates(dataset, [(site.x, site.y)], segments, spec)
     if math.isnan(static["pop_density"][0]):
         raise outside_tracts(site.id)
-    return _row(static, 0, site_elevation(dataset, site.id))
-
-
-def covariate_row_for_site(
-    dataset: Dataset,
-    site: SiteRecord,
-    t_start: int,
-    t_end: int,
-    static: dict,
-) -> CovariateRow:
-    """Covariates of one observation interval at a site, from the site's
-    ``site_static_covariates``."""
-    dyr = dataset.manifest.dyr(0.5 * (t_start + t_end))
-    cmaq_mean, n_used, k = math.nan, 0, static["cmaq_index"]
-    ser = dataset.cmaq.series.get(int(dataset.cmaq.pixel_ids[k])) if k >= 0 else None
-    if ser is not None:
-        cmaq_mean, n_used = interval_mean(ser, t_start, t_end)
-
-    return CovariateRow(
-        site_id=site.id,
-        t_start=t_start,
-        t_end=t_end,
-        dyr=dyr,
-        ttv=static["ttv"],
-        ttv_quadrant=static["ttv_quadrant"],
-        lu_area=static["lu_area"],
-        pop_density=static["pop_density"],
-        elevation=static["elevation"],
-        cmaq_mean=cmaq_mean,
-        cmaq_days_used=n_used,
-    )
+    row = {key: values[0] for key, values in static.items() if key != "lu_area"}
+    lu = {c: areas[0] for c, areas in static["lu_area"].items()}
+    return {**row, "lu_area": lu, "elevation": site_elevation(dataset, site.id)}
 
 
 def covariate_header(spec: BufferSpec = BufferSpec()):
@@ -412,14 +384,13 @@ def covariate_header(spec: BufferSpec = BufferSpec()):
     return cols
 
 
-def write_covariates(rows, path: str, spec: BufferSpec = BufferSpec(),
+def write_covariates(table, path: str, spec: BufferSpec = BufferSpec(),
                      header_lines=()) -> None:
-    def values(r):
-        yield from (r.site_id, r.t_start, r.t_end, r.dyr, *r.ttv)
-        for quadrant in r.ttv_quadrant:
-            yield from quadrant
-        for cat in LANDUSE_CATEGORIES:
-            yield from r.lu_area.get(cat, np.zeros(N_LANDUSE_RINGS))
-        yield from (r.pop_density, r.elevation, *r.season, r.cmaq_mean, r.cmaq_days_used)
-
-    write_table(path, covariate_header(spec), zip(*map(values, rows)), header_lines)
+    """``build_covariates`` table as covariates.csv, columns in ``covariate_header`` order."""
+    n = len(table["response"])
+    lu = [table["lu_area"].get(cat, np.zeros((n, N_LANDUSE_RINGS))).T for cat in LANDUSE_CATEGORIES]
+    columns = [table["site_id"], table["t_start"], table["t_end"], table["dyr"], *table["ttv"].T,
+               *np.concatenate(np.moveaxis(table["ttv_quadrant"], 0, -1)), *np.concatenate(lu),
+               table["pop_density"], table["elevation"], *table["season"].T,
+               table["cmaq_mean"], table["cmaq_days_used"]]
+    write_table(path, covariate_header(spec), columns, header_lines)

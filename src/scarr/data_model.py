@@ -81,10 +81,6 @@ class IntervalObservation:
         if not (math.isfinite(self.value) and self.value > 0):
             raise DataError(f"observation at {self.site_id}: value must be finite and > 0")
 
-    @property
-    def length(self) -> int:
-        return self.t_end - self.t_start + 1
-
 
 @dataclass
 class DailySeries:

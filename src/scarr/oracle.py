@@ -179,25 +179,22 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _true_mean_row(config: SimulationConfig, row) -> float:
-    """Calibration-model mean of one covariate row under the true coefficients."""
+def _true_mean(config: SimulationConfig, static: dict, j: int, season, cmaq_mean) -> float:
+    """Calibration-model mean under the true coefficients at site ``j`` of
+    ``static_covariates`` output, at one interval's seasonal basis and
+    gridded-model mean."""
     c = config.coefficients
     total = c["intercept"]
-    total += c["pop_density_10k"] * row.pop_density / step1.POP_DENSITY_SCALE
-    for name, val in zip(cov.SEASON_NAMES, row.season):
+    total += c["pop_density_10k"] * static["pop_density"][j] / step1.POP_DENSITY_SCALE
+    for name, val in zip(cov.SEASON_NAMES, season):
         total += c.get(name, 0.0) * val
     spec = cov.BufferSpec()
-    for lab, ttv in zip(spec.ring_labels(), row.ttv):
+    for lab, ttv in zip(spec.ring_labels(), static["ttv"][j]):
         total += c.get(f"ttv_{lab}", 0.0) * ttv
-    forest = float(np.sum(row.lu_area.get("forest", np.zeros(3))))
+    forest = float(np.sum(static["lu_area"]["forest"][j]))
     total += c.get("lu_forest_0-2km", 0.0) * forest / step1.LANDUSE_SCALE
-    total += c["cmaq"] * row.cmaq_mean
+    total += c["cmaq"] * cmaq_mean
     return total
-
-
-def _true_c_tilde(config: SimulationConfig, row) -> float:
-    """Additive bias at a covariate row: the true mean minus the gridded term."""
-    return _true_mean_row(config, row) - config.coefficients["cmaq"] * row.cmaq_mean
 
 
 def simulate_ar1(rng, T, sigma_a, psi_a, mu_a) -> np.ndarray:
@@ -364,17 +361,21 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
     )
 
     segments = cov.segmentize([(p.vertices, p.adt) for p in traffic])
+    static = cov.static_covariates(dataset, [(s.x, s.y) for s in sites.values()], segments)
+    index = {sid: j for j, sid in enumerate(sites)}
+    grid_series = {sid: cmaq.series[int(cmaq.pixel_ids[static["cmaq_index"][j]])]
+                   for sid, j in index.items()}
 
     # interval observations at calibration sites
     lo, hi = config.interval_len_range
     for sid in sorted(s for s in sites if sites[s].role == "calibration"):
-        static = cov.site_static_covariates(dataset, sites[sid], segments)
         for _ in range(config.n_intervals_per_site):
             length = int(rng.integers(lo, hi + 1))
             t_start = int(rng.integers(1, max(config.n_days - length, 1) + 1))
             t_end = t_start + length - 1
-            row = cov.covariate_row_for_site(dataset, sites[sid], t_start, t_end, static)
-            mean = _true_mean_row(config, row)
+            season = cov.seasonal_basis(manifest.dyr(0.5 * (t_start + t_end)))
+            cmaq_mean, _ = interval_mean(grid_series[sid], t_start, t_end)
+            mean = _true_mean(config, static, index[sid], season, cmaq_mean)
             value = mean + config.noise_sd * rng.standard_normal()
             while value <= 0:  # observations are strictly positive by schema
                 value = mean + config.noise_sd * rng.standard_normal()
@@ -387,14 +388,12 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
     )
     days = np.arange(1, config.n_days + 1)
     for sid in sorted(s for s in sites if sites[s].role == "dense_time"):
-        site = sites[sid]
-        static = cov.site_static_covariates(dataset, site, segments)
-        y1_ser = cmaq.series[int(cmaq.pixel_ids[static["cmaq_index"]])]
         vals = np.empty(config.n_days)
         for t_i, day in enumerate(days):
-            row = cov.covariate_row_for_site(dataset, site, int(day), int(day), static)
-            ct = _true_c_tilde(config, row)
-            y1_val, _ = interval_mean(y1_ser, int(day), int(day))
+            y1_val, _ = interval_mean(grid_series[sid], int(day), int(day))
+            season = cov.seasonal_basis(manifest.dyr(day))
+            mean = _true_mean(config, static, index[sid], season, y1_val)
+            ct = mean - config.coefficients["cmaq"] * y1_val  # the additive bias
             vals[t_i] = (
                 a_path[t_i]
                 + config.dlm_beta_c * ct

@@ -481,8 +481,8 @@ class Design:
 def design_columns(static, season, spec: BufferSpec) -> dict:
     """Value of every design column but ``cmaq`` at one target, by name.
 
-    ``static`` is ``site_static_covariates`` output or a CovariateRow's
-    fields, or ``static_covariates`` output with a leading target axis;
+    ``static`` is ``site_static_covariates`` output, or ``static_covariates``
+    output (or a ``build_covariates`` table) with a leading target axis;
     ``season`` is the four seasonal-basis values, each a number or an array.
     """
     labels = spec.ring_labels()
@@ -504,8 +504,9 @@ def design_columns(static, season, spec: BufferSpec) -> dict:
     return cols
 
 
-def assemble_design(dataset, rows, config: Step1Config = Step1Config()) -> Design:
-    """Build the design matrix from covariate rows and their responses.
+def assemble_design(dataset, table, config: Step1Config = Step1Config()) -> Design:
+    """Build the design matrix from a ``build_covariates`` table and its
+    responses.
 
     Column order: intercept, pop density (per 10,000), season basis (4),
     optional elevation, TTV rings inner->outer (or 4x quadrant rings),
@@ -540,22 +541,16 @@ def assemble_design(dataset, rows, config: Step1Config = Step1Config()) -> Desig
             names += cols
     names.append("cmaq")
 
-    data, resp, coords, site_ids, warn = [], [], [], [], []
-    for row in rows:
-        values = design_columns(vars(row), row.season, spec)
-        values["cmaq"] = row.cmaq_mean
-        vals = [values[nm] for nm in names]
-        if not all(math.isfinite(v) for v in vals) or not math.isfinite(row.response):
-            warn.append(f"site {row.site_id}: dropped (missing covariate or response)")
-            continue
-        site = dataset.sites[row.site_id]
-        data.append(vals)
-        resp.append(row.response)
-        coords.append((site.x, site.y))
-        site_ids.append(row.site_id)
+    values = design_columns(table, table["season"].T, spec)
+    values["cmaq"] = table["cmaq_mean"]
+    y = table["response"]
+    X = np.column_stack([np.broadcast_to(values[nm], y.shape) for nm in names])
+    keep = np.isfinite(X).all(axis=1) & np.isfinite(y)
+    warn = [f"site {sid}: dropped (missing covariate or response)"
+            for sid in table["site_id"][~keep]]
+    X, y, site_ids = X[keep], y[keep], table["site_id"][keep].tolist()
+    coords = [(dataset.sites[sid].x, dataset.sites[sid].y) for sid in site_ids]
 
-    X = np.asarray(data, dtype=float)
-    y = np.asarray(resp, dtype=float)
     rank_deficient = bool(X.size) and np.linalg.matrix_rank(X) < X.shape[1]
     if rank_deficient:
         warn.append("design matrix is rank deficient (exact collinearity)")

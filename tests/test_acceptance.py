@@ -136,8 +136,8 @@ def test_criterion_3_regression_exactness(capsys, mini_dataset):
         from scarr.oracle import SimulationConfig
 
         ds, _ = mini_dataset
-        rows, _ = cov.build_covariates(ds)
-        design = assemble_design(ds, rows)
+        table, _ = cov.build_covariates(ds)
+        design = assemble_design(ds, table)
         coefs = SimulationConfig().coefficients
         beta_true = np.array([coefs.get(nm, 0.0) for nm in design.names])
         y = design.X @ beta_true

@@ -247,6 +247,41 @@ def test_installed_console_script_runs(tmp_path):
 MINI = os.path.join(REPO_ROOT, "data", "mini")
 
 
+def test_simulate_reproduces_bundled_mini(tmp_path):
+    """The bundled data/mini is ``simulate --seed 7 --days 90``, every file
+    byte for byte."""
+    d = tmp_path / "ds"
+    assert main(["simulate", "--seed", "7", "--days", "90", "--out", str(d)]) == 0
+    names = sorted(os.listdir(MINI))
+    assert len(names) == 13
+    assert sorted(os.listdir(d)) == names
+    for name in names:
+        assert (d / name).read_bytes() == open(os.path.join(MINI, name), "rb").read(), name
+
+
+def test_every_interval_skipped_exits_3(tmp_path, capsys):
+    """With every interval past the end of the coarse-grid series,
+    ``features`` writes the header alone and ``fit-step1`` exits 3."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    header, *rows = (d / "interval_obs.csv").read_text().splitlines()
+    shifted = [[sid, str(int(a) + 1000), str(int(b) + 1000), value]
+               for sid, a, b, value in (row.split(",") for row in rows)]
+    (d / "interval_obs.csv").write_text("\n".join([header] + list(map(",".join, shifted))) + "\n")
+    capsys.readouterr()
+    assert main(["features", str(d)]) == 0
+    assert "features: wrote 0 covariate rows" in capsys.readouterr().err.splitlines()
+    lines = (d / "out" / "covariates.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("site_id,")
+    assert main(["fit-step1", str(d)]) == EXIT_DATA
+
+
+def test_features_logs_its_row_count(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["features", MINI, "--out", str(tmp_path / "out")]) == 0
+    assert "features: wrote 40 covariate rows" in capsys.readouterr().err.splitlines()
+
+
 def _edit_line(path, line, column, text):
     """Set one field of line ``line`` (1-based): a CSV column by name, a
     whitespace-separated token by index, or the whole line (column None)."""

@@ -388,22 +388,22 @@ class TestSeasonalBasis:
 class TestBuildCovariates:
     def test_one_row_per_interval_obs(self, mini_dataset):
         ds, _ = mini_dataset
-        rows, warnings = build_covariates(ds)
-        assert len(rows) == len(ds.interval_obs)
+        table, warnings = build_covariates(ds)
+        assert len(table["response"]) == len(ds.interval_obs)
         assert warnings == []
-        for row in rows:
-            assert 0.0 < row.dyr <= 1.0
-            assert math.isfinite(row.cmaq_mean)
-            assert row.cmaq_days_used > 0
-            assert row.pop_density > 0
+        for j in range(len(table["response"])):
+            assert 0.0 < table["dyr"][j] <= 1.0
+            assert math.isfinite(table["cmaq_mean"][j])
+            assert table["cmaq_days_used"][j] > 0
+            assert table["pop_density"][j] > 0
 
     def test_header_matches_row_width(self, mini_dataset, tmp_path):
         from scarr.covariates import write_covariates
 
         ds, _ = mini_dataset
-        rows, _ = build_covariates(ds)
+        table, _ = build_covariates(ds)
         path = tmp_path / "cov.csv"
-        write_covariates(rows, str(path))
+        write_covariates(table, str(path))
         lines = path.read_text().splitlines()
         width = len(covariate_header())
         assert all(len(line.split(",")) == width for line in lines)
@@ -418,9 +418,9 @@ class TestBuildCovariates:
             return original(dataset, xy, *args)
 
         monkeypatch.setattr(cov, "static_covariates", counted)
-        rows, _ = build_covariates(ds)
+        table, _ = build_covariates(ds)
         ids = list(dict.fromkeys(obs.site_id for obs in ds.interval_obs))
-        assert len(rows) > len(ids)
+        assert len(table["response"]) > len(ids)
         assert calls == [[[ds.sites[sid].x, ds.sites[sid].y] for sid in ids]]
 
     def test_interval_across_the_year_boundary(self, mini_dataset):
@@ -432,11 +432,11 @@ class TestBuildCovariates:
             ds, manifest=dataclasses.replace(ds.manifest, epoch=datetime.date(1993, 12, 25)),
             interval_obs=[IntervalObservation(sid, 1, 14, 10.0)],
         )
-        rows, warnings = build_covariates(shifted)
+        table, warnings = build_covariates(shifted)
         assert warnings == []
-        (row,) = rows
-        assert 0.0 < row.dyr <= 1.0
-        assert row.dyr == 0.5 / 365.0
+        (dyr,) = table["dyr"]
+        assert 0.0 < dyr <= 1.0
+        assert dyr == 0.5 / 365.0
 
     def test_unknown_landuse_code_is_an_error(self, mini_dataset):
         ds, _ = mini_dataset

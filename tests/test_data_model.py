@@ -402,7 +402,9 @@ def _inject(draw, tables):
     elif kind == "fields":
         rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
     else:
-        rows[i][draw(st.integers(1, 2))] = draw(st.sampled_from(["x", "1.5.2", "--1", "N A"]))
+        # a "fields" fault may have cut the row short
+        rows[i][draw(st.integers(1, len(rows[i]) - 1))] = draw(
+            st.sampled_from(["x", "1.5.2", "--1", "N A"]))
 
 
 def _write_tables(draw, root, tables):

@@ -30,8 +30,8 @@ from scarr.step2 import DlmInputs, DlmParams, kalman_filter
 @pytest.fixture(scope="module")
 def mini_fit(mini_dataset):
     ds, _ = mini_dataset
-    rows, _ = cov.build_covariates(ds)
-    design = assemble_design(ds, rows)
+    table, _ = cov.build_covariates(ds)
+    design = assemble_design(ds, table)
     return fit_ols(design.X, design.y, design.names)
 
 

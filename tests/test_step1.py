@@ -534,8 +534,8 @@ def design(mini_dataset):
     from scarr.covariates import build_covariates
 
     ds, _ = mini_dataset
-    rows, _ = build_covariates(ds)
-    return assemble_design(ds, rows)
+    table, _ = build_covariates(ds)
+    return assemble_design(ds, table)
 
 
 class TestAssembleDesign:
@@ -566,8 +566,8 @@ class TestAssembleDesign:
         from scarr.covariates import build_covariates
 
         ds, _ = mini_dataset
-        rows, _ = build_covariates(ds)
-        d = assemble_design(ds, rows, Step1Config(use_quadrants=True))
+        table, _ = build_covariates(ds)
+        d = assemble_design(ds, table, Step1Config(use_quadrants=True))
         assert "ttv_NE" in d.groups and len(d.groups["ttv_NE"]) == 7
         assert "ttv_NE_0-0.5km" in d.names
 
@@ -575,11 +575,37 @@ class TestAssembleDesign:
         from scarr.covariates import build_covariates
 
         ds, _ = mini_dataset
-        rows, _ = build_covariates(ds)
-        rows[0].cmaq_mean = math.nan
-        d = assemble_design(ds, rows)
-        assert len(d.y) == len(rows) - 1
+        table, _ = build_covariates(ds)
+        table["cmaq_mean"][0] = math.nan
+        d = assemble_design(ds, table)
+        assert len(d.y) == len(table["response"]) - 1
         assert any("dropped" in w for w in d.warnings)
+
+    def test_rows_equal_one_site_at_a_time(self, mini_dataset):
+        """Each row of the array-built design has the bits of the per-row
+        reference: one site's ``site_static_covariates``, one interval's
+        seasonal basis and gridded-model mean, through ``design_columns``."""
+        from scarr import covariates as cov
+        from scarr.data_model import interval_mean
+        from scarr.step1 import design_columns
+
+        ds, _ = mini_dataset
+        cfg = Step1Config(use_elevation=True, use_quadrants=True, landuse_combined=False,
+                          landuse_categories=("forest", "developed"),
+                          buffer_radii_km=(0.4, 0.9, 1.7, 2.6, 3.5))
+        spec = cfg.buffer_spec
+        d = assemble_design(ds, build_covariates(ds, spec)[0], cfg)
+        assert len(d.y) == len(ds.interval_obs)
+        segments = cov.segmentize([(p.vertices, p.adt) for p in ds.traffic])
+        for j, obs in enumerate(ds.interval_obs):
+            static = cov.site_static_covariates(ds, ds.sites[obs.site_id], segments, spec)
+            season = cov.seasonal_basis(ds.manifest.dyr(0.5 * (obs.t_start + obs.t_end)))
+            values = design_columns(static, season, spec)
+            series = ds.cmaq.series[int(ds.cmaq.pixel_ids[static["cmaq_index"]])]
+            values["cmaq"], _ = interval_mean(series, obs.t_start, obs.t_end)
+            row = np.array([values[nm] for nm in d.names], dtype=float)
+            assert d.X[j].tobytes() == row.tobytes(), j
+            assert d.y[j] == obs.value
 
     def test_duplicate_intervals_keep_their_own_responses(self, mini_dataset):
         import copy
@@ -593,8 +619,8 @@ class TestAssembleDesign:
                                    first.value + 5.0)
         ds2 = copy.copy(ds)
         ds2.interval_obs = [first, twin]
-        rows, _ = build_covariates(ds2)
-        d = assemble_design(ds2, rows)
+        table, _ = build_covariates(ds2)
+        d = assemble_design(ds2, table)
         assert d.X.shape[0] == 2
         np.testing.assert_array_equal(d.X[0], d.X[1])
         assert list(d.y) == [first.value, first.value + 5.0]
@@ -726,8 +752,8 @@ class TestStepFunction:
         from scarr.covariates import build_covariates
 
         ds, _ = mini_dataset
-        rows, _ = build_covariates(ds)
-        d = assemble_design(ds, rows, Step1Config(use_quadrants=True))
+        table, _ = build_covariates(ds)
+        d = assemble_design(ds, table, Step1Config(use_quadrants=True))
         out = quadrant_step_functions(d)
         assert set(out) == {"NE", "NW", "SW", "SE"}
         for sf in out.values():
