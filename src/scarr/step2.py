@@ -285,22 +285,12 @@ def _quadratic(Q, b, rows) -> float:
     """(u - X b)' V^-1 (u - X b) from the kernel's Q, for coefficients ``b`` on
     the kernel columns ``rows`` and 0 on the other mean column: the residual of
     the GLS fit on both mean columns plus b's distance from it, which keeps its
-    digits near an exact fit and does the same arithmetic for either ``rows``.
-
-    Both terms come from one square root Q_xx = L L', L = V sqrt(lam) from
-    ``eigh``: the residual is Q00 - w'w and the distance is |L'b - w|^2, with
-    w = L^-1 q.  The GLS coefficients themselves are never formed, so when the
-    mean columns are nearly collinear the two terms share w and their rounding
-    cancels.  Directions with lam at or below 2 eps max(lam) are dropped, as a
-    minimum-norm least-squares fit drops them."""
+    digits near an exact fit and does the same arithmetic for either ``rows``."""
     full = np.zeros(2)
     full[[r - 1 for r in rows]] = b
-    lam, vecs = np.linalg.eigh(Q[1:, 1:])
-    keep = lam > 2.0 * np.finfo(float).eps * lam.max()
-    root = np.sqrt(lam[keep])
-    w = (vecs.T @ Q[1:, 0])[keep] / root
-    d = root * (vecs.T @ full)[keep] - w
-    return (Q[0, 0] - w @ w) + d @ d
+    b_hat = np.linalg.lstsq(Q[1:, 1:], Q[1:, 0], rcond=None)[0]
+    d = full - b_hat
+    return (Q[0, 0] - Q[1:, 0] @ b_hat) + d @ Q[1:, 1:] @ d
 
 
 def _full_nll(stats, n_obs: int, sigma_z: float, b, rows) -> float:
