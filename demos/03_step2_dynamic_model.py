@@ -18,9 +18,9 @@ frac_missing = float(np.mean(~np.isfinite(inputs.y)))
 print(f"simulated {inputs.n_days} days x {inputs.n_sites} sites "
       f"({frac_missing:.1%} missing)")
 
-# Maximum likelihood by prediction-error decomposition.  The state is
-# scalar, so each day's update is closed-form in three sufficient
-# statistics and the full likelihood costs O(T).
+# Maximum likelihood over (q, psi_a), with the other parameters in closed
+# form: the AR(1) precision is tridiagonal, so each evaluation is one
+# tridiagonal factorization and the full likelihood costs O(T).
 fit = fit_mle(inputs, gamma_hat=truth.gamma_hat)
 print("\nestimates (truth in parentheses):")
 for nm, true_val in (("sigma_z", 3.0), ("sigma_a", 4.0),

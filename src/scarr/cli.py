@@ -168,20 +168,19 @@ def cmd_predict(args) -> int:
     out, kv, cfg, targets, params, state = _prediction_setup(
         args, lambda dataset: dataset.sites_with_role("prediction"))
     dataset = targets.dataset
-    sites = sorted(
-        dataset.sites_with_role("dense_time") + dataset.sites_with_role("prediction"),
-        key=lambda s: s.id,
-    )
-    preds = []
-    for site in sites:
-        p = prediction.predict_site(site.id, params, state, *targets.site(site.id))
-        if not p.n_days:
-            raise DataError(f"predict: no usable days for site {site.id}")
-        preds.append(p)
+    ids = sorted(s.id for s in dataset.sites_with_role("dense_time")
+                 + dataset.sites_with_role("prediction"))
+    c_tilde, y1, outside = targets.sites(ids)
+    errors = prediction.without_prediction(ids, outside, c_tilde, np.isfinite(y1))
+    for j in np.flatnonzero(~np.isfinite(y1).any(axis=1)).tolist():
+        errors.setdefault(j, DataError(f"predict: no usable days for site {ids[j]}"))
+    if errors:
+        raise errors[min(errors)]
+    pred, half = prediction.predict_site(params, state, c_tilde, y1)
     prediction.write_site_predictions(
-        preds, os.path.join(out, "site_predictions.csv"), _header(kv)
+        ids, pred, half, os.path.join(out, "site_predictions.csv"), _header(kv)
     )
-    _log(f"predict: wrote daily predictions for {len(preds)} sites")
+    _log(f"predict: wrote daily predictions for {len(ids)} sites")
 
     if cfg.grid_days:
         grids = prediction.predict_grid(
@@ -195,39 +194,31 @@ def cmd_predict(args) -> int:
 
 def _compute_metrics(targets, params, state):
     """Predictions against the dense sites' daily series and the interval
-    observations, next to the raw gridded values y1 on the same days."""
+    observations, next to the raw gridded values y1 on the same days.  An
+    interval site without a prediction is skipped, with its reason logged."""
     dataset = targets.dataset
+    dense = [j for j, site in enumerate(targets.dense) if site.id in dataset.daily_series]
+    ids = [targets.dense[j].id for j in dense] + [s.id for s in cov.interval_sites(dataset)]
+    c_tilde, y1, outside = targets.sites(ids)
+    errors = prediction.without_prediction(ids, outside, c_tilde, np.isfinite(y1))
+    for j, exc in errors.items():
+        if j < len(dense):
+            raise exc
+        _log(f"validate: interval site {ids[j]} skipped: {exc}")
+    pred, _ = prediction.predict_site(params, state, c_tilde, y1)
 
-    def predict(site):
-        c_tilde, y1 = targets.site(site.id)
-        p = prediction.predict_site(site.id, params, state, c_tilde, y1)
-        return p, y1[p.days - 1]
-
-    predictions, observations, raw = {}, {}, {}
-    for site in targets.dense:
-        ser = dataset.daily_series.get(site.id)
-        if ser is not None:
-            p, y1 = predict(site)
-            predictions[site.id] = (p.days, p.pred)
-            observations[site.id] = (ser.days, ser.values)
-            raw[site.id] = (p.days, y1)
-
-    at_site = {}
-    for site in cov.interval_sites(dataset):
-        try:
-            at_site[site.id] = predict(site)
-        except DataError as exc:  # e.g. outside every census tract
-            _log(f"validate: interval site {site.id} skipped: {exc}")
+    row = {sid: j for j, sid in enumerate(ids) if j not in errors}
     interval_pairs, raw_pairs = [], []
     for obs in dataset.interval_obs:
-        if obs.site_id in at_site:
-            p, y1 = at_site[obs.site_id]
-            window = (p.days >= obs.t_start) & (p.days <= obs.t_end)
-            if window.any():
-                interval_pairs.append((float(np.mean(p.pred[window])), obs.value))
-                raw_pairs.append((float(np.mean(y1[window])), obs.value))
+        if obs.site_id in row:
+            window = np.s_[row[obs.site_id], max(obs.t_start - 1, 0):obs.t_end]
+            present = np.isfinite(pred[window])
+            if present.any():
+                interval_pairs.append((float(np.mean(pred[window][present])), obs.value))
+                raw_pairs.append((float(np.mean(y1[window][present])), obs.value))
+    n = len(dense)
     return prediction.metrics(
-        predictions, observations, raw, interval_pairs, raw_pairs
+        ids[:n], pred[:n], targets.observed[dense], y1[:n], interval_pairs, raw_pairs
     )
 
 

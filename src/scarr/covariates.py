@@ -273,9 +273,10 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     site_of_row, columns, warnings = [], [], []
     for obs in dataset.interval_obs:
         j = index[obs.site_id]
+        if math.isnan(static["pop_density"][j]):
+            warnings.append(str(outside_tracts(obs.site_id)))
+            continue
         try:
-            if math.isnan(static["pop_density"][j]):
-                raise outside_tracts(obs.site_id)
             dyr = dataset.manifest.dyr(0.5 * (obs.t_start + obs.t_end))
             cmaq_mean, n_used, k = math.nan, 0, static["cmaq_index"][j]
             ser = dataset.cmaq.series.get(int(dataset.cmaq.pixel_ids[k])) if k >= 0 else None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scarr import covariates as cov
-from scarr.data_model import Dataset, RasterGrid, group_columns, write_raster, write_table
+from scarr.data_model import Dataset, RasterGrid, write_raster, write_table
 from scarr.errors import DataError
 from scarr.step1 import StepOneFit, additive_bias_c_tilde, design_columns
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter, kalman_smoother
@@ -42,20 +42,24 @@ class Targets:
     covariates and each day's seasonal basis, y1 from their nearest coarse
     pixel (NaN where that has no value).  The offsets over days 1..T of the
     dense-time sites and of ``sites`` come from one ``static_covariates``
-    call here; ``site`` reads them.
+    call here, and the method ``sites`` reads their rows by id.  ``observed``
+    holds the dense-time sites' daily series, (n_dense, T), NaN where missing.
     """
 
     def __init__(self, dataset: Dataset, fit: StepOneFit, sites=()):
         self.dense = sorted(dataset.sites_with_role("dense_time"), key=lambda s: s.id)
         if not self.dense:
             raise DataError("no dense_time sites in dataset")
-        series = list(dataset.cmaq.series.values())
-        series += [dataset.daily_series[s.id] for s in self.dense
-                   if s.id in dataset.daily_series]
+        observed = {j: dataset.daily_series[s.id] for j, s in enumerate(self.dense)
+                    if s.id in dataset.daily_series}
+        series = [*dataset.cmaq.series.values(), *observed.values()]
         T = max((int(ser.days.max()) for ser in series if ser.days.size), default=0)
         if T == 0:
             raise DataError("no daily data present")
         self.dataset, self.fit, self.n_days = dataset, fit, T
+        self.observed = np.full((len(self.dense), T), np.nan)
+        for j, ser in observed.items():
+            self.observed[j, ser.days - 1] = ser.values
         self.segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
         self.season = np.array(
             [cov.seasonal_basis(dataset.manifest.dyr(d)) for d in range(1, T + 1)]
@@ -83,12 +87,12 @@ class Targets:
         y1 = self.coarse[:, idx][static["cmaq_index"]]
         return c_tilde_for_day(self.fit, static, self.season[idx]), y1
 
-    def site(self, site_id: str):
-        """(c_tilde, y1) over days 1..T at a dense-time site or one of ``sites``."""
-        j = self._row[site_id]
-        if self._outside[j]:
-            raise cov.outside_tracts(site_id)
-        return self._offsets[0][j], self._offsets[1][j]
+    def sites(self, site_ids):
+        """(c_tilde, y1, outside) at dense-time sites or ones of ``sites``, a
+        row per id in ``site_ids`` order: offsets (N, T) over days 1..T, and
+        whether each site lies outside every census tract."""
+        rows = [self._row[sid] for sid in site_ids]
+        return self._offsets[0][rows], self._offsets[1][rows], self._outside[rows]
 
 
 def build_dlm_inputs(targets: Targets) -> DlmInputs:
@@ -97,29 +101,12 @@ def build_dlm_inputs(targets: Targets) -> DlmInputs:
     Days where the gridded-model value is unavailable have the observation
     masked as missing as well.
     """
-    dataset, T, n = targets.dataset, targets.n_days, len(targets.dense)
-    y = np.full((T, n), np.nan)
-    c_t = np.empty((T, n))
-    y1 = np.empty((T, n))
-    for j, site in enumerate(targets.dense):
-        c_t[:, j], y1[:, j] = targets.site(site.id)
-        ser = dataset.daily_series.get(site.id)
-        if ser is not None:
-            y[ser.days - 1, j] = ser.values
-    y[~np.isfinite(y1)] = np.nan
-    return DlmInputs(y=y, c_tilde=c_t, y1=y1)
-
-
-@dataclass
-class SitePrediction:
-    site_id: str
-    days: np.ndarray
-    pred: np.ndarray
-    ci_half: np.ndarray
-
-    @property
-    def n_days(self) -> int:
-        return len(self.days)
+    ids = [site.id for site in targets.dense]
+    c_tilde, y1, outside = targets.sites(ids)
+    if outside.any():
+        raise cov.outside_tracts(ids[int(np.argmax(outside))])
+    y = np.where(np.isfinite(y1), targets.observed, np.nan)
+    return DlmInputs(y=y.T, c_tilde=c_tilde.T, y1=y1.T)
 
 
 @dataclass(frozen=True)
@@ -144,29 +131,41 @@ def state_path(params: DlmParams, inputs: DlmInputs, smoothed: bool = False):
     return est.filtered_mean, est.filtered_var
 
 
-def _missing_bias(target_id: str) -> DataError:
-    return DataError(f"predict_site: missing additive bias at {target_id}")
+def without_prediction(target_ids, outside, c_tilde, has_y1) -> dict:
+    """{index: DataError} for each of N targets that has no prediction, in
+    index order.  The reasons, in this order: the target lies outside every
+    census tract (``outside``, (N,)), or its additive bias is missing on a day
+    that has a gridded value (``has_y1``, which broadcasts against the (N, D)
+    ``c_tilde``).  ``target_ids[j]`` names target j in the error."""
+    failed = outside | np.any(has_y1 & ~np.isfinite(c_tilde), axis=1)
+    return {
+        j: cov.outside_tracts(target_ids[j]) if outside[j]
+        else DataError(f"predict_site: missing additive bias at {target_ids[j]}")
+        for j in np.flatnonzero(failed).tolist()
+    }
 
 
-def predict_site(site_id: str, params: DlmParams, state, c_tilde, y1) -> SitePrediction:
-    """Prediction ``(a + beta_c*c_tilde) + gamma_hat*y1`` and its 95% CI
-    half-width at a target, on the days where y1 is present.  The target is an
-    always-missing observation column, so ``state = (mean, variance)`` is the
-    shared state path; the interval adds the observation noise.
+def predict_site(params: DlmParams, state, c_tilde, y1, days=None):
+    """Predictions ``(a + beta_c*c_tilde) + gamma_hat*y1`` and their 95% CI
+    half-widths at N targets on D days: two (N, D) arrays, NaN where y1 is
+    missing.  The offsets cover days 1..T, or ``days`` when given.  Each
+    target is an always-missing observation column, so ``state = (mean,
+    variance)`` is the shared state path; the interval adds the observation
+    noise.
     """
     a_mean, a_var = state
-    if len(c_tilde) != len(a_mean) or len(y1) != len(a_mean):
+    if days is not None:
+        idx = np.asarray(days) - 1
+        a_mean, a_var = a_mean[idx], a_var[idx]
+    if c_tilde.shape[-1] != len(a_mean) or y1.shape[-1] != len(a_mean):
         raise DataError(
-            f"predict_site: offsets span {len(y1)} days, not the fitted range "
+            f"predict_site: offsets span {y1.shape[-1]} days, not the fitted range "
             f"of {len(a_mean)}"
         )
-    idx = np.flatnonzero(np.isfinite(y1))
-    c = np.asarray(c_tilde)[idx]
-    if not np.all(np.isfinite(c)):
-        raise _missing_bias(site_id)
-    pred = a_mean[idx] + params.beta_c * c + params.gamma_hat * y1[idx]
-    half = 1.96 * np.sqrt(np.clip(a_var[idx] + params.sigma_z**2, 0.0, None))
-    return SitePrediction(site_id, idx + 1, pred, half)
+    missing = ~np.isfinite(y1)
+    pred = a_mean + params.beta_c * c_tilde + params.gamma_hat * y1
+    half = 1.96 * np.sqrt(np.clip(a_var + params.sigma_z**2, 0.0, None))
+    return np.where(missing, np.nan, pred), np.where(missing, np.nan, half)
 
 
 def predict_grid(
@@ -209,24 +208,21 @@ def predict_grid(
     half_cell = cmaq.cell_size / 2.0
     covered = ((np.abs(cmaq.xs[k] - xy[:, 0]) <= half_cell)
                & (np.abs(cmaq.ys[k] - xy[:, 1]) <= half_cell))
-    # predict_site's reasons, in its order; c-tilde is non-finite on every day
+    # a pixel is a target over days 1..T: c-tilde is non-finite on every day
     # or on none, and is needed when y1 is present on any day
-    no_tract = covered & np.isnan(static["pop_density"])
-    failed = no_tract | (covered & ~np.isfinite(c_tilde).all(axis=1)
-                         & np.isfinite(targets.coarse).any(axis=1)[k])
-    a_mean, _ = state
-    pred = a_mean[np.asarray(days) - 1] + params.beta_c * c_tilde + params.gamma_hat * y1
-    values = np.where((covered & ~failed)[:, None] & np.isfinite(y1), pred, nodata)
+    has_y1 = (covered & np.isfinite(targets.coarse).any(axis=1)[k])[:, None]
+    names = ["px_%d_%d" % divmod(j, n_cols) for j in range(len(xy))]
+    failed = without_prediction(names, covered & np.isnan(static["pop_density"]),
+                                c_tilde, has_y1)
+    ok = covered.copy()
+    ok[list(failed)] = False
+    pred, _ = predict_site(params, state, c_tilde, y1, days)
+    values = np.where(ok[:, None] & np.isfinite(y1), pred, nodata)
     for j, d in enumerate(days):
         grids[d].values[:] = values[:, j].reshape(n_rows, n_cols)
-    outside, n_failed = int(np.sum(~covered)), int(np.sum(failed))
+    outside, n_failed = int(np.sum(~covered)), len(failed)
     if outside or n_failed:
-        first = ""
-        if n_failed:
-            j = int(np.argmax(failed))
-            pixel = "px_%d_%d" % divmod(j, n_cols)
-            reason = cov.outside_tracts(pixel) if no_tract[j] else _missing_bias(pixel)
-            first = f" (first: {reason})"
+        first = f" (first: {next(iter(failed.values()))})" if failed else ""
         _LOG.info("%d of %d raster pixels nodata: %d outside the coarse grid, %d without a "
                   "prediction%s", outside + n_failed, n_cols * n_rows, outside, n_failed, first)
     return grids
@@ -249,40 +245,31 @@ def pearson_r(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def metrics(
-    predictions: dict,
-    observations: dict,
-    raw: dict | None = None,
+    site_ids,
+    pred: np.ndarray,
+    obs: np.ndarray,
+    raw: np.ndarray | None = None,
     interval_pairs=None,
     raw_interval_pairs=None,
 ) -> MetricsReport:
     """Per-site correlation and MSE, plus MSPE over interval observations.
 
-    predictions/observations/raw map site_id -> (days, values) aligned
-    arrays (NaN = missing); interval_pairs is a list of
-    (predicted interval mean, observed interval value).
+    pred/obs/raw are (N, T) arrays on one day axis, a row per site of
+    ``site_ids`` (NaN = missing); interval_pairs is a list of (predicted
+    interval mean, observed interval value).
     """
     per_site = {}
-    for sid, (days_p, vals_p) in predictions.items():
-        if sid not in observations:
-            continue
-        days_o, vals_o = observations[sid]
-        common = np.intersect1d(days_p, days_o)
-        ip = np.searchsorted(days_p, common)
-        io = np.searchsorted(days_o, common)
-        vp, vo = np.asarray(vals_p)[ip], np.asarray(vals_o)[io]
-        ok = np.isfinite(vp) & np.isfinite(vo)
+    for i, sid in enumerate(site_ids):
+        ok = np.isfinite(pred[i]) & np.isfinite(obs[i])
         if not ok.any():
             raise DataError(f"metrics: no overlapping days for site {sid}")
-        vp, vo = vp[ok], vo[ok]
+        vp, vo = pred[i][ok], obs[i][ok]
         entry = {
             "mse": float(np.mean((vp - vo) ** 2)),
             "r": pearson_r(vp, vo) if len(vp) >= 2 else math.nan,
-            "n": int(len(vp)),
         }
-        if raw and sid in raw:
-            days_r, vals_r = raw[sid]
-            ir = np.searchsorted(days_r, common)
-            vr = np.asarray(vals_r)[ir][ok]
+        if raw is not None:
+            vr = raw[i][ok]
             ok_r = np.isfinite(vr)
             entry["mse_raw"] = float(np.mean((vr[ok_r] - vo[ok_r]) ** 2))
             entry["r_raw"] = (
@@ -299,11 +286,13 @@ def metrics(
     return report
 
 
-def write_site_predictions(preds, path: str, header_lines=()) -> None:
-    columns = group_columns(
-        (p.site_id, (p.days, p.pred, p.pred - p.ci_half, p.pred + p.ci_half)) for p in preds
-    )
-    write_table(path, ("site_id", "day", "pred", "ci_lo", "ci_hi"), columns, header_lines)
+def write_site_predictions(site_ids, pred, half, path: str, header_lines=()) -> None:
+    """A row per finite entry of the (N, T) ``pred``, site by site in
+    ``site_ids`` order and day by day, with its 95% interval."""
+    site, day = np.nonzero(np.isfinite(pred))
+    p, h = pred[site, day], half[site, day]
+    write_table(path, ("site_id", "day", "pred", "ci_lo", "ci_hi"),
+                (np.asarray(site_ids)[site], day + 1, p, p - h, p + h), header_lines)
 
 
 def write_metrics(report: MetricsReport, path: str, header_lines=()) -> None:

@@ -562,7 +562,10 @@ def assemble_design(dataset, table, config: Step1Config = Step1Config()) -> Desi
 
 
 def collinearity_report(X: np.ndarray, names, threshold: float = 0.85):
-    """Pairs of columns with |pairwise correlation| above the threshold."""
+    """Pairs of columns with |pairwise correlation| above the threshold;
+    none for a design of fewer than two rows."""
+    if len(X) < 2:
+        return []
     out = []
     with np.errstate(invalid="ignore", divide="ignore"):
         for i in range(len(names)):

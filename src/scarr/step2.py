@@ -70,9 +70,11 @@ class DlmInputs:
     y1: np.ndarray  # (T, n) gridded-model values, never missing where y present
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.c_tilde = np.asarray(self.c_tilde, dtype=float)
-        self.y1 = np.asarray(self.y1, dtype=float)
+        # C order whatever the caller's layout: the kernel's reductions, and
+        # so the fitted bits, follow the memory order
+        self.y = np.ascontiguousarray(self.y, dtype=float)
+        self.c_tilde = np.ascontiguousarray(self.c_tilde, dtype=float)
+        self.y1 = np.ascontiguousarray(self.y1, dtype=float)
         if not (self.y.shape == self.c_tilde.shape == self.y1.shape):
             raise DataError("DlmInputs arrays must share one (T, n) shape")
         if self.y.ndim != 2:

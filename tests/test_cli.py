@@ -282,6 +282,47 @@ def test_features_logs_its_row_count(tmp_path, capsys):
     assert "features: wrote 40 covariate rows" in capsys.readouterr().err.splitlines()
 
 
+#: SHA-256 of each prediction product on data/mini, without its ``#`` header
+#: lines, filtered and ``--smoothed``: a 4 x 4 raster whose left column and
+#: top row lie off the coarse grid, on days 7 and 30.
+PREDICTION_DIGESTS = {
+    "filtered": {
+        "site_predictions.csv":
+            "788c0c6aabd165ea1d494627573ebeccef880ca75f587cf8b85a321d6793d2a2",
+        "rasters/no2_day0007.asc":
+            "361829bc80ea25b1f543c871d13f4e90ef7da019566bb1b53d60c807891b826b",
+        "rasters/no2_day0030.asc":
+            "a582375262a271f0f39650b3dd1a5a4948bb43b614a13306b3ff19a8577fe93f",
+    },
+    "smoothed": {
+        "site_predictions.csv":
+            "64a0119a5c7b1a09c9e9ccd6a8d47dc2729c7e7057a13a9e4ee958cc32e6c452",
+        "rasters/no2_day0007.asc":
+            "ae5be293e9946c8a67b7ca9dc50f4d54526d4b9c6865098fa71823a773f68bc6",
+        "rasters/no2_day0030.asc":
+            "660462fde5bc893ae5722c84694bc02c3e6007a9c891db0eb1ef3f2e6dd58ec3",
+    },
+}
+
+
+def test_prediction_products_are_pinned(tmp_path):
+    import hashlib
+
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "predict_config.txt"
+    cfg.write_text("grid_days=7 30\ngrid_ncols=4\ngrid_nrows=4\ngrid_cell_size=12000\n"
+                   "grid_xll=-9000\ngrid_yll=9000\n")
+    for command in ("fit-step1", "fit-step2"):
+        assert main([command, MINI, "--out", out]) == 0
+    for kind, digests in PREDICTION_DIGESTS.items():
+        flags = ["--smoothed"] if kind == "smoothed" else []
+        assert main(["predict", MINI, "--out", out, "--config", str(cfg), *flags]) == 0
+        for name, want in digests.items():
+            with open(os.path.join(out, name), "rb") as fh:
+                body = b"".join(line for line in fh if not line.startswith(b"#"))
+            assert hashlib.sha256(body).hexdigest() == want, (kind, name)
+
+
 def _edit_line(path, line, column, text):
     """Set one field of line ``line`` (1-based): a CSV column by name, a
     whitespace-separated token by index, or the whole line (column None)."""
@@ -489,6 +530,10 @@ def test_validate_names_interval_site_it_skips(tmp_path, capsys):
     _edit_line(str(d / "sites.csv"), 2, "x", "-500000.0")
     with open(d / "sites.csv") as fh:
         site_id = fh.read().split("\n")[1].split(",")[0]
+    capsys.readouterr()
+    assert main(["features", str(d)]) == 0
+    assert (f"features: warning: site {site_id}: outside all census tracts"
+            in capsys.readouterr().err.splitlines())
     for command in ("fit-step1", "fit-step2"):
         assert main([command, str(d)]) == 0
     capsys.readouterr()

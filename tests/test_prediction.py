@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scarr import covariates as cov
+from scarr.cli import _compute_metrics
 from scarr.data_model import RasterGrid
 from scarr.errors import DataError
 from scarr.prediction import (
@@ -22,6 +23,7 @@ from scarr.prediction import (
     write_metrics,
     write_prediction_rasters,
     write_site_predictions,
+    without_prediction,
 )
 from scarr.step1 import assemble_design, design_columns, fit_ols
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter
@@ -205,52 +207,57 @@ class TestAugmentation:
     def test_predict_site_is_state_plus_offset(self, rng):
         params, inputs = small_state_problem(rng)
         T = inputs.n_days
-        c_new = rng.normal(4, 1, size=T)
-        y1_new = rng.uniform(2, 15, size=T)
+        c_new = rng.normal(4, 1, size=(2, T))
+        y1_new = rng.uniform(2, 15, size=(2, T))
         a_mean, a_var = state_path(params, inputs)
-        p = predict_site("new", params, (a_mean, a_var), c_new, y1_new)
+        pred, half = predict_site(params, (a_mean, a_var), c_new, y1_new)
         expected = a_mean + params.beta_c * c_new + params.gamma_hat * y1_new
-        np.testing.assert_array_equal(p.days, np.arange(1, T + 1))
-        np.testing.assert_allclose(p.pred, expected, rtol=1e-12)
+        assert pred.shape == half.shape == (2, T) and np.isfinite(pred).all()
+        np.testing.assert_allclose(pred, expected, rtol=1e-12)
         np.testing.assert_allclose(
-            p.ci_half, 1.96 * np.sqrt(a_var + params.sigma_z**2), rtol=1e-12
+            half, np.tile(1.96 * np.sqrt(a_var + params.sigma_z**2), (2, 1)), rtol=1e-12
         )
 
     def test_smoothed_option(self, rng):
         params, inputs = small_state_problem(rng)
         T = inputs.n_days
-        c_new = np.zeros(T)
-        y1_new = np.ones(T)
+        c_new = np.zeros((1, T))
+        y1_new = np.ones((1, T))
         filtered = state_path(params, inputs, smoothed=False)
         smoothed = state_path(params, inputs, smoothed=True)
-        pf = predict_site("new", params, filtered, c_new, y1_new)
-        ps = predict_site("new", params, smoothed, c_new, y1_new)
-        assert not np.allclose(pf.pred, ps.pred)
+        pf, _ = predict_site(params, filtered, c_new, y1_new)
+        ps, _ = predict_site(params, smoothed, c_new, y1_new)
+        assert not np.allclose(pf, ps)
 
     def test_day_outside_range(self, rng):
         params, inputs = small_state_problem(rng)
         state = state_path(params, inputs)
         with pytest.raises(DataError, match="fitted range"):
-            predict_site("new", params, state, np.zeros(31), np.ones(31))
+            predict_site(params, state, np.zeros((1, 31)), np.ones((1, 31)))
 
     def test_predict_series_rejects_missing_offsets(self, rng):
         params, inputs = small_state_problem(rng)
-        state = state_path(params, inputs)
-        c_new = np.zeros(inputs.n_days)
-        c_new[3] = np.nan
-        with pytest.raises(DataError, match="missing additive bias"):
-            predict_site("new", params, state, c_new, np.ones(inputs.n_days))
+        T = inputs.n_days
+        c_new = np.zeros((2, T))
+        c_new[1, 3] = np.nan
+        errors = without_prediction(["ok", "new"], np.array([False, False]), c_new,
+                                    np.ones((2, T), dtype=bool))
+        assert list(errors) == [1]
+        assert re.search("missing additive bias at new", str(errors[1]))
 
     def test_only_days_with_gridded_value(self, rng):
         params, inputs = small_state_problem(rng)
         T = inputs.n_days
-        y1_new = np.ones(T)
-        y1_new[[0, 5]] = np.nan
-        c_new = np.zeros(T)
-        c_new[5] = np.nan  # no prediction on day 6, so no bias needed there
-        p = predict_site("new", params, state_path(params, inputs), c_new, y1_new)
-        assert 1 not in p.days and 6 not in p.days
-        assert p.n_days == T - 2
+        y1_new = np.ones((1, T))
+        y1_new[0, [0, 5]] = np.nan
+        c_new = np.zeros((1, T))
+        c_new[0, 5] = np.nan  # no prediction on day 6, so no bias needed there
+        assert without_prediction(["new"], np.array([False]), c_new, np.isfinite(y1_new)) == {}
+        pred, half = predict_site(params, state_path(params, inputs), c_new, y1_new)
+        days = np.flatnonzero(np.isfinite(pred[0])) + 1
+        assert 1 not in days and 6 not in days
+        assert len(days) == T - 2
+        np.testing.assert_array_equal(np.isfinite(half), np.isfinite(pred))
 
 
 class TestPredictGrid:
@@ -337,10 +344,9 @@ class TestPredictGrid:
             )
             for i, (px, py) in enumerate(grids[7].centroids()):
                 static = cov.static_covariates(ds, [(px, py)], targets.segments, mini_fit.spec)
-                c_tilde, y1 = targets.offsets(static)
-                p = predict_site("p", params, state, c_tilde[0], y1[0])
+                pred, _ = predict_site(params, state, *targets.offsets(static))
                 for d in (7, 30):
-                    assert grids[d].values.flat[i] == p.pred[list(p.days).index(d)]
+                    assert grids[d].values.flat[i] == pred[0, d - 1]
 
     def test_pixel_offsets_on_grid_days_only(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset
@@ -375,31 +381,47 @@ class TestMetrics:
         assert math.isnan(pearson_r(a, np.ones(3)))
 
     def test_hand_example(self):
-        days = np.arange(1, 5)
-        preds = {"s": (days, np.array([1.0, 2.0, 3.0, 4.0]))}
-        obs = {"s": (days, np.array([1.0, 2.0, 3.0, 8.0]))}
-        raw = {"s": (days, np.array([0.0, 0.0, 0.0, 0.0]))}
-        rep = metrics(preds, obs, raw, interval_pairs=[(2.0, 3.0), (4.0, 4.0)])
+        preds = np.array([[1.0, 2.0, 3.0, 4.0]])
+        obs = np.array([[1.0, 2.0, 3.0, 8.0]])
+        raw = np.zeros((1, 4))
+        rep = metrics(["s"], preds, obs, raw, interval_pairs=[(2.0, 3.0), (4.0, 4.0)])
         assert rep.per_site["s"]["mse"] == pytest.approx(16.0 / 4)
         assert rep.per_site["s"]["mse_raw"] == pytest.approx((1 + 4 + 9 + 64) / 4)
         assert rep.mspe == pytest.approx(0.5)
 
     def test_missing_overlap_raises(self):
-        preds = {"s": (np.array([1, 2]), np.array([np.nan, np.nan]))}
-        obs = {"s": (np.array([1, 2]), np.array([1.0, 2.0]))}
         with pytest.raises(DataError, match="no overlapping days"):
-            metrics(preds, obs)
+            metrics(["s"], np.array([[np.nan, np.nan]]), np.array([[1.0, 2.0]]))
 
-    def test_skips_sites_without_observations(self):
-        preds = {"s": (np.array([1]), np.array([1.0]))}
-        rep = metrics(preds, {})
-        assert rep.per_site == {}
+    def test_skips_sites_without_observations(self, mini_dataset, mini_fit):
+        ds, _ = mini_dataset
+        dropped = sorted(ds.daily_series)[0]
+        ds = dataclasses.replace(
+            ds, daily_series={k: v for k, v in ds.daily_series.items() if k != dropped})
+        targets = Targets(ds, mini_fit, cov.interval_sites(ds))
+        params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
+        rep = _compute_metrics(targets, params, state_path(params, build_dlm_inputs(targets)))
+        assert dropped in [s.id for s in targets.dense]
+        assert sorted(rep.per_site) == sorted(ds.daily_series)
+
+    def test_interval_past_the_record_end(self, mini_dataset, mini_fit):
+        """An interval that runs past day T is averaged over its days up to T."""
+        ds, _ = mini_dataset
+        late = dataclasses.replace(ds.interval_obs[0], t_start=85, t_end=120)
+        ds = dataclasses.replace(ds, interval_obs=[late])
+        targets = Targets(ds, mini_fit, cov.interval_sites(ds))
+        params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
+        state = state_path(params, build_dlm_inputs(targets))
+        rep = _compute_metrics(targets, params, state)
+        c_tilde, y1, _ = targets.sites([late.site_id])
+        pred, _ = predict_site(params, state, c_tilde, y1)
+        assert targets.n_days == 90 and np.isfinite(pred[0, 84:]).all()
+        assert rep.mspe == (float(np.mean(pred[0, 84:])) - late.value) ** 2
+        assert rep.mspe_raw == (float(np.mean(y1[0, 84:])) - late.value) ** 2
 
     def test_metrics_csv_format(self, tmp_path):
-        days = np.arange(1, 4)
         rep = metrics(
-            {"s": (days, np.array([1.0, 2.0, 3.0]))},
-            {"s": (days, np.array([1.0, 2.5, 3.0]))},
+            ["s"], np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.5, 3.0]]),
             interval_pairs=[(1.0, 2.0)],
         )
         path = tmp_path / "metrics.csv"
@@ -412,16 +434,17 @@ class TestMetrics:
     def test_site_predictions_csv(self, tmp_path, rng):
         params, inputs = small_state_problem(rng)
         T = inputs.n_days
-        p = predict_site("s1", params, state_path(params, inputs), np.zeros(T), np.ones(T))
+        pred, half = predict_site(params, state_path(params, inputs), np.zeros((1, T)),
+                                  np.ones((1, T)))
         path = tmp_path / "preds.csv"
-        write_site_predictions([p], str(path))
+        write_site_predictions(["s1"], pred, half, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "site_id,day,pred,ci_lo,ci_hi"
         assert len(lines) == T + 1
         first = lines[1].split(",")
         assert first[0] == "s1" and first[1] == "1"
         assert float(first[2]) - float(first[3]) == pytest.approx(
-            float(p.ci_half[0]), rel=1e-9
+            float(half[0, 0]), rel=1e-9
         )
 
 

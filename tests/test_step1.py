@@ -631,6 +631,11 @@ class TestAssembleDesign:
         pairs = collinearity_report(X, ["a", "b", "c"], threshold=0.85)
         assert [(p[0], p[1]) for p in pairs] == [("a", "b")]
 
+    def test_collinearity_report_on_empty_design(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert collinearity_report(np.empty((0, 3)), ["a", "b", "c"]) == []
+
 
 def synthetic_ring_design(rng, n=300, active=(1.0, 0.6), n_rings=4, noise=0.5):
     """Design whose TTV effect is confined to the innermost len(active) rings."""

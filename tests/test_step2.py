@@ -541,3 +541,11 @@ class TestConfigAndSerialization:
         assert lines[0] == "day,filtered_mean,filtered_var,smoothed_mean,smoothed_var"
         assert len(lines) == 6
         assert lines[1].startswith("1,")
+
+
+def test_fit_does_not_depend_on_memory_order():
+    """Step II stores its inputs C-contiguous, so Fortran-order copies of the
+    same arrays fit to the same bits."""
+    inputs, _ = simulate_step2_series(T=1825, n=4, seed=3)
+    fortran = DlmInputs(*(np.asfortranarray(a) for a in (inputs.y, inputs.c_tilde, inputs.y1)))
+    assert repr(fit_mle(fortran, gamma_hat=0.5)) == repr(fit_mle(inputs, gamma_hat=0.5))
