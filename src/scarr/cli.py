@@ -96,7 +96,7 @@ def cmd_fit_step1(args) -> int:
         _log(f"fit-step1: warning: {w}")
     if design.rank_deficient:
         raise DataError("design matrix is rank deficient")
-    report = step1.collinearity_report(design.X, design.names, cfg.collinearity_threshold)
+    report = step1.collinearity_report(design.X, design.names)
     for a, b, r in report:
         _log(f"fit-step1: collinearity |r|={abs(r):.3f} between {a} and {b}")
     _, fit = step1.fit_design(design, cfg)
@@ -122,7 +122,7 @@ def cmd_fit_step2(args) -> int:
     cfg = parse_config(step2.Step2Config, kv)
     inputs = prediction.build_dlm_inputs(prediction.Targets(dataset, s1fit))
     _log(f"fit-step2: {inputs.n_sites} sites x {inputs.n_days} days")
-    params = step2.fit_mle(inputs, gamma_hat=step1.gamma_hat(s1fit), config=cfg)
+    params = step2.fit_mle(inputs, gamma_hat=step1.gamma_hat(s1fit), drop_mu_a=cfg.drop_mu_a)
     step2.write_step2_fit(params, os.path.join(out, "step2_fit.txt"), _header(kv))
     est = step2.kalman_smoother(params, inputs)
     step2.write_state_path(est, os.path.join(out, "state_path.csv"), _header(kv))
@@ -251,9 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"scarr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
-        if dataset:
-            p.add_argument("dataset", help="dataset directory")
+    def common(p):
+        p.add_argument("dataset", help="dataset directory")
         p.add_argument("--out", help="output directory (default: <dataset>/out)")
         p.add_argument("--config", help="config file overriding the dataset's")
 

@@ -34,6 +34,9 @@ LANDUSE_CATEGORIES = ("developed", "forest", "other")
 #: Rings used for land-use areas (first three buffer radii).
 N_LANDUSE_RINGS = 3
 
+#: Length (m) of the pieces ``segmentize`` cuts a traffic polyline into.
+SEGMENT_LENGTH_M = 50.0
+
 
 class TrafficSegment(NamedTuple):
     """One row of the ``segmentize`` table."""
@@ -67,10 +70,10 @@ class BufferSpec:
         return np.where(k < self.n_rings, k, -1)
 
 
-def segmentize(polylines, target_len: float = 50.0) -> np.ndarray:
-    """Split (vertices, adt) polylines into consecutive ~target_len m segments.
+def segmentize(polylines) -> np.ndarray:
+    """Split (vertices, adt) polylines into consecutive ~SEGMENT_LENGTH_M segments.
 
-    Each polyline yields pieces of length target_len plus one residual piece;
+    Each polyline yields pieces of length SEGMENT_LENGTH_M plus one residual piece;
     segment midpoints lie on the polyline and lengths sum to the polyline length.
     Returns an (S, 4) table with the columns of ``TrafficSegment``: midpoint
     x and y (m), length_km and adt.
@@ -87,7 +90,7 @@ def segmentize(polylines, target_len: float = 50.0) -> np.ndarray:
             raise DataError("segmentize: zero-length polyline")
         cum = np.concatenate([[0.0], np.cumsum(seg_len)])
 
-        breaks = np.arange(int(total // target_len) + 1) * target_len
+        breaks = np.arange(int(total // SEGMENT_LENGTH_M) + 1) * SEGMENT_LENGTH_M
         if total - breaks[-1] > 1e-9:
             breaks = np.append(breaks, total)
         mids = 0.5 * (breaks[:-1] + breaks[1:])
@@ -153,17 +156,17 @@ def quadrant_ttv(xy, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
     return out.reshape(n, 4, r) / 10_000.0
 
 
-def _landuse_window(raster: RasterGrid, spec: BufferSpec, n_rings: int = N_LANDUSE_RINGS):
+def _landuse_window(raster: RasterGrid, spec: BufferSpec):
     """(reach, side): cells from a point to the outer land-use radius plus
     one, and the side of a window of cells that holds every cell in reach."""
-    reach = spec.radii_km[n_rings - 1] * 1000.0 / raster.cell_size + 1.0
+    reach = spec.radii_km[N_LANDUSE_RINGS - 1] * 1000.0 / raster.cell_size + 1.0
     return reach, int(2.0 * reach) + 3
 
 
-def ring_landuse_area(xy, raster: RasterGrid, reclass: dict, spec: BufferSpec = BufferSpec(),
-                      n_rings: int = N_LANDUSE_RINGS) -> dict:
+def ring_landuse_area(xy, raster: RasterGrid, reclass: dict,
+                      spec: BufferSpec = BufferSpec()) -> dict:
     """Hectares of each reclassified category per ring (pixel-centroid
-    membership) around the N points ``xy``: {category: (N, n_rings) array}.
+    membership) around the N points ``xy``: {category: (N, N_LANDUSE_RINGS) array}.
 
     Every non-nodata raster code in reach of a point must appear in the
     reclass map; the error names the first missing one by point, then in
@@ -180,7 +183,7 @@ def ring_landuse_area(xy, raster: RasterGrid, reclass: dict, spec: BufferSpec = 
     # centroid formula of ``RasterGrid.centroids`` there keeps the distances,
     # and row-major order, of the whole raster.  Window cells off the raster
     # are masked, and the others beyond reach fall outside every ring.
-    reach, side = _landuse_window(raster, spec, n_rings)
+    reach, side = _landuse_window(raster, spec)
     fx = (xy[:, 0] - raster.x_ll) / raster.cell_size
     fy = raster.n_rows - (xy[:, 1] - raster.y_ll) / raster.cell_size
     cols, rows = (np.clip(np.trunc(f - reach), 0, size).astype(np.intp)[:, None] + np.arange(side)
@@ -192,16 +195,16 @@ def ring_landuse_area(xy, raster: RasterGrid, reclass: dict, spec: BufferSpec = 
     vals = raster.values[np.minimum(rows, raster.n_rows - 1)[:, :, None],
                          np.minimum(cols, raster.n_cols - 1)[:, None, :]]
     keep = ((rows < raster.n_rows)[:, :, None] & (cols < raster.n_cols)[:, None, :]
-            & (ring >= 0) & (ring < n_rings) & (vals != raster.nodata_value))
+            & (ring >= 0) & (ring < N_LANDUSE_RINGS) & (vals != raster.nodata_value))
     point = np.nonzero(keep)[0]
     ring, cell_codes = ring[keep], vals[keep].astype(np.int64)
     unknown = ~np.isin(cell_codes, codes)
     if unknown.any():
         raise DataError(f"land-use code {cell_codes[unknown][0]} absent from reclass map")
     cat = cat_of_code[np.searchsorted(codes, cell_codes)]
-    out = np.bincount((point * len(cats) + cat) * n_rings + ring,
-                      np.full(len(ring), cell_ha), n * len(cats) * n_rings)
-    return dict(zip(cats, np.moveaxis(out.reshape(n, len(cats), n_rings), 1, 0)))
+    out = np.bincount((point * len(cats) + cat) * N_LANDUSE_RINGS + ring,
+                      np.full(len(ring), cell_ha), n * len(cats) * N_LANDUSE_RINGS)
+    return dict(zip(cats, np.moveaxis(out.reshape(n, len(cats), N_LANDUSE_RINGS), 1, 0)))
 
 
 def population_density(xy, tracts) -> np.ndarray:

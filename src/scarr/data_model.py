@@ -513,23 +513,27 @@ def _read_groups(path: str, columns: dict, known=None, increasing=False) -> dict
     The ids are numbered in order of first appearance, and one stable
     ``argsort`` of those numbers groups the rows, each group a slice.  Each
     id must be in ``known``, if given; with ``increasing``, the second column
-    must increase within an id.  Both are array checks, and the first row
-    in file order that fails one raises ``DataError`` naming its
-    ``path:line``."""
+    (a day) must be at least 1 and increase within an id.  These are array
+    checks, and the first row in file order that fails one raises
+    ``DataError`` naming its ``path:line``."""
     what, second = list(columns)[:2]
     (ids, *rest), lines = read_table(path, columns)
     distinct, codes = _number(ids)
     order = np.argsort(codes, kind="stable")
     rest = [np.array(col)[order] for col in rest]
     unknown = None if known is None else _first_unknown(distinct, codes, known, what)
-    down = None
+    low = down = None
     if increasing:
+        below = order[rest[0] < 1]
+        if below.size:
+            row = int(below.min())
+            low = row, f"{second} below 1 for {what} {ids[row]!r}"
         same = codes[order][1:] == codes[order][:-1]
         bad = order[1:][same & (rest[0][1:] <= rest[0][:-1])]
         if bad.size:
             row = int(bad.min())
             down = row, f"non-monotone {second} for {what} {ids[row]!r}"
-    _check(path, lines, unknown, down)
+    _check(path, lines, unknown, low, down)
     counts = np.bincount(codes, minlength=len(distinct))
     ends = np.cumsum(counts)
     starts = ends - counts

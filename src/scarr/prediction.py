@@ -24,6 +24,9 @@ from scarr.step2 import DlmInputs, DlmParams, kalman_filter, kalman_smoother
 
 _LOG = logging.getLogger(__name__)
 
+#: Value of a raster pixel without a prediction.
+NODATA = -9999.0
+
 
 def c_tilde_for_day(fit: StepOneFit, static: dict, season: np.ndarray) -> np.ndarray:
     """Additive bias at N targets (``static_covariates`` output) on each day
@@ -178,7 +181,6 @@ def predict_grid(
     y_ll: float,
     cell_size: float,
     days,
-    nodata: float = -9999.0,
 ):
     """One RasterGrid of predicted concentration per requested day.
 
@@ -195,8 +197,8 @@ def predict_grid(
             raise DataError(f"predict_grid: day {d} outside fitted range")
     cmaq = targets.dataset.cmaq
     grids = {
-        d: RasterGrid(n_cols, n_rows, x_ll, y_ll, cell_size, nodata,
-                      np.full((n_rows, n_cols), nodata))
+        d: RasterGrid(n_cols, n_rows, x_ll, y_ll, cell_size, NODATA,
+                      np.full((n_rows, n_cols), NODATA))
         for d in days
     }
     if not grids or cmaq.pixel_ids.size == 0:
@@ -217,7 +219,7 @@ def predict_grid(
     ok = covered.copy()
     ok[list(failed)] = False
     pred, _ = predict_site(params, state, c_tilde, y1, days)
-    values = np.where(ok[:, None] & np.isfinite(y1), pred, nodata)
+    values = np.where(ok[:, None] & np.isfinite(y1), pred, NODATA)
     for j, d in enumerate(days):
         grids[d].values[:] = values[:, j].reshape(n_rows, n_cols)
     outside, n_failed = int(np.sum(~covered)), len(failed)

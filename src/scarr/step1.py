@@ -438,7 +438,6 @@ class Step1Config:
     buffer_radii_km: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     run_selection: bool = True
     matern_nu: float = 1.5
-    collinearity_threshold: float = 0.85
 
     def __post_init__(self):
         try:  # the kind and smoothness are checked by the ErrorModel they configure

@@ -167,15 +167,12 @@ def kalman_smoother(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
     """Fixed-interval (RTS) smoother on top of the filter output."""
     est = kalman_filter(params, inputs)
     psi = params.psi_a
-    sa2 = params.sigma_a**2
-    mu = params.mu_a
-
     fm, fv = est.filtered_mean.tolist(), est.filtered_var.tolist()
+    pm, pv = est.pred_mean.tolist(), est.pred_var.tolist()
     sm, sv = fm[:], fv[:]
     for t in range(len(fm) - 2, -1, -1):
-        # one-step-ahead prior at t+1 derived from the filtered state at t
-        P_pred = psi * psi * fv[t] + sa2
-        a_pred = mu + psi * (fm[t] - mu)
+        # the filter's one-step-ahead prior at t+1 is its time update of t
+        a_pred, P_pred = pm[t + 1], pv[t + 1]
         J = fv[t] * psi / P_pred if P_pred > 0 else 0.0
         sm[t] = fm[t] + J * (sm[t + 1] - a_pred)
         sv[t] = fv[t] + J * J * (sv[t + 1] - P_pred)
@@ -198,10 +195,6 @@ class Step2Config:
     """``step2_config.txt``: each field is a key, parsed by its type."""
 
     drop_mu_a: bool = True  # refit with mu_a = 0 when not significant
-    n_starts: int = 3
-    grad_tol: float = 1e-6
-    step_tol: float = 1e-9
-    min_days_per_param: int = 10
 
 
 def _logit(p):
@@ -219,10 +212,16 @@ def _expit(x):
 _PARAM_NAMES = ("sigma_z", "sigma_a", "psi_a", "mu_a", "beta_c")
 
 #: Starting AR(1) coefficient of each optimizer start, in order of use.
-_PSI_STARTS = (0.5, 0.2, 0.8, 0.35, 0.65)
+_PSI_STARTS = (0.5, 0.2, 0.8)
 
 #: Starting q = sigma_a^2 / sigma_z^2 of every start.
 _Q_START = 0.5625
+
+#: L-BFGS-B stopping rules of every start, in (log q, logit psi_a).
+_LBFGSB_OPTIONS = {"gtol": 1e-6, "ftol": 1e-9, "maxiter": 500}
+
+#: Observed days required per free parameter.
+_MIN_DAYS_PER_PARAM = 10
 
 #: Rows of the kernel's columns (u, 1, c_tilde) that carry the mean, with
 #: mu_a free and with mu_a fixed at 0.
@@ -339,7 +338,7 @@ def _numeric_hessian(fun, x, rel_step=1e-4):
     return H
 
 
-def _fit_once(stats, n_obs, gamma_hat, config, fix_mu):
+def _fit_once(stats, n_obs, gamma_hat, fix_mu):
     """Fit with mu_a free or fixed at 0; ``stats(q, psi)`` is the memoised
     kernel."""
     rows = _MEAN_ROWS[fix_mu]
@@ -353,16 +352,14 @@ def _fit_once(stats, n_obs, gamma_hat, config, fix_mu):
         return _profile_nll(stats(*point(theta)), n_obs, rows)[0]
 
     best = None
-    for psi0 in _PSI_STARTS[: max(config.n_starts, 1)]:
-        res = optimize.minimize(
-            profile, np.array([math.log(_Q_START), _logit(psi0)]), method="L-BFGS-B",
-            options={"gtol": config.grad_tol, "ftol": config.step_tol, "maxiter": 500},
-        )
+    for psi0 in _PSI_STARTS:
+        res = optimize.minimize(profile, np.array([math.log(_Q_START), _logit(psi0)]),
+                                method="L-BFGS-B", options=_LBFGSB_OPTIONS)
         _LOG.info("%s, start psi0=%g: nit=%d nfev=%d success=%s -loglik=%.9f",
                   model, psi0, res.nit, res.nfev, str(bool(res.success)).lower(), res.fun)
         if best is None or res.fun < best.fun:
             best = res
-    if best is None or not math.isfinite(best.fun) or best.fun >= 1e12:
+    if not math.isfinite(best.fun) or best.fun >= 1e12:
         raise ConvergenceError("fit_mle: no multistart converged")
     q, psi = point(best.x)
     _, b, s2 = _profile_nll(stats(q, psi), n_obs, rows)
@@ -394,28 +391,28 @@ def _fit_once(stats, n_obs, gamma_hat, config, fix_mu):
     return params
 
 
-def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0,
-            config: Step2Config = Step2Config()) -> DlmParams:
+def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -> DlmParams:
     """Maximum-likelihood fit of the state-space parameters.
 
     The mean of u = y - gamma_hat*y1 is linear in (mu_a, beta_c), and sigma_z^2
     scales the whole covariance, so given q = sigma_a^2/sigma_z^2 and psi_a all
     three have closed forms.  The profile likelihood is maximised over
-    (log q, logit psi_a) by quasi-Newton with numeric gradients, one start per
-    starting psi_a (``n_starts`` of them, at most five).  Each evaluation is
+    (log q, logit psi_a) by L-BFGS-B with numeric gradients (gtol 1e-6,
+    ftol 1e-9, at most 500 iterations) from three starts, q = 0.5625 and
+    psi_a = 0.5, 0.2, 0.8, keeping the best.  Each evaluation is
     one O(T) tridiagonal factorization and solve in LAPACK over per-day sums
     computed once per fit (``_profile_kernel``), not a filter pass.  Standard
     errors are the inverse numeric Hessian of the full negative log-likelihood
     in (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
     model is refit with mu_a fixed at zero when the estimate is not
-    significant at the 5% level.
+    significant at the 5% level.  Fewer than 10 observed days per free
+    parameter is a ``DataError``.
     """
     n_free = 5
     n_obs_days = int(np.sum(np.any(np.isfinite(inputs.y), axis=1)))
-    if n_obs_days < config.min_days_per_param * n_free:
+    if n_obs_days < _MIN_DAYS_PER_PARAM * n_free:
         raise DataError(
-            f"fit_mle: {n_obs_days} observed days < "
-            f"{config.min_days_per_param * n_free} required"
+            f"fit_mle: {n_obs_days} observed days < {_MIN_DAYS_PER_PARAM * n_free} required"
         )
     c = inputs.c_tilde[np.isfinite(inputs.y)]
     if not np.sum((c - c.mean()) ** 2) > 1e-12 * np.sum(c * c):
@@ -431,11 +428,11 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0,
             memo[q, psi] = kernel(q, psi)
         return memo[q, psi]
 
-    params = _fit_once(stats, n_obs, gamma_hat, config, fix_mu=False)
-    if config.drop_mu_a:
+    params = _fit_once(stats, n_obs, gamma_hat, fix_mu=False)
+    if drop_mu_a:
         se_mu = params.se.get("mu_a")
         if se_mu is not None and abs(params.mu_a) < 1.96 * se_mu:
-            params = _fit_once(stats, n_obs, gamma_hat, config, fix_mu=True)
+            params = _fit_once(stats, n_obs, gamma_hat, fix_mu=True)
             params.mu_a_dropped = True
     _LOG.info("%d likelihood kernel passes", len(memo))
     return params
@@ -471,9 +468,8 @@ def read_step2_fit(path: str) -> DlmParams:
 
 
 def write_state_path(est: StateEstimate, path: str, header_lines=()) -> None:
-    T = len(est.filtered_mean)
-    sm = est.smoothed_mean if est.smoothed_mean is not None else np.full(T, math.nan)
-    sv = est.smoothed_var if est.smoothed_var is not None else np.full(T, math.nan)
+    """Write the smoother output ``est`` (filtered and smoothed) day by day."""
     names = ("day", "filtered_mean", "filtered_var", "smoothed_mean", "smoothed_var")
-    columns = (np.arange(1, T + 1), est.filtered_mean, est.filtered_var, sm, sv)
+    columns = (np.arange(1, len(est.filtered_mean) + 1), est.filtered_mean, est.filtered_var,
+               est.smoothed_mean, est.smoothed_var)
     write_table(path, names, columns, header_lines)

@@ -366,6 +366,8 @@ _DATA_CASES = [
     ("landuse.asc", 1, 1, "many"),
     ("landuse.asc", 8, 5, "abc"),
     ("cmaq_daily.csv", 4, "day", "1"),  # non-monotone day
+    ("daily_series.csv", 2, "day", "0"),  # day below 1
+    ("cmaq_daily.csv", 2, "day", "0"),  # day below 1
     ("daily_series.csv", 4, "site_id", "GHOST"),  # unknown site_id
     ("cmaq_daily.csv", 5, None, "1,5"),  # short row
     ("tract_attrs.csv", 18, None, "T00,999999,55.598710830112196"),  # repeated tract_id
@@ -398,8 +400,12 @@ _CONFIG_CASES = [
     ("step2_config.txt", "fit-step2", "n_start=2"),
     ("step2_config.txt", "fit-step2", "drop_mu_a"),
     ("step2_config.txt", "fit-step2", "drop_mu_a=sometimes"),
-    ("step2_config.txt", "fit-step2", "n_starts=two"),
-    ("step2_config.txt", "fit-step2", "grad_tol=tiny"),
+    # keys that the search constants replaced
+    ("step2_config.txt", "fit-step2", "n_starts=3"),
+    ("step2_config.txt", "fit-step2", "grad_tol=1e-6"),
+    ("step2_config.txt", "fit-step2", "step_tol=1e-9"),
+    ("step2_config.txt", "fit-step2", "min_days_per_param=10"),
+    ("step1_config.txt", "features", "collinearity_threshold=0.85"),
     ("predict_config.txt", "predict", "grid_day=5"),
     ("predict_config.txt", "predict", "grid_days"),
     ("predict_config.txt", "predict", "smoothed=perhaps"),

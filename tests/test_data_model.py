@@ -81,6 +81,8 @@ class TestLoadDataset:
         (["A,2,1", "B,2,1", "B,1,1", "A,1,1"], 4, "non-monotone day for site_id 'B'"),
         (["A,2,1", "B,2,1", "GHOST,1,1", "A,1,1"], 4, "unknown site_id 'GHOST'"),
         (["B,1,1", "A,2,1", "A,2,1", "GHOST,1,1"], 4, "non-monotone day for site_id 'A'"),
+        (["A,2,1", "B,0,1", "A,1,1", "GHOST,1,1"], 3, "day below 1 for site_id 'B'"),
+        (["A,2,1", "B,1,1", "A,0,1"], 4, "day below 1 for site_id 'A'"),
     ])
     def test_first_fault_in_file_order(self, tmp_path, rows, line, message):
         """The row named is the first bad one in the file, not in id order."""
@@ -305,6 +307,8 @@ def _ref_series(path, columns, known):
                 raise DataError(f"unknown {what} {key!r}")
             groups[key] = ([], [])
         days, values = groups[key]
+        if day < 1:
+            raise DataError(f"{second} below 1 for {what} {key!r}")
         if days and day <= days[-1]:
             raise DataError(f"non-monotone {second} for {what} {key!r}")
         days.append(day)
@@ -397,6 +401,8 @@ def _inject(draw, tables):
                if rows[j][0] == rows[i][0] and re.fullmatch(r"-?\d+", rows[j][1])]
     if kind == "day" and earlier:  # repeated or decreasing
         rows[i][1] = str(int(rows[earlier[-1]][1]) - draw(st.integers(0, 3)))
+    elif kind == "day":  # below 1
+        rows[i][1] = str(draw(st.integers(-3, 0)))
     elif kind == "unknown":
         rows[i][0] = "GHOST" if name == "daily_series.csv" else "999"
     elif kind == "fields":

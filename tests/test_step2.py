@@ -482,7 +482,7 @@ class TestMle:
 
     def test_drop_mu_a_disabled(self):
         inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
-        fit = fit_mle(inputs, gamma_hat=0.5, config=Step2Config(drop_mu_a=False))
+        fit = fit_mle(inputs, gamma_hat=0.5, drop_mu_a=False)
         assert not fit.mu_a_dropped
 
     def test_converged_false_when_optimizer_fails(self, monkeypatch, tmp_path):
@@ -509,11 +509,11 @@ class TestMle:
 class TestConfigAndSerialization:
     def test_parse_defaults(self):
         cfg = parse_config(Step2Config, {})
-        assert cfg.drop_mu_a and cfg.n_starts == 3
+        assert cfg.drop_mu_a
 
     def test_parse_keys(self):
-        cfg = parse_config(Step2Config, {"drop_mu_a": "false", "n_starts": "5"})
-        assert not cfg.drop_mu_a and cfg.n_starts == 5
+        cfg = parse_config(Step2Config, {"drop_mu_a": "false"})
+        assert not cfg.drop_mu_a
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
