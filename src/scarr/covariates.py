@@ -64,6 +64,21 @@ class BufferSpec:
         inner = (0.0,) + tuple(self.radii_km[:-1])
         return [f"{a:g}-{b:g}km" for a, b in zip(inner, self.radii_km)]
 
+    def groups(self) -> dict:
+        """Column names of each ring group, inner ring first: ``ttv``, then
+        ``ttv_<q>`` in ``QUADRANTS`` order, then ``lu_<cat>`` over the land-use
+        rings for each of ``LANDUSE_CATEGORIES``."""
+        labels = self.ring_labels()
+        out = {"ttv": [f"ttv_{lab}" for lab in labels]}
+        out.update({f"ttv_{q}": [f"ttv_{q}_{lab}" for lab in labels] for q in QUADRANTS})
+        out.update({f"lu_{cat}": [f"lu_{cat}_{lab}" for lab in labels[:N_LANDUSE_RINGS]]
+                    for cat in LANDUSE_CATEGORIES})
+        return out
+
+    def landuse_total(self, cat: str) -> str:
+        """Name of the column of ``cat``'s area over all the land-use rings."""
+        return f"lu_{cat}_0-{self.radii_km[N_LANDUSE_RINGS - 1]:g}km"
+
     def ring_index(self, d_km):
         """Ring of each distance (boundary to the inner ring); -1 if beyond."""
         k = np.searchsorted(self.radii_km, d_km, side="left")
@@ -378,11 +393,7 @@ def site_static_covariates(
 def covariate_header(spec: BufferSpec = BufferSpec()):
     """Fixed column order of covariates.csv."""
     cols = ["site_id", "t_start", "t_end", "dyr"]
-    cols += [f"ttv_{lab}" for lab in spec.ring_labels()]
-    for q in QUADRANTS:
-        cols += [f"ttv_{q}_{lab}" for lab in spec.ring_labels()]
-    for cat in LANDUSE_CATEGORIES:
-        cols += [f"lu_{cat}_{lab}" for lab in spec.ring_labels()[:N_LANDUSE_RINGS]]
+    cols += [name for names in spec.groups().values() for name in names]
     cols += ["pop_density", "elevation_m"] + list(SEASON_NAMES)
     cols += ["cmaq_mean", "cmaq_days_used"]
     return cols

@@ -158,14 +158,9 @@ class SimulationConfig:
         "cos_2pi_dyr": 1.7,
         "sin_4pi_dyr": 1.8,
         "cos_4pi_dyr": 2.7,
-        "ttv_0-0.5km": 0.85,
-        "ttv_0.5-1km": -0.14,
-        "ttv_1-2km": 0.08,
-        "ttv_2-3km": 0.0,
-        "ttv_3-4km": 0.0,
-        "ttv_4-5km": 0.0,
-        "ttv_5-6km": 0.0,
-        "lu_forest_0-2km": -5.4,
+        # the default rings, 0-0.5 km out to 5-6 km, and forest within 2 km
+        **dict(zip(cov.BufferSpec().groups()["ttv"], (0.85, -0.14, 0.08, 0.0, 0.0, 0.0, 0.0))),
+        cov.BufferSpec().landuse_total("forest"): -5.4,
         "cmaq": 0.5,
     })
     dlm_sigma_z: float = 3.0
@@ -189,10 +184,10 @@ def _true_mean(config: SimulationConfig, static: dict, j: int, season, cmaq_mean
     for name, val in zip(cov.SEASON_NAMES, season):
         total += c.get(name, 0.0) * val
     spec = cov.BufferSpec()
-    for lab, ttv in zip(spec.ring_labels(), static["ttv"][j]):
-        total += c.get(f"ttv_{lab}", 0.0) * ttv
+    for name, ttv in zip(spec.groups()["ttv"], static["ttv"][j]):
+        total += c.get(name, 0.0) * ttv
     forest = float(np.sum(static["lu_area"]["forest"][j]))
-    total += c.get("lu_forest_0-2km", 0.0) * forest / step1.LANDUSE_SCALE
+    total += c.get(spec.landuse_total("forest"), 0.0) * forest / step1.LANDUSE_SCALE
     total += c["cmaq"] * cmaq_mean
     return total
 

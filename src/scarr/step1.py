@@ -434,7 +434,7 @@ class Step1Config:
     use_elevation: bool = False
     use_quadrants: bool = False
     landuse_categories: tuple[str, ...] = ("forest",)  # collinearity choice, user-named
-    landuse_combined: bool = True  # 0-2 km aggregate vs. per-ring columns
+    landuse_combined: bool = True  # total over the land-use rings vs. per-ring columns
     buffer_radii_km: tuple[float, ...] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     run_selection: bool = True
     matern_nu: float = 1.5
@@ -449,14 +449,9 @@ class Step1Config:
         if bad:
             raise ConfigError(f"unknown land-use categories {sorted(bad)}", "landuse_categories")
         try:
-            spec = self.buffer_spec
+            self.buffer_spec
         except DataError as exc:
             raise ConfigError(str(exc), "buffer_radii_km") from None
-        if not self.landuse_combined and spec.ring_labels()[0] == "0-2km":
-            # design columns are keyed by name: lu_<cat>_0-2km is the combined column
-            raise ConfigError(
-                "a first buffer ring of 0-2 km needs landuse_combined", "landuse_combined"
-            )
 
     @property
     def buffer_spec(self) -> BufferSpec:
@@ -475,6 +470,7 @@ class Design:
     groups: dict  # selectable buffer group -> ordered list of column names
     warnings: list
     rank_deficient: bool
+    spec: BufferSpec = BufferSpec()  # buffer rings the columns were named from
 
 
 def design_columns(static, season, spec: BufferSpec) -> dict:
@@ -484,22 +480,20 @@ def design_columns(static, season, spec: BufferSpec) -> dict:
     output (or a ``build_covariates`` table) with a leading target axis;
     ``season`` is the four seasonal-basis values, each a number or an array.
     """
-    labels = spec.ring_labels()
+    groups = spec.groups()
     cols = {
         "intercept": 1.0,
         "pop_density_10k": static["pop_density"] / POP_DENSITY_SCALE,
         "elevation_m": static["elevation"],
         **dict(zip(SEASON_NAMES, season)),
     }
-    cols.update(zip([f"ttv_{lab}" for lab in labels], np.moveaxis(static["ttv"], -1, 0)))
+    cols.update(zip(groups["ttv"], np.moveaxis(static["ttv"], -1, 0)))
     for q, quadrant in zip(QUADRANTS, np.moveaxis(static["ttv_quadrant"], -2, 0)):
-        cols.update(zip([f"ttv_{q}_{lab}" for lab in labels], np.moveaxis(quadrant, -1, 0)))
+        cols.update(zip(groups[f"ttv_{q}"], np.moveaxis(quadrant, -1, 0)))
     for cat in LANDUSE_CATEGORIES:
         areas = np.asarray(static["lu_area"].get(cat, np.zeros(N_LANDUSE_RINGS)))
-        lu_labels = labels[:N_LANDUSE_RINGS]
-        cols.update(zip([f"lu_{cat}_{lab}" for lab in lu_labels],
-                        np.moveaxis(areas / LANDUSE_SCALE, -1, 0)))
-        cols[f"lu_{cat}_0-2km"] = areas.sum(axis=-1) / LANDUSE_SCALE
+        cols.update(zip(groups[f"lu_{cat}"], np.moveaxis(areas / LANDUSE_SCALE, -1, 0)))
+        cols[spec.landuse_total(cat)] = areas.sum(axis=-1) / LANDUSE_SCALE
     return cols
 
 
@@ -513,32 +507,16 @@ def assemble_design(dataset, table, config: Step1Config = Step1Config()) -> Desi
     interval mean.  Rows with any missing entry are dropped with a warning.
     """
     spec = config.buffer_spec
-    ring_labels = spec.ring_labels()
-    lu_rings = ring_labels[:N_LANDUSE_RINGS]
-
-    names = ["intercept", "pop_density_10k"] + list(SEASON_NAMES)
+    every = spec.groups()
+    ttv = [f"ttv_{q}" for q in QUADRANTS] if config.use_quadrants else ["ttv"]
+    groups = {g: every[g] for g in ttv}
+    for cat in config.landuse_categories:
+        groups[f"lu_{cat}"] = ([spec.landuse_total(cat)] if config.landuse_combined
+                               else every[f"lu_{cat}"])
+    names = ["intercept", "pop_density_10k", *SEASON_NAMES]
     if config.use_elevation:
         names.append("elevation_m")
-    groups = {}
-    if config.use_quadrants:
-        for q in QUADRANTS:
-            cols = [f"ttv_{q}_{lab}" for lab in ring_labels]
-            groups[f"ttv_{q}"] = cols
-            names += cols
-    else:
-        cols = [f"ttv_{lab}" for lab in ring_labels]
-        groups["ttv"] = cols
-        names += cols
-    for cat in config.landuse_categories:
-        if config.landuse_combined:
-            col = f"lu_{cat}_0-2km"
-            groups[f"lu_{cat}"] = [col]
-            names.append(col)
-        else:
-            cols = [f"lu_{cat}_{lab}" for lab in lu_rings]
-            groups[f"lu_{cat}"] = cols
-            names += cols
-    names.append("cmaq")
+    names += [name for cols in groups.values() for name in cols] + ["cmaq"]
 
     values = design_columns(table, table["season"].T, spec)
     values["cmaq"] = table["cmaq_mean"]
@@ -556,7 +534,7 @@ def assemble_design(dataset, table, config: Step1Config = Step1Config()) -> Desi
     return Design(
         X=X, y=y, names=names, coords=np.asarray(coords, dtype=float),
         site_ids=site_ids, groups=groups, warnings=warn,
-        rank_deficient=rank_deficient,
+        rank_deficient=rank_deficient, spec=spec,
     )
 
 
@@ -658,14 +636,14 @@ class StepFunction:
     se: np.ndarray
 
 
-def dispersion_step_function(fit: StepOneFit, prefix: str = "ttv_") -> StepFunction:
-    """Extract TTV ring coefficients from a fit as a distance step function."""
-    quadrants = tuple(f"ttv_{q}_" for q in QUADRANTS) if prefix == "ttv_" else ()
-    idx = [i for i, nm in enumerate(fit.names)
-           if nm.startswith(prefix) and not nm.startswith(quadrants)]
+def dispersion_step_function(fit: StepOneFit, group: str = "ttv") -> StepFunction:
+    """The retained ring coefficients of ``group``, a key of
+    ``fit.spec.groups()`` (``ttv`` or ``ttv_<q>``), as a distance step function."""
+    label = dict(zip(fit.spec.groups()[group], fit.spec.ring_labels()))
+    idx = [i for i, nm in enumerate(fit.names) if nm in label]
     if not idx:
         raise DataError("dispersion_step_function: no TTV columns retained")
-    return StepFunction([fit.names[i][len(prefix):] for i in idx], fit.beta[idx], fit.se[idx])
+    return StepFunction([label[fit.names[i]] for i in idx], fit.beta[idx], fit.se[idx])
 
 
 def quadrant_step_functions(design: Design) -> dict:
@@ -678,13 +656,13 @@ def quadrant_step_functions(design: Design) -> dict:
     """
     out = {}
     for q in QUADRANTS:
-        cols = [nm for nm in design.names
-                if nm.startswith(f"ttv_{q}_") and np.ptp(_columns(design, [nm])) > 0]
+        group = f"ttv_{q}"
+        cols = [nm for nm in design.groups.get(group, ()) if np.ptp(_columns(design, [nm])) > 0]
         if not cols:
             raise DataError("quadrant_step_functions: design lacks quadrant columns")
         keep = ["intercept"] + cols
-        fit = fit_ols(_columns(design, keep), design.y, keep)
-        out[q] = dispersion_step_function(fit, prefix=f"ttv_{q}_")
+        fit = replace(fit_ols(_columns(design, keep), design.y, keep), spec=design.spec)
+        out[q] = dispersion_step_function(fit, group)
     return out
 
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import solve_triangular
 
-from scarr.covariates import BufferSpec, build_covariates
+from scarr.covariates import LANDUSE_CATEGORIES, BufferSpec, build_covariates, covariate_header
 from scarr.data_model import parse_config
 from scarr.errors import ConfigError, DataError
 from scarr.step1 import (
     IID_SHARE,
+    LANDUSE_SCALE,
     Design,
     ErrorModel,
     Step1Config,
@@ -23,6 +24,7 @@ from scarr.step1 import (
     collinearity_report,
     cov_matrix,
     cov_value,
+    design_columns,
     dispersion_step_function,
     f_test,
     fit_design,
@@ -516,13 +518,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(Step1Config, {"error_model": "gaussian"})
 
-    def test_per_ring_landuse_cannot_reuse_combined_name(self):
-        # a first ring of 0-2 km would name its column lu_<cat>_0-2km
-        parse_config(Step1Config, {"buffer_radii_km": "2 4 6"})
-        with pytest.raises(ConfigError, match="landuse_combined"):
-            parse_config(
-                Step1Config, {"buffer_radii_km": "2 4 6", "landuse_combined": "false"}
-            )
+    def test_per_ring_landuse_keeps_apart_from_the_total(self, mini_dataset):
+        # a first ring of 0-2 km is named as in covariates.csv; the total
+        # over the land-use rings is named from the third radius
+        cfg = parse_config(
+            Step1Config, {"buffer_radii_km": "2 4 6", "landuse_combined": "false"}
+        )
+        spec = cfg.buffer_spec
+        ds, _ = mini_dataset
+        table, _ = build_covariates(ds, spec)
+        cols = design_columns(table, table["season"].T, spec)
+        forest = table["lu_area"]["forest"]
+        assert (forest[:, 1:] > 0).any()
+        assert spec.landuse_total("forest") == "lu_forest_0-6km"
+        assert "lu_forest_0-2km" in covariate_header(spec)
+        np.testing.assert_array_equal(cols["lu_forest_0-2km"], forest[:, 0] / LANDUSE_SCALE)
+        np.testing.assert_array_equal(cols["lu_forest_0-6km"],
+                                      forest.sum(axis=1) / LANDUSE_SCALE)
+        design = assemble_design(ds, table, cfg)
+        assert design.groups["lu_forest"] == ["lu_forest_0-2km", "lu_forest_2-4km",
+                                              "lu_forest_4-6km"]
 
     def test_unknown_landuse_category(self):
         with pytest.raises(ConfigError):
@@ -536,6 +551,25 @@ def design(mini_dataset):
     ds, _ = mini_dataset
     table, _ = build_covariates(ds)
     return assemble_design(ds, table)
+
+
+@pytest.mark.parametrize("radii", [(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (2.0, 4.0, 6.0),
+                                   (0.25, 1.0, 2.0, 3.0)])
+def test_ring_columns_are_the_buffer_spec_groups(radii):
+    spec = BufferSpec(radii)
+    n, r = 2, len(radii)
+    static = {
+        "pop_density": np.zeros(n), "elevation": np.zeros(n), "ttv": np.zeros((n, r)),
+        "ttv_quadrant": np.zeros((n, 4, r)),
+        "lu_area": {cat: np.zeros((n, 3)) for cat in LANDUSE_CATEGORIES},
+    }
+    cols = set(design_columns(static, np.zeros(4), spec))
+    rings = cols - {"intercept", "pop_density_10k", "elevation_m", "sin_2pi_dyr",
+                    "cos_2pi_dyr", "sin_4pi_dyr", "cos_4pi_dyr"}
+    grouped = [name for names in spec.groups().values() for name in names]
+    totals = [spec.landuse_total(cat) for cat in LANDUSE_CATEGORIES]
+    assert len(set(grouped + totals)) == len(grouped + totals)
+    assert rings == set(grouped + totals)
 
 
 class TestAssembleDesign:
