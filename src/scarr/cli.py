@@ -61,7 +61,7 @@ def _read_optional_config(dataset_dir: str, name: str, override: str | None) -> 
 
 def cmd_simulate(args) -> int:
     cfg = oracle.SimulationConfig(seed=args.seed)
-    if args.days:
+    if args.days is not None:
         cfg = dataclasses.replace(cfg, n_days=args.days)
     dataset, truth = oracle.simulate_step1_dataset(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -88,7 +88,7 @@ def cmd_fit_step1(args) -> int:
     dataset = load_dataset(args.dataset)
     kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
     if args.alpha is not None:
-        kv["alpha"] = str(args.alpha)
+        kv["alpha"], kv.where["alpha"] = str(args.alpha), "--alpha"
     cfg = parse_config(step1.Step1Config, kv)
     table, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
     design = step1.assemble_design(dataset, table, cfg)
@@ -243,6 +243,19 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scarr",
@@ -257,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file overriding the dataset's")
 
     p = sub.add_parser("simulate", help="write a synthetic dataset")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--days", type=int, help="length of the daily record")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--days", type=_int_at_least(1), help="length of the daily record")
     p.add_argument("--out", required=True, help="dataset directory to create")
     p.set_defaults(func=cmd_simulate)
 

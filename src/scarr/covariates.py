@@ -52,9 +52,13 @@ class BufferSpec:
     radii_km: tuple = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
     def __post_init__(self):
-        r = self.radii_km
-        if not r or any(b <= a for a, b in zip((0.0,) + tuple(r), r)):
-            raise DataError("buffer radii must be strictly increasing and > 0")
+        r = tuple(self.radii_km)
+        if (len(r) < N_LANDUSE_RINGS or not all(map(math.isfinite, r))
+                or any(b <= a for a, b in zip((0.0,) + r, r))):
+            raise DataError(f"buffer radii must be {N_LANDUSE_RINGS} or more finite numbers, "
+                            "strictly increasing and > 0")
+        if len(set(self.ring_labels())) < len(r):
+            raise DataError("buffer radii too close to name their rings apart")
 
     @property
     def n_rings(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from scarr import covariates as cov
 from scarr.data_model import Dataset, RasterGrid, write_raster, write_table
-from scarr.errors import DataError
+from scarr.errors import ConfigError, DataError
 from scarr.step1 import StepOneFit, additive_bias_c_tilde, design_columns
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter, kalman_smoother
 
@@ -123,6 +123,16 @@ class PredictConfig:
     grid_cell_size: float = 3000.0
     grid_xll: float = 0.0
     grid_yll: float = 0.0
+
+    def __post_init__(self):
+        for key in ("grid_ncols", "grid_nrows"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1", key)
+        if not 0 < self.grid_cell_size < math.inf:
+            raise ConfigError("grid_cell_size must be finite and > 0", "grid_cell_size")
+        for key in ("grid_xll", "grid_yll"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite", key)
 
 
 def state_path(params: DlmParams, inputs: DlmInputs, smoothed: bool = False):

@@ -51,8 +51,8 @@ class ErrorModel:
             raise ConfigError(f"unknown error model kind {self.kind!r}")
         if self.sill <= 0 or self.range_ < 0 or self.nugget < 0:
             raise ConfigError("error model requires sill > 0, range >= 0, nugget >= 0")
-        if self.kind == "matern" and not self.nu > 0:
-            raise ConfigError("matern smoothness must be > 0")
+        if self.kind == "matern" and not 0 < self.nu < math.inf:
+            raise ConfigError("matern smoothness must be finite and > 0")
 
 
 def cov_value(model: ErrorModel, d: float) -> float:
@@ -445,6 +445,8 @@ class Step1Config:
         except ConfigError as exc:
             key = "matern_nu" if self.error_model in ERROR_KINDS else "error_model"
             raise ConfigError(str(exc), key) from None
+        if not 0 < self.alpha <= 1:
+            raise ConfigError("alpha must lie in (0, 1]", "alpha")
         bad = set(self.landuse_categories) - set(LANDUSE_CATEGORIES)
         if bad:
             raise ConfigError(f"unknown land-use categories {sorted(bad)}", "landuse_categories")

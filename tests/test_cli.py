@@ -397,6 +397,13 @@ _CONFIG_CASES = [
     ("step1_config.txt", "features", "buffer_radii_km=2 1"),
     ("step1_config.txt", "features", "error_model=gaussian"),
     ("step1_config.txt", "features", "landuse_categories=wetland"),
+    # buffer radii that the land-use rings or the geometry cannot use
+    ("step1_config.txt", "features", "buffer_radii_km=0.5 1"),
+    ("step1_config.txt", "features", "buffer_radii_km=0.5 1 nan"),
+    ("step1_config.txt", "features", "buffer_radii_km=0.5 1 2 inf"),
+    ("step1_config.txt", "fit-step1", "alpha=0"),
+    ("step1_config.txt", "fit-step1", "alpha=1.5"),
+    ("step1_config.txt", "fit-step1", "alpha=nan"),
     ("step2_config.txt", "fit-step2", "n_start=2"),
     ("step2_config.txt", "fit-step2", "drop_mu_a"),
     ("step2_config.txt", "fit-step2", "drop_mu_a=sometimes"),
@@ -412,6 +419,11 @@ _CONFIG_CASES = [
     ("predict_config.txt", "predict", "grid_ncols=16.5"),
     ("predict_config.txt", "predict", "grid_days=5 x"),
     ("predict_config.txt", "predict", "grid_cell_size=3km"),
+    ("predict_config.txt", "predict", "grid_nrows=-2"),
+    ("predict_config.txt", "predict", "grid_ncols=0"),
+    ("predict_config.txt", "predict", "grid_cell_size=0"),
+    ("predict_config.txt", "predict", "grid_cell_size=nan"),
+    ("predict_config.txt", "predict", "grid_xll=inf"),
 ]
 
 
@@ -438,12 +450,31 @@ def test_bad_config_line_names_file_and_line(pipeline_dir, fitted_out, tmp_path,
     assert "Traceback" not in err
 
 
+def test_alpha_flag_out_of_range_names_the_flag(pipeline_dir, fitted_out, capsys):
+    capsys.readouterr()
+    assert main(["fit-step1", pipeline_dir, "--alpha", "-1", "--out", fitted_out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--alpha: alpha must lie in (0, 1]" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, text", [("--days", "0"), ("--days", "-5"), ("--seed", "-1"),
+                                        ("--days", "many")])
+def test_simulate_rejects_bad_days_and_seed(tmp_path, capsys, flag, text):
+    out = tmp_path / "ds"
+    assert main(["simulate", flag, text, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}: expected an integer" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, key, text, want", [
     ("step2_fit.txt", "psi_a", "psi_a=abc", "{path}:{line}: psi_a:"),
     ("step2_fit.txt", "psi_a", "psi_a=1.5", "{path}: psi_a must lie in [0, 1)"),
     ("step1_fit.txt", "n", None, "{path}: missing key n"),  # the line deleted
     ("step1_fit.txt", "cov", "cov=1 2 3", "{path}:{line}: cov: expected"),
     ("step1_fit.txt", "error_kind", "error_kind=gaussian", "{path}: unknown error model kind"),
+    ("step1_fit.txt", "buffer_radii_km", "buffer_radii_km=0.5 1", "{path}: buffer radii must"),
 ])
 def test_bad_fit_file_names_file_and_line(pipeline_dir, fitted_out, capsys, name, key, text,
                                           want):

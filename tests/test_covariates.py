@@ -48,6 +48,25 @@ class TestBufferSpec:
         with pytest.raises(DataError):
             BufferSpec(radii_km=(1.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("radii", [(0.5, 1.0), (0.5, 1.0, math.nan), (0.5, 1.0, 2.0, math.inf),
+                                       (1.0, 1.0000001, 1.0000002)])
+    def test_rejects_radii_it_cannot_use(self, radii):
+        # fewer rings than the land-use rings, a ring without an edge, or
+        # two rings of one name
+        with pytest.raises(DataError):
+            BufferSpec(radii)
+
+    def test_groups_and_landuse_total(self):
+        spec = BufferSpec((2.0, 4.0, 6.0, 8.0))
+        groups = spec.groups()
+        assert list(groups) == ["ttv", "ttv_NE", "ttv_NW", "ttv_SW", "ttv_SE",
+                                "lu_developed", "lu_forest", "lu_other"]
+        assert groups["ttv_SW"] == ["ttv_SW_0-2km", "ttv_SW_2-4km", "ttv_SW_4-6km",
+                                    "ttv_SW_6-8km"]
+        assert groups["lu_forest"] == ["lu_forest_0-2km", "lu_forest_2-4km", "lu_forest_4-6km"]
+        assert spec.landuse_total("forest") == "lu_forest_0-6km"
+        assert BufferSpec().landuse_total("developed") == "lu_developed_0-2km"
+
 
 class TestSegmentize:
     def test_100m_line_two_halves(self):

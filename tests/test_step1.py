@@ -539,6 +539,12 @@ class TestConfig:
         assert design.groups["lu_forest"] == ["lu_forest_0-2km", "lu_forest_2-4km",
                                               "lu_forest_4-6km"]
 
+    def test_matern_needs_finite_smoothness(self):
+        with pytest.raises(ConfigError, match="finite"):
+            ErrorModel("matern", nu=math.inf)
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(Step1Config, {"error_model": "matern", "matern_nu": "inf"})
+
     def test_unknown_landuse_category(self):
         with pytest.raises(ConfigError):
             parse_config(Step1Config, {"landuse_categories": "wetland"})
