@@ -59,6 +59,15 @@ def _read_optional_config(dataset_dir: str, name: str, override: str | None) -> 
     return read_keyvalue(path, ConfigError)
 
 
+def _read_fit(out: str, step: int):
+    """The Step ``step`` (1 or 2) fit file in ``out``, which ``fit-step<step>``
+    writes."""
+    path = os.path.join(out, f"step{step}_fit.txt")
+    if not os.path.exists(path):
+        raise DataError(f"missing fit file: {path} (run fit-step{step} first)")
+    return (step1.read_step1_fit, step2.read_step2_fit)[step - 1](path)
+
+
 def cmd_simulate(args) -> int:
     cfg = oracle.SimulationConfig(seed=args.seed)
     if args.days is not None:
@@ -114,10 +123,7 @@ def cmd_fit_step1(args) -> int:
 def cmd_fit_step2(args) -> int:
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
-    fit_path = os.path.join(out, "step1_fit.txt")
-    if not os.path.exists(fit_path):
-        raise DataError(f"missing Step I fit: {fit_path} (run fit-step1 first)")
-    s1fit = step1.read_step1_fit(fit_path)
+    s1fit = _read_fit(out, 1)
     kv = _read_optional_config(args.dataset, "step2_config.txt", args.config)
     cfg = parse_config(step2.Step2Config, kv)
     inputs = prediction.build_dlm_inputs(prediction.Targets(dataset, s1fit))
@@ -140,37 +146,27 @@ def cmd_fit_step2(args) -> int:
     return 0
 
 
-def _load_fits(out):
-    s1_path = os.path.join(out, "step1_fit.txt")
-    s2_path = os.path.join(out, "step2_fit.txt")
-    for p in (s1_path, s2_path):
-        if not os.path.exists(p):
-            raise DataError(f"missing fit file: {p}")
-    return step1.read_step1_fit(s1_path), step2.read_step2_fit(s2_path)
-
-
-def _prediction_setup(args, sites_of):
+def _prediction_setup(args):
     """(out dir, predict config text and values, targets, Step II params, state
-    path): one filter or smoother pass that every target's prediction shares.
-    The targets' offsets cover the dense-time sites and ``sites_of(dataset)``."""
+    path): one filter or smoother pass that every target's prediction shares."""
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
-    s1fit, params = _load_fits(out)
+    s1fit, params = _read_fit(out, 1), _read_fit(out, 2)
     kv = _read_optional_config(args.dataset, "predict_config.txt", args.config)
     cfg = parse_config(prediction.PredictConfig, kv)
     smoothed = bool(args.smoothed) or cfg.smoothed
-    targets = prediction.Targets(dataset, s1fit, sites_of(dataset))
+    targets = prediction.Targets(dataset, s1fit)
     inputs = prediction.build_dlm_inputs(targets)
     return out, kv, cfg, targets, params, prediction.state_path(params, inputs, smoothed)
 
 
 def cmd_predict(args) -> int:
-    out, kv, cfg, targets, params, state = _prediction_setup(
-        args, lambda dataset: dataset.sites_with_role("prediction"))
+    out, kv, cfg, targets, params, state = _prediction_setup(args)
     dataset = targets.dataset
-    ids = sorted(s.id for s in dataset.sites_with_role("dense_time")
-                 + dataset.sites_with_role("prediction"))
-    c_tilde, y1, outside = targets.sites(ids)
+    sites = sorted(dataset.sites_with_role("dense_time") + dataset.sites_with_role("prediction"),
+                   key=lambda s: s.id)
+    ids = [s.id for s in sites]
+    c_tilde, y1, outside = targets.sites(sites)
     errors = prediction.without_prediction(ids, outside, c_tilde, np.isfinite(y1))
     for j in np.flatnonzero(~np.isfinite(y1).any(axis=1)).tolist():
         errors.setdefault(j, DataError(f"predict: no usable days for site {ids[j]}"))
@@ -198,8 +194,9 @@ def _compute_metrics(targets, params, state):
     interval site without a prediction is skipped, with its reason logged."""
     dataset = targets.dataset
     dense = [j for j, site in enumerate(targets.dense) if site.id in dataset.daily_series]
-    ids = [targets.dense[j].id for j in dense] + [s.id for s in cov.interval_sites(dataset)]
-    c_tilde, y1, outside = targets.sites(ids)
+    sites = [targets.dense[j] for j in dense] + cov.interval_sites(dataset)
+    ids = [s.id for s in sites]
+    c_tilde, y1, outside = targets.sites(sites)
     errors = prediction.without_prediction(ids, outside, c_tilde, np.isfinite(y1))
     for j, exc in errors.items():
         if j < len(dense):
@@ -223,7 +220,7 @@ def _compute_metrics(targets, params, state):
 
 
 def cmd_validate(args) -> int:
-    out, kv, _, targets, params, state = _prediction_setup(args, cov.interval_sites)
+    out, kv, _, targets, params, state = _prediction_setup(args)
     report = _compute_metrics(targets, params, state)
     metrics_path = os.path.join(out, "metrics.csv")
     prediction.write_metrics(report, metrics_path, _header(kv))

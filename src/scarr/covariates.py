@@ -278,19 +278,17 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     """Step I covariates of the interval observations as one column table
     (warns and skips an observation that fails).
 
-    The table holds the ``static_covariates`` keys, taken row by row from one
-    call over the interval sites with each site's elevation, and
-    ``site_id``, ``t_start``, ``t_end``, ``dyr``, ``season`` (n, 4),
-    ``cmaq_mean``, ``cmaq_days_used`` and ``response``, the observed value:
-    each with a leading row axis.
+    The table holds the ``site_covariates`` keys, taken row by row from one
+    call over the interval sites, and ``site_id``, ``t_start``, ``t_end``,
+    ``dyr``, ``season`` (n, 4), ``cmaq_mean``, ``cmaq_days_used`` and
+    ``response``, the observed value: each with a leading row axis.
 
     Returns (table, warnings); warnings are human-readable strings naming the
     offending site.
     """
     segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
     sites = interval_sites(dataset)
-    static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec)
-    static["elevation"] = np.array([site_elevation(dataset, s.id) for s in sites], dtype=float)
+    static = site_covariates(dataset, sites, segments, spec)
     index = {s.id: j for j, s in enumerate(sites)}
     site_of_row, columns, warnings = [], [], []
     for obs in dataset.interval_obs:
@@ -374,8 +372,14 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
     return stack([chunk(xy[i:i + step]) for i in range(0, len(xy), step) or [0]])
 
 
-def site_elevation(dataset: Dataset, site_id: str) -> float:
-    return dataset.site_attrs.get(site_id, {}).get("elevation_m", math.nan)
+def site_covariates(dataset: Dataset, sites, segments, spec: BufferSpec = BufferSpec()) -> dict:
+    """``static_covariates`` at the site records ``sites``, with each site's
+    elevation (NaN where ``site_attrs`` has none)."""
+    static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec)
+    static["elevation"] = np.array(
+        [dataset.site_attrs.get(s.id, {}).get("elevation_m", math.nan) for s in sites],
+        dtype=float)
+    return static
 
 
 def site_static_covariates(
@@ -385,13 +389,12 @@ def site_static_covariates(
     spec: BufferSpec = BufferSpec(),
 ) -> dict:
     """Time-constant covariates for one site: the one-row view of
-    ``static_covariates``, with the site's elevation."""
-    static = static_covariates(dataset, [(site.x, site.y)], segments, spec)
+    ``site_covariates``."""
+    static = site_covariates(dataset, [site], segments, spec)
     if math.isnan(static["pop_density"][0]):
         raise outside_tracts(site.id)
     row = {key: values[0] for key, values in static.items() if key != "lu_area"}
-    lu = {c: areas[0] for c, areas in static["lu_area"].items()}
-    return {**row, "lu_area": lu, "elevation": site_elevation(dataset, site.id)}
+    return {**row, "lu_area": {c: areas[0] for c, areas in static["lu_area"].items()}}
 
 
 def covariate_header(spec: BufferSpec = BufferSpec()):

@@ -40,16 +40,16 @@ def c_tilde_for_day(fit: StepOneFit, static: dict, season: np.ndarray) -> np.nda
 
 
 class Targets:
-    """Days 1..T of a dataset's record and the linear offsets of targets
-    (sites or raster pixels) on them, N at a time: c-tilde from their static
-    covariates and each day's seasonal basis, y1 from their nearest coarse
-    pixel (NaN where that has no value).  The offsets over days 1..T of the
-    dense-time sites and of ``sites`` come from one ``static_covariates``
-    call here, and the method ``sites`` reads their rows by id.  ``observed``
-    holds the dense-time sites' daily series, (n_dense, T), NaN where missing.
+    """Days 1..T of a dataset's record and what the linear offsets of any
+    targets (sites or raster pixels) on them share: the dense-time sites, the
+    road segments, each day's seasonal basis and the coarse values by grid
+    index.  A target's c-tilde comes from its static covariates and each
+    day's seasonal basis, its y1 from its nearest coarse pixel (NaN where
+    that has no value).  ``observed`` holds the dense-time sites' daily
+    series, (n_dense, T), NaN where missing.
     """
 
-    def __init__(self, dataset: Dataset, fit: StepOneFit, sites=()):
+    def __init__(self, dataset: Dataset, fit: StepOneFit):
         self.dense = sorted(dataset.sites_with_role("dense_time"), key=lambda s: s.id)
         if not self.dense:
             raise DataError("no dense_time sites in dataset")
@@ -74,14 +74,6 @@ class Targets:
         for k, pid in enumerate(cmaq.pixel_ids.tolist()):
             if pid in cmaq.series:
                 self.coarse[k, cmaq.series[pid].days - 1] = cmaq.series[pid].values
-        named = {s.id: s for s in [*self.dense, *sites]}
-        self._row = {sid: j for j, sid in enumerate(named)}
-        static = cov.static_covariates(
-            dataset, [(s.x, s.y) for s in named.values()], self.segments, fit.spec
-        )
-        static["elevation"] = np.array([cov.site_elevation(dataset, s) for s in named])
-        self._outside = np.isnan(static["pop_density"])
-        self._offsets = self.offsets(static)
 
     def offsets(self, static: dict, days=None):
         """(c_tilde, y1), each (N, D), at the N targets of ``static`` on
@@ -90,12 +82,12 @@ class Targets:
         y1 = self.coarse[:, idx][static["cmaq_index"]]
         return c_tilde_for_day(self.fit, static, self.season[idx]), y1
 
-    def sites(self, site_ids):
-        """(c_tilde, y1, outside) at dense-time sites or ones of ``sites``, a
-        row per id in ``site_ids`` order: offsets (N, T) over days 1..T, and
-        whether each site lies outside every census tract."""
-        rows = [self._row[sid] for sid in site_ids]
-        return self._offsets[0][rows], self._offsets[1][rows], self._outside[rows]
+    def sites(self, sites):
+        """(c_tilde, y1, outside) at the site records ``sites``, a row per
+        site in order: offsets (N, T) over days 1..T, and whether each site
+        lies outside every census tract."""
+        static = cov.site_covariates(self.dataset, sites, self.segments, self.fit.spec)
+        return (*self.offsets(static), np.isnan(static["pop_density"]))
 
 
 def build_dlm_inputs(targets: Targets) -> DlmInputs:
@@ -104,10 +96,9 @@ def build_dlm_inputs(targets: Targets) -> DlmInputs:
     Days where the gridded-model value is unavailable have the observation
     masked as missing as well.
     """
-    ids = [site.id for site in targets.dense]
-    c_tilde, y1, outside = targets.sites(ids)
+    c_tilde, y1, outside = targets.sites(targets.dense)
     if outside.any():
-        raise cov.outside_tracts(ids[int(np.argmax(outside))])
+        raise cov.outside_tracts(targets.dense[int(np.argmax(outside))].id)
     y = np.where(np.isfinite(y1), targets.observed, np.nan)
     return DlmInputs(y=y.T, c_tilde=c_tilde.T, y1=y1.T)
 

@@ -179,6 +179,13 @@ class TestBuildDlmInputs:
         with pytest.raises(DataError, match="no dense_time sites"):
             build_dlm_inputs(Targets(ds2, mini_fit))
 
+    def test_dense_site_outside_every_tract(self, mini_dataset, mini_fit):
+        ds, _ = mini_dataset
+        site = sorted(ds.sites_with_role("dense_time"), key=lambda s: s.id)[1]
+        sites = {**ds.sites, site.id: dataclasses.replace(site, x=-500_000.0)}
+        with pytest.raises(DataError, match=f"site {site.id}: outside all census tracts"):
+            build_dlm_inputs(Targets(dataclasses.replace(ds, sites=sites), mini_fit))
+
 
 def small_state_problem(rng, T=30, n=3):
     params = DlmParams(1.5, 2.0, 0.6, mu_a=0.0, beta_c=0.7, gamma_hat=0.5)
@@ -398,7 +405,7 @@ class TestMetrics:
         dropped = sorted(ds.daily_series)[0]
         ds = dataclasses.replace(
             ds, daily_series={k: v for k, v in ds.daily_series.items() if k != dropped})
-        targets = Targets(ds, mini_fit, cov.interval_sites(ds))
+        targets = Targets(ds, mini_fit)
         params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
         rep = _compute_metrics(targets, params, state_path(params, build_dlm_inputs(targets)))
         assert dropped in [s.id for s in targets.dense]
@@ -409,11 +416,11 @@ class TestMetrics:
         ds, _ = mini_dataset
         late = dataclasses.replace(ds.interval_obs[0], t_start=85, t_end=120)
         ds = dataclasses.replace(ds, interval_obs=[late])
-        targets = Targets(ds, mini_fit, cov.interval_sites(ds))
+        targets = Targets(ds, mini_fit)
         params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
         state = state_path(params, build_dlm_inputs(targets))
         rep = _compute_metrics(targets, params, state)
-        c_tilde, y1, _ = targets.sites([late.site_id])
+        c_tilde, y1, _ = targets.sites([ds.sites[late.site_id]])
         pred, _ = predict_site(params, state, c_tilde, y1)
         assert targets.n_days == 90 and np.isfinite(pred[0, 84:]).all()
         assert rep.mspe == (float(np.mean(pred[0, 84:])) - late.value) ** 2
