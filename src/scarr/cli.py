@@ -42,21 +42,35 @@ def _header(kv: dict) -> list:
     return [f"scarr {__version__}", f"config_hash={_config_hash(kv)}"]
 
 
-def _out_dir(dataset_dir: str, out: str | None) -> str:
-    d = out or os.path.join(dataset_dir, "out")
-    os.makedirs(d, exist_ok=True)
+def _make_dir(d: str) -> str:
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{d}: cannot make output directory: {exc.strerror}") from None
     return d
 
 
-def _read_optional_config(dataset_dir: str, name: str, override: str | None) -> KeyValues:
+def _out_dir(dataset_dir: str, out: str | None) -> str:
+    return _make_dir(out or os.path.join(dataset_dir, "out"))
+
+
+def _read_config(args, name: str) -> KeyValues:
     """The ``--config`` file, which must exist, or else the dataset's own
-    ``name`` file, if it has one."""
-    path = override or os.path.join(dataset_dir, name)
-    if not os.path.exists(path):
-        if override:
-            raise ConfigError(f"{path}: no such config file")
-        return KeyValues()
-    return read_keyvalue(path, ConfigError)
+    ``name`` file, if it has one; then the keys that ``--alpha`` and
+    ``--smoothed`` set, where ``args`` has them, each named as its flag.  So
+    a flag enters the config hash as its key would."""
+    path = args.config or os.path.join(args.dataset, name)
+    if os.path.exists(path):
+        kv = read_keyvalue(path, ConfigError)
+    elif args.config:
+        raise ConfigError(f"{path}: no such config file")
+    else:
+        kv = KeyValues()
+    for key in ("alpha", "smoothed"):
+        value = getattr(args, key, None)
+        if value is not None:
+            kv[key], kv.where[key] = str(value), f"--{key}"
+    return kv
 
 
 def _read_fit(out: str, step: int):
@@ -73,8 +87,7 @@ def cmd_simulate(args) -> int:
     if args.days is not None:
         cfg = dataclasses.replace(cfg, n_days=args.days)
     dataset, truth = oracle.simulate_step1_dataset(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    write_dataset(dataset, args.out)
+    write_dataset(dataset, _make_dir(args.out))
     oracle.write_truth(truth, os.path.join(args.out, "truth.txt"))
     _log(f"simulate: wrote dataset with {len(dataset.sites)} sites to {args.out}")
     return 0
@@ -82,7 +95,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_features(args) -> int:
     dataset = load_dataset(args.dataset)
-    kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
+    kv = _read_config(args, "step1_config.txt")
     spec = parse_config(step1.Step1Config, kv).buffer_spec
     table, warnings = cov.build_covariates(dataset, spec)
     for w in warnings:
@@ -95,9 +108,7 @@ def cmd_features(args) -> int:
 
 def cmd_fit_step1(args) -> int:
     dataset = load_dataset(args.dataset)
-    kv = _read_optional_config(args.dataset, "step1_config.txt", args.config)
-    if args.alpha is not None:
-        kv["alpha"], kv.where["alpha"] = str(args.alpha), "--alpha"
+    kv = _read_config(args, "step1_config.txt")
     cfg = parse_config(step1.Step1Config, kv)
     table, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
     design = step1.assemble_design(dataset, table, cfg)
@@ -124,7 +135,7 @@ def cmd_fit_step2(args) -> int:
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
     s1fit = _read_fit(out, 1)
-    kv = _read_optional_config(args.dataset, "step2_config.txt", args.config)
+    kv = _read_config(args, "step2_config.txt")
     cfg = parse_config(step2.Step2Config, kv)
     inputs = prediction.build_dlm_inputs(prediction.Targets(dataset, s1fit))
     _log(f"fit-step2: {inputs.n_sites} sites x {inputs.n_days} days")
@@ -152,16 +163,19 @@ def _prediction_setup(args):
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
     s1fit, params = _read_fit(out, 1), _read_fit(out, 2)
-    kv = _read_optional_config(args.dataset, "predict_config.txt", args.config)
+    kv = _read_config(args, "predict_config.txt")
     cfg = parse_config(prediction.PredictConfig, kv)
-    smoothed = bool(args.smoothed) or cfg.smoothed
     targets = prediction.Targets(dataset, s1fit)
     inputs = prediction.build_dlm_inputs(targets)
-    return out, kv, cfg, targets, params, prediction.state_path(params, inputs, smoothed)
+    return out, kv, cfg, targets, params, prediction.state_path(params, inputs, cfg.smoothed)
 
 
 def cmd_predict(args) -> int:
     out, kv, cfg, targets, params, state = _prediction_setup(args)
+    late = [d for d in cfg.grid_days if d > targets.n_days]
+    if late:
+        raise ConfigError(f"{kv.where['grid_days']}: grid_days: day {late[0]} is past the "
+                          f"record's last day, {targets.n_days}")
     dataset = targets.dataset
     sites = sorted(dataset.sites_with_role("dense_time") + dataset.sites_with_role("prediction"),
                    key=lambda s: s.id)
@@ -287,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict at sites and on the raster grid")
     common(p)
-    p.add_argument("--smoothed", action="store_true",
+    p.add_argument("--smoothed", action="store_const", const="true",
                    help="use smoothed instead of filtered states")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("validate", help="compute metrics; compare to a golden file")
     common(p)
-    p.add_argument("--smoothed", action="store_true")
+    p.add_argument("--smoothed", action="store_const", const="true")
     p.add_argument("--golden", help="golden metrics file for byte comparison")
     p.set_defaults(func=cmd_validate)
     return parser

@@ -195,8 +195,7 @@ def _g6(v) -> str:
 
 
 def read_raster(path: str) -> RasterGrid:
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     header = {}
     for ln, line in enumerate(lines[:6], start=1):
         name, *text = line.split() or [""]
@@ -371,20 +370,32 @@ class KeyValues(dict):
         return parse_text(kind, self[key], self.where[key], key)
 
 
+def read_text(path: str, error=DataError) -> str:
+    """The text of the file ``path``; a file that cannot be opened or read
+    as text raises ``error`` naming ``path``."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: cannot read as text: {exc}") from None
+
+
 def read_keyvalue(path: str, error=DataError) -> KeyValues:
     """Parse a ``key=value`` plain-text file; '#' starts a comment.  A line
-    without '=' raises ``error`` naming ``path:line``."""
+    without '=', or a file that cannot be read, raises ``error`` naming
+    ``path:line`` or ``path``."""
     out = KeyValues(path)
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise error(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-            out.where[key] = f"{path}:{ln}"
+    for ln, raw in enumerate(read_text(path, error).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        out[key] = val
+        out.where[key] = f"{path}:{ln}"
     return out
 
 
@@ -413,16 +424,16 @@ def read_table(path: str, columns: dict):
     of the line number of each row.
 
     The file is read at once and split into lines once; each line is stripped
-    and blank lines are skipped.  A row with the wrong number of fields, and
-    then a field that does not parse, raises ``DataError`` naming the first
-    such ``path:line`` in file order.  Each column is parsed by one ``map`` of
+    and blank lines are skipped.  A file that cannot be read raises
+    ``DataError`` naming ``path``; a row with the wrong number of fields, and
+    then a field that does not parse, raises it naming the first such
+    ``path:line`` in file order.  Each column is parsed by one ``map`` of
     its parser (a ``na_float`` column by ``float``, with the text ``NA`` read
     as ``nan``): no container is made per row, so a large table does not set
     off the cyclic garbage collector, and no Python code runs per row.
     """
     names = list(columns)
-    with open(path) as fh:
-        header, *body = fh.read().split("\n")
+    header, *body = read_text(path).split("\n")
     header = header.strip()
     if header.split(",") != names:
         raise DataError(f"{path}:1: expected header {','.join(names)!r}, got {header!r}")

@@ -116,6 +116,8 @@ class PredictConfig:
     grid_yll: float = 0.0
 
     def __post_init__(self):
+        if any(d < 1 for d in self.grid_days):
+            raise ConfigError("grid_days must be >= 1", "grid_days")
         for key in ("grid_ncols", "grid_nrows"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", key)

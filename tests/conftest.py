@@ -9,7 +9,7 @@ from scarr.data_model import write_dataset
 
 @pytest.fixture(scope="session")
 def mini_config():
-    # smaller than the bundled dataset to keep the suite fast
+    # the bundled data/mini: ``scarr simulate --seed 7 --days 90``
     return dataclasses.replace(oracle.SimulationConfig(seed=7), n_days=90)
 
 

@@ -6,12 +6,13 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import scarr
 from scarr import __version__
-from scarr.cli import EXIT_CONFIG, EXIT_DATA, main
+from scarr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +68,14 @@ class TestPipeline:
         saved = tmp_path / "step1_fit.txt"
         shutil.copy(src, saved)
         assert main(["fit-step1", pipeline_dir]) == 0
-        assert open(src, "rb").read() == saved.read_bytes()
+        assert Path(src).read_bytes() == saved.read_bytes()
 
     def test_simulate_is_byte_deterministic(self, pipeline_dir, tmp_path):
         d2 = str(tmp_path / "ds2")
         assert main(["simulate", "--seed", "7", "--days", "90", "--out", d2]) == 0
         for name in ("sites.csv", "daily_series.csv", "cmaq_daily.csv"):
-            a = open(os.path.join(pipeline_dir, name), "rb").read()
-            b = open(os.path.join(d2, name), "rb").read()
+            a = Path(pipeline_dir, name).read_bytes()
+            b = Path(d2, name).read_bytes()
             assert a == b, name
 
     def test_validate_against_matching_golden(self, pipeline_dir, tmp_path):
@@ -86,7 +87,7 @@ class TestPipeline:
     def test_validate_against_tampered_golden(self, pipeline_dir, tmp_path):
         metrics = os.path.join(pipeline_dir, "out", "metrics.csv")
         golden = tmp_path / "tampered.csv"
-        golden.write_bytes(open(metrics, "rb").read() + b"extra\n")
+        golden.write_bytes(Path(metrics).read_bytes() + b"extra\n")
         assert main(["validate", pipeline_dir, "--golden", str(golden)]) == EXIT_DATA
 
     def test_predict_writes_rasters_when_configured(self, pipeline_dir):
@@ -256,7 +257,7 @@ def test_simulate_reproduces_bundled_mini(tmp_path):
     assert len(names) == 13
     assert sorted(os.listdir(d)) == names
     for name in names:
-        assert (d / name).read_bytes() == open(os.path.join(MINI, name), "rb").read(), name
+        assert (d / name).read_bytes() == Path(MINI, name).read_bytes(), name
 
 
 def test_every_interval_skipped_exits_3(tmp_path, capsys):
@@ -424,6 +425,9 @@ _CONFIG_CASES = [
     ("predict_config.txt", "predict", "grid_cell_size=0"),
     ("predict_config.txt", "predict", "grid_cell_size=nan"),
     ("predict_config.txt", "predict", "grid_xll=inf"),
+    # days outside the record of 90 days
+    ("predict_config.txt", "predict", "grid_days=0"),
+    ("predict_config.txt", "predict", "grid_days=5 100000"),
 ]
 
 
@@ -697,3 +701,138 @@ def test_readme_configuration_table_matches_config_classes():
         hints = typing.get_type_hints(cls)
         want = [(f.name, type_names[hints[f.name]]) for f in dataclasses.fields(cls)]
         assert [(key, kind) for file, key, kind in rows if file == name] == want, name
+
+
+def test_grid_day_past_the_record_writes_nothing(pipeline_dir, tmp_path, capsys):
+    """A raster day past the record is a config error, found before
+    ``predict`` writes any product."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("step1_fit.txt", "step2_fit.txt"):
+        shutil.copy(os.path.join(pipeline_dir, "out", name), out)
+    cfg = tmp_path / "predict_config.txt"
+    cfg.write_text("grid_days=5 500\n")
+    capsys.readouterr()
+    assert main(["predict", pipeline_dir, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}:1: grid_days: day 500 is past the record's last day, 90" in err
+    assert sorted(os.listdir(out)) == ["step1_fit.txt", "step2_fit.txt"]
+
+
+def _config_is_a_directory(d, tmp_path):
+    (tmp_path / "config").mkdir()
+    return ["--config", str(tmp_path / "config")], tmp_path / "config", EXIT_CONFIG
+
+
+def _tracts_is_a_directory(d, tmp_path):
+    (d / "tracts.csv").unlink()
+    (d / "tracts.csv").mkdir()
+    return [], d / "tracts.csv", EXIT_DATA
+
+
+def _sites_not_text(d, tmp_path):
+    sites = d / "sites.csv"
+    sites.write_bytes(sites.read_bytes().replace(b"C001", b"C\xff01"))
+    return [], sites, EXIT_DATA
+
+
+def _out_is_a_file(d, tmp_path):
+    (tmp_path / "out").write_text("")
+    return ["--out", str(tmp_path / "out")], tmp_path / "out", EXIT_CONFIG
+
+
+@pytest.mark.parametrize("make", [_config_is_a_directory, _tracts_is_a_directory,
+                                  _sites_not_text, _out_is_a_file])
+def test_unusable_path_names_it(tmp_path, capsys, make):
+    """An input that cannot be read as text, or an output directory that
+    cannot be made, ends with an exit code that names the path."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    argv, path, code = make(d, tmp_path)
+    capsys.readouterr()
+    assert main(["features", str(d), *argv]) == code
+    err = capsys.readouterr().err
+    assert f"{path}: " in err
+    assert "Traceback" not in err
+
+
+def test_smoothed_flag_enters_the_config_hash(pipeline_dir, fitted_out, tmp_path):
+    def config_hash(*extra):
+        assert main(["predict", pipeline_dir, "--out", fitted_out, *extra]) == 0
+        with open(os.path.join(fitted_out, "site_predictions.csv")) as fh:
+            return [fh.readline(), fh.readline()][1]
+
+    cfg = tmp_path / "predict_config.txt"
+    cfg.write_text("smoothed=true\n")
+    by_flag = config_hash("--smoothed")
+    assert by_flag.startswith("# config_hash=")
+    assert by_flag == config_hash("--config", str(cfg))
+    assert by_flag != config_hash()
+
+
+def test_fit_step2_exits_4_when_no_start_converges(pipeline_dir, fitted_out, monkeypatch,
+                                                  capsys):
+    import scipy.optimize
+
+    def failed(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=x0, fun=math.inf, nit=0, nfev=0,
+                                             success=False, message="no step taken")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", failed)
+    capsys.readouterr()
+    assert main(["fit-step2", pipeline_dir, "--out", fitted_out]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert "error: numeric: fit_mle: no multistart converged" in err
+
+
+def _site_predictions(out):
+    """The rows of ``out``'s site_predictions.csv, without header lines."""
+    return Path(out, "site_predictions.csv").read_text().splitlines()[3:]
+
+
+def test_predict_at_prediction_sites(tmp_path):
+    """Prediction sites get rows of their own in site id order, before and
+    after the dense sites, and leave the dense sites' rows as they were."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    with open(d / "sites.csv", "a") as fh:
+        fh.write("P000,40000.0,10000.0,prediction\nA000,20000.0,20000.0,prediction\n")
+    for command in ("fit-step1", "fit-step2"):
+        assert main([command, str(d)]) == 0
+    shutil.copytree(d / "out", tmp_path / "dense")
+    assert main(["predict", str(d)]) == 0
+    assert main(["predict", MINI, "--out", str(tmp_path / "dense")]) == 0
+    rows = _site_predictions(d / "out")
+    assert list(dict.fromkeys(row.split(",")[0] for row in rows)) == [
+        "A000", "E000", "E001", "E002", "E003", "P000"]
+    assert [row for row in rows if row.startswith("E")] == _site_predictions(tmp_path / "dense")
+
+
+def _outside_every_tract(d):
+    with open(d / "sites.csv", "a") as fh:
+        fh.write("Z000,-500000.0,10000.0,prediction\n")
+    return "error: data: site Z000: outside all census tracts"
+
+
+def _no_gridded_value(d):
+    """A site at the centroid of coarse pixel 10, which no other site is
+    nearest to, with that pixel's rows removed."""
+    daily = d / "cmaq_daily.csv"
+    daily.write_text("".join(line for line in daily.read_text().splitlines(keepends=True)
+                             if not line.startswith("10,")))
+    with open(d / "sites.csv", "a") as fh:
+        fh.write("G000,18000.0,30000.0,prediction\n")
+    return "error: data: predict: no usable days for site G000"
+
+
+@pytest.mark.parametrize("make", [_outside_every_tract, _no_gridded_value])
+def test_prediction_site_without_prediction_exits_3(tmp_path, capsys, make):
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    want = make(d)
+    for command in ("fit-step1", "fit-step2"):
+        assert main([command, str(d)]) == 0
+    capsys.readouterr()
+    assert main(["predict", str(d)]) == EXIT_DATA
+    assert want in capsys.readouterr().err.splitlines()
+    assert not (d / "out" / "site_predictions.csv").exists()
