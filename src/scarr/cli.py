@@ -186,6 +186,8 @@ def cmd_predict(args) -> int:
         errors.setdefault(j, DataError(f"predict: no usable days for site {ids[j]}"))
     if errors:
         raise errors[min(errors)]
+    if cfg.grid_days:  # an unusable raster directory stops predict before any product
+        rasters = _make_dir(os.path.join(out, "rasters"))
     pred, half = prediction.predict_site(params, state, c_tilde, y1)
     prediction.write_site_predictions(
         ids, pred, half, os.path.join(out, "site_predictions.csv"), _header(kv)
@@ -197,7 +199,7 @@ def cmd_predict(args) -> int:
             targets, params, state, cfg.grid_ncols, cfg.grid_nrows, cfg.grid_xll,
             cfg.grid_yll, cfg.grid_cell_size, cfg.grid_days,
         )
-        paths = prediction.write_prediction_rasters(grids, os.path.join(out, "rasters"))
+        paths = prediction.write_prediction_rasters(grids, rasters)
         _log(f"predict: wrote {len(paths)} raster(s)")
     return 0
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize, special
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from scarr.covariates import (
     LANDUSE_CATEGORIES,
@@ -100,19 +100,26 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
 
 
 class _Pairs(NamedTuple):
-    """The n observations' upper-triangle index pairs (i, j) and their
-    separations d, one vector."""
+    """The sorted distinct separations ``d`` of n observations, and the
+    (n, n) ``index`` of each covariance entry's separation in ``d``; the
+    diagonal indexes one slot past the last, which holds sill + nugget.
 
-    n: int
-    i: np.ndarray
-    j: np.ndarray
+    Every interval at a site shares its coordinates, so ``d`` holds one entry
+    per distinct pair of site locations, not per pair of interval rows: the
+    kernel runs once per distinct separation (``_pair_cov``)."""
+
     d: np.ndarray
+    index: np.ndarray
 
 
 def _pairs(coords: np.ndarray) -> _Pairs:
-    i, j = np.triu_indices(len(coords), 1)
+    n = len(coords)
+    i, j = np.triu_indices(n, 1)
     x, y = coords[:, 0], coords[:, 1]
-    return _Pairs(len(coords), i, j, np.hypot(x[i] - x[j], y[i] - y[j]))
+    d, inverse = np.unique(np.hypot(x[i] - x[j], y[i] - y[j]), return_inverse=True)
+    index = np.full((n, n), len(d))
+    index[i, j] = index[j, i] = inverse
+    return _Pairs(d, index)
 
 
 def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
@@ -122,21 +129,19 @@ def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
         same = pairs.d == 0.0
         v[same] = model.sill
         v[~same] = _cov_kernel(model, pairs.d[~same])
-    out = np.empty((pairs.n, pairs.n))
-    out[pairs.i, pairs.j] = v
-    out[pairs.j, pairs.i] = v
-    np.fill_diagonal(out, model.sill + model.nugget)
-    return out
+    return np.append(v, model.sill + model.nugget)[pairs.index]
 
 
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     """Error covariance over observations; the nugget is per-observation, so
     two distinct observations at the same location share only the sill.
 
-    The separations are one vector over the upper triangle (``_pairs``),
-    which the GLS likelihood computes once per fit and passes to the same
-    kernel (``_pair_cov``).  Every transcendental (exp, pow, the Bessel
-    function) runs element by element through libm or ``special.kv``:
+    The separations are the distinct values over the upper triangle
+    (``_pairs``), which the GLS likelihood computes once per fit and passes
+    to the same kernel (``_pair_cov``).  The kernel runs once per distinct
+    separation, so its cost follows the number of distinct site locations,
+    not the number of interval rows.  Every transcendental (exp, pow, the
+    Bessel function) runs element by element through libm or ``special.kv``:
     numpy's own SIMD ``exp`` and ``power`` differ from libm in the last bit
     for some inputs, and the fitted digits must not depend on which one ran.
     """
@@ -246,6 +251,10 @@ def _theta_model(theta, kind: str, nu: float, scale: float = 1.0) -> ErrorModel:
     return ErrorModel(kind, sill=scale * s, range_=rng, nugget=scale * s_nugget, nu=nu)
 
 
+#: LAPACK's double-precision triangular solve, the one ``solve_triangular`` calls.
+_TRTRS = get_lapack_funcs("trtrs", (np.empty(0),))
+
+
 def _gls_profile(theta, Xy, pairs, kind, nu):
     """(-loglik, sigma2-hat) of the GLS model at theta = (log range, logit s),
     with beta and the scale profiled out.
@@ -264,7 +273,12 @@ def _gls_profile(theta, Xy, pairs, kind, nu):
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
         return 1e12, math.nan
-    rss = float(np.linalg.qr(solve_triangular(L, Xy, lower=True), mode="r")[-1, -1]) ** 2
+    if not (np.isfinite(L).all() and np.isfinite(Xy).all()):
+        raise ValueError("array must not contain infs or NaNs")  # as solve_triangular's check
+    # L^-1 Xy as solve_triangular computes it for a C-ordered L, without its
+    # per-call wrappers; L's diagonal is positive, so the solve cannot fail
+    Xw, _ = _TRTRS(L.T, Xy, lower=0, trans=1)
+    rss = float(np.linalg.qr(Xw, mode="r")[-1, -1]) ** 2
     s2 = max(rss / n, 1e-300)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2
@@ -301,7 +315,9 @@ def fit_gls(
     fit_ols(X, y, names)  # rejects a rank-deficient design
     Xy = np.column_stack([X, y])
     pairs = _pairs(coords)
-    pos = pairs.d[pairs.d > 0]
+    # the starts are set from every row pair, not from the distinct separations
+    rows = pairs.d[pairs.index[np.triu_indices(len(coords), 1)]]
+    pos = rows[rows > 0]
     dmed = float(np.median(pos))
     tiny_range = max(pos.min() * 1e-6, 1e-9)
 

@@ -324,6 +324,43 @@ def test_prediction_products_are_pinned(tmp_path):
             assert hashlib.sha256(body).hexdigest() == want, (kind, name)
 
 
+#: SHA-256 of ``step1_fit.txt`` on data/mini, without its ``#`` header lines,
+#: and of ``fit-step1``'s per-start stderr lines (nit, nfev, -loglik) for
+#: each GLS kind with ring selection on: the full fit and the refit.
+GLS_FIT_DIGESTS = {
+    "exponential": (
+        "be2d722a21d8f96753a6f7601a2ac04c1ac1988ec3384e6fec3b335fa61ceceb",
+        "fba53bddf689c616b482bec67fb851dd17104d4a50322f73d4e5a8a12f9a6796",
+    ),
+    "spherical": (
+        "922a26f9696eb129388fc11e7806ecd2dfec591786d754aadfd6ca3ddd31b45f",
+        "bb12b0b69f775219d3355cf982cc278f36b3a100006fabdac968510f4807eaaf",
+    ),
+    "matern": (
+        "d1fe3ea48576b7d3b9cd83cf1d0e9643f83cc49ed23eb6dc27d955c5f23ce5c8",
+        "555a1ef0af7ab25ff79699202232a682af4a915b2fe38d9aa499e4bd33cc8f42",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GLS_FIT_DIGESTS))
+def test_gls_fit_products_are_pinned(tmp_path, capsys, kind):
+    import hashlib
+
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "step1_config.txt"
+    cfg.write_text(f"error_model={kind}\nmatern_nu=1.5\nrun_selection=true\n")
+    capsys.readouterr()
+    assert main(["fit-step1", MINI, "--out", out, "--config", str(cfg)]) == 0
+    starts = [line for line in capsys.readouterr().err.splitlines() if " GLS, start " in line]
+    assert len(starts) % 6 == 0 and starts
+    with open(os.path.join(out, "step1_fit.txt"), "rb") as fh:
+        body = b"".join(line for line in fh if not line.startswith(b"#"))
+    got = (hashlib.sha256(body).hexdigest(),
+           hashlib.sha256("\n".join(starts).encode()).hexdigest())
+    assert got == GLS_FIT_DIGESTS[kind]
+
+
 def _edit_line(path, line, column, text):
     """Set one field of line ``line`` (1-based): a CSV column by name, a
     whitespace-separated token by index, or the whole line (column None)."""
@@ -717,6 +754,24 @@ def test_grid_day_past_the_record_writes_nothing(pipeline_dir, tmp_path, capsys)
     err = capsys.readouterr().err
     assert f"{cfg}:1: grid_days: day 500 is past the record's last day, 90" in err
     assert sorted(os.listdir(out)) == ["step1_fit.txt", "step2_fit.txt"]
+
+
+def test_raster_directory_that_is_a_file_writes_nothing(pipeline_dir, tmp_path, capsys):
+    """A file where the raster directory goes is a config error naming it,
+    found before ``predict`` writes any product."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("step1_fit.txt", "step2_fit.txt"):
+        shutil.copy(os.path.join(pipeline_dir, "out", name), out)
+    (out / "rasters").write_text("")
+    cfg = tmp_path / "predict_config.txt"
+    cfg.write_text("grid_days=5\n")
+    capsys.readouterr()
+    assert main(["predict", pipeline_dir, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{out / 'rasters'}: cannot make output directory: " in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(out)) == ["rasters", "step1_fit.txt", "step2_fit.txt"]
 
 
 def _config_is_a_directory(d, tmp_path):

@@ -1,14 +1,16 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.linalg import solve_triangular
 
+from scarr import step1
 from scarr.covariates import LANDUSE_CATEGORIES, BufferSpec, build_covariates, covariate_header
 from scarr.data_model import parse_config
 from scarr.errors import ConfigError, DataError
@@ -36,7 +38,7 @@ from scarr.step1 import (
     read_step1_fit,
     write_step1_fit,
 )
-from scarr.step1 import _gls_profile, _pairs, _theta_model
+from scarr.step1 import _cov_kernel, _gls_profile, _pair_cov, _pairs, _theta_model
 
 # Four points constructed so the simple regression has slope 0.6,
 # intercept 0.5, RSS 0.2 and a slope F-statistic of exactly 18 on (1, 2) df.
@@ -147,6 +149,33 @@ class TestPress:
 
 
 _coord = st.one_of(st.integers(-3, 3).map(lambda k: 1000.0 * k), st.floats(-2e4, 2e4))
+
+
+@st.composite
+def _row_coords(draw):
+    """1-10 interval rows at 1-5 site locations, so that rows often share a
+    location, as a passive sampler's intervals at one site do."""
+    sites = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=10))
+    return np.array(rows, dtype=float)
+
+
+def _all_pairs_cov(m, coords):
+    """The covariance with the kernel run over every upper-triangle row pair:
+    the reference for the build from distinct separations."""
+    n = len(coords)
+    i, j = np.triu_indices(n, 1)
+    d = np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1])
+    v = np.zeros(len(d))
+    if m.kind != "independent":
+        same = d == 0.0
+        v[same] = m.sill
+        v[~same] = _cov_kernel(m, d[~same])
+    out = np.empty((n, n))
+    out[i, j] = v
+    out[j, i] = v
+    np.fill_diagonal(out, m.sill + m.nugget)
+    return out
 
 
 def _closed_form(m, d):
@@ -276,6 +305,57 @@ class TestCovarianceFunctions:
         _assert_closed_form(ErrorModel(kind, sill=sill, range_=range_, nugget=nugget, nu=nu),
                             coords)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["independent", "spherical", "exponential", "matern"]),
+        _row_coords(),
+        st.floats(1e-3, 1e3),
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, math.inf]), st.floats(1.0, 1e5)),
+        st.floats(0.0, 10.0),
+        st.sampled_from([0.5, 0.7, 1.5, 2.5]),
+    )
+    @example("exponential", np.array([[0.0, 0.0]]), 1.0, 1000.0, 0.5, 0.5)
+    @example("matern", np.array([[5.0, 5.0], [5.0, 5.0]]), 2.0, math.inf, 0.0, 1.5)
+    @example("matern", np.array([[0.0, 0.0], [0.01, 0.0]]), 2.0, 5e-324, 0.1, 2.5)
+    @example("spherical", np.array([[0.0, 0.0], [700.0, 0.0], [0.0, 0.0]]), 1.5, 0.0, 0.2,
+             0.5)
+    def test_distinct_separations_build_the_all_pairs_matrix(self, kind, coords, sill,
+                                                             range_, nugget, nu):
+        """The covariance built from the distinct separations equals, byte for
+        byte, the kernel run over every row pair; the kernel sees each distinct
+        nonzero separation exactly once."""
+        m = ErrorModel(kind, sill=sill, range_=range_, nugget=nugget, nu=nu)
+        want = _all_pairs_cov(m, coords)
+        seen = []
+
+        def recording(model, d):
+            seen.append(d.copy())
+            return _cov_kernel(model, d)
+
+        with mock.patch.object(step1, "_cov_kernel", recording):
+            got = _pair_cov(m, _pairs(coords))
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        if kind == "independent":
+            assert seen == []
+            return
+        i, j = np.triu_indices(len(coords), 1)
+        d = np.hypot(coords[i, 0] - coords[j, 0], coords[i, 1] - coords[j, 1])
+        assert len(seen) == 1
+        assert sorted(seen[0].tolist()) == sorted(set(d[d != 0].tolist()))
+
+    def test_pairs_index_the_row_pair_separations(self):
+        """Two intervals at each of three sites: 15 row pairs, 4 distinct
+        separations (0 and the three site pairs)."""
+        sites = np.array([[0.0, 0.0], [3000.0, 0.0], [0.0, 4000.0]])
+        coords = np.repeat(sites, 2, axis=0)
+        pairs = _pairs(coords)
+        assert pairs.d.tolist() == [0.0, 3000.0, 4000.0, 5000.0]
+        assert pairs.index.shape == (6, 6)
+        np.testing.assert_array_equal(pairs.index, pairs.index.T)
+        assert set(np.diag(pairs.index).tolist()) == {len(pairs.d)}
+        assert pairs.index[0, 1] == 0 and pairs.index[0, 5] == 2 and pairs.index[3, 4] == 3
+
     @pytest.mark.parametrize("kind, nu", [
         ("spherical", 0.5), ("exponential", 0.5), ("matern", 0.5), ("matern", 1.5),
         ("matern", 0.7),
@@ -302,6 +382,34 @@ def _dense_nll(model, X, y, coords):
 _GLS_COORDS = np.random.default_rng(3).uniform(0, 10_000, size=(25, 2))
 _GLS_X = np.column_stack([np.ones(25), np.random.default_rng(4).normal(size=25)])
 _GLS_Y = _GLS_X @ np.array([2.0, -1.0]) + np.random.default_rng(5).normal(size=25)
+
+
+def _profile_by_solve_triangular(theta, Xy, coords, kind, nu):
+    """(-loglik, sigma2-hat) as ``_gls_profile`` defines them, whitened by
+    ``solve_triangular``: the reference for its direct LAPACK call."""
+    n = len(Xy)
+    try:
+        L = np.linalg.cholesky(cov_matrix(_theta_model(theta, kind, nu), coords))
+    except np.linalg.LinAlgError:
+        return 1e12, math.nan
+    rss = float(np.linalg.qr(solve_triangular(L, Xy, lower=True), mode="r")[-1, -1]) ** 2
+    s2 = max(rss / n, 1e-300)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2
+
+
+def _outcome(fn, *args):
+    """The bytes of what ``fn(*args)`` returns, or the type and text of what
+    it raises."""
+    try:
+        return np.array(fn(*args), dtype=float).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+#: Two interval rows at each of 12 sites, as a passive sampler's are.
+_WHITEN_COORDS = np.repeat(np.random.default_rng(6).uniform(0, 10_000, size=(12, 2)), 2, axis=0)
+_WHITEN_XY = np.column_stack([np.ones(24), np.random.default_rng(7).normal(size=(24, 2))])
 
 
 class TestGls:
@@ -413,6 +521,69 @@ class TestGls:
 
         assert nll == pytest.approx(dense(s2), rel=1e-9)
         assert nll <= dense(sigma2) + 1e-9 * abs(nll)
+
+    def test_start_ranges_come_from_every_row_pair(self, monkeypatch, rng):
+        """The start ranges scale with the median and least positive
+        separation over every row pair, not over the distinct separations.
+        With five rows at one site, the row-pair median (5 km) is not the
+        distinct one (6.7 km)."""
+        minimize, x0 = step1.optimize.minimize, []
+
+        def recording(fun, theta0, **kwargs):
+            x0.append(theta0[0])
+            return minimize(fun, theta0, **kwargs)
+
+        sites = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 5000.0], [8000.0, 8000.0]])
+        coords = sites[[0, 0, 0, 0, 0, 1, 2, 3]]
+        X = np.column_stack([np.ones(8), rng.normal(size=8)])
+        y = X @ np.array([1.0, 0.5]) + rng.normal(size=8)
+        monkeypatch.setattr(step1.optimize, "minimize", recording)
+        fit_gls(X, y, coords, ["b0", "b1"])
+        assert x0 == [math.log(1000.0 * 1e-6), math.log(0.25 * 5000.0), math.log(5000.0),
+                      math.log(2.0 * 5000.0), math.log(0.5 * 5000.0), math.log(5000.0)]
+
+    @pytest.mark.parametrize("kind, nu", [("spherical", 0.5), ("exponential", 0.5),
+                                          ("matern", 1.5), ("matern", 2.5)])
+    def test_whitening_equals_solve_triangular(self, kind, nu):
+        """The same (-loglik, sigma2-hat) bits as whitening by
+        ``solve_triangular``, over ranges from 0 to infinite and shares from
+        the pure nugget to a singular, nugget-free covariance (the penalty)."""
+        pairs = _pairs(_WHITEN_COORDS)
+        for log_range in (-800.0, math.log(1e-6), math.log(500.0), math.log(3000.0),
+                          math.log(1e5), 800.0):
+            for logit_share in (-20.0, -2.0, 0.0, 2.0, 20.0, 800.0):
+                theta = np.array([log_range, logit_share])
+                want = _outcome(_profile_by_solve_triangular, theta, _WHITEN_XY,
+                                _WHITEN_COORDS, kind, nu)
+                assert _outcome(_gls_profile, theta, _WHITEN_XY, pairs, kind, nu) == want
+        assert _gls_profile(np.array([0.0, 800.0]), _WHITEN_XY, pairs, kind, nu)[0] == 1e12
+
+    @pytest.mark.parametrize("theta, xy", [
+        ((math.nan, 0.0), None), ((0.0, math.nan), None), (None, math.nan), (None, math.inf),
+    ])
+    def test_non_finite_input_fails_as_solve_triangular(self, theta, xy):
+        """A NaN parameter (a NaN covariance) or a non-finite response raises
+        what ``solve_triangular``'s finiteness check raises."""
+        theta = np.array(theta or (math.log(3000.0), 0.0))
+        Xy = _WHITEN_XY.copy()
+        if xy is not None:
+            Xy[5, -1] = xy
+        want = _outcome(_profile_by_solve_triangular, theta, Xy, _WHITEN_COORDS,
+                        "exponential", 0.5)
+        assert want == (ValueError, "array must not contain infs or NaNs")
+        assert _outcome(_gls_profile, theta, Xy, _pairs(_WHITEN_COORDS), "exponential",
+                        0.5) == want
+
+    def test_infinite_covariance_fails_as_solve_triangular(self, monkeypatch):
+        """A kernel that returns inf leaves a covariance that Cholesky factors
+        into non-finite entries, which the finiteness check raises."""
+        monkeypatch.setattr(step1, "_cov_kernel", lambda model, d: np.full(len(d), math.inf))
+        theta = np.array([math.log(3000.0), 0.0])
+        want = _outcome(_profile_by_solve_triangular, theta, _WHITEN_XY, _WHITEN_COORDS,
+                        "exponential", 0.5)
+        assert want == (ValueError, "array must not contain infs or NaNs")
+        assert _outcome(_gls_profile, theta, _WHITEN_XY, _pairs(_WHITEN_COORDS),
+                        "exponential", 0.5) == want
 
     def test_loglik_is_dense_loglik_at_fitted_model(self, rng):
         n = 40
