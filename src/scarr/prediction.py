@@ -315,7 +315,7 @@ def raster_day_filename(day: int) -> str:
 
 
 def write_prediction_rasters(grids: dict, out_dir: str) -> list:
-    os.makedirs(out_dir, exist_ok=True)
+    """One ESRI ASCII raster per day of ``grids`` in the existing ``out_dir``."""
     paths = []
     for day in sorted(grids):
         path = os.path.join(out_dir, raster_day_filename(day))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize, special
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from scarr.covariates import (
     LANDUSE_CATEGORIES,
@@ -224,11 +224,27 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
     )
 
 
+#: LAPACK's double-precision triangular solve, the one ``solve_triangular`` calls.
+_TRTRS = get_lapack_funcs("trtrs", (np.empty(0),))
+
+
+def _solve_lower(L: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """L^-1 a for L a Cholesky factor from ``np.linalg.cholesky``, bit for bit
+    as ``solve_triangular(L, a, lower=True)`` computes it for a C-ordered L,
+    without its per-call wrappers.  A non-finite entry raises the ValueError
+    of its finiteness check; L's diagonal is positive, so the solve cannot
+    fail."""
+    if not (np.isfinite(L).all() and np.isfinite(a).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, _ = _TRTRS(L.T, a, lower=0, trans=1)
+    return x
+
+
 def _whiten(model: ErrorModel, coords, *arrays):
     """(L, L^-1 a for each array a), L the Cholesky factor of ``cov_matrix``;
     ``np.linalg.LinAlgError`` if that is numerically singular."""
     L = np.linalg.cholesky(cov_matrix(model, coords))
-    return (L, *(solve_triangular(L, a, lower=True) for a in arrays))
+    return (L, *(_solve_lower(L, a) for a in arrays))
 
 
 #: Sill share of the iid-equivalent start, and nugget share of the
@@ -251,10 +267,6 @@ def _theta_model(theta, kind: str, nu: float, scale: float = 1.0) -> ErrorModel:
     return ErrorModel(kind, sill=scale * s, range_=rng, nugget=scale * s_nugget, nu=nu)
 
 
-#: LAPACK's double-precision triangular solve, the one ``solve_triangular`` calls.
-_TRTRS = get_lapack_funcs("trtrs", (np.empty(0),))
-
-
 def _gls_profile(theta, Xy, pairs, kind, nu):
     """(-loglik, sigma2-hat) of the GLS model at theta = (log range, logit s),
     with beta and the scale profiled out.
@@ -273,12 +285,7 @@ def _gls_profile(theta, Xy, pairs, kind, nu):
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
         return 1e12, math.nan
-    if not (np.isfinite(L).all() and np.isfinite(Xy).all()):
-        raise ValueError("array must not contain infs or NaNs")  # as solve_triangular's check
-    # L^-1 Xy as solve_triangular computes it for a C-ordered L, without its
-    # per-call wrappers; L's diagonal is positive, so the solve cannot fail
-    Xw, _ = _TRTRS(L.T, Xy, lower=0, trans=1)
-    rss = float(np.linalg.qr(Xw, mode="r")[-1, -1]) ** 2
+    rss = float(np.linalg.qr(_solve_lower(L, Xy), mode="r")[-1, -1]) ** 2
     s2 = max(rss / n, 1e-300)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2

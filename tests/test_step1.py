@@ -558,12 +558,17 @@ class TestGls:
                 assert _outcome(_gls_profile, theta, _WHITEN_XY, pairs, kind, nu) == want
         assert _gls_profile(np.array([0.0, 800.0]), _WHITEN_XY, pairs, kind, nu)[0] == 1e12
 
-    @pytest.mark.parametrize("theta, xy", [
-        ((math.nan, 0.0), None), ((0.0, math.nan), None), (None, math.nan), (None, math.inf),
+    @pytest.mark.parametrize("theta, xy, kernel", [
+        ((math.nan, 0.0), None, None), ((0.0, math.nan), None, None),
+        (None, math.nan, None), (None, math.inf, None), (None, None, math.inf),
     ])
-    def test_non_finite_input_fails_as_solve_triangular(self, theta, xy):
-        """A NaN parameter (a NaN covariance) or a non-finite response raises
-        what ``solve_triangular``'s finiteness check raises."""
+    def test_non_finite_input_fails_as_solve_triangular(self, monkeypatch, theta, xy, kernel):
+        """A NaN parameter (a NaN covariance), a non-finite response, or a
+        kernel that returns inf (a covariance that Cholesky factors into
+        non-finite entries) raises what ``solve_triangular``'s finiteness
+        check raises."""
+        if kernel is not None:
+            monkeypatch.setattr(step1, "_cov_kernel", lambda model, d: np.full(len(d), kernel))
         theta = np.array(theta or (math.log(3000.0), 0.0))
         Xy = _WHITEN_XY.copy()
         if xy is not None:
@@ -573,17 +578,6 @@ class TestGls:
         assert want == (ValueError, "array must not contain infs or NaNs")
         assert _outcome(_gls_profile, theta, Xy, _pairs(_WHITEN_COORDS), "exponential",
                         0.5) == want
-
-    def test_infinite_covariance_fails_as_solve_triangular(self, monkeypatch):
-        """A kernel that returns inf leaves a covariance that Cholesky factors
-        into non-finite entries, which the finiteness check raises."""
-        monkeypatch.setattr(step1, "_cov_kernel", lambda model, d: np.full(len(d), math.inf))
-        theta = np.array([math.log(3000.0), 0.0])
-        want = _outcome(_profile_by_solve_triangular, theta, _WHITEN_XY, _WHITEN_COORDS,
-                        "exponential", 0.5)
-        assert want == (ValueError, "array must not contain infs or NaNs")
-        assert _outcome(_gls_profile, theta, _WHITEN_XY, _pairs(_WHITEN_COORDS),
-                        "exponential", 0.5) == want
 
     def test_loglik_is_dense_loglik_at_fitted_model(self, rng):
         n = 40
