@@ -114,8 +114,6 @@ def cmd_fit_step1(args) -> int:
     design = step1.assemble_design(dataset, table, cfg)
     for w in warnings + design.warnings:
         _log(f"fit-step1: warning: {w}")
-    if design.rank_deficient:
-        raise DataError("design matrix is rank deficient")
     report = step1.collinearity_report(design.X, design.names)
     for a, b, r in report:
         _log(f"fit-step1: collinearity |r|={abs(r):.3f} between {a} and {b}")

@@ -399,6 +399,26 @@ def read_keyvalue(path: str, error=DataError) -> KeyValues:
     return out
 
 
+def _keyvalue_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy float64's own repr names its type
+    return str(value)  # an int, or text as given
+
+
+def write_keyvalue(path: str, items: dict, header_lines=()) -> None:
+    """Write the ``key=value`` file that ``read_keyvalue`` reads: ``# ``
+    comment lines, then one line per item in order.  A bool is written as
+    ``true``/``false``, a float as its ``repr`` (an exact round-trip), an int
+    or a string as is."""
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        for key, value in items.items():
+            fh.write(f"{key}={_keyvalue_text(value)}\n")
+
+
 def parse_config(cls, kv: dict):
     """The config dataclass ``cls`` with each key's text parsed as the type
     of the field of that name.  An unknown key, a value that does not parse,
@@ -692,13 +712,12 @@ def write_dataset(dataset: Dataset, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     files = {**_DEFAULT_FILES, **dataset.manifest.files}
 
-    with open(os.path.join(path, "manifest.txt"), "w") as fh:
-        fh.write(f"epoch={dataset.manifest.epoch.isoformat()}\n")
-        fh.write(f"crs={dataset.manifest.crs}\n")
-        fh.write(f"cmaq_cell_size={fmt_num(dataset.cmaq.cell_size)}\n")
-        for key, name in files.items():
-            if name != _DEFAULT_FILES[key]:
-                fh.write(f"{key}={name}\n")
+    write_keyvalue(os.path.join(path, "manifest.txt"), {
+        "epoch": dataset.manifest.epoch.isoformat(),
+        "crs": dataset.manifest.crs,
+        "cmaq_cell_size": fmt_num(dataset.cmaq.cell_size),
+        **{key: name for key, name in files.items() if name != _DEFAULT_FILES[key]},
+    })
 
     def write(key, columns):
         write_table(os.path.join(path, files[key]), _COLUMNS[key], columns)

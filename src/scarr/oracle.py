@@ -31,6 +31,7 @@ from scarr.data_model import (
     TractPolygon,
     TrafficPolyline,
     interval_mean,
+    write_keyvalue,
 )
 from scarr.errors import DataError
 from scarr.step2 import DlmInputs, DlmParams
@@ -416,7 +417,4 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
 
 
 def write_truth(truth: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        for key in truth:
-            val = truth[key]
-            fh.write(f"{key}={val!r}\n" if isinstance(val, float) else f"{key}={val}\n")
+    write_keyvalue(path, truth)

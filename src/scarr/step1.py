@@ -25,7 +25,7 @@ from scarr.covariates import (
     SEASON_NAMES,
     BufferSpec,
 )
-from scarr.data_model import read_keyvalue
+from scarr.data_model import read_keyvalue, write_keyvalue
 from scarr.errors import ConfigError, ConvergenceError, DataError
 
 #: Scaling applied at design assembly (raw files stay in natural units).
@@ -53,15 +53,6 @@ class ErrorModel:
             raise ConfigError("error model requires sill > 0, range >= 0, nugget >= 0")
         if self.kind == "matern" and not 0 < self.nu < math.inf:
             raise ConfigError("matern smoothness must be finite and > 0")
-
-
-def cov_value(model: ErrorModel, d: float) -> float:
-    """Spatial covariance at separation d; the nugget contributes only at d = 0."""
-    if d < 0:
-        raise DataError("cov_value: negative distance")
-    if d == 0:
-        return model.sill + model.nugget
-    return float(_cov_kernel(model, np.array([d], dtype=float))[0])
 
 
 def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
@@ -240,11 +231,12 @@ def _solve_lower(L: np.ndarray, a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _whiten(model: ErrorModel, coords, *arrays):
-    """(L, L^-1 a for each array a), L the Cholesky factor of ``cov_matrix``;
-    ``np.linalg.LinAlgError`` if that is numerically singular."""
-    L = np.linalg.cholesky(cov_matrix(model, coords))
-    return (L, *(_solve_lower(L, a) for a in arrays))
+def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
+    """L^-1 a for each array a, L the Cholesky factor of the error covariance
+    over the observations of ``pairs``; ``np.linalg.LinAlgError`` if that is
+    numerically singular."""
+    L = np.linalg.cholesky(_pair_cov(model, pairs))
+    return tuple(_solve_lower(L, a) for a in arrays)
 
 
 #: Sill share of the iid-equivalent start, and nugget share of the
@@ -363,7 +355,7 @@ def fit_gls(
               "; the share is at the pure-nugget boundary: range not identified"
               if best.x[1] <= starts[0][1] else "")
     try:
-        _, Xw, yw = _whiten(model, coords, X, y)
+        Xw, yw = _whiten(model, pairs, X, y)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             "fit_gls: fitted covariance is numerically singular"
@@ -491,10 +483,8 @@ class Design:
     y: np.ndarray
     names: list
     coords: np.ndarray  # (n, 2) site locations per row
-    site_ids: list
     groups: dict  # selectable buffer group -> ordered list of column names
     warnings: list
-    rank_deficient: bool
     spec: BufferSpec = BufferSpec()  # buffer rings the columns were named from
 
 
@@ -550,35 +540,23 @@ def assemble_design(dataset, table, config: Step1Config = Step1Config()) -> Desi
     keep = np.isfinite(X).all(axis=1) & np.isfinite(y)
     warn = [f"site {sid}: dropped (missing covariate or response)"
             for sid in table["site_id"][~keep]]
-    X, y, site_ids = X[keep], y[keep], table["site_id"][keep].tolist()
-    coords = [(dataset.sites[sid].x, dataset.sites[sid].y) for sid in site_ids]
-
-    rank_deficient = bool(X.size) and np.linalg.matrix_rank(X) < X.shape[1]
-    if rank_deficient:
-        warn.append("design matrix is rank deficient (exact collinearity)")
+    coords = [(dataset.sites[sid].x, dataset.sites[sid].y) for sid in table["site_id"][keep]]
     return Design(
-        X=X, y=y, names=names, coords=np.asarray(coords, dtype=float),
-        site_ids=site_ids, groups=groups, warnings=warn,
-        rank_deficient=rank_deficient, spec=spec,
+        X=X[keep], y=y[keep], names=names, coords=np.asarray(coords, dtype=float),
+        groups=groups, warnings=warn, spec=spec,
     )
 
 
 def collinearity_report(X: np.ndarray, names, threshold: float = 0.85):
-    """Pairs of columns with |pairwise correlation| above the threshold;
-    none for a design of fewer than two rows."""
-    if len(X) < 2:
+    """Pairs of columns with |pairwise correlation| above the threshold, in
+    column order; none for a design of fewer than two rows or columns.  A
+    constant column's correlations are NaN, so it is in no pair."""
+    if len(X) < 2 or X.shape[1] < 2:  # one column makes corrcoef 0-d
         return []
-    out = []
     with np.errstate(invalid="ignore", divide="ignore"):
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                xi, xj = X[:, i], X[:, j]
-                if np.std(xi) == 0 or np.std(xj) == 0:
-                    continue
-                r = float(np.corrcoef(xi, xj)[0, 1])
-                if abs(r) > threshold:
-                    out.append((names[i], names[j], r))
-    return out
+        r = np.corrcoef(X, rowvar=False)
+        above = np.triu(np.abs(r) > threshold, 1)
+    return [(names[i], names[j], float(r[i, j])) for i, j in zip(*np.nonzero(above))]
 
 
 def _columns(design: Design, names) -> np.ndarray:
@@ -630,6 +608,7 @@ def fit_design(design: Design, cfg: Step1Config):
     nu = cfg.matern_nu if cfg.error_model == "matern" else ErrorModel.nu
 
     def fit(names):
+        # the full fit takes design.X itself: a _columns copy changes the residual bits
         X = design.X if names == design.names else _columns(design, names)
         if cfg.error_model == "independent":
             return fit_ols(X, design.y, names)
@@ -640,7 +619,7 @@ def fit_design(design: Design, cfg: Step1Config):
     if cfg.run_selection:
         tested = design
         if cfg.error_model != "independent":
-            _, X, y = _whiten(result.error_model, design.coords, design.X, design.y)
+            X, y = _whiten(result.error_model, _pairs(design.coords), design.X, design.y)
             tested = replace(design, X=X, y=y)
         retained, selected = backward_buffer_selection(tested, cfg.alpha)
         _LOG.info("retained buffer rings %s", {g: len(cols) for g, cols in retained.items()})
@@ -723,19 +702,17 @@ _ERROR_FIELDS = {"sill": "sill", "range": "range_", "nugget": "nugget", "nu": "n
 
 
 def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("columns=" + " ".join(fit.names) + "\n")
-        fh.write("estimates=" + _join(fit.beta) + "\n")
-        fh.write("cov=" + _join(fit.cov.ravel()) + "\n")
-        fh.write(f"n={fit.n}\n")
-        for key in _FIT_SCALARS:
-            fh.write(f"{key}={float(getattr(fit, key))!r}\n")
-        fh.write(f"error_kind={fit.error_model.kind}\n")
-        for key, attr in _ERROR_FIELDS.items():
-            fh.write(f"error_{key}={float(getattr(fit.error_model, attr))!r}\n")
-        fh.write("buffer_radii_km=" + _join(fit.spec.radii_km) + "\n")
+    em = fit.error_model
+    write_keyvalue(path, {
+        "columns": " ".join(fit.names),
+        "estimates": _join(fit.beta),
+        "cov": _join(fit.cov.ravel()),
+        "n": fit.n,
+        **{key: float(getattr(fit, key)) for key in _FIT_SCALARS},
+        "error_kind": em.kind,
+        **{f"error_{key}": float(getattr(em, attr)) for key, attr in _ERROR_FIELDS.items()},
+        "buffer_radii_km": _join(fit.spec.radii_km),
+    }, header_lines)
 
 
 def read_step1_fit(path: str) -> StepOneFit:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from scarr.data_model import read_keyvalue, write_table
+from scarr.data_model import read_keyvalue, write_keyvalue, write_table
 from scarr.errors import ConvergenceError, DataError
 
 
@@ -124,8 +124,6 @@ def kalman_filter(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
     The initial state is the stationary AR(1) prior.  Days with every entry
     missing perform prediction only and contribute 0 to the log-likelihood.
     """
-    if not np.all(np.isfinite(inputs.c_tilde[np.isfinite(inputs.y)])):
-        raise DataError("non-finite inputs")
     T = inputs.n_days
     if T < 1:
         raise DataError("kalman_filter: need at least one day")
@@ -439,18 +437,13 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
 
 
 def write_step2_fit(params: DlmParams, path: str, header_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for nm in _PARAM_NAMES:
-            fh.write(f"{nm}={float(getattr(params, nm))!r}\n")
-        fh.write(f"gamma_hat={float(params.gamma_hat)!r}\n")
-        for nm in _PARAM_NAMES:
-            if nm in params.se:
-                fh.write(f"se_{nm}={params.se[nm]!r}\n")
-        fh.write(f"mu_a_dropped={str(params.mu_a_dropped).lower()}\n")
-        fh.write(f"loglik={float(params.loglik)!r}\n")
-        fh.write(f"converged={str(params.converged).lower()}\n")
+    write_keyvalue(path, {
+        **{nm: float(getattr(params, nm)) for nm in (*_PARAM_NAMES, "gamma_hat")},
+        **{f"se_{nm}": params.se[nm] for nm in _PARAM_NAMES if nm in params.se},
+        "mu_a_dropped": params.mu_a_dropped,
+        "loglik": float(params.loglik),
+        "converged": params.converged,
+    }, header_lines)
 
 
 def read_step2_fit(path: str) -> DlmParams:

@@ -673,6 +673,18 @@ def test_matern_selection_run_completes(tmp_path):
     assert fit.error_model.nu == 1.5
 
 
+def test_rank_deficient_design_exits_3(tmp_path, capsys):
+    """Two rings inside 0.2 m hold no traffic at any site: two zero
+    columns.  The fit rejects the design and writes no fit file."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    (d / "step1_config.txt").write_text("buffer_radii_km=0.0001 0.0002 2 3\n")
+    assert main(["fit-step1", str(d)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "rank deficient" in err, err
+    assert not (d / "out" / "step1_fit.txt").exists()
+
+
 @pytest.mark.parametrize("kind", ["exponential", "spherical"])
 def test_gls_fit_records_no_matern_smoothness(tmp_path, kind):
     """Only a Matern fit records ``matern_nu``; the other kinds keep the

@@ -25,9 +25,11 @@ from scarr.data_model import (
     na_float,
     nearest_cmaq_centroid,
     parse_text,
+    read_keyvalue,
     read_raster,
     read_table,
     write_dataset,
+    write_keyvalue,
     write_raster,
     write_table,
 )
@@ -501,6 +503,20 @@ def test_write_then_read_keeps_every_float(values):
     kept = ~np.isnan(values) & (values != 0)  # -0.0 is written as 0
     assert back[kept].tobytes() == values[kept].tobytes()
     assert np.all(back[values == 0] == 0)
+
+
+def test_write_keyvalue_text_reads_back(tmp_path):
+    """Each value type's text, and each value parsed back as its type; a
+    numpy float is written as the float it holds."""
+    items = {"on": True, "off": False, "n": 40, "x": 0.1, "y": np.float64(-1e-300),
+             "z": math.inf, "kind": "matern"}
+    path = tmp_path / "kv.txt"
+    write_keyvalue(str(path), items, ["scarr 0.1.0"])
+    assert path.read_text() == ("# scarr 0.1.0\non=true\noff=false\nn=40\nx=0.1\n"
+                                "y=-1e-300\nz=inf\nkind=matern\n")
+    kv = read_keyvalue(str(path))
+    kinds = {"on": bool, "off": bool, "n": int, "x": float, "y": float, "z": float, "kind": str}
+    assert {key: kv.parse(key, kind) for key, kind in kinds.items()} == items
 
 
 def test_write_table_matches_row_writer_across_chunks(tmp_path, rng):

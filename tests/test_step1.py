@@ -25,7 +25,6 @@ from scarr.step1 import (
     backward_buffer_selection,
     collinearity_report,
     cov_matrix,
-    cov_value,
     design_columns,
     dispersion_step_function,
     f_test,
@@ -197,6 +196,13 @@ def _closed_form(m, d):
     return m.sill * float(scale * arg**m.nu * bessel)
 
 
+def _cov_at(m, d):
+    """The covariance at separation d, read from ``cov_matrix``: the entry of
+    two observations d apart, or the diagonal at d = 0."""
+    V = cov_matrix(m, np.array([[0.0, 0.0], [d, 0.0]]))
+    return V[0, 0] if d == 0 else V[0, 1]
+
+
 def _assert_closed_form(m, coords):
     V = cov_matrix(m, np.array(coords, dtype=float))
     for i, (xi, yi) in enumerate(coords):
@@ -209,26 +215,26 @@ def _assert_closed_form(m, coords):
                 want = m.sill
             else:
                 want = _closed_form(m, d)
-                assert cov_value(m, d) == want
+                assert _cov_at(m, d) == want
             assert V[i, j] == want and V[j, i] == want
 
 
 class TestCovarianceFunctions:
     def test_nugget_only_at_zero(self):
         m = ErrorModel("exponential", sill=2.0, range_=1000.0, nugget=0.5)
-        assert cov_value(m, 0.0) == pytest.approx(2.5)
-        assert cov_value(m, 1e-9) < 2.0
+        assert _cov_at(m, 0.0) == pytest.approx(2.5)
+        assert _cov_at(m, 1e-9) < 2.0
 
     def test_exponential_closed_form(self):
         m = ErrorModel("exponential", sill=3.0, range_=500.0)
-        assert cov_value(m, 500.0) == pytest.approx(3.0 * math.exp(-1.0), rel=1e-12)
+        assert _cov_at(m, 500.0) == pytest.approx(3.0 * math.exp(-1.0), rel=1e-12)
 
     def test_spherical_closed_form(self):
         m = ErrorModel("spherical", sill=2.0, range_=1000.0)
         # h = 0.5: 1 - 1.5*0.5 + 0.5*0.125 = 0.3125
-        assert cov_value(m, 500.0) == pytest.approx(2.0 * 0.3125, rel=1e-12)
-        assert cov_value(m, 1000.0) == 0.0
-        assert cov_value(m, 2000.0) == 0.0
+        assert _cov_at(m, 500.0) == pytest.approx(2.0 * 0.3125, rel=1e-12)
+        assert _cov_at(m, 1000.0) == 0.0
+        assert _cov_at(m, 2000.0) == 0.0
 
     def test_colocated_observations_share_sill_not_nugget(self):
         m = ErrorModel("exponential", sill=2.0, range_=1000.0, nugget=0.5)
@@ -244,13 +250,13 @@ class TestCovarianceFunctions:
         me = ErrorModel("matern", sill=1.7, range_=800.0, nu=0.5)
         ex = ErrorModel("exponential", sill=1.7, range_=800.0)
         for d in (1.0, 100.0, 800.0, 5000.0):
-            assert cov_value(me, d) == pytest.approx(cov_value(ex, d), rel=1e-10)
+            assert _cov_at(me, d) == pytest.approx(_cov_at(ex, d), rel=1e-10)
 
     def test_matern_three_halves_closed_form(self):
         m = ErrorModel("matern", sill=2.0, range_=1000.0, nu=1.5)
         for d in (10.0, 500.0, 1500.0):
             a = math.sqrt(3.0) * d / 1000.0
-            assert cov_value(m, d) == pytest.approx(
+            assert _cov_at(m, d) == pytest.approx(
                 2.0 * (1 + a) * math.exp(-a), rel=1e-9
             )
 
@@ -260,7 +266,7 @@ class TestCovarianceFunctions:
         # K_nu(x) overflows to inf while x**nu underflows to 0 or, at h = 1e-206
         # and nu = 1.5, to a subnormal; the limit there is the sill
         m = ErrorModel("matern", sill=2.5, range_=1000.0, nugget=0.4, nu=nu)
-        assert cov_value(m, h * m.range_) == m.sill
+        assert _cov_at(m, h * m.range_) == m.sill
         V = cov_matrix(m, np.array([[0.0, 0.0], [h * m.range_, 0.0]]))
         assert V[0, 1] == V[1, 0] == m.sill
 
@@ -760,7 +766,6 @@ class TestAssembleDesign:
     def test_shapes_consistent(self, design):
         assert design.X.shape == (len(design.y), len(design.names))
         assert design.coords.shape == (len(design.y), 2)
-        assert len(design.site_ids) == len(design.y)
 
     def test_groups(self, design):
         assert set(design.groups) == {"ttv", "lu_forest"}
@@ -830,11 +835,29 @@ class TestAssembleDesign:
         np.testing.assert_array_equal(d.X[0], d.X[1])
         assert list(d.y) == [first.value, first.value + 5.0]
 
-    def test_collinearity_report(self, rng):
-        x = rng.normal(size=50)
-        X = np.column_stack([x, x + 1e-6 * rng.normal(size=50), rng.normal(size=50)])
-        pairs = collinearity_report(X, ["a", "b", "c"], threshold=0.85)
-        assert [(p[0], p[1]) for p in pairs] == [("a", "b")]
+    def test_collinearity_report(self, rng, design):
+        """Each input's pairs in (i, j) order, each r equal to the pairwise
+        ``np.corrcoef`` of its two columns; a constant column is in no pair,
+        and one column gives none."""
+        x, z = rng.normal(size=50), rng.normal(size=50)
+        near = x + 1e-6 * rng.normal(size=50)
+        cases = [
+            (np.column_stack([x, near, z]), "abc", [("a", "b")]),
+            (np.column_stack([x, z, -z + 1e-6 * x, near]), "abcd", [("a", "d"), ("b", "c")]),
+            (np.column_stack([np.ones(50), x, np.full(50, 3.0), near]), "abcd", [("b", "d")]),
+            (x[:, None], "a", []),
+            (design.X, design.names, [
+                ("sin_2pi_dyr", "cos_2pi_dyr"), ("sin_2pi_dyr", "cos_4pi_dyr"),
+                ("cos_2pi_dyr", "cos_4pi_dyr"), ("ttv_1-2km", "ttv_2-3km"),
+                ("ttv_4-5km", "ttv_5-6km"),
+            ]),
+        ]
+        for X, names, want in cases:
+            pairs = collinearity_report(X, list(names), threshold=0.85)
+            assert [(a, b) for a, b, _ in pairs] == want
+            for a, b, r in pairs:
+                i, j = list(names).index(a), list(names).index(b)
+                assert r == pytest.approx(np.corrcoef(X[:, i], X[:, j])[0, 1], abs=1e-12)
 
     def test_collinearity_report_on_empty_design(self):
         with warnings.catch_warnings():
@@ -851,8 +874,7 @@ def synthetic_ring_design(rng, n=300, active=(1.0, 0.6), n_rings=4, noise=0.5):
     y = X @ beta + noise * rng.normal(size=n)
     return Design(
         X=X, y=y, names=names, coords=np.zeros((n, 2)),
-        site_ids=[f"s{i}" for i in range(n)],
-        groups={"ttv": names[1:]}, warnings=[], rank_deficient=False,
+        groups={"ttv": names[1:]}, warnings=[],
     )
 
 
