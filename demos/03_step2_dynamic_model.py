@@ -5,7 +5,7 @@ Run from the repository root:  python3 demos/03_step2_dynamic_model.py
 
 import numpy as np
 
-from scarr.oracle import dense_gaussian_oracle, simulate_step2_series
+from scarr.oracle import DenseGaussianOracle, simulate_step2_series
 from scarr.step2 import DlmParams, fit_mle, kalman_smoother, log_likelihood
 
 # Ground truth for a two-year record at six daily monitors.  The shared
@@ -40,7 +40,7 @@ print(f"filtered variance on day 1 {est.filtered_var[0]:.3f} "
 # The recursions are checked against a from-scratch dense Gaussian
 # calculation that shares no code with the filter.
 small_inputs, _ = simulate_step2_series(T=8, n=3, params=truth, seed=1)
-oracle = dense_gaussian_oracle(truth, small_inputs)
+oracle = DenseGaussianOracle(truth, small_inputs)
 ll_filter = log_likelihood(truth, small_inputs)
 ll_oracle = oracle.log_density()
 print(f"\ntiny instance: filter loglik {ll_filter:.10f}")

@@ -78,6 +78,8 @@ class IntervalObservation:
             raise DataError(
                 f"observation at {self.site_id}: t_start {self.t_start} > t_end {self.t_end}"
             )
+        if self.t_start < 1:
+            raise DataError(f"observation at {self.site_id}: t_start {self.t_start} below 1")
         if not (math.isfinite(self.value) and self.value > 0):
             raise DataError(f"observation at {self.site_id}: value must be finite and > 0")
 
@@ -303,13 +305,25 @@ def na_float(text: str) -> float:
     return math.nan if text == "NA" else float(text)
 
 
+def _finite(text: str, ok=lambda value: True) -> float:
+    """A finite number for which ``ok`` holds; ValueError otherwise."""
+    value = float(text)
+    if not (math.isfinite(value) and ok(value)):
+        raise ValueError(text)
+    return value
+
+
 #: Parser and its description in messages, per type of config field, table
-#: column or header value.
+#: column or header value; a number that must be finite, or also within a
+#: bound, is keyed by text.
 _PARSERS = {
     bool: (lambda text: _BOOL[text.lower()], "true/false/yes/no/1/0"),
     int: (int, "an integer"),
     float: (float, "a number"),
     na_float: (na_float, "a number or NA"),
+    "finite": (_finite, "a finite number"),
+    "finite >= 0": (lambda text: _finite(text, lambda v: v >= 0.0), "a finite number >= 0"),
+    "finite > 0": (lambda text: _finite(text, lambda v: v > 0.0), "a finite number > 0"),
     str: (str, "text"),
     datetime.date: (datetime.date.fromisoformat, "a YYYY-MM-DD date"),
     tuple[float, ...]: (lambda text: tuple(map(float, text.split())), "numbers"),
@@ -322,11 +336,12 @@ _COLUMNS = {
     "sites": {"id": str, "x": float, "y": float, "role": str},
     "interval_obs": {"site_id": str, "t_start": int, "t_end": int, "value_ppb": float},
     "daily_series": {"site_id": str, "day": int, "value_ppb": na_float},
-    "cmaq_centroids": {"pixel_id": int, "x": float, "y": float},
+    "cmaq_centroids": {"pixel_id": int, "x": "finite", "y": "finite"},
     "cmaq_daily": {"pixel_id": int, "day": int, "value_ppb": na_float},
-    "traffic": {"line_id": str, "vertex_index": int, "x": float, "y": float, "adt": float},
-    "tracts": {"tract_id": str, "vertex_index": int, "x": float, "y": float},
-    "tract_attrs": {"tract_id": str, "population": float, "area_mi2": float},
+    "traffic": {"line_id": str, "vertex_index": int, "x": "finite", "y": "finite",
+                "adt": "finite >= 0"},
+    "tracts": {"tract_id": str, "vertex_index": int, "x": "finite", "y": "finite"},
+    "tract_attrs": {"tract_id": str, "population": "finite >= 0", "area_mi2": "finite > 0"},
     "site_attrs": {"site_id": str, "elevation_m": float},
     "landuse_reclass": {"code": int, "category": str},
 }
@@ -595,7 +610,7 @@ def load_dataset(path: str) -> Dataset:
             raise DataError(f"{raw.where[key]}: unknown key {key!r}")
     files = {key: raw.get(key, name) for key, name in _DEFAULT_FILES.items()}
     manifest = Manifest(raw.parse("epoch", datetime.date), raw.get("crs", "unspecified"), files)
-    cell = raw.parse("cmaq_cell_size", float, 12000.0)
+    cell = raw.parse("cmaq_cell_size", "finite > 0", 12000.0)
     fpath = {key: os.path.join(path, name) for key, name in files.items()}
 
     def exists(*keys):

@@ -127,10 +127,6 @@ class DenseGaussianOracle:
         return mean_a + off_value, max(var_a, 0.0) + self.params.sigma_z**2
 
 
-def dense_gaussian_oracle(params: DlmParams, inputs: DlmInputs) -> DenseGaussianOracle:
-    return DenseGaussianOracle(params, inputs)
-
-
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -175,10 +171,11 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _true_mean(config: SimulationConfig, static: dict, j: int, season, cmaq_mean) -> float:
+def _true_mean(config: SimulationConfig, static: dict, j: int, season, cmaq_mean):
     """Calibration-model mean under the true coefficients at site ``j`` of
-    ``static_covariates`` output, at one interval's seasonal basis and
-    gridded-model mean."""
+    ``static_covariates`` output, at a seasonal basis (four numbers, or four
+    arrays over days) and a gridded-model mean (a number, or an array over
+    the same days)."""
     c = config.coefficients
     total = c["intercept"]
     total += c["pop_density_10k"] * static["pop_density"][j] / step1.POP_DENSITY_SCALE
@@ -331,14 +328,12 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
     rng = _rng(config.seed)
     margin = 0.05 * config.domain_m
     sites = {}
-    for k in range(config.n_calibration):
-        xy = rng.uniform(margin, config.domain_m - margin, size=2)
-        sid = f"C{k:03d}"
-        sites[sid] = SiteRecord(sid, float(xy[0]), float(xy[1]), "calibration")
-    for k in range(config.n_dense):
-        xy = rng.uniform(margin, config.domain_m - margin, size=2)
-        sid = f"E{k:03d}"
-        sites[sid] = SiteRecord(sid, float(xy[0]), float(xy[1]), "dense_time")
+    for prefix, n, role in (("C", config.n_calibration, "calibration"),
+                            ("E", config.n_dense, "dense_time")):
+        xy = rng.uniform(margin, config.domain_m - margin, (n, 2))
+        for k, (x, y) in enumerate(xy.tolist()):
+            sid = f"{prefix}{k:03d}"
+            sites[sid] = SiteRecord(sid, x, y, role)
 
     traffic = _simulate_traffic(rng, config)
     tracts = _simulate_tracts(rng, config)
@@ -383,20 +378,17 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
         rng, config.n_days, config.dlm_sigma_a, config.dlm_psi_a, config.dlm_mu_a
     )
     days = np.arange(1, config.n_days + 1)
+    season = np.array([cov.seasonal_basis(manifest.dyr(d)) for d in days.tolist()]).T
+    # The same bytes as one scalar draw and sum per day: each element takes
+    # the scalar's floating-point steps, standard_normal(n_days) yields the
+    # numbers of n_days scalar calls in order, and the pixel series holds
+    # every day 1..T with no NaN, so it is each day's gridded value.
     for sid in sorted(s for s in sites if sites[s].role == "dense_time"):
-        vals = np.empty(config.n_days)
-        for t_i, day in enumerate(days):
-            y1_val, _ = interval_mean(grid_series[sid], int(day), int(day))
-            season = cov.seasonal_basis(manifest.dyr(day))
-            mean = _true_mean(config, static, index[sid], season, y1_val)
-            ct = mean - config.coefficients["cmaq"] * y1_val  # the additive bias
-            vals[t_i] = (
-                a_path[t_i]
-                + config.dlm_beta_c * ct
-                + config.coefficients["cmaq"] * y1_val
-                + config.dlm_sigma_z * rng.standard_normal()
-            )
-        vals = np.round(vals, 6)
+        y1 = grid_series[sid].values
+        mean = _true_mean(config, static, index[sid], season, y1)
+        ct = mean - config.coefficients["cmaq"] * y1  # the additive bias
+        vals = np.round(a_path + config.dlm_beta_c * ct + config.coefficients["cmaq"] * y1
+                        + config.dlm_sigma_z * rng.standard_normal(config.n_days), 6)
         if config.missing_rate > 0:
             mask = rng.uniform(size=config.n_days) < config.missing_rate
             vals = np.where(mask, np.nan, vals)

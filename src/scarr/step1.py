@@ -147,7 +147,9 @@ class StepOneFit:
     n: int
     rss: float
     tss: float
-    sigma2: float  # unbiased residual variance (OLS) / plug-in (GLS)
+    # rss / (n - p) of the unwhitened residuals y - X beta, under OLS and
+    # GLS alike; under GLS it is not the fitted covariance's scale
+    sigma2: float
     error_model: ErrorModel
     press: float = math.nan
     rmspe: float = math.nan

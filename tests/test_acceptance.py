@@ -15,7 +15,7 @@ import pytest
 from scarr import covariates as cov
 from scarr.cli import main as cli_main
 from scarr.data_model import RasterGrid
-from scarr.oracle import dense_gaussian_oracle, simulate_step2_series
+from scarr.oracle import DenseGaussianOracle, simulate_step2_series
 from scarr.step1 import (
     Design,
     ErrorModel,
@@ -78,7 +78,7 @@ def test_criterion_1_oracle_equivalence(capsys):
             T = int(rng.integers(1, 11))
             n = int(rng.integers(1, 4))
             params, inputs = _random_instance(rng, T, n)
-            oracle = dense_gaussian_oracle(params, inputs)
+            oracle = DenseGaussianOracle(params, inputs)
             est = kalman_smoother(params, inputs)
             assert est.loglik == pytest.approx(oracle.log_density(), abs=1e-8)
             for t in range(T):
@@ -320,7 +320,7 @@ def test_criterion_7_prediction_neutrality(capsys):
             y_w[t, i] = np.nan
             withheld = DlmInputs(y=y_w, c_tilde=full.c_tilde, y1=full.y1)
             off = p.beta_c * full.c_tilde[t, i] + p.gamma_hat * full.y1[t, i]
-            oracle = dense_gaussian_oracle(p, withheld)
+            oracle = DenseGaussianOracle(p, withheld)
             want_mean, want_var = oracle.predict_obs(t, i, off, upto=None)
             est = kalman_smoother(p, withheld)
             got_mean = est.smoothed_mean[t] + off

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.metadata
 import math
 import os
@@ -131,9 +132,9 @@ def test_fit_carries_its_buffer_radii(tmp_path):
 
 
 def test_fit_step1_reports_unconverged_gls(tmp_path, monkeypatch, capsys):
-    from scarr import step1
+    import scipy.optimize
 
-    minimize = step1.optimize.minimize
+    minimize = scipy.optimize.minimize
 
     def one_iteration(*args, **kwargs):
         kwargs["options"] = {**kwargs["options"], "maxiter": 1}
@@ -143,7 +144,7 @@ def test_fit_step1_reports_unconverged_gls(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--seed", "7", "--days", "90", "--out", d]) == 0
     with open(os.path.join(d, "step1_config.txt"), "w") as fh:
         fh.write("error_model=exponential\nrun_selection=false\n")
-    monkeypatch.setattr(step1.optimize, "minimize", one_iteration)
+    monkeypatch.setattr(scipy.optimize, "minimize", one_iteration)
     capsys.readouterr()
     assert main(["fit-step1", d]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "converge" in ln]
@@ -258,6 +259,54 @@ def test_simulate_reproduces_bundled_mini(tmp_path):
     assert sorted(os.listdir(d)) == names
     for name in names:
         assert (d / name).read_bytes() == Path(MINI, name).read_bytes(), name
+
+
+#: SHA-256 of each file ``simulate`` writes for the benchmark's simulated
+#: workloads: ``long-record`` (seed 1, 1825 days) and ``raster-gls`` (seed 6,
+#: 365 days).
+_SIMULATED_SHA256 = {
+    (1, 1825): {
+        "cmaq_centroids.csv": "38047ae12f77dec561ad9b4c30f4b1ff34386bc67b36214d01ee76e5f583793c",
+        "cmaq_daily.csv": "551f557aaac15d530394e6ec0e6bbd93cf19bc4298d78ca94213b44a9cad4aaa",
+        "daily_series.csv": "a02bac74195578a6cf09988ff14f658dd3d4bccceb933439bbb5754ee8105dba",
+        "interval_obs.csv": "137fa86d9cc9d85d9bf069918850eaea1f02fafef36dcad709c0eba41f54dfb9",
+        "landuse.asc": "d4ae21021bbb1ccc8c20c91b8afdaa9820c163294a81f66bd183ff397f0cf378",
+        "landuse_reclass.csv": "e18e3f348a6105dd51761f45c1df88265d8367a7b6b005530b099c68b1843393",
+        "manifest.txt": "f9cd9ba8c296869c1c7c163f649b5067cc56759206480f7f5b6e42a9fdf63f92",
+        "site_attrs.csv": "ff3584806e46501ee61aef3345cb06ba8ca173c7abf38e00f7c46e698adf8df4",
+        "sites.csv": "70acda83907e1af72c4b55dd8b09a4eaf7d3e9b1958694b51dcbf8e136eb10fc",
+        "tract_attrs.csv": "d96da77c31006642ebf8c00ee459d4406b2de02e9d5e8dc568f474250dabb34a",
+        "tracts.csv": "4b9a4e373721343e6bbc59bffb8c3666df715a538557c0aa52b7b3756a4f6c63",
+        "traffic_polylines.csv": "5e8d151820bfbc33c1d5457c3a33d49801ec23c90ff6cb16cbe3ce0d203137c8",
+        "truth.txt": "872aa63fa5cd959bace1091491b323fd0976e1a08a45f53056b0a8e406a8fd00",
+    },
+    (6, 365): {
+        "cmaq_centroids.csv": "38047ae12f77dec561ad9b4c30f4b1ff34386bc67b36214d01ee76e5f583793c",
+        "cmaq_daily.csv": "a51794026655143beeba3b37c42feb3eeb7ab456c719244fdc5b009e7866f2ea",
+        "daily_series.csv": "51ed9534f3e956258c73ea077ea8ef04057e43cd74f500988db2d1c889b4ca26",
+        "interval_obs.csv": "1a5059f682f9d81135f63bd725281e4c9e42c5ca2b0715aaed0a80203367b8e8",
+        "landuse.asc": "95fc90e57f4ddc1eeaee4a472bf3b636a783d1d45619d5c699db9eddd96e9bfa",
+        "landuse_reclass.csv": "e18e3f348a6105dd51761f45c1df88265d8367a7b6b005530b099c68b1843393",
+        "manifest.txt": "f9cd9ba8c296869c1c7c163f649b5067cc56759206480f7f5b6e42a9fdf63f92",
+        "site_attrs.csv": "f2772ec967ea3ed10c336ea980e3220a2f0d501c51dcd9bd698f8c062bbc9987",
+        "sites.csv": "b55f3dc057011170381db608d3215eab26e233cbb8ab4c1f681fcce2f840cdee",
+        "tract_attrs.csv": "fca353e7ca0b2bfac97ed7e512fcd00a5e5f11897dcd8b34fd46933498015375",
+        "tracts.csv": "4b9a4e373721343e6bbc59bffb8c3666df715a538557c0aa52b7b3756a4f6c63",
+        "traffic_polylines.csv": "d701462bed04f85a62901be4de42e241c1cffd51e117c50184e4eb38a3537647",
+        "truth.txt": "3b39d134e2bfeb78bab49186a291a4193da00a2c98722d9450fdba0588e00069",
+    },
+}
+
+
+@pytest.mark.parametrize("seed, days", sorted(_SIMULATED_SHA256))
+def test_simulate_keeps_benchmark_dataset_bytes(tmp_path, seed, days):
+    """``simulate`` writes the benchmark's simulated datasets byte for byte
+    as pinned."""
+    d = tmp_path / "ds"
+    assert main(["simulate", "--seed", str(seed), "--days", str(days), "--out", str(d)]) == 0
+    digests = {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(d))}
+    assert digests == _SIMULATED_SHA256[seed, days]
 
 
 def test_every_interval_skipped_exits_3(tmp_path, capsys):
@@ -410,6 +459,17 @@ _DATA_CASES = [
     ("cmaq_daily.csv", 5, None, "1,5"),  # short row
     ("tract_attrs.csv", 18, None, "T00,999999,55.598710830112196"),  # repeated tract_id
     ("site_attrs.csv", 26, None, "C000,9999"),  # repeated site_id
+    # numbers the geometry cannot use, on any row of a polyline or polygon
+    ("traffic_polylines.csv", 3, "x", "nan"),
+    ("traffic_polylines.csv", 4, "y", "inf"),
+    ("traffic_polylines.csv", 5, "adt", "-5"),
+    ("tracts.csv", 3, "x", "inf"),
+    ("cmaq_centroids.csv", 2, "x", "nan"),
+    ("tract_attrs.csv", 2, "area_mi2", "nan"),
+    ("tract_attrs.csv", 3, "population", "-5000"),
+    ("interval_obs.csv", 2, "t_start", "0"),  # day below 1
+    ("manifest.txt", 3, None, "cmaq_cell_size=-5"),
+    ("manifest.txt", 3, None, "cmaq_cell_size=nan"),
 ]
 
 

@@ -469,9 +469,9 @@ class TestGls:
         assert gls.error_model.sill > 0
 
     def test_converged_false_when_optimizer_fails(self, monkeypatch, rng):
-        from scarr import step1
+        import scipy.optimize
 
-        minimize = step1.optimize.minimize
+        minimize = scipy.optimize.minimize
 
         def failing(*args, **kwargs):
             res = minimize(*args, **kwargs)
@@ -484,7 +484,7 @@ class TestGls:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
         assert fit_gls(X, y, coords, ["b0", "b1"]).converged is True
-        monkeypatch.setattr(step1.optimize, "minimize", failing)
+        monkeypatch.setattr(scipy.optimize, "minimize", failing)
         fit = fit_gls(X, y, coords, ["b0", "b1"])
         assert fit.converged is False
         assert fit.optimizer_message == "stopped by the test"
@@ -533,7 +533,9 @@ class TestGls:
         separation over every row pair, not over the distinct separations.
         With five rows at one site, the row-pair median (5 km) is not the
         distinct one (6.7 km)."""
-        minimize, x0 = step1.optimize.minimize, []
+        import scipy.optimize
+
+        minimize, x0 = scipy.optimize.minimize, []
 
         def recording(fun, theta0, **kwargs):
             x0.append(theta0[0])
@@ -543,7 +545,7 @@ class TestGls:
         coords = sites[[0, 0, 0, 0, 0, 1, 2, 3]]
         X = np.column_stack([np.ones(8), rng.normal(size=8)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=8)
-        monkeypatch.setattr(step1.optimize, "minimize", recording)
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
         fit_gls(X, y, coords, ["b0", "b1"])
         assert x0 == [math.log(1000.0 * 1e-6), math.log(0.25 * 5000.0), math.log(5000.0),
                       math.log(2.0 * 5000.0), math.log(0.5 * 5000.0), math.log(5000.0)]
