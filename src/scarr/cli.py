@@ -138,48 +138,42 @@ def cmd_fit_step2(args) -> int:
     inputs = prediction.build_dlm_inputs(prediction.Targets(dataset, s1fit))
     _log(f"fit-step2: {inputs.n_sites} sites x {inputs.n_days} days")
     params = step2.fit_mle(inputs, gamma_hat=step1.gamma_hat(s1fit), drop_mu_a=cfg.drop_mu_a)
+    if not params.converged:
+        _log(f"fit-step2: warning: optimizer did not converge: {params.optimizer_message}")
     step2.write_step2_fit(params, os.path.join(out, "step2_fit.txt"), _header(kv))
     est = step2.kalman_smoother(params, inputs)
     step2.write_state_path(est, os.path.join(out, "state_path.csv"), _header(kv))
-    se = params.se
-    _log(
-        "fit-step2: sigma_z=%.3f (%s) sigma_a=%.3f psi_a=%.3f beta_c=%.3f "
-        "mu_a_dropped=%s loglik=%.3f"
-        % (
-            params.sigma_z,
-            f"{se['sigma_z']:.3f}" if "sigma_z" in se else "n/a",
-            params.sigma_a, params.psi_a, params.beta_c,
-            params.mu_a_dropped, params.loglik,
-        )
-    )
+    se_z = f"{params.se['sigma_z']:.3f}" if "sigma_z" in params.se else "n/a"
+    _log(f"fit-step2: sigma_z={params.sigma_z:.3f} ({se_z}) sigma_a={params.sigma_a:.3f} "
+         f"psi_a={params.psi_a:.3f} beta_c={params.beta_c:.3f} "
+         f"mu_a_dropped={params.mu_a_dropped} loglik={params.loglik:.3f}")
     return 0
 
 
-def _prediction_setup(args):
-    """(out dir, predict config text and values, targets, Step II params, state
-    path): one filter or smoother pass that every target's prediction shares."""
+def _prediction_setup(args, sites):
+    """(out dir, predict config text and values, targets with ``sites(dataset)``,
+    Step II params, state path): one filter or smoother pass for every target."""
     dataset = load_dataset(args.dataset)
     out = _out_dir(args.dataset, args.out)
     s1fit, params = _read_fit(out, 1), _read_fit(out, 2)
     kv = _read_config(args, "predict_config.txt")
     cfg = parse_config(prediction.PredictConfig, kv)
-    targets = prediction.Targets(dataset, s1fit)
+    targets = prediction.Targets(dataset, s1fit, sites(dataset))
     inputs = prediction.build_dlm_inputs(targets)
     return out, kv, cfg, targets, params, prediction.state_path(params, inputs, cfg.smoothed)
 
 
 def cmd_predict(args) -> int:
-    out, kv, cfg, targets, params, state = _prediction_setup(args)
+    out, kv, cfg, targets, params, state = _prediction_setup(
+        args, lambda dataset: sorted(dataset.sites_with_role("prediction"), key=lambda s: s.id))
     late = [d for d in cfg.grid_days if d > targets.n_days]
     if late:
         raise ConfigError(f"{kv.where['grid_days']}: grid_days: day {late[0]} is past the "
                           f"record's last day, {targets.n_days}")
-    dataset = targets.dataset
-    sites = sorted(dataset.sites_with_role("dense_time") + dataset.sites_with_role("prediction"),
-                   key=lambda s: s.id)
-    ids = [s.id for s in sites]
-    c_tilde, y1, outside = targets.sites(sites)
-    errors = prediction.without_prediction(ids, outside, c_tilde, np.isfinite(y1))
+    order = sorted(range(len(targets.ids)), key=targets.ids.__getitem__)
+    ids = [targets.ids[j] for j in order]
+    c_tilde, y1 = targets.c_tilde[order], targets.y1[order]
+    errors = prediction.without_prediction(ids, targets.outside[order], c_tilde, np.isfinite(y1))
     for j in np.flatnonzero(~np.isfinite(y1).any(axis=1)).tolist():
         errors.setdefault(j, DataError(f"predict: no usable days for site {ids[j]}"))
     if errors:
@@ -204,14 +198,15 @@ def cmd_predict(args) -> int:
 
 def _compute_metrics(targets, params, state):
     """Predictions against the dense sites' daily series and the interval
-    observations, next to the raw gridded values y1 on the same days.  An
-    interval site without a prediction is skipped, with its reason logged."""
+    observations (``targets``' extra sites), next to the raw gridded values y1
+    on the same days.  An interval site without a prediction is skipped, with
+    its reason logged."""
     dataset = targets.dataset
     dense = [j for j, site in enumerate(targets.dense) if site.id in dataset.daily_series]
-    sites = [targets.dense[j] for j in dense] + cov.interval_sites(dataset)
-    ids = [s.id for s in sites]
-    c_tilde, y1, outside = targets.sites(sites)
-    errors = prediction.without_prediction(ids, outside, c_tilde, np.isfinite(y1))
+    rows = dense + list(range(len(targets.dense), len(targets.ids)))
+    ids = [targets.ids[j] for j in rows]
+    c_tilde, y1 = targets.c_tilde[rows], targets.y1[rows]
+    errors = prediction.without_prediction(ids, targets.outside[rows], c_tilde, np.isfinite(y1))
     for j, exc in errors.items():
         if j < len(dense):
             raise exc
@@ -222,7 +217,7 @@ def _compute_metrics(targets, params, state):
     interval_pairs, raw_pairs = [], []
     for obs in dataset.interval_obs:
         if obs.site_id in row:
-            window = np.s_[row[obs.site_id], max(obs.t_start - 1, 0):obs.t_end]
+            window = np.s_[row[obs.site_id], obs.t_start - 1:obs.t_end]
             present = np.isfinite(pred[window])
             if present.any():
                 interval_pairs.append((float(np.mean(pred[window][present])), obs.value))
@@ -234,7 +229,7 @@ def _compute_metrics(targets, params, state):
 
 
 def cmd_validate(args) -> int:
-    out, kv, _, targets, params, state = _prediction_setup(args)
+    out, kv, _, targets, params, state = _prediction_setup(args, cov.interval_sites)
     report = _compute_metrics(targets, params, state)
     metrics_path = os.path.join(out, "metrics.csv")
     prediction.write_metrics(report, metrics_path, _header(kv))

@@ -46,10 +46,13 @@ class Targets:
     index.  A target's c-tilde comes from its static covariates and each
     day's seasonal basis, its y1 from its nearest coarse pixel (NaN where
     that has no value).  ``observed`` holds the dense-time sites' daily
-    series, (n_dense, T), NaN where missing.
+    series, (n_dense, T), NaN where missing.  The site table, from one
+    ``site_covariates`` call, has a row per site of ``ids``, the dense-time
+    sites then ``sites``: ``c_tilde``, ``y1`` (N, T) and ``outside`` (N,),
+    true where the site lies outside every census tract.
     """
 
-    def __init__(self, dataset: Dataset, fit: StepOneFit):
+    def __init__(self, dataset: Dataset, fit: StepOneFit, sites=()):
         self.dense = sorted(dataset.sites_with_role("dense_time"), key=lambda s: s.id)
         if not self.dense:
             raise DataError("no dense_time sites in dataset")
@@ -74,6 +77,11 @@ class Targets:
         for k, pid in enumerate(cmaq.pixel_ids.tolist()):
             if pid in cmaq.series:
                 self.coarse[k, cmaq.series[pid].days - 1] = cmaq.series[pid].values
+        records = self.dense + list(sites)
+        self.ids = [s.id for s in records]
+        static = cov.site_covariates(dataset, records, self.segments, fit.spec)
+        self.c_tilde, self.y1 = self.offsets(static)
+        self.outside = np.isnan(static["pop_density"])
 
     def offsets(self, static: dict, days=None):
         """(c_tilde, y1), each (N, D), at the N targets of ``static`` on
@@ -82,21 +90,16 @@ class Targets:
         y1 = self.coarse[:, idx][static["cmaq_index"]]
         return c_tilde_for_day(self.fit, static, self.season[idx]), y1
 
-    def sites(self, sites):
-        """(c_tilde, y1, outside) at the site records ``sites``, a row per
-        site in order: offsets (N, T) over days 1..T, and whether each site
-        lies outside every census tract."""
-        static = cov.site_covariates(self.dataset, sites, self.segments, self.fit.spec)
-        return (*self.offsets(static), np.isnan(static["pop_density"]))
-
 
 def build_dlm_inputs(targets: Targets) -> DlmInputs:
-    """Step II inputs from the dense-time sites, in ``targets.dense`` order.
+    """Step II inputs from the dense-time sites, in ``targets.dense`` order:
+    the first rows of the site table.
 
     Days where the gridded-model value is unavailable have the observation
     masked as missing as well.
     """
-    c_tilde, y1, outside = targets.sites(targets.dense)
+    n = len(targets.dense)
+    c_tilde, y1, outside = targets.c_tilde[:n], targets.y1[:n], targets.outside[:n]
     if outside.any():
         raise cov.outside_tracts(targets.dense[int(np.argmax(outside))].id)
     y = np.where(np.isfinite(y1), targets.observed, np.nan)

@@ -47,6 +47,7 @@ class DlmParams:
     mu_a_dropped: bool = False
     loglik: float = math.nan
     converged: bool = True
+    optimizer_message: str = ""  # the best start's
 
     def __post_init__(self):
         if not (self.sigma_z > 0):
@@ -366,7 +367,7 @@ def _fit_once(stats, n_obs, gamma_hat, fix_mu):
     params = DlmParams(sigma_z, math.sqrt(q) * sigma_z, psi, mu_a=mu, beta_c=beta_c,
                        gamma_hat=gamma_hat)
     params.loglik = -float(best.fun)
-    params.converged = bool(best.success)
+    params.converged, params.optimizer_message = bool(best.success), str(best.message)
 
     @_penalised
     def nll(vec):

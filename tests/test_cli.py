@@ -912,6 +912,54 @@ def test_fit_step2_exits_4_when_no_start_converges(pipeline_dir, fitted_out, mon
     assert "error: numeric: fit_mle: no multistart converged" in err
 
 
+def test_fit_step2_reports_unconverged_optimizer(pipeline_dir, fitted_out, monkeypatch,
+                                                 capsys):
+    import scipy.optimize
+
+    minimize = scipy.optimize.minimize
+
+    def unconverged(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        res.success, res.message = False, "stopped early"
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", unconverged)
+    capsys.readouterr()
+    assert main(["fit-step2", pipeline_dir, "--out", fitted_out]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "converge" in ln]
+    assert lines == ["fit-step2: warning: optimizer did not converge: stopped early"]
+    assert "converged=false" in Path(fitted_out, "step2_fit.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("command", ["fit-step2", "predict", "validate"])
+def test_one_site_table_per_command(tmp_path, monkeypatch, command):
+    """Each command computes the static covariates of all its sites in one
+    call: the dense sites, then the prediction sites (predict) or the
+    interval sites (validate)."""
+    from scarr import covariates as cov
+    from scarr.data_model import load_dataset
+
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    with open(d / "sites.csv", "a") as fh:
+        fh.write("P000,40000.0,10000.0,prediction\n")
+    for step in ("fit-step1", "fit-step2"):
+        assert main([step, str(d)]) == 0
+    ds = load_dataset(str(d))
+    dense = sorted(s.id for s in ds.sites_with_role("dense_time"))
+    extra = {"fit-step2": [], "predict": ["P000"],
+             "validate": [s.id for s in cov.interval_sites(ds)]}[command]
+    calls, original = [], cov.site_covariates
+
+    def counted(dataset, sites, *args):
+        calls.append([s.id for s in sites])
+        return original(dataset, sites, *args)
+
+    monkeypatch.setattr(cov, "site_covariates", counted)
+    assert main([command, str(d)]) == 0
+    assert calls == [dense + extra]
+
+
 def _site_predictions(out):
     """The rows of ``out``'s site_predictions.csv, without header lines."""
     return Path(out, "site_predictions.csv").read_text().splitlines()[3:]

@@ -186,6 +186,17 @@ class TestBuildDlmInputs:
         with pytest.raises(DataError, match=f"site {site.id}: outside all census tracts"):
             build_dlm_inputs(Targets(dataclasses.replace(ds, sites=sites), mini_fit))
 
+    def test_extra_sites_leave_the_inputs_alone(self, mini_dataset, mini_fit):
+        """The dense rows of a site table with more sites, one outside every
+        tract among them, have the bits of the dense-only table."""
+        ds, _ = mini_dataset
+        far = dataclasses.replace(cov.interval_sites(ds)[0], id="far", x=-500_000.0)
+        targets = Targets(ds, mini_fit, [*cov.interval_sites(ds), far])
+        assert targets.ids[-1] == "far" and targets.outside[-1]
+        alone, extended = build_dlm_inputs(Targets(ds, mini_fit)), build_dlm_inputs(targets)
+        for key in ("y", "c_tilde", "y1"):
+            assert getattr(extended, key).tobytes() == getattr(alone, key).tobytes(), key
+
 
 def small_state_problem(rng, T=30, n=3):
     params = DlmParams(1.5, 2.0, 0.6, mu_a=0.0, beta_c=0.7, gamma_hat=0.5)
@@ -405,7 +416,7 @@ class TestMetrics:
         dropped = sorted(ds.daily_series)[0]
         ds = dataclasses.replace(
             ds, daily_series={k: v for k, v in ds.daily_series.items() if k != dropped})
-        targets = Targets(ds, mini_fit)
+        targets = Targets(ds, mini_fit, cov.interval_sites(ds))
         params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
         rep = _compute_metrics(targets, params, state_path(params, build_dlm_inputs(targets)))
         assert dropped in [s.id for s in targets.dense]
@@ -416,11 +427,11 @@ class TestMetrics:
         ds, _ = mini_dataset
         late = dataclasses.replace(ds.interval_obs[0], t_start=85, t_end=120)
         ds = dataclasses.replace(ds, interval_obs=[late])
-        targets = Targets(ds, mini_fit)
+        targets = Targets(ds, mini_fit, [ds.sites[late.site_id]])
         params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
         state = state_path(params, build_dlm_inputs(targets))
         rep = _compute_metrics(targets, params, state)
-        c_tilde, y1, _ = targets.sites([ds.sites[late.site_id]])
+        c_tilde, y1 = targets.c_tilde[-1:], targets.y1[-1:]
         pred, _ = predict_site(params, state, c_tilde, y1)
         assert targets.n_days == 90 and np.isfinite(pred[0, 84:]).all()
         assert rep.mspe == (float(np.mean(pred[0, 84:])) - late.value) ** 2
