@@ -217,8 +217,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
     )
 
 
-#: LAPACK's double-precision triangular solve, the one ``solve_triangular`` calls.
-_TRTRS = get_lapack_funcs("trtrs", (np.empty(0),))
+#: LAPACK's double-precision triangular solve, the one ``solve_triangular``
+#: calls, and its QR factorization, the one ``np.linalg.qr`` calls.
+_TRTRS, _GEQRF = get_lapack_funcs(("trtrs", "geqrf"), (np.empty(0),))
 
 
 def _solve_lower(L: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -268,20 +269,23 @@ def _gls_profile(theta, Xy, pairs, kind, nu):
     The covariance is sigma2 R, R = s C1(range) + (1 - s) I with C1 the
     unit-sill correlation; given R, sigma2-hat = RSS_w / n with RSS_w the
     whitened residual sum of squares of y on X (``Xy`` = [X | y]), and
-    -loglik = (n log 2 pi + n log sigma2-hat + log|R| + n) / 2.  RSS_w is the
-    square of the last diagonal entry of the QR factor of L^-1 [X | y]
-    (``fit_ols`` has rejected a rank-deficient X).  ``pairs`` is
-    ``_pairs(coords)``.
+    -loglik = (n log 2 pi + n log sigma2-hat + log|R| + n) / 2.  Each
+    evaluation takes one Cholesky factor L of R, one LAPACK triangular solve
+    for L^-1 [X | y] and one LAPACK QR of that (``fit_ols`` has rejected a
+    rank-deficient X); RSS_w is the square of the QR factor's last diagonal
+    entry, at [k-1, k-1] of ``geqrf``'s packed n x k output, bit for bit as
+    ``np.linalg.qr`` computes it.  ``pairs`` is ``_pairs(coords)``.
     """
-    n = len(Xy)
+    n, k = Xy.shape
     R = _pair_cov(_theta_model(theta, kind, nu), pairs)
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError:
         return 1e12, math.nan
-    rss = float(np.linalg.qr(_solve_lower(L, Xy), mode="r")[-1, -1]) ** 2
+    qr, _, _, _ = _GEQRF(_solve_lower(L, Xy), overwrite_a=1)
+    rss = float(qr[k - 1, k - 1]) ** 2
     s2 = max(rss / n, 1e-300)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    logdet = 2.0 * np.log(L.diagonal()).sum()
     return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2
 
 
@@ -292,6 +296,7 @@ def fit_gls(
     names,
     kind: str = "exponential",
     nu: float = 0.5,
+    pairs: _Pairs | None = None,
 ) -> StepOneFit:
     """Maximum-likelihood GLS with a spatial error covariance.
 
@@ -303,7 +308,7 @@ def fit_gls(
     fall below the OLS reduction; the last is its mirror, nearly nugget-free,
     from which the search reaches optima with a vanishing nugget that the
     interior starts leave for another basin.  The pair separations are
-    computed once.
+    computed once, or taken from ``pairs`` (``_pairs(coords)``) when given.
     One line logs the fit: sigma2, range, sill share and the likelihood
     evaluations of all starts, and whether the share is at the pure-nugget
     boundary, where the range means nothing.
@@ -315,7 +320,8 @@ def fit_gls(
         raise DataError("fit_gls: need at least 3 distinct site locations")
     fit_ols(X, y, names)  # rejects a rank-deficient design
     Xy = np.column_stack([X, y])
-    pairs = _pairs(coords)
+    if pairs is None:
+        pairs = _pairs(coords)
     # the starts are set from every row pair, not from the distinct separations
     rows = pairs.d[pairs.index[np.triu_indices(len(coords), 1)]]
     pos = rows[rows > 0]
@@ -604,24 +610,26 @@ def fit_design(design: Design, cfg: Step1Config):
 
     Under GLS the selection's F-tests run on (L^-1 X, L^-1 y), L the Cholesky
     factor of the full model's fitted covariance, so each is a GLS test with
-    that covariance fixed.  PRESS is attached under OLS only.
+    that covariance fixed.  The GLS fits and the whitening share one table
+    of pair separations.  PRESS is attached under OLS only.
     """
     # only the Matern has a smoothness; the others record the default
     nu = cfg.matern_nu if cfg.error_model == "matern" else ErrorModel.nu
+    pairs = None if cfg.error_model == "independent" else _pairs(design.coords)
 
     def fit(names):
         # the full fit takes design.X itself: a _columns copy changes the residual bits
         X = design.X if names == design.names else _columns(design, names)
         if cfg.error_model == "independent":
             return fit_ols(X, design.y, names)
-        return fit_gls(X, design.y, design.coords, names, cfg.error_model, nu)
+        return fit_gls(X, design.y, design.coords, names, cfg.error_model, nu, pairs)
 
     result = fit(design.names)
     retained = {g: list(cols) for g, cols in design.groups.items()}
     if cfg.run_selection:
         tested = design
         if cfg.error_model != "independent":
-            X, y = _whiten(result.error_model, _pairs(design.coords), design.X, design.y)
+            X, y = _whiten(result.error_model, pairs, design.X, design.y)
             tested = replace(design, X=X, y=y)
         retained, selected = backward_buffer_selection(tested, cfg.alpha)
         _LOG.info("retained buffer rings %s", {g: len(cols) for g, cols in retained.items()})

@@ -960,6 +960,29 @@ def test_one_site_table_per_command(tmp_path, monkeypatch, command):
     assert calls == [dense + extra]
 
 
+def test_one_separation_table_per_gls_fit_step1(tmp_path, monkeypatch):
+    """A GLS fit-step1 with selection sorts the pair separations once: the
+    full fit, the selection's whitening and the refit after a ring is
+    dropped share the table."""
+    from scarr import step1
+
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    (d / "step1_config.txt").write_text("error_model=exponential\nrun_selection=true\n")
+    calls = {"_pairs": 0, "fit_gls": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(step1, name, counted(name, getattr(step1, name)))
+    assert main(["fit-step1", str(d)]) == 0
+    assert calls == {"_pairs": 1, "fit_gls": 2}  # a ring was dropped, so refitted
+
+
 def _site_predictions(out):
     """The rows of ``out``'s site_predictions.csv, without header lines."""
     return Path(out, "site_predictions.csv").read_text().splitlines()[3:]

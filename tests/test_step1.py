@@ -413,9 +413,14 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-#: Two interval rows at each of 12 sites, as a passive sampler's are.
-_WHITEN_COORDS = np.repeat(np.random.default_rng(6).uniform(0, 10_000, size=(12, 2)), 2, axis=0)
-_WHITEN_XY = np.column_stack([np.ones(24), np.random.default_rng(7).normal(size=(24, 2))])
+def _whiten_case(n, k):
+    """Coordinates with two interval rows at each of n / 2 sites, as a passive
+    sampler's are, and an n x k [X | y] whose X has an intercept."""
+    coords = np.repeat(np.random.default_rng(6).uniform(0, 10_000, size=(n // 2, 2)), 2, axis=0)
+    return coords, np.column_stack([np.ones(n), np.random.default_rng(7).normal(size=(n, k - 1))])
+
+
+_WHITEN_COORDS, _WHITEN_XY = _whiten_case(24, 3)
 
 
 class TestGls:
@@ -550,21 +555,28 @@ class TestGls:
         assert x0 == [math.log(1000.0 * 1e-6), math.log(0.25 * 5000.0), math.log(5000.0),
                       math.log(2.0 * 5000.0), math.log(0.5 * 5000.0), math.log(5000.0)]
 
-    @pytest.mark.parametrize("kind, nu", [("spherical", 0.5), ("exponential", 0.5),
-                                          ("matern", 1.5), ("matern", 2.5)])
-    def test_whitening_equals_solve_triangular(self, kind, nu):
+    @pytest.mark.parametrize("kind, nu, n, k", [
+        pytest.param(kind, nu, n, k, id=f"{kind}-{nu}{shape}")
+        for n, k, shape in ((24, 3, ""), (6, 6, "-square"), (40, 16, "-40x16"))
+        for kind, nu in (("spherical", 0.5), ("exponential", 0.5), ("matern", 1.5),
+                         ("matern", 2.5))
+    ])
+    def test_whitening_equals_solve_triangular(self, kind, nu, n, k):
         """The same (-loglik, sigma2-hat) bits as whitening by
-        ``solve_triangular``, over ranges from 0 to infinite and shares from
-        the pure nugget to a singular, nugget-free covariance (the penalty)."""
-        pairs = _pairs(_WHITEN_COORDS)
+        ``solve_triangular`` and factoring by ``np.linalg.qr``, over ranges
+        from 0 to infinite and shares from the pure nugget to a singular,
+        nugget-free covariance (the penalty).  [X | y] is tall, square (the
+        smallest design ``fit_ols`` accepts) or the size of a 20-site,
+        15-column design."""
+        coords, Xy = _whiten_case(n, k)
+        pairs = _pairs(coords)
         for log_range in (-800.0, math.log(1e-6), math.log(500.0), math.log(3000.0),
                           math.log(1e5), 800.0):
             for logit_share in (-20.0, -2.0, 0.0, 2.0, 20.0, 800.0):
                 theta = np.array([log_range, logit_share])
-                want = _outcome(_profile_by_solve_triangular, theta, _WHITEN_XY,
-                                _WHITEN_COORDS, kind, nu)
-                assert _outcome(_gls_profile, theta, _WHITEN_XY, pairs, kind, nu) == want
-        assert _gls_profile(np.array([0.0, 800.0]), _WHITEN_XY, pairs, kind, nu)[0] == 1e12
+                want = _outcome(_profile_by_solve_triangular, theta, Xy, coords, kind, nu)
+                assert _outcome(_gls_profile, theta, Xy, pairs, kind, nu) == want
+        assert _gls_profile(np.array([0.0, 800.0]), Xy, pairs, kind, nu)[0] == 1e12
 
     @pytest.mark.parametrize("theta, xy, kernel", [
         ((math.nan, 0.0), None, None), ((0.0, math.nan), None, None),
