@@ -12,8 +12,9 @@ import datetime
 import math
 import os
 import typing
+import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -307,10 +308,19 @@ def na_float(text: str) -> float:
     return math.nan if text == "NA" else float(text)
 
 
-def _finite(text: str, ok=lambda value: True) -> float:
-    """A finite number for which ``ok`` holds; ValueError otherwise."""
+#: Test of a number that must be finite, or also within a bound, keyed as in
+#: ``_PARSERS``; each takes a float or an array of them.
+_FINITE = {
+    "finite": np.isfinite,
+    "finite >= 0": lambda value: np.isfinite(value) & (value >= 0.0),
+    "finite > 0": lambda value: np.isfinite(value) & (value > 0.0),
+}
+
+
+def _finite(text: str, kind: str) -> float:
+    """A number for which ``_FINITE[kind]`` holds; ValueError otherwise."""
     value = float(text)
-    if not (math.isfinite(value) and ok(value)):
+    if not _FINITE[kind](value):
         raise ValueError(text)
     return value
 
@@ -323,9 +333,9 @@ _PARSERS = {
     int: (int, "an integer"),
     float: (float, "a number"),
     na_float: (na_float, "a number or NA"),
-    "finite": (_finite, "a finite number"),
-    "finite >= 0": (lambda text: _finite(text, lambda v: v >= 0.0), "a finite number >= 0"),
-    "finite > 0": (lambda text: _finite(text, lambda v: v > 0.0), "a finite number > 0"),
+    "finite": (partial(_finite, kind="finite"), "a finite number"),
+    "finite >= 0": (partial(_finite, kind="finite >= 0"), "a finite number >= 0"),
+    "finite > 0": (partial(_finite, kind="finite > 0"), "a finite number > 0"),
     str: (str, "text"),
     datetime.date: (datetime.date.fromisoformat, "a YYYY-MM-DD date"),
     tuple[float, ...]: (lambda text: tuple(map(float, text.split())), "numbers"),
@@ -348,10 +358,6 @@ _COLUMNS = {
     "landuse_reclass": {"code": int, "category": str},
 }
 
-
-#: ``na_float`` by way of ``float``: the text ``NA`` as ``nan``, any other
-#: text as it is.
-_NA_AS_NAN = {"NA": "nan"}.get
 
 
 def parse_text(kind, text: str, where: str, name: str, error=DataError):
@@ -455,22 +461,25 @@ def parse_config(cls, kv: dict):
         raise ConfigError(f"{where.get(exc.key, cls.__name__)}: {exc}") from None
 
 
-def read_table(path: str, columns: dict):
-    """``(values, lines)`` of a CSV file whose header is exactly ``columns``
-    (name -> a key of ``_PARSERS``): one typed list per column, and an array
-    of the line number of each row.
+def _read_columns(path: str, columns: dict):
+    """``(arrays, lines)`` of a CSV file whose header is exactly ``columns``
+    (name -> a key of ``_PARSERS``): one array per column, and the line
+    number of each row.
 
     The file is read at once and split into lines once; each line is stripped
-    and blank lines are skipped.  A file that cannot be read raises
-    ``DataError`` naming ``path``; a row with the wrong number of fields, and
-    then a field that does not parse, raises it naming the first such
-    ``path:line`` in file order.  Each column is parsed by one ``map`` of
-    its parser (a ``na_float`` column by ``float``, with the text ``NA`` read
-    as ``nan``): no container is made per row, so a large table does not set
-    off the cyclic garbage collector, and no Python code runs per row.
+    and blank lines are skipped.  numpy's C reader parses the rows in one pass
+    (text as wide as the longest line, so none is cut; ``NA`` in a last
+    ``na_float`` column as ``nan``), and each ``"finite..."`` column is checked
+    as a whole.  Rows that it rejects, or that hold a NUL (numpy text drops a
+    trailing one), are parsed field by field in Python, text into arrays of
+    ``str``.  A file that cannot be read raises ``DataError`` naming ``path``;
+    a row with the wrong number of fields, and then a field that does not
+    parse or an integer beyond 64 bits, raises it naming the first such
+    ``path:line`` in file order.
     """
-    names = list(columns)
-    header, *body = read_text(path).split("\n")
+    names, kinds = list(columns), list(columns.values())
+    text = read_text(path)
+    header, *body = text.split("\n")
     header = header.strip()
     if header.split(",") != names:
         raise DataError(f"{path}:1: expected header {','.join(names)!r}, got {header!r}")
@@ -480,34 +489,53 @@ def read_table(path: str, columns: dict):
         lines = np.arange(2, len(texts) + 2)
     else:
         lines = np.flatnonzero(list(map(bool, body))) + 2
-    commas = np.fromiter(map(str.count, texts, repeat(",")), int, len(texts))
-    wrong = np.flatnonzero(commas != len(names) - 1)
-    if wrong.size:
-        raise DataError(f"{path}:{lines[wrong[0]]}: expected {len(names)} fields")
-    fields = ",".join(texts).split(",") if texts else []
-    values = []
-    try:
-        for i, kind in enumerate(columns.values()):
-            column = fields[i::len(names)]
-            if kind is na_float:  # as float, with the text NA as nan
-                kind = float
-                if "NA" in column:
-                    column = map(_NA_AS_NAN, column, column)
-            values.append(list(map(_PARSERS[kind][0], column)))
-    except ValueError:  # name the first field that does not parse
-        for ln, line in zip(lines, texts):
-            for (name, kind), text in zip(columns.items(), line.split(",")):
-                parse_text(kind, text, f"{path}:{ln}", name)
-        raise
-    return values, lines
+    width = max(map(len, texts), default=1) if str in kinds else 1
+    dtype = [(name, np.int64 if kind is int else f"U{width}" if kind is str else np.float64)
+             for name, kind in columns.items()]
+    c_rows = texts
+    if kinds[-1] is na_float and "NA" in text:
+        c_rows = ("\n".join(texts) + "\n").replace(",NA\n", ",nan\n").split("\n")[:-1]
+    if "\0" not in text:
+        try:
+            with warnings.catch_warnings():  # no rows, or an int read by way of float
+                warnings.simplefilter("error")
+                table = np.loadtxt(c_rows, dtype, comments=None, delimiter=",", ndmin=1)
+            if all(_FINITE[kind](table[name]).all() for name, kind in columns.items()
+                   if kind in _FINITE):
+                return [table[name] for name in names], lines
+        except (ValueError, Warning):
+            pass
+    rows = [line.split(",") for line in texts]
+    for ln, row in zip(lines, rows):
+        if len(row) != len(names):
+            raise DataError(f"{path}:{ln}: expected {len(names)} fields")
+    for ln, row in zip(lines, rows):
+        for i, (name, kind) in enumerate(columns.items()):
+            field, row[i] = row[i], parse_text(kind, row[i], f"{path}:{ln}", name)
+            if kind is int and not -(1 << 63) <= row[i] < 1 << 63:
+                raise DataError(f"{path}:{ln}: {name}: expected a 64-bit integer, got {field!r}")
+    fields = zip(*rows) if rows else [()] * len(names)
+    return [np.array(col, dtype=object if kind is str else numpy_type)
+            for col, kind, (_, numpy_type) in zip(fields, kinds, dtype)], lines
+
+
+def read_table(path: str, columns: dict):
+    """``(values, lines)``: ``_read_columns`` with each column a list of
+    ``int``, ``float`` or ``str``."""
+    arrays, lines = _read_columns(path, columns)
+    return [a.tolist() for a in arrays], lines
 
 
 def _number(keys):
-    """``(distinct, codes)``: the distinct keys in order of first appearance,
-    and the index into ``distinct`` of each key."""
-    distinct = list(dict.fromkeys(keys))
-    index = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    """``(distinct, codes)`` of ``keys`` (an array, or a list of Python
+    values): the distinct keys in order of first appearance, as a list of
+    Python values, and the index into ``distinct`` of each key."""
+    keys = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=object)
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    codes = np.empty_like(order)
+    codes[order] = np.arange(order.size)
+    return distinct[order].tolist(), codes[inverse]
 
 
 def _first_repeat(keys, message: str):
@@ -565,22 +593,22 @@ def _read_groups(path: str, columns: dict, known=None, increasing=False) -> dict
     checks, and the first row in file order that fails one raises
     ``DataError`` naming its ``path:line``."""
     what, second = list(columns)[:2]
-    (ids, *rest), lines = read_table(path, columns)
+    (ids, *rest), lines = _read_columns(path, columns)
     distinct, codes = _number(ids)
     order = np.argsort(codes, kind="stable")
-    rest = [np.array(col)[order] for col in rest]
+    rest = [col[order] for col in rest]
     unknown = None if known is None else _first_unknown(distinct, codes, known, what)
     low = down = None
     if increasing:
         below = order[rest[0] < 1]
         if below.size:
             row = int(below.min())
-            low = row, f"{second} below 1 for {what} {ids[row]!r}"
+            low = row, f"{second} below 1 for {what} {distinct[codes[row]]!r}"
         same = codes[order][1:] == codes[order][:-1]
         bad = order[1:][same & (rest[0][1:] <= rest[0][:-1])]
         if bad.size:
             row = int(bad.min())
-            down = row, f"non-monotone {second} for {what} {ids[row]!r}"
+            down = row, f"non-monotone {second} for {what} {distinct[codes[row]]!r}"
     _check(path, lines, unknown, low, down)
     counts = np.bincount(codes, minlength=len(distinct))
     ends = np.cumsum(counts)

@@ -202,7 +202,9 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
         raise DataError(f"fit_ols: n={n} <= p={p}")
     rank = np.linalg.matrix_rank(X)
     if rank < p:
-        raise DataError(f"fit_ols: design is rank deficient (rank {rank} < {p})")
+        zero = [name for name, col in zip(names, X.T) if not col.any()]
+        raise DataError(f"fit_ols: design is rank deficient (rank {rank} < {p})"
+                        + (f"; all-zero columns: {' '.join(zero)}" if zero else ""))
     beta, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ beta
     rss = float(resid @ resid)

@@ -486,6 +486,36 @@ def test_bad_dataset_value_names_file_and_line(tmp_path, capsys, name, line, col
     assert "Traceback" not in err
 
 
+_BEYOND_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize("names, column, at", [
+    # the last line: the last day of the last series, so the days still increase
+    (["daily_series.csv"], "day", ("daily_series.csv", 361)),
+    (["cmaq_daily.csv"], "pixel_id", ("cmaq_daily.csv", 1441)),
+    # every line of the last pixel in both CMAQ tables, so every id is known
+    (["cmaq_centroids.csv", "cmaq_daily.csv"], "pixel_id", ("cmaq_centroids.csv", 17)),
+], ids=["daily_series-day", "cmaq_daily-pixel_id", "both_cmaq-pixel_id"])
+def test_integer_beyond_64_bits_names_file_and_line(tmp_path, capsys, names, column, at):
+    """An integer column value outside int64 exits 3 naming its path:line
+    and column, not with an OverflowError traceback."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    for name in names:
+        path = d / name
+        header, *rows = (row.split(",") for row in path.read_text().splitlines())
+        for row in rows if len(names) > 1 else rows[-1:]:
+            if row[0] == rows[-1][0]:
+                row[header.index(column)] = _BEYOND_INT64
+        path.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+    capsys.readouterr()
+    assert main(["features", str(d), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    where = os.path.join(str(d), at[0])
+    assert f"{where}:{at[1]}: {column}: expected a 64-bit integer, got '{_BEYOND_INT64}'" in err, err
+    assert "Traceback" not in err
+
+
 _CONFIG_CASES = [
     ("step1_config.txt", "features", "selection_alpha=0.1"),
     ("step1_config.txt", "features", "alpha 0.1"),

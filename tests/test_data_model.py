@@ -378,14 +378,24 @@ def _outcome(load, root):
 _VALUE_TEXT = st.one_of(st.just("NA"), st.floats().map(repr))
 
 
+def _int_text(draw, value: int) -> str:
+    """``value`` as plain digits, or as a text that Python's ``int`` reads and
+    a C reader may not: a ``+`` sign, leading zeros, or a ``_`` separator."""
+    text = str(value)
+    return draw(st.sampled_from([text, text, "+" + text, "00" + text, text[0] + "_" + text[1:]
+                                 if len(text) > 1 else text]))
+
+
 @st.composite
 def _grouped_rows(draw, keys):
     """[key, day, value] rows: a series of strictly increasing days for each
-    key, the series interleaved at random, each in its own order."""
+    key, the series interleaved at random, each in its own order.  An int
+    key and a day are written in any text that ``_int_text`` draws."""
     days = {k: sorted(draw(st.sets(st.integers(1, 400), min_size=1, max_size=6))) for k in keys}
     order = draw(st.permutations([k for k in keys for _ in days[k]]))
     left = {k: iter(d) for k, d in days.items()}
-    return [[str(k), str(next(left[k])), draw(_VALUE_TEXT)] for k in order]
+    return [[_int_text(draw, k) if isinstance(k, int) else k, _int_text(draw, next(left[k])),
+             draw(_VALUE_TEXT)] for k in order]
 
 
 def _inject(draw, tables):
@@ -416,17 +426,19 @@ def _inject(draw, tables):
 
 
 def _write_tables(draw, root, tables):
-    """Each table with trailing whitespace on some lines and blank lines
-    between some rows."""
+    """Each table with LF or CRLF line ends, whitespace before the first field
+    or after the last on some lines, and blank lines between some rows."""
     with open(os.path.join(root, "manifest.txt"), "w") as fh:
         fh.write("epoch=1994-01-01\n")
     for name, (header, rows) in tables.items():
         lines = [header]
         for row in rows:
             lines += [""] * draw(st.integers(0, 1))
-            lines.append(",".join(row) + draw(st.sampled_from(["", " ", "\t", "  "])))
-        with open(os.path.join(root, name), "w") as fh:
-            fh.write("\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"])))
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])) + ",".join(row)
+                         + draw(st.sampled_from(["", " ", "\t", "  "])))
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        with open(os.path.join(root, name), "w", newline="") as fh:
+            fh.write(end.join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"])).replace("\n", end))
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,6 +515,16 @@ def test_write_then_read_keeps_every_float(values):
     kept = ~np.isnan(values) & (values != 0)  # -0.0 is written as 0
     assert back[kept].tobytes() == values[kept].tobytes()
     assert np.all(back[values == 0] == 0)
+
+
+def test_text_columns_keep_every_character(tmp_path):
+    """A text column is as wide as its widest value, and a trailing NUL,
+    which a numpy text array drops, is kept."""
+    path = tmp_path / "t.csv"
+    path.write_text("k,v\nA,1\nA\0,2\n" + "B" * 40 + ",3\n")
+    (keys, values), lines = read_table(str(path), {"k": str, "v": int})
+    assert keys == ["A", "A\0", "B" * 40] and values == [1, 2, 3]
+    assert lines.tolist() == [2, 3, 4]
 
 
 def test_write_keyvalue_text_reads_back(tmp_path):

@@ -87,6 +87,13 @@ class TestOls:
         with pytest.raises(DataError, match="rank deficient"):
             fit_ols(X, np.arange(10.0), ["a", "b", "c"])
 
+    def test_rank_deficiency_names_all_zero_columns(self):
+        X = np.column_stack([np.ones(10), np.zeros(10), np.arange(10.0), np.zeros(10)])
+        with pytest.raises(DataError) as err:
+            fit_ols(X, np.arange(10.0), ["intercept", "ttv_0-0.5km", "x", "ttv_0.5-1km"])
+        assert str(err.value) == ("fit_ols: design is rank deficient (rank 2 < 4); "
+                                  "all-zero columns: ttv_0-0.5km ttv_0.5-1km")
+
     def test_underdetermined_raises(self):
         with pytest.raises(DataError, match="n=2 <= p=2"):
             fit_ols(np.eye(2), np.ones(2), ["a", "b"])
