@@ -97,7 +97,7 @@ def cmd_features(args) -> int:
     dataset = load_dataset(args.dataset)
     kv = _read_config(args, "step1_config.txt")
     spec = parse_config(step1.Step1Config, kv).buffer_spec
-    table, warnings = cov.build_covariates(dataset, spec)
+    table, warnings = cov.build_covariates(dataset, spec, quadrants=True)
     for w in warnings:
         _log(f"features: warning: {w}")
     out = _out_dir(args.dataset, args.out)
@@ -110,7 +110,7 @@ def cmd_fit_step1(args) -> int:
     dataset = load_dataset(args.dataset)
     kv = _read_config(args, "step1_config.txt")
     cfg = parse_config(step1.Step1Config, kv)
-    table, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
+    table, warnings = cov.build_covariates(dataset, cfg.buffer_spec, cfg.use_quadrants)
     design = step1.assemble_design(dataset, table, cfg)
     for w in warnings + design.warnings:
         _log(f"fit-step1: warning: {w}")

@@ -274,7 +274,7 @@ def interval_sites(dataset: Dataset) -> list:
             for sid in dict.fromkeys(obs.site_id for obs in dataset.interval_obs)]
 
 
-def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
+def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec(), quadrants: bool = True):
     """Step I covariates of the interval observations as one column table
     (warns and skips an observation that fails).
 
@@ -282,13 +282,15 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     call over the interval sites, and ``site_id``, ``t_start``, ``t_end``,
     ``dyr``, ``season`` (n, 4), ``cmaq_mean``, ``cmaq_days_used`` and
     ``response``, the observed value: each with a leading row axis.
+    ``ttv_quadrant`` comes only with ``quadrants``: ``features`` always asks
+    for it, ``fit-step1`` with ``use_quadrants``.
 
     Returns (table, warnings); warnings are human-readable strings naming the
     offending site.
     """
     segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
     sites = interval_sites(dataset)
-    static = site_covariates(dataset, sites, segments, spec)
+    static = site_covariates(dataset, sites, segments, spec, quadrants)
     index = {s.id: j for j, s in enumerate(sites)}
     site_of_row, columns, warnings = [], [], []
     for obs in dataset.interval_obs:
@@ -334,13 +336,17 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
 CHUNK_ELEMENTS = 1 << 17
 
 
-def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferSpec()) -> dict:
+def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferSpec(),
+                      quadrants: bool = True) -> dict:
     """Time-constant covariates at the N points ``xy`` (N, 2), each with a
     leading N axis: ``ttv``, ``ttv_quadrant``, ``lu_area`` {category: (N, 3)},
     ``pop_density`` (NaN outside every tract), ``elevation`` (NaN: only sites
     have one) and ``cmaq_index``, of the nearest coarse-grid centroid (-1
     without a grid).  Each chunk of points has at most ``CHUNK_ELEMENTS``
     (points x sources) pairs; each row has the bits of its point alone.
+    ``ttv_quadrant``, a second traffic pass, is left out unless ``quadrants``:
+    ``features`` asks for it, and the other commands when a quadrant column
+    is used (``build_covariates``, ``prediction.Targets``).
     """
     xy, segments = _points(xy), np.asarray(segments, dtype=float).reshape(-1, 4)
     landuse = dataset.landuse is not None and dataset.landuse_reclass is not None
@@ -353,7 +359,7 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
         n = len(pts)
         return {
             "ttv": ring_ttv(pts, segments, spec),
-            "ttv_quadrant": quadrant_ttv(pts, segments, spec),
+            **({"ttv_quadrant": quadrant_ttv(pts, segments, spec)} if quadrants else {}),
             "lu_area": (ring_landuse_area(pts, dataset.landuse, dataset.landuse_reclass, spec)
                         if landuse else
                         {c: np.zeros((n, N_LANDUSE_RINGS)) for c in LANDUSE_CATEGORIES}),
@@ -372,10 +378,11 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
     return stack([chunk(xy[i:i + step]) for i in range(0, len(xy), step) or [0]])
 
 
-def site_covariates(dataset: Dataset, sites, segments, spec: BufferSpec = BufferSpec()) -> dict:
+def site_covariates(dataset: Dataset, sites, segments, spec: BufferSpec = BufferSpec(),
+                    quadrants: bool = True) -> dict:
     """``static_covariates`` at the site records ``sites``, with each site's
     elevation (NaN where ``site_attrs`` has none)."""
-    static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec)
+    static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec, quadrants)
     static["elevation"] = np.array(
         [dataset.site_attrs.get(s.id, {}).get("elevation_m", math.nan) for s in sites],
         dtype=float)

@@ -208,16 +208,23 @@ def read_raster(path: str) -> RasterGrid:
         for name, kind in (("ncols", int), ("nrows", int), ("xllcorner", float),
                            ("yllcorner", float), ("cellsize", float), ("nodata_value", float))
     )
-    body = " ".join(lines[6:]).split()
-    if len(body) != n_rows * n_cols:
-        raise DataError(f"{path}: expected {n_rows * n_cols} values, got {len(body)}")
-    try:
-        values = np.array(body, dtype=float).reshape(n_rows, n_cols)
-    except ValueError:  # name the first value that does not parse
-        for ln, line in enumerate(lines[6:], start=7):
-            for text in line.split():
-                parse_text(float, text, f"{path}:{ln}", "value")
-        raise
+    try:  # one C-level parse when the body is n_rows lines of n_cols numbers
+        with warnings.catch_warnings():  # an empty body warns
+            warnings.simplefilter("error")
+            values = np.loadtxt(lines[6:], float, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        values = None
+    if values is None or values.shape != (n_rows, n_cols):  # wrapped otherwise, or bad
+        body = " ".join(lines[6:]).split()
+        if len(body) != n_rows * n_cols:
+            raise DataError(f"{path}: expected {n_rows * n_cols} values, got {len(body)}")
+        try:
+            values = np.array(body, dtype=float).reshape(n_rows, n_cols)
+        except ValueError:  # name the first value that does not parse
+            for ln, line in enumerate(lines[6:], start=7):
+                for text in line.split():
+                    parse_text(float, text, f"{path}:{ln}", "value")
+            raise
     bad = ~(np.isfinite(values) | (values == nodata))
     if bad.any():
         raise DataError(f"{path}: non-finite value not equal to NODATA")

@@ -49,7 +49,9 @@ class Targets:
     series, (n_dense, T), NaN where missing.  The site table, from one
     ``site_covariates`` call, has a row per site of ``ids``, the dense-time
     sites then ``sites``: ``c_tilde``, ``y1`` (N, T) and ``outside`` (N,),
-    true where the site lies outside every census tract.
+    true where the site lies outside every census tract.  ``quadrants`` is
+    true when the fit keeps a ``ttv_<q>`` column: only then do the site table
+    and ``predict_grid``'s pixels build the quadrant traffic tables.
     """
 
     def __init__(self, dataset: Dataset, fit: StepOneFit, sites=()):
@@ -77,9 +79,11 @@ class Targets:
         for k, pid in enumerate(cmaq.pixel_ids.tolist()):
             if pid in cmaq.series:
                 self.coarse[k, cmaq.series[pid].days - 1] = cmaq.series[pid].values
+        groups = fit.spec.groups()
+        self.quadrants = any(nm in fit.names for q in cov.QUADRANTS for nm in groups[f"ttv_{q}"])
         records = self.dense + list(sites)
         self.ids = [s.id for s in records]
-        static = cov.site_covariates(dataset, records, self.segments, fit.spec)
+        static = cov.site_covariates(dataset, records, self.segments, fit.spec, self.quadrants)
         self.c_tilde, self.y1 = self.offsets(static)
         self.outside = np.isnan(static["pop_density"])
 
@@ -210,7 +214,8 @@ def predict_grid(
     if not grids or cmaq.pixel_ids.size == 0:
         return grids
     xy = grids[days[0]].centroids()
-    static = cov.static_covariates(targets.dataset, xy, targets.segments, targets.fit.spec)
+    static = cov.static_covariates(targets.dataset, xy, targets.segments, targets.fit.spec,
+                                   targets.quadrants)
     c_tilde, y1 = targets.offsets(static, days)
     k = static["cmaq_index"]
     half_cell = cmaq.cell_size / 2.0

@@ -504,6 +504,7 @@ def design_columns(static, season, spec: BufferSpec) -> dict:
     ``static`` is ``site_static_covariates`` output, or ``static_covariates``
     output (or a ``build_covariates`` table) with a leading target axis;
     ``season`` is the four seasonal-basis values, each a number or an array.
+    The ``ttv_<q>`` columns are there only when ``static`` has ``ttv_quadrant``.
     """
     groups = spec.groups()
     cols = {
@@ -513,8 +514,9 @@ def design_columns(static, season, spec: BufferSpec) -> dict:
         **dict(zip(SEASON_NAMES, season)),
     }
     cols.update(zip(groups["ttv"], np.moveaxis(static["ttv"], -1, 0)))
-    for q, quadrant in zip(QUADRANTS, np.moveaxis(static["ttv_quadrant"], -2, 0)):
-        cols.update(zip(groups[f"ttv_{q}"], np.moveaxis(quadrant, -1, 0)))
+    if "ttv_quadrant" in static:
+        for q, quadrant in zip(QUADRANTS, np.moveaxis(static["ttv_quadrant"], -2, 0)):
+            cols.update(zip(groups[f"ttv_{q}"], np.moveaxis(quadrant, -1, 0)))
     for cat in LANDUSE_CATEGORIES:
         areas = np.asarray(static["lu_area"].get(cat, np.zeros(N_LANDUSE_RINGS)))
         cols.update(zip(groups[f"lu_{cat}"], np.moveaxis(areas / LANDUSE_SCALE, -1, 0)))

@@ -260,6 +260,8 @@ def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
     k2[[0, -1]] = 0.0 if T > 1 else -1.0
     padded = np.pad(means, ((0, 0), (1, 1)))
     neighbours = padded[:, :-2] + padded[:, 2:]  # Ybar[t-1] + Ybar[t+1]
+    blocks = np.ones((8, -(-T // 8)))  # d's mantissas, padded with ones
+    head = blocks.reshape(-1)[:T]
 
     def kernel(q: float, psi: float):
         psi2 = psi * psi
@@ -273,7 +275,7 @@ def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
         G = (x[:, None, :] * k_means[None, :, :]).sum(axis=2)
         # sum_t log d_t through libm on products of 8 mantissas in [0.5, 1)
         mant, expo = np.frexp(d)
-        blocks = np.pad(mant, (0, -T % 8), constant_values=1.0).reshape(8, -1)
+        head[:] = mant
         logdet = (math.fsum(map(math.log, np.multiply.reduce(blocks).tolist()))
                   + math.log(2.0) * int(expo.sum()) - math.log(1.0 - psi2))
         return W + 0.5 * (G + G.T), logdet

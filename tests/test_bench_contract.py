@@ -9,6 +9,7 @@ other test.
 import importlib
 import importlib.util
 import inspect
+import shutil
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,25 @@ def test_noted_argument_positions(spans):
     for qualified, (pos, name) in NOTED_ARGUMENTS.items():
         params = list(inspect.signature(_function(qualified)).parameters)
         assert params[pos] == name, qualified
+
+
+def test_every_traced_command_calls_ring_ttv(tmp_path, monkeypatch):
+    """``spans.summarize`` reads the notes of ``covariates.ring_ttv`` in every
+    traced command, so each command of the chain must call it at least once:
+    a single traffic pass that bypasses it breaks ``--trace 1`` runs."""
+    from scarr import covariates
+    from scarr.cli import main
+
+    data = tmp_path / "mini"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "data" / "mini", data)
+    calls, original = [], covariates.ring_ttv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(covariates, "ring_ttv", counted)
+    for command in ("features", "fit-step1", "fit-step2", "predict", "validate"):
+        calls.clear()
+        assert main([command, str(data)]) == 0, command
+        assert calls, f"{command} never calls covariates.ring_ttv"

@@ -519,3 +519,22 @@ class TestStaticCovariates:
         assert row["pop_density"] == static["pop_density"][0]
         assert row["elevation"] == ds.site_attrs[site.id]["elevation_m"]
         assert row["cmaq_index"] == static["cmaq_index"][0]
+
+    def test_without_quadrants_the_rest_is_unchanged(self, mini_dataset, monkeypatch):
+        """``quadrants=False`` drops ``ttv_quadrant`` and its traffic pass, and
+        leaves every other key with the bits of the default call."""
+        ds, _ = mini_dataset
+        segments, _ = _static_points(ds)
+        xy = np.array([(12_000.0, 5_000.5), (30_000.0, 24_000.0), (90_000.0, 90_000.0)])
+        monkeypatch.setattr(cov, "CHUNK_ELEMENTS", 1)  # a chunk per point
+        full = static_covariates(ds, xy, segments)
+        calls = []
+        monkeypatch.setattr(cov, "quadrant_ttv", lambda *args: calls.append(args))
+        bare = static_covariates(ds, xy, segments, quadrants=False)
+        assert calls == []
+        assert sorted(bare) == sorted(set(full) - {"ttv_quadrant"})
+        for key in ("ttv", "pop_density", "elevation", "cmaq_index"):
+            assert bare[key].tobytes() == full[key].tobytes(), key
+        assert bare["lu_area"].keys() == full["lu_area"].keys()
+        for cat, areas in full["lu_area"].items():
+            assert bare["lu_area"][cat].tobytes() == areas.tobytes(), cat

@@ -232,6 +232,30 @@ class TestRaster:
         with pytest.raises(DataError, match="expected 4 values"):
             read_raster(str(p))
 
+    HEADER = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9\n"
+
+    def test_uneven_lines_read_as_the_fallback(self, tmp_path):
+        """Rows of n_cols values take the C parse; values wrapped over other
+        lines take the Python one; both give the same array."""
+        values = ["-0.0", "5e-324", "1e300", "-9", "0.1", "12.5"]
+        rows = tmp_path / "rows.asc"
+        rows.write_text(self.HEADER + " ".join(values[:3]) + "\n" + " ".join(values[3:]) + "\n")
+        wrapped = tmp_path / "wrapped.asc"
+        body = ["-0.0 5e-324", "1e300", "", "-9 0.1 12.5"]
+        wrapped.write_text(self.HEADER + "\n".join(body) + "\n")
+        want = np.array(values, dtype=float).reshape(2, 3)  # the Python parse
+        for path in (rows, wrapped):
+            assert read_raster(str(path)).values.tobytes() == want.tobytes(), path.name
+
+    def test_bad_value_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.asc"
+        p.write_text(self.HEADER + "1 2 3\n4 x 6\n")
+        with pytest.raises(DataError, match=r"^.*bad\.asc:8: value: expected a number, got 'x'$"):
+            read_raster(str(p))
+        p.write_text(self.HEADER + "1 2 3\n4 5 6 7\n")
+        with pytest.raises(DataError, match=r"bad\.asc: expected 6 values, got 7$"):
+            read_raster(str(p))
+
     def test_centroids(self):
         r = RasterGrid(2, 2, 0.0, 0.0, 10.0, -9, np.zeros((2, 2)))
         pts = r.centroids()
