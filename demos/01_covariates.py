@@ -23,7 +23,7 @@ print(f"{len(segments)} road segments, {total_vkm / 1e4:,.1f} x 10^4 v-km/day to
 spec = cov.BufferSpec()
 sites = sorted(dataset.sites.values(), key=lambda s: s.id)
 xy = np.array([(s.x, s.y) for s in sites])
-ttv = cov.ring_ttv(xy, segments, spec)
+ttv, quad = cov.ring_ttv(xy, segments, spec)
 print(f"\nring totals (10^4 v-km/day) at {len(sites)} sites: array {ttv.shape}")
 
 # Ring totals around one site (row 0).
@@ -33,8 +33,8 @@ for label, v in zip(spec.ring_labels(), ttv[0]):
     bar = "#" * int(round(4 * v))
     print(f"  {label:>9}  {v:8.3f}  {bar}")
 
-# The same totals split by compass quadrant; columns sum to the ring totals.
-quad = cov.quadrant_ttv(xy, segments, spec)
+# The same pass splits the totals by compass quadrant; columns sum to the
+# ring totals.
 print("\nby quadrant (rows NE/NW/SW/SE):")
 for q, row in zip(cov.QUADRANTS, quad[0]):
     print(f"  {q}: " + " ".join(f"{v:7.3f}" for v in row))

@@ -1,6 +1,6 @@
 """Step I covariate construction.
 
-Ring-buffer traffic volumes (optionally split by quadrant), land-use ring
+Ring-buffer traffic volumes (in total and by quadrant), land-use ring
 areas from a classified raster, census-tract population density, per-site
 elevation and the trigonometric seasonal basis.
 
@@ -158,21 +158,22 @@ def _ring_sources(xy, sources, spec: BufferSpec):
     return point, ring, quadrant, seg[source, 2] * seg[source, 3]
 
 
-def ring_ttv(xy, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
-    """(N, n_rings) total traffic volume per buffer ring around the N points
-    ``xy``, in 10,000 vehicle-km/day units.  ``np.bincount`` adds each bin in
-    input order, so each point's sums have the bits of that point alone."""
-    point, ring, _, volume = _ring_sources(xy, sources, spec)
+def ring_ttv(xy, sources, spec: BufferSpec = BufferSpec()):
+    """(ttv (N, n_rings), ttv_quadrant (N, 4, n_rings)): total traffic volume
+    per buffer ring around the N points ``xy``, and the same split by quadrant
+    (NE, NW, SW, SE order), in 10,000 vehicle-km/day units, from one pass over
+    the (point, source) pairs.  ``np.bincount`` adds each bin in input order,
+    so each point's sums have the bits of that point alone."""
+    point, ring, quadrant, volume = _ring_sources(xy, sources, spec)
     n, r = len(_points(xy)), spec.n_rings
-    return np.bincount(point * r + ring, volume, n * r).reshape(n, r) / 10_000.0
+    ttv = np.bincount(point * r + ring, volume, n * r).reshape(n, r)
+    by_quadrant = np.bincount((point * 4 + quadrant) * r + ring, volume, n * 4 * r)
+    return ttv / 10_000.0, by_quadrant.reshape(n, 4, r) / 10_000.0
 
 
 def quadrant_ttv(xy, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
-    """(N, 4, n_rings) TTV tables by quadrant (NE, NW, SW, SE order)."""
-    point, ring, quadrant, volume = _ring_sources(xy, sources, spec)
-    n, r = len(_points(xy)), spec.n_rings
-    out = np.bincount((point * 4 + quadrant) * r + ring, volume, n * 4 * r)
-    return out.reshape(n, 4, r) / 10_000.0
+    """(N, 4, n_rings) TTV tables by quadrant: ``ring_ttv``'s second table."""
+    return ring_ttv(xy, sources, spec)[1]
 
 
 def _landuse_window(raster: RasterGrid, spec: BufferSpec):
@@ -274,7 +275,7 @@ def interval_sites(dataset: Dataset) -> list:
             for sid in dict.fromkeys(obs.site_id for obs in dataset.interval_obs)]
 
 
-def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec(), quadrants: bool = True):
+def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     """Step I covariates of the interval observations as one column table
     (warns and skips an observation that fails).
 
@@ -282,15 +283,13 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec(), quadrant
     call over the interval sites, and ``site_id``, ``t_start``, ``t_end``,
     ``dyr``, ``season`` (n, 4), ``cmaq_mean``, ``cmaq_days_used`` and
     ``response``, the observed value: each with a leading row axis.
-    ``ttv_quadrant`` comes only with ``quadrants``: ``features`` always asks
-    for it, ``fit-step1`` with ``use_quadrants``.
 
     Returns (table, warnings); warnings are human-readable strings naming the
     offending site.
     """
     segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
     sites = interval_sites(dataset)
-    static = site_covariates(dataset, sites, segments, spec, quadrants)
+    static = site_covariates(dataset, sites, segments, spec)
     index = {s.id: j for j, s in enumerate(sites)}
     site_of_row, columns, warnings = [], [], []
     for obs in dataset.interval_obs:
@@ -336,17 +335,14 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec(), quadrant
 CHUNK_ELEMENTS = 1 << 17
 
 
-def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferSpec(),
-                      quadrants: bool = True) -> dict:
+def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferSpec()) -> dict:
     """Time-constant covariates at the N points ``xy`` (N, 2), each with a
     leading N axis: ``ttv``, ``ttv_quadrant``, ``lu_area`` {category: (N, 3)},
     ``pop_density`` (NaN outside every tract), ``elevation`` (NaN: only sites
     have one) and ``cmaq_index``, of the nearest coarse-grid centroid (-1
     without a grid).  Each chunk of points has at most ``CHUNK_ELEMENTS``
-    (points x sources) pairs; each row has the bits of its point alone.
-    ``ttv_quadrant``, a second traffic pass, is left out unless ``quadrants``:
-    ``features`` asks for it, and the other commands when a quadrant column
-    is used (``build_covariates``, ``prediction.Targets``).
+    (points x sources) pairs, and one ``ring_ttv`` traffic pass gives both
+    traffic tables; each row has the bits of its point alone.
     """
     xy, segments = _points(xy), np.asarray(segments, dtype=float).reshape(-1, 4)
     landuse = dataset.landuse is not None and dataset.landuse_reclass is not None
@@ -357,9 +353,10 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
 
     def chunk(pts):
         n = len(pts)
+        ttv, ttv_quadrant = ring_ttv(pts, segments, spec)
         return {
-            "ttv": ring_ttv(pts, segments, spec),
-            **({"ttv_quadrant": quadrant_ttv(pts, segments, spec)} if quadrants else {}),
+            "ttv": ttv,
+            "ttv_quadrant": ttv_quadrant,
             "lu_area": (ring_landuse_area(pts, dataset.landuse, dataset.landuse_reclass, spec)
                         if landuse else
                         {c: np.zeros((n, N_LANDUSE_RINGS)) for c in LANDUSE_CATEGORIES}),
@@ -378,11 +375,10 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
     return stack([chunk(xy[i:i + step]) for i in range(0, len(xy), step) or [0]])
 
 
-def site_covariates(dataset: Dataset, sites, segments, spec: BufferSpec = BufferSpec(),
-                    quadrants: bool = True) -> dict:
+def site_covariates(dataset: Dataset, sites, segments, spec: BufferSpec = BufferSpec()) -> dict:
     """``static_covariates`` at the site records ``sites``, with each site's
     elevation (NaN where ``site_attrs`` has none)."""
-    static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec, quadrants)
+    static = static_covariates(dataset, [(s.x, s.y) for s in sites], segments, spec)
     static["elevation"] = np.array(
         [dataset.site_attrs.get(s.id, {}).get("elevation_m", math.nan) for s in sites],
         dtype=float)

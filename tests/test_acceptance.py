@@ -361,7 +361,7 @@ def test_criterion_9_covariate_geometry(capsys):
     def body():
         # 50 m segment at 20,000 ADT, 700 m away: exactly 0.1 in ring 2
         seg = cov.TrafficSegment(700.0, 0.0, 0.05, 20_000.0)
-        (out,) = cov.ring_ttv([(0.0, 0.0)], [seg])
+        (out,), _ = cov.ring_ttv([(0.0, 0.0)], [seg])
         assert out[1] == 0.1
         assert np.all(out[[0, 2, 3, 4, 5, 6]] == 0.0)
 

@@ -54,7 +54,8 @@ def test_noted_argument_positions(spans):
 def test_every_traced_command_calls_ring_ttv(tmp_path, monkeypatch):
     """``spans.summarize`` reads the notes of ``covariates.ring_ttv`` in every
     traced command, so each command of the chain must call it at least once:
-    a single traffic pass that bypasses it breaks ``--trace 1`` runs."""
+    ``ring_ttv`` is the one traffic pass, and a path that bypasses it breaks
+    ``--trace 1`` runs."""
     from scarr import covariates
     from scarr.cli import main
 

@@ -100,18 +100,18 @@ class TestRingTtv:
         # 50 m piece at 20,000 ADT = 1000 v-km/day = 0.1 in report units;
         # 700 m away lands in the 0.5-1 km ring
         seg = TrafficSegment(700.0, 0.0, 0.05, 20_000.0)
-        out = ring_ttv(SITE, [seg])[0]
+        out = ring_ttv(SITE, [seg])[0][0]
         assert out[1] == pytest.approx(0.1)
         assert out[[0, 2, 3, 4, 5, 6]].sum() == 0.0
 
     def test_boundary_distance_inner_ring(self):
         seg = TrafficSegment(500.0, 0.0, 0.05, 10_000.0)
-        out = ring_ttv(SITE, [seg])[0]
+        out = ring_ttv(SITE, [seg])[0][0]
         assert out[0] > 0 and out[1] == 0.0
 
     def test_beyond_last_ring_ignored(self):
         seg = TrafficSegment(6500.0, 0.0, 0.05, 10_000.0)
-        assert ring_ttv(SITE, [seg])[0].sum() == 0.0
+        assert ring_ttv(SITE, [seg])[0][0].sum() == 0.0
 
     def test_matches_brute_force(self, rng):
         spec = BufferSpec()
@@ -122,7 +122,7 @@ class TestRingTtv:
             )
             for _ in range(200)
         ]
-        out = ring_ttv(SITE, segs, spec)[0]
+        out = ring_ttv(SITE, segs, spec)[0][0]
         radii = (0.0,) + spec.radii_km
         for k in range(spec.n_rings):
             expected = sum(
@@ -141,7 +141,7 @@ class TestRingTtv:
         ]
         doubled = [TrafficSegment(s.x, s.y, s.length_km, 2 * s.adt) for s in segs]
         np.testing.assert_allclose(
-            ring_ttv(SITE, doubled)[0], 2 * ring_ttv(SITE, segs)[0], rtol=1e-12
+            ring_ttv(SITE, doubled)[0][0], 2 * ring_ttv(SITE, segs)[0][0], rtol=1e-12
         )
 
 
@@ -164,9 +164,8 @@ class TestQuadrantTtv:
             )
             for _ in range(150)
         ]
-        np.testing.assert_allclose(
-            quadrant_ttv(SITE, segs)[0].sum(axis=0), ring_ttv(SITE, segs)[0], rtol=1e-12
-        )
+        ttv, quad = ring_ttv(SITE, segs)
+        np.testing.assert_allclose(quad[0].sum(axis=0), ttv[0], rtol=1e-12)
 
     def test_rotation_permutes_quadrants(self, rng):
         segs = [
@@ -207,10 +206,8 @@ class TestTrafficProperties:
     def test_quadrants_sum_to_rings(self, sx, sy, rows):
         site = np.array([[float(sx), float(sy)]])
         segs = [TrafficSegment(*map(float, row)) for row in rows]
-        np.testing.assert_allclose(
-            quadrant_ttv(site, segs)[0].sum(axis=0), ring_ttv(site, segs)[0],
-            rtol=1e-12, atol=1e-12,
-        )
+        ttv, quad = ring_ttv(site, segs)
+        np.testing.assert_allclose(quad[0].sum(axis=0), ttv[0], rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(_coord, _coord, _segments, _coord, _coord)
@@ -220,7 +217,7 @@ class TestTrafficProperties:
         segs = [TrafficSegment(float(x), float(y), ln, adt) for x, y, ln, adt in rows]
         shifted = [TrafficSegment(float(x + ox), float(y + oy), ln, adt)
                    for x, y, ln, adt in rows]
-        assert ring_ttv(moved, shifted).tobytes() == ring_ttv(site, segs).tobytes()
+        assert ring_ttv(moved, shifted)[0].tobytes() == ring_ttv(site, segs)[0].tobytes()
         assert (quadrant_ttv(moved, shifted).tobytes()
                 == quadrant_ttv(site, segs).tobytes())
 
@@ -231,8 +228,8 @@ class TestTrafficProperties:
         segs = [TrafficSegment(*map(float, row)) for row in rows]
         inside = sum(ln * adt for x, y, ln, adt in rows
                      if math.hypot(x - sx, y - sy) <= 6000.0)
-        assert ring_ttv(site, segs)[0].sum() == pytest.approx(inside / 10_000.0,
-                                                           rel=1e-12, abs=1e-12)
+        assert ring_ttv(site, segs)[0][0].sum() == pytest.approx(inside / 10_000.0,
+                                                              rel=1e-12, abs=1e-12)
 
 
 def uniform_raster(code=2, n=80, cell=100.0, center=4000.0):
@@ -519,22 +516,3 @@ class TestStaticCovariates:
         assert row["pop_density"] == static["pop_density"][0]
         assert row["elevation"] == ds.site_attrs[site.id]["elevation_m"]
         assert row["cmaq_index"] == static["cmaq_index"][0]
-
-    def test_without_quadrants_the_rest_is_unchanged(self, mini_dataset, monkeypatch):
-        """``quadrants=False`` drops ``ttv_quadrant`` and its traffic pass, and
-        leaves every other key with the bits of the default call."""
-        ds, _ = mini_dataset
-        segments, _ = _static_points(ds)
-        xy = np.array([(12_000.0, 5_000.5), (30_000.0, 24_000.0), (90_000.0, 90_000.0)])
-        monkeypatch.setattr(cov, "CHUNK_ELEMENTS", 1)  # a chunk per point
-        full = static_covariates(ds, xy, segments)
-        calls = []
-        monkeypatch.setattr(cov, "quadrant_ttv", lambda *args: calls.append(args))
-        bare = static_covariates(ds, xy, segments, quadrants=False)
-        assert calls == []
-        assert sorted(bare) == sorted(set(full) - {"ttv_quadrant"})
-        for key in ("ttv", "pop_density", "elevation", "cmaq_index"):
-            assert bare[key].tobytes() == full[key].tobytes(), key
-        assert bare["lu_area"].keys() == full["lu_area"].keys()
-        for cat, areas in full["lu_area"].items():
-            assert bare["lu_area"][cat].tobytes() == areas.tobytes(), cat

@@ -2,14 +2,15 @@ import dataclasses
 import logging
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scarr import covariates as cov
-from scarr.cli import _compute_metrics
-from scarr.data_model import RasterGrid, load_dataset
+from scarr.cli import _compute_metrics, main
+from scarr.data_model import RasterGrid
 from scarr.errors import DataError
 from scarr.prediction import (
     NODATA,
@@ -27,7 +28,7 @@ from scarr.prediction import (
     write_site_predictions,
     without_prediction,
 )
-from scarr.step1 import Step1Config, assemble_design, design_columns, fit_design, fit_ols
+from scarr.step1 import assemble_design, design_columns, fit_ols
 from scarr.step2 import DlmInputs, DlmParams, kalman_filter
 
 
@@ -395,69 +396,35 @@ class TestPredictGrid:
 
 MINI = Path(__file__).resolve().parents[1] / "data" / "mini"
 
-#: Step I configurations on data/mini: the default, whose fit keeps no
+#: ``step1_config.txt`` on data/mini: the default, whose fit keeps no
 #: quadrant column, and one whose fit keeps twelve.
 QUADRANT_CONFIGS = {
-    "default": Step1Config(),
-    "quadrants": Step1Config(use_quadrants=True, buffer_radii_km=(2.0, 4.0, 6.0),
-                             run_selection=False),
+    "default": "",
+    "quadrants": "use_quadrants=true\nbuffer_radii_km=2 4 6\nrun_selection=false\n",
 }
 
 
-@pytest.fixture(scope="module")
-def mini_fits():
-    """data/mini and its Step I fit under each of ``QUADRANT_CONFIGS``."""
-    ds = load_dataset(str(MINI))
-    fits = {}
-    for name, cfg in QUADRANT_CONFIGS.items():
-        table, _ = cov.build_covariates(ds, cfg.buffer_spec, cfg.use_quadrants)
-        fits[name] = fit_design(assemble_design(ds, table, cfg), cfg)[1]
-    return ds, fits
-
-
-def _targets_and_grid(ds, fit):
-    """(Targets, predict_grid values) of ``fit`` on a 16 x 16 raster."""
-    targets = Targets(ds, fit)
-    params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
-    grids = predict_grid(targets, params, state_path(params, build_dlm_inputs(targets)),
-                         16, 16, 0.0, 0.0, 3000.0, [3, 40])
-    return targets, np.stack([grids[d].values for d in (3, 40)])
-
-
-class TestQuadrantTables:
-    """Targets and predict_grid build the quadrant traffic tables only for a
-    fit that keeps a ``ttv_<q>`` column, and give the same values either way."""
-
-    @pytest.mark.parametrize("name", sorted(QUADRANT_CONFIGS))
-    def test_same_values_as_with_quadrant_tables(self, mini_fits, name, monkeypatch):
-        ds, fits = mini_fits
-        targets, grid = _targets_and_grid(ds, fits[name])
-        assert targets.quadrants == (name == "quadrants")
-        original = cov.static_covariates
-
-        def always(dataset, xy, segments, spec, quadrants=True):
-            return original(dataset, xy, segments, spec, True)
-
-        monkeypatch.setattr(cov, "static_covariates", always)
-        forced, forced_grid = _targets_and_grid(ds, fits[name])
-        assert targets.c_tilde.tobytes() == forced.c_tilde.tobytes()
-        assert targets.y1.tobytes() == forced.y1.tobytes()
-        assert grid.tobytes() == forced_grid.tobytes()
-        assert (grid != NODATA).any()
-
-    @pytest.mark.parametrize("name", sorted(QUADRANT_CONFIGS))
-    def test_one_quadrant_pass_per_chunk_only_when_used(self, mini_fits, name, monkeypatch):
-        ds, fits = mini_fits
-        calls = {"ring_ttv": 0, "quadrant_ttv": 0}
-        for fn in calls:
-            def counted(*args, _fn=fn, _original=getattr(cov, fn)):
-                calls[_fn] += 1
-                return _original(*args)
-            monkeypatch.setattr(cov, fn, counted)
-        monkeypatch.setattr(cov, "CHUNK_ELEMENTS", 1 << 14)  # several chunks each
-        _targets_and_grid(ds, fits[name])
-        assert calls["ring_ttv"] > 2
-        assert calls["quadrant_ttv"] == (calls["ring_ttv"] if name == "quadrants" else 0)
+@pytest.mark.parametrize("name", sorted(QUADRANT_CONFIGS))
+def test_one_traffic_pass_per_chunk(tmp_path, monkeypatch, name):
+    """Every command, with or without quadrant columns in the fit, gets both
+    traffic tables of a ``static_covariates`` chunk from one pass over its
+    (point, source) pairs: one ``_ring_sources`` call per ``ring_ttv`` call."""
+    data = tmp_path / "mini"
+    shutil.copytree(MINI, data)
+    (data / "step1_config.txt").write_text(QUADRANT_CONFIGS[name])
+    (data / "predict_config.txt").write_text("grid_days=3 40\n")  # a 16 x 16 raster
+    calls = {"ring_ttv": 0, "_ring_sources": 0}
+    for fn in calls:
+        def counted(*args, _fn=fn, _original=getattr(cov, fn), **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cov, fn, counted)
+    monkeypatch.setattr(cov, "CHUNK_ELEMENTS", 1 << 14)  # several chunks each
+    for command in ("features", "fit-step1", "fit-step2", "predict", "validate"):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main([command, str(data)]) == 0, command
+        assert calls["ring_ttv"] > 1, command
+        assert calls["_ring_sources"] == calls["ring_ttv"], command
 
 
 class TestMetrics:
