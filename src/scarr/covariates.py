@@ -85,8 +85,11 @@ class BufferSpec:
 
     def ring_index(self, d_km):
         """Ring of each distance (boundary to the inner ring); -1 if beyond."""
-        k = np.searchsorted(self.radii_km, d_km, side="left")
-        return np.where(k < self.n_rings, k, -1)
+        d_km = np.asarray(d_km)
+        ring = np.zeros(d_km.shape, dtype=np.intp)
+        for r in self.radii_km[:-1]:  # a few comparisons beat a binary search
+            ring += d_km > r
+        return np.where(d_km <= self.radii_km[-1], ring, -1)
 
 
 def segmentize(polylines) -> np.ndarray:
@@ -127,27 +130,38 @@ def _points(xy) -> np.ndarray:
     return np.asarray(xy, dtype=float).reshape(-1, 2)
 
 
+def _traffic_reach(spec: BufferSpec) -> float:
+    """Distance (m) along x or y beyond which a source is outside every ring
+    of a point: the outer radius + 1 m."""
+    return spec.radii_km[-1] * 1000.0 + 1.0
+
+
 def _ring_sources(xy, sources, spec: BufferSpec):
     """(point, ring, quadrant, volume) of each (point, source) pair inside the
-    last ring, by point and then in source order.
+    last ring, by source; so each point's pairs are in source order.
 
     ``sources`` is a ``segmentize`` table or a list of ``TrafficSegment``.
     Quadrants follow the signs of (dx, dy) from the point: NE dx>0, dy>=0 (and
     a source at the point itself), NW dx<=0, dy>0, SW dx<0, dy<=0, SE the rest.
-    Volume is vehicle-km/day.
+    Volume is vehicle-km/day.  A point's pairs depend only on the sources
+    within ``_traffic_reach`` of it and their order, so any subset of the
+    sources that keeps those, in the same order, gives it the same pairs.
     """
     xy, seg = _points(xy), np.asarray(sources, dtype=float).reshape(-1, 4)
-    # a source farther than the last ring (+1 m) along x or y cannot count:
-    # drop it for all points, then for each pair, before the exact distance
-    reach = spec.radii_km[-1] * 1000.0 + 1.0
-    if len(xy):
-        near = (seg[:, :2] >= xy.min(axis=0) - reach) & (seg[:, :2] <= xy.max(axis=0) + reach)
-        seg = seg[near.all(axis=1)]
-    dx, dy = seg[:, 0] - xy[:, :1], seg[:, 1] - xy[:, 1:]
-    point, source = np.nonzero((np.abs(dx) <= reach) & (np.abs(dy) <= reach))
-    dx, dy = dx[point, source], dy[point, source]
+    # each source meets the run of the points, sorted by x, within the reach
+    # of it along x; a pair farther along x or y is outside every ring
+    reach = _traffic_reach(spec)
+    (px, py), (sx, sy) = xy.T, seg[:, :2].T
+    by_x = np.argsort(px)
+    first = np.searchsorted(px[by_x], sx - reach)
+    count = np.searchsorted(px[by_x], sx + reach, side="right") - first
+    source = np.repeat(np.arange(len(seg)), count)
+    point = by_x[np.arange(len(source)) + np.repeat(first - np.cumsum(count) + count, count)]
+    near = np.flatnonzero(np.abs(sy[source] - py[point]) <= reach)
+    point, source = point[near], source[near]
+    dx, dy = sx[source] - px[point], sy[source] - py[point]
     ring = spec.ring_index(np.hypot(dx, dy) / 1000.0)
-    inside = ring >= 0
+    inside = np.flatnonzero(ring >= 0)
     point, source, ring, dx, dy = (a[inside] for a in (point, source, ring, dx, dy))
     quadrant = np.select(
         [((dx > 0) & (dy >= 0)) | ((dx == 0) & (dy == 0)),
@@ -155,7 +169,7 @@ def _ring_sources(xy, sources, spec: BufferSpec):
          (dx < 0) & (dy <= 0)],
         [0, 1, 2], default=3,
     )
-    return point, ring, quadrant, seg[source, 2] * seg[source, 3]
+    return point, ring, quadrant, (seg[:, 2] * seg[:, 3])[source]
 
 
 def ring_ttv(xy, sources, spec: BufferSpec = BufferSpec()):
@@ -329,10 +343,70 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
     return table, warnings
 
 
-#: Bound on the (points x sources) pairs of a ``static_covariates`` chunk; the
-#: sources are road segments, coarse-grid centroids, tract edges or land-use
-#: cells.  1 MB per float array.
+#: Bound on the (points x sources) pairs of a ``static_covariates`` chunk: a
+#: traffic chunk pairs its points with the road segments around them, and
+#: the land-use, tract and coarse-pixel chunks pair theirs with that table's
+#: land-use window cells, tract edges or centroids.  1 MB per float array.
 CHUNK_ELEMENTS = 1 << 17
+
+
+def _traffic_chunks(xy, segments, reach: float) -> list:
+    """(point indices, segment indices) of each traffic chunk of the points.
+
+    The segments are binned on a square grid of side ``reach``, so every
+    segment within ``reach`` of a point along x and y lies in the 3 x 3
+    cells around the point's cell.  The points, ordered by cell, are cut into
+    chunks of whole cells with at most ``CHUNK_ELEMENTS`` (points x
+    candidates) pairs; a chunk's candidates are the segments of the 3 x 3
+    cells around its cells, in ascending index.  A cell whose points alone
+    exceed the bound is cut into pieces of at least one point.
+    """
+    n, none = len(xy), np.empty(0, dtype=np.intp)
+    if not (n and len(segments)):
+        return [(np.arange(n), none)]
+    low, high = (np.array([f(segments[:, 0]), f(segments[:, 1])]) for f in (np.min, np.max))
+    top = np.floor((high - low) / reach) + 1.0
+    width = int(top[0]) + 4
+
+    def cell(p):
+        # row-major key of the cell, with two empty cells of margin on every
+        # side: a point beyond them is moved onto them, and NaN onto the first
+        f = np.fmin(np.fmax(np.floor((p - low) / reach), -2.0), top + 1.0).astype(np.intp) + 2
+        return f[:, 1] * width + f[:, 0]
+
+    segment_cell = cell(segments[:, :2])
+    by_cell = np.argsort(segment_cell)
+    keys, first, count = np.unique(segment_cell[by_cell], return_index=True, return_counts=True)
+    span = {k: (a, a + m) for k, a, m in zip(keys.tolist(), first.tolist(), count.tolist())}
+    around = [dy * width + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+    point_cell = cell(xy)
+    order = np.argsort(point_cell)
+    cells, bounds = np.unique(point_cell[order], return_index=True)
+    bounds = np.append(bounds, n).tolist()
+
+    def size(keys):
+        return sum(span[k][1] - span[k][0] for k in keys)
+
+    # each group: its first and end cell, and the segment cells near them
+    groups, start, near, found = [], 0, set(), 0
+    for c, key in enumerate(cells.tolist()):
+        block = {key + d for d in around} & span.keys()
+        pairs = (bounds[c + 1] - bounds[start]) * (found + size(block - near))
+        if c > start and pairs > CHUNK_ELEMENTS:
+            groups.append((start, c, near))
+            start, near, found = c, set(), 0
+        found += size(block - near)
+        near |= block
+    groups.append((start, len(cells), near))
+
+    chunks = []
+    for start, stop, near in groups:
+        points = order[bounds[start]:bounds[stop]]
+        candidates = np.sort(np.concatenate([by_cell[slice(*span[k])] for k in near] + [none]))
+        step = max(1, CHUNK_ELEMENTS // max(len(candidates), 1))
+        chunks += [(points[i:i + step], candidates) for i in range(0, len(points), step)]
+    return chunks
 
 
 def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferSpec()) -> dict:
@@ -340,39 +414,48 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
     leading N axis: ``ttv``, ``ttv_quadrant``, ``lu_area`` {category: (N, 3)},
     ``pop_density`` (NaN outside every tract), ``elevation`` (NaN: only sites
     have one) and ``cmaq_index``, of the nearest coarse-grid centroid (-1
-    without a grid).  Each chunk of points has at most ``CHUNK_ELEMENTS``
-    (points x sources) pairs, and one ``ring_ttv`` traffic pass gives both
-    traffic tables; each row has the bits of its point alone.
+    without a grid).
+
+    Each table takes the points in its own chunks of at most
+    ``CHUNK_ELEMENTS`` (points x sources) pairs.  Traffic chunks hold whole
+    cells of a grid of road segments (``_traffic_chunks``), and one
+    ``ring_ttv`` pass per chunk gives both traffic tables: each point meets
+    the segments within reach of it in ascending segment order, whichever
+    chunk it falls in.  The other tables take the points in input order.
+    Each row has the bits of its point alone.
     """
     xy, segments = _points(xy), np.asarray(segments, dtype=float).reshape(-1, 4)
-    landuse = dataset.landuse is not None and dataset.landuse_reclass is not None
-    window = _landuse_window(dataset.landuse, spec)[1] ** 2 if landuse else 0
-    edges = sum(len(t.vertices) for t in dataset.tracts)
-    widest = max(len(segments), dataset.cmaq.pixel_ids.size, window, edges, 1)
-    step = max(1, CHUNK_ELEMENTS // widest)
-
-    def chunk(pts):
-        n = len(pts)
-        ttv, ttv_quadrant = ring_ttv(pts, segments, spec)
-        return {
-            "ttv": ttv,
-            "ttv_quadrant": ttv_quadrant,
-            "lu_area": (ring_landuse_area(pts, dataset.landuse, dataset.landuse_reclass, spec)
-                        if landuse else
-                        {c: np.zeros((n, N_LANDUSE_RINGS)) for c in LANDUSE_CATEGORIES}),
-            "pop_density": (population_density(pts, dataset.tracts)
-                            if dataset.tracts else np.zeros(n)),
-            "elevation": np.full(n, math.nan),
-            "cmaq_index": (nearest_cmaq_centroid(pts, dataset.cmaq)
-                           if dataset.cmaq.pixel_ids.size else np.full(n, -1)),
-        }
+    n = len(xy)
+    ttv, ttv_quadrant = np.zeros((n, spec.n_rings)), np.zeros((n, 4, spec.n_rings))
+    for points, near in _traffic_chunks(xy, segments, _traffic_reach(spec)):
+        ttv[points], ttv_quadrant[points] = ring_ttv(xy[points], segments[near], spec)
 
     def stack(parts):
         if isinstance(parts[0], dict):
             return {key: stack([p[key] for p in parts]) for key in parts[0]}
         return np.concatenate(parts)
 
-    return stack([chunk(xy[i:i + step]) for i in range(0, len(xy), step) or [0]])
+    def chunked(kernel, width, *args):
+        step = max(1, CHUNK_ELEMENTS // width)
+        return stack([kernel(xy[i:i + step], *args) for i in range(0, n, step) or [0]])
+
+    if dataset.landuse is not None and dataset.landuse_reclass is not None:
+        lu_area = chunked(ring_landuse_area, _landuse_window(dataset.landuse, spec)[1] ** 2,
+                          dataset.landuse, dataset.landuse_reclass, spec)
+    else:
+        lu_area = {c: np.zeros((n, N_LANDUSE_RINGS)) for c in LANDUSE_CATEGORIES}
+    cmaq = dataset.cmaq
+    return {
+        "ttv": ttv,
+        "ttv_quadrant": ttv_quadrant,
+        "lu_area": lu_area,
+        "pop_density": (chunked(population_density, sum(len(t.vertices) for t in dataset.tracts),
+                                dataset.tracts)
+                        if dataset.tracts else np.zeros(n)),
+        "elevation": np.full(n, math.nan),
+        "cmaq_index": (chunked(nearest_cmaq_centroid, cmaq.pixel_ids.size, cmaq)
+                       if cmaq.pixel_ids.size else np.full(n, -1)),
+    }
 
 
 def site_covariates(dataset: Dataset, sites, segments, spec: BufferSpec = BufferSpec()) -> dict:

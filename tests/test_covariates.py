@@ -24,7 +24,13 @@ from scarr.covariates import (
     site_static_covariates,
     static_covariates,
 )
-from scarr.data_model import IntervalObservation, RasterGrid, SiteRecord, TractPolygon
+from scarr.data_model import (
+    IntervalObservation,
+    RasterGrid,
+    SiteRecord,
+    TractPolygon,
+    nearest_cmaq_centroid,
+)
 
 #: One point at the origin, in the (N, 2) form the geometry kernels take.
 SITE = np.zeros((1, 2))
@@ -43,6 +49,15 @@ class TestBufferSpec:
         assert spec.ring_index(0.5000001) == 1
         assert spec.ring_index(6.0) == 6
         assert spec.ring_index(6.1) == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 8.0) | st.sampled_from([0.0, 0.5, 1.0, 6.0, math.inf,
+                                                            math.nan])))
+    def test_ring_index_equals_binary_search(self, d_km):
+        spec = BufferSpec()
+        k = np.searchsorted(spec.radii_km, d_km, side="left")
+        want = np.where(k < spec.n_rings, k, -1)
+        assert spec.ring_index(np.array(d_km)).tobytes() == want.tobytes()
 
     def test_rejects_non_increasing(self):
         with pytest.raises(DataError):
@@ -200,6 +215,22 @@ _segments = st.lists(
 )
 
 
+def _dense_ring_ttv(xy, segments, spec=BufferSpec()):
+    """Reference traffic tables from one dense (points x segments) matrix:
+    the pairs inside the last ring, summed by point and then in segment order."""
+    dx, dy = segments[:, 0] - xy[:, :1], segments[:, 1] - xy[:, 1:]
+    ring = spec.ring_index(np.hypot(dx, dy) / 1000.0)
+    point, source = np.nonzero(ring >= 0)
+    dx, dy, ring = dx[point, source], dy[point, source], ring[point, source]
+    quadrant = np.select([((dx > 0) & (dy >= 0)) | ((dx == 0) & (dy == 0)),
+                          (dx <= 0) & (dy > 0), (dx < 0) & (dy <= 0)], [0, 1, 2], default=3)
+    volume = segments[source, 2] * segments[source, 3]
+    n, r = len(xy), spec.n_rings
+    ttv = np.bincount(point * r + ring, volume, n * r).reshape(n, r)
+    by_quadrant = np.bincount((point * 4 + quadrant) * r + ring, volume, n * 4 * r)
+    return ttv / 10_000.0, by_quadrant.reshape(n, 4, r) / 10_000.0
+
+
 class TestTrafficProperties:
     @settings(max_examples=60, deadline=None)
     @given(_coord, _coord, _segments)
@@ -208,6 +239,14 @@ class TestTrafficProperties:
         segs = [TrafficSegment(*map(float, row)) for row in rows]
         ttv, quad = ring_ttv(site, segs)
         np.testing.assert_allclose(quad[0].sum(axis=0), ttv[0], rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_coord, _coord), max_size=30), _segments)
+    def test_equals_dense_pairs(self, points, rows):
+        xy = np.array(points, dtype=float).reshape(-1, 2)
+        segs = np.array(rows, dtype=float).reshape(-1, 4)
+        for got, want in zip(ring_ttv(xy, segs), _dense_ring_ttv(xy, segs)):
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(_coord, _coord, _segments, _coord, _coord)
@@ -505,6 +544,80 @@ class TestStaticCovariates:
         assert static["pop_density"][:2].tolist() == [want, want]
         assert np.isnan(static["pop_density"][2])
         assert np.isnan(static["elevation"]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_binned_equals_dense_reference(self, mini_dataset, data):
+        """Against one ``ring_ttv`` over all points and all segments, and the
+        other tables in one chunk: points on cell boundaries, off the map, all
+        in one cell or none, and sources at exactly a ring radius."""
+        ds, _ = mini_dataset
+        spec, reach = BufferSpec(), cov._traffic_reach(BufferSpec())
+        segments, points = _static_points(ds)
+        centre = data.draw(st.tuples(st.integers(0, 48_000), st.integers(0, 48_000)))
+        radius = 1000.0 * data.draw(st.sampled_from(spec.radii_km))
+        segments = np.vstack([segments, [[centre[0] + radius, centre[1], 0.05, 900.0],
+                                         [centre[0], centre[1] - radius, 0.05, 700.0]]])
+        low = segments[:, :2].min(axis=0)
+        corner = st.tuples(st.integers(-3, 11), st.integers(-3, 11))
+        if data.draw(st.booleans(), label="one cell"):
+            i, j = data.draw(corner)
+            inside = st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999))
+            xy = [low + reach * np.add((i, j), u) for u in data.draw(st.lists(inside, max_size=40))]
+        else:
+            on_edge = corner.map(lambda ij: tuple(low + reach * np.array(ij)))
+            far = st.sampled_from([(-1e6, 5e5), (1e9, -1e9), (3e4, 2e7)])
+            xy = data.draw(points) + data.draw(st.lists(on_edge | far | st.just(centre),
+                                                        max_size=20))
+        xy = np.array(xy, dtype=float).reshape(-1, 2)
+        perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(xy))
+        bound = data.draw(st.sampled_from([1, 1 << 14, cov.CHUNK_ELEMENTS]))
+        with mock.patch.object(cov, "CHUNK_ELEMENTS", bound):
+            binned = static_covariates(ds, xy, segments)
+            permuted = static_covariates(ds, xy[perm], segments)
+        ttv, ttv_quadrant = ring_ttv(xy, segments)
+        reference = {
+            "ttv": ttv, "ttv_quadrant": ttv_quadrant,
+            "lu_area": ring_landuse_area(xy, ds.landuse, ds.landuse_reclass),
+            "pop_density": population_density(xy, ds.tracts),
+            "elevation": np.full(len(xy), math.nan),
+            "cmaq_index": nearest_cmaq_centroid(xy, ds.cmaq),
+        }
+
+        def flat(table):
+            out = {key: table[key] for key in table if key != "lu_area"}
+            out.update({f"lu_{cat}": areas for cat, areas in table["lu_area"].items()})
+            return out
+
+        got, want, moved = flat(binned), flat(reference), flat(permuted)
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
+            assert moved[key].tobytes() == got[key][perm].tobytes(), key
+
+    def test_traffic_pairs_grow_linearly_with_the_map(self, mini_dataset, monkeypatch):
+        """The (points x sources) pairs the traffic pass meets, with the
+        roads tiled k x k and one point per 3 km: quadratic growth would
+        give about 16 times the pairs at k = 2 as at k = 1, linear about 4
+        (more at small k, where a larger share of the cells lie on an edge)."""
+        ds, _ = mini_dataset
+        segments, _ = _static_points(ds)
+        pairs, original = [], cov._ring_sources
+
+        def counted(xy, sources, spec):
+            pairs.append(len(xy) * len(sources))
+            return original(xy, sources, spec)
+
+        monkeypatch.setattr(cov, "_ring_sources", counted)
+        total = {}
+        for k in (1, 2):
+            tiled = np.vstack([segments + [48_000.0 * i, 48_000.0 * j, 0.0, 0.0]
+                               for i in range(k) for j in range(k)])
+            side = (np.arange(16 * k) + 0.5) * 3_000.0
+            pairs.clear()
+            static_covariates(ds, np.stack(np.meshgrid(side, side), -1).reshape(-1, 2), tiled)
+            total[k] = sum(pairs)
+        assert total[2] <= 6 * total[1], total
 
     def test_site_view_is_one_row(self, mini_dataset):
         ds, _ = mini_dataset

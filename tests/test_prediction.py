@@ -419,7 +419,7 @@ def test_one_traffic_pass_per_chunk(tmp_path, monkeypatch, name):
             calls[_fn] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(cov, fn, counted)
-    monkeypatch.setattr(cov, "CHUNK_ELEMENTS", 1 << 14)  # several chunks each
+    monkeypatch.setattr(cov, "CHUNK_ELEMENTS", 1 << 11)  # several chunks each
     for command in ("features", "fit-step1", "fit-step2", "predict", "validate"):
         calls.update(dict.fromkeys(calls, 0))
         assert main([command, str(data)]) == 0, command
