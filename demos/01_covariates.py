@@ -67,9 +67,12 @@ print("seasonal basis at DYR=80/365:",
 
 # The Step I regression takes one column table with a row per interval
 # observation: the same static covariates, taken at each observation's site,
-# plus its days, seasonal basis, gridded-model mean and observed value.
-table, warnings = cov.build_covariates(dataset, spec)
-print(f"\nbuilt {len(table['response'])} covariate rows ({len(warnings)} warnings)")
+# plus its days, seasonal basis, gridded-model mean and observed value.  An
+# observation it must skip (a site outside every census tract, say) is
+# logged as a warning on the ``scarr`` logger, not returned.
+table = cov.build_covariates(dataset, spec)
+print(f"\nbuilt {len(table['response'])} covariate rows "
+      f"for {len(dataset.interval_obs)} interval observations")
 print(f"first row: site={table['site_id'][0]} "
       f"days [{table['t_start'][0]},{table['t_end'][0]}] "
       f"gridded-model mean={table['cmaq_mean'][0]:.2f} "

@@ -9,7 +9,7 @@ from scarr import covariates as cov, step1
 from scarr.data_model import load_dataset
 
 dataset = load_dataset("data/mini")
-table, _ = cov.build_covariates(dataset)
+table = cov.build_covariates(dataset)
 design = step1.assemble_design(dataset, table)
 print(f"design: {design.X.shape[0]} observations x {len(design.names)} columns")
 print("columns:", ", ".join(design.names))

@@ -3,8 +3,10 @@
 Subcommands: simulate, features, fit-step1, fit-step2, predict, validate.
 Configuration is plain key=value text (``step1_config.txt`` /
 ``step2_config.txt`` / ``predict_config.txt`` inside the dataset directory);
-flags override config keys.  Logs go to stderr only; every data product
-carries a header comment with the toolkit version and config hash.
+flags override config keys.  Every stderr line but ``main``'s ``error:``
+lines is a ``scarr`` logger record, written as ``<command>: <message>``;
+every data product carries a header comment with the toolkit version and
+config hash.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 non-convergence.
 """
@@ -28,9 +30,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-
-def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
+_LOG = logging.getLogger(__name__)
 
 
 def _config_hash(kv: dict) -> str:
@@ -89,7 +89,7 @@ def cmd_simulate(args) -> int:
     dataset, truth = oracle.simulate_step1_dataset(cfg)
     write_dataset(dataset, _make_dir(args.out))
     oracle.write_truth(truth, os.path.join(args.out, "truth.txt"))
-    _log(f"simulate: wrote dataset with {len(dataset.sites)} sites to {args.out}")
+    _LOG.info("wrote dataset with %d sites to %s", len(dataset.sites), args.out)
     return 0
 
 
@@ -97,12 +97,10 @@ def cmd_features(args) -> int:
     dataset = load_dataset(args.dataset)
     kv = _read_config(args, "step1_config.txt")
     spec = parse_config(step1.Step1Config, kv).buffer_spec
-    table, warnings = cov.build_covariates(dataset, spec)
-    for w in warnings:
-        _log(f"features: warning: {w}")
+    table = cov.build_covariates(dataset, spec)
     out = _out_dir(args.dataset, args.out)
     cov.write_covariates(table, os.path.join(out, "covariates.csv"), spec, _header(kv))
-    _log(f"features: wrote {len(table['response'])} covariate rows")
+    _LOG.info("wrote %d covariate rows", len(table["response"]))
     return 0
 
 
@@ -110,22 +108,14 @@ def cmd_fit_step1(args) -> int:
     dataset = load_dataset(args.dataset)
     kv = _read_config(args, "step1_config.txt")
     cfg = parse_config(step1.Step1Config, kv)
-    table, warnings = cov.build_covariates(dataset, cfg.buffer_spec)
-    design = step1.assemble_design(dataset, table, cfg)
-    for w in warnings + design.warnings:
-        _log(f"fit-step1: warning: {w}")
-    report = step1.collinearity_report(design.X, design.names)
-    for a, b, r in report:
-        _log(f"fit-step1: collinearity |r|={abs(r):.3f} between {a} and {b}")
+    design = step1.assemble_design(dataset, cov.build_covariates(dataset, cfg.buffer_spec), cfg)
+    for a, b, r in step1.collinearity_report(design.X, design.names):
+        _LOG.info("collinearity |r|=%.3f between %s and %s", abs(r), a, b)
     _, fit = step1.fit_design(design, cfg)
-    if not fit.converged:
-        _log(f"fit-step1: warning: GLS optimizer did not converge: {fit.optimizer_message}")
     out = _out_dir(args.dataset, args.out)
     step1.write_step1_fit(fit, os.path.join(out, "step1_fit.txt"), _header(kv))
-    _log(
-        f"fit-step1: n={fit.n} R2={fit.r2:.4f} RMSE={fit.rmse:.4f} "
-        f"gamma_hat={step1.gamma_hat(fit):.4f}"
-    )
+    _LOG.info("n=%d R2=%.4f RMSE=%.4f gamma_hat=%.4f",
+              fit.n, fit.r2, fit.rmse, step1.gamma_hat(fit))
     return 0
 
 
@@ -136,17 +126,15 @@ def cmd_fit_step2(args) -> int:
     kv = _read_config(args, "step2_config.txt")
     cfg = parse_config(step2.Step2Config, kv)
     inputs = prediction.build_dlm_inputs(prediction.Targets(dataset, s1fit))
-    _log(f"fit-step2: {inputs.n_sites} sites x {inputs.n_days} days")
+    _LOG.info("%d sites x %d days", inputs.n_sites, inputs.n_days)
     params = step2.fit_mle(inputs, gamma_hat=step1.gamma_hat(s1fit), drop_mu_a=cfg.drop_mu_a)
-    if not params.converged:
-        _log(f"fit-step2: warning: optimizer did not converge: {params.optimizer_message}")
     step2.write_step2_fit(params, os.path.join(out, "step2_fit.txt"), _header(kv))
     est = step2.kalman_smoother(params, inputs)
     step2.write_state_path(est, os.path.join(out, "state_path.csv"), _header(kv))
     se_z = f"{params.se['sigma_z']:.3f}" if "sigma_z" in params.se else "n/a"
-    _log(f"fit-step2: sigma_z={params.sigma_z:.3f} ({se_z}) sigma_a={params.sigma_a:.3f} "
-         f"psi_a={params.psi_a:.3f} beta_c={params.beta_c:.3f} "
-         f"mu_a_dropped={params.mu_a_dropped} loglik={params.loglik:.3f}")
+    _LOG.info("sigma_z=%.3f (%s) sigma_a=%.3f psi_a=%.3f beta_c=%.3f mu_a_dropped=%s "
+              "loglik=%.3f", params.sigma_z, se_z, params.sigma_a, params.psi_a,
+              params.beta_c, params.mu_a_dropped, params.loglik)
     return 0
 
 
@@ -184,7 +172,7 @@ def cmd_predict(args) -> int:
     prediction.write_site_predictions(
         ids, pred, half, os.path.join(out, "site_predictions.csv"), _header(kv)
     )
-    _log(f"predict: wrote daily predictions for {len(ids)} sites")
+    _LOG.info("wrote daily predictions for %d sites", len(ids))
 
     if cfg.grid_days:
         grids = prediction.predict_grid(
@@ -192,7 +180,7 @@ def cmd_predict(args) -> int:
             cfg.grid_yll, cfg.grid_cell_size, cfg.grid_days,
         )
         paths = prediction.write_prediction_rasters(grids, rasters)
-        _log(f"predict: wrote {len(paths)} raster(s)")
+        _LOG.info("wrote %d raster(s)", len(paths))
     return 0
 
 
@@ -210,7 +198,7 @@ def _compute_metrics(targets, params, state):
     for j, exc in errors.items():
         if j < len(dense):
             raise exc
-        _log(f"validate: interval site {ids[j]} skipped: {exc}")
+        _LOG.warning("interval site %s skipped: %s", ids[j], exc)
     pred, _ = prediction.predict_site(params, state, c_tilde, y1)
 
     row = {sid: j for j, sid in enumerate(ids) if j not in errors}
@@ -233,7 +221,7 @@ def cmd_validate(args) -> int:
     report = _compute_metrics(targets, params, state)
     metrics_path = os.path.join(out, "metrics.csv")
     prediction.write_metrics(report, metrics_path, _header(kv))
-    _log(f"validate: MSPE={report.mspe:.4f} (raw grid {report.mspe_raw:.4f})")
+    _LOG.info("MSPE=%.4f (raw grid %.4f)", report.mspe, report.mspe_raw)
     if args.golden:
         with open(metrics_path, "rb") as fh:
             got = fh.read()
@@ -243,9 +231,9 @@ def cmd_validate(args) -> int:
         except OSError as exc:
             raise DataError(f"{args.golden}: cannot read golden file: {exc.strerror}") from None
         if got != want:
-            _log("validate: metrics differ from golden file")
+            _LOG.warning("metrics differ from golden file")
             return EXIT_DATA
-        _log("validate: metrics match golden file")
+        _LOG.info("metrics match golden file")
     return 0
 
 
@@ -324,13 +312,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        _log(f"error: config: {exc}")
+        print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
-        _log(f"error: data: {exc}")
+        print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConvergenceError as exc:
-        _log(f"error: numeric: {exc}")
+        print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:
         logger.removeHandler(handler)

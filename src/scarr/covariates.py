@@ -12,6 +12,7 @@ interval observations' covariates are one column table of its rows
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,6 +37,8 @@ N_LANDUSE_RINGS = 3
 
 #: Length (m) of the pieces ``segmentize`` cuts a traffic polyline into.
 SEGMENT_LENGTH_M = 50.0
+
+_LOG = logging.getLogger(__name__)
 
 
 class TrafficSegment(NamedTuple):
@@ -290,26 +293,23 @@ def interval_sites(dataset: Dataset) -> list:
 
 
 def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
-    """Step I covariates of the interval observations as one column table
-    (warns and skips an observation that fails).
+    """Step I covariates of the interval observations as one column table;
+    an observation that fails is skipped, with a warning naming its site.
 
     The table holds the ``site_covariates`` keys, taken row by row from one
     call over the interval sites, and ``site_id``, ``t_start``, ``t_end``,
     ``dyr``, ``season`` (n, 4), ``cmaq_mean``, ``cmaq_days_used`` and
     ``response``, the observed value: each with a leading row axis.
-
-    Returns (table, warnings); warnings are human-readable strings naming the
-    offending site.
     """
     segments = segmentize([(p.vertices, p.adt) for p in dataset.traffic])
     sites = interval_sites(dataset)
     static = site_covariates(dataset, sites, segments, spec)
     index = {s.id: j for j, s in enumerate(sites)}
-    site_of_row, columns, warnings = [], [], []
+    site_of_row, columns = [], []
     for obs in dataset.interval_obs:
         j = index[obs.site_id]
         if math.isnan(static["pop_density"][j]):
-            warnings.append(str(outside_tracts(obs.site_id)))
+            _LOG.warning("warning: %s", outside_tracts(obs.site_id))
             continue
         try:
             dyr = dataset.manifest.dyr(0.5 * (obs.t_start + obs.t_end))
@@ -319,7 +319,7 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
                 cmaq_mean, n_used = interval_mean(ser, obs.t_start, obs.t_end)
             season = seasonal_basis(dyr)
         except DataError as exc:
-            warnings.append(f"site {obs.site_id}: {exc}")
+            _LOG.warning("warning: site %s: %s", obs.site_id, exc)
             continue
         site_of_row.append(j)
         columns.append((obs.site_id, obs.t_start, obs.t_end, dyr, season, cmaq_mean, n_used,
@@ -340,7 +340,7 @@ def build_covariates(dataset: Dataset, spec: BufferSpec = BufferSpec()):
         cmaq_days_used=np.array(n_used, dtype=int),
         response=np.array(response, dtype=float),
     )
-    return table, warnings
+    return table
 
 
 #: Bound on the (points x sources) pairs of a ``static_covariates`` chunk: a

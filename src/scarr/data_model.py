@@ -225,9 +225,11 @@ def read_raster(path: str) -> RasterGrid:
                 for text in line.split():
                     parse_text(float, text, f"{path}:{ln}", "value")
             raise
-    bad = ~(np.isfinite(values) | (values == nodata))
-    if bad.any():
-        raise DataError(f"{path}: non-finite value not equal to NODATA")
+    bad = ~(np.isfinite(values) | (values == nodata)).ravel()
+    if bad.any():  # name the line of the first such value, counting tokens
+        ends = np.cumsum([len(line.split()) for line in lines[6:]])
+        ln = 7 + int(np.searchsorted(ends, np.argmax(bad), side="right"))
+        raise DataError(f"{path}:{ln}: non-finite value not equal to NODATA")
     return RasterGrid(n_cols, n_rows, x_ll, y_ll, cell, nodata, values)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings as _warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -422,9 +421,8 @@ def loocv_press(fit: StepOneFit, X: np.ndarray, y: np.ndarray, method: str = "ha
         resid = y - X @ fit.beta
         usable = h < 1.0 - 1e-12
         if not usable.all():
-            _warnings.warn(
-                f"loocv_press: {np.sum(~usable)} row(s) with leverage 1 excluded"
-            )
+            _LOG.warning("warning: loocv_press: %d row(s) with leverage 1 excluded",
+                         np.sum(~usable))
         press = float(np.sum((resid[usable] / (1.0 - h[usable])) ** 2))
         m = int(usable.sum())
     elif method == "refit":
@@ -435,7 +433,7 @@ def loocv_press(fit: StepOneFit, X: np.ndarray, y: np.ndarray, method: str = "ha
             keep[i] = False
             Xi, yi = X[keep], y[keep]
             if np.linalg.matrix_rank(Xi) < X.shape[1]:
-                _warnings.warn(f"loocv_press: row {i} not predictable (leverage 1)")
+                _LOG.warning("warning: loocv_press: row %d not predictable (leverage 1)", i)
                 continue
             beta_i, _, _, _ = np.linalg.lstsq(Xi, yi, rcond=None)
             press += float((y[i] - X[i] @ beta_i) ** 2)
@@ -494,7 +492,6 @@ class Design:
     names: list
     coords: np.ndarray  # (n, 2) site locations per row
     groups: dict  # selectable buffer group -> ordered list of column names
-    warnings: list
     spec: BufferSpec = BufferSpec()  # buffer rings the columns were named from
 
 
@@ -548,12 +545,12 @@ def assemble_design(dataset, table, config: Step1Config = Step1Config()) -> Desi
     y = table["response"]
     X = np.column_stack([np.broadcast_to(values[nm], y.shape) for nm in names])
     keep = np.isfinite(X).all(axis=1) & np.isfinite(y)
-    warn = [f"site {sid}: dropped (missing covariate or response)"
-            for sid in table["site_id"][~keep]]
+    for sid in table["site_id"][~keep]:
+        _LOG.warning("warning: site %s: dropped (missing covariate or response)", sid)
     coords = [(dataset.sites[sid].x, dataset.sites[sid].y) for sid in table["site_id"][keep]]
     return Design(
         X=X[keep], y=y[keep], names=names, coords=np.asarray(coords, dtype=float),
-        groups=groups, warnings=warn, spec=spec,
+        groups=groups, spec=spec,
     )
 
 
@@ -613,7 +610,8 @@ def fit_design(design: Design, cfg: Step1Config):
     Under GLS the selection's F-tests run on (L^-1 X, L^-1 y), L the Cholesky
     factor of the full model's fitted covariance, so each is a GLS test with
     that covariance fixed.  The GLS fits and the whitening share one table
-    of pair separations.  PRESS is attached under OLS only.
+    of pair separations.  PRESS is attached under OLS only.  A returned fit
+    that did not converge is logged last, as a warning.
     """
     # only the Matern has a smoothness; the others record the default
     nu = cfg.matern_nu if cfg.error_model == "matern" else ErrorModel.nu
@@ -640,6 +638,8 @@ def fit_design(design: Design, cfg: Step1Config):
     if cfg.error_model == "independent":
         result.press, result.rmspe = loocv_press(result, _columns(design, result.names), design.y)
     result.spec = cfg.buffer_spec
+    if not result.converged:
+        _LOG.warning("warning: GLS optimizer did not converge: %s", result.optimizer_message)
     return retained, result
 
 
@@ -735,6 +735,10 @@ def read_step1_fit(path: str) -> StepOneFit:
     for key, values, size in (("estimates", beta, k), ("cov", cov, k * k)):
         if values.size != size:
             raise DataError(f"{kv.where[key]}: {key}: expected {size} numbers, got {values.size}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = kv[key].split()[int(np.argmin(finite))]
+            raise DataError(f"{kv.where[key]}: {key}: expected finite numbers, got {bad!r}")
     em_fields = [kv.parse("error_kind", str)]
     em_fields += [kv.parse(f"error_{key}", float) for key in _ERROR_FIELDS]
     radii = kv.parse("buffer_radii_km", tuple[float, ...], BufferSpec().radii_km)

@@ -50,12 +50,14 @@ class DlmParams:
     optimizer_message: str = ""  # the best start's
 
     def __post_init__(self):
-        if not (self.sigma_z > 0):
-            raise DataError("sigma_z must be > 0")
-        if self.sigma_a < 0:
-            raise DataError("sigma_a must be >= 0")
+        if not (0.0 < self.sigma_z < math.inf):
+            raise DataError("sigma_z must be finite and > 0")
+        if not (0.0 <= self.sigma_a < math.inf):
+            raise DataError("sigma_a must be finite and >= 0")
         if not (0.0 <= self.psi_a < 1.0):
             raise DataError("psi_a must lie in [0, 1)")
+        if not all(map(math.isfinite, (self.mu_a, self.beta_c, self.gamma_hat))):
+            raise DataError("mu_a, beta_c and gamma_hat must be finite")
 
     @property
     def stationary_var(self) -> float:
@@ -209,6 +211,10 @@ def _expit(x):
 
 
 _PARAM_NAMES = ("sigma_z", "sigma_a", "psi_a", "mu_a", "beta_c")
+
+#: Kind (a key of ``data_model._PARSERS``) of each parameter of step2_fit.txt.
+_FIT_KINDS = {"sigma_z": "finite > 0", "sigma_a": "finite >= 0", "psi_a": "finite",
+              "mu_a": "finite", "beta_c": "finite", "gamma_hat": "finite"}
 
 #: Starting AR(1) coefficient of each optimizer start, in order of use.
 _PSI_STARTS = (0.5, 0.2, 0.8)
@@ -407,7 +413,8 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
     in (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
     model is refit with mu_a fixed at zero when the estimate is not
     significant at the 5% level.  Fewer than 10 observed days per free
-    parameter is a ``DataError``.
+    parameter is a ``DataError``.  A fit that did not converge is logged
+    last, as a warning.
     """
     n_free = 5
     n_obs_days = int(np.sum(np.any(np.isfinite(inputs.y), axis=1)))
@@ -436,6 +443,8 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
             params = _fit_once(stats, n_obs, gamma_hat, fix_mu=True)
             params.mu_a_dropped = True
     _LOG.info("%d likelihood kernel passes", len(memo))
+    if not params.converged:
+        _LOG.warning("warning: optimizer did not converge: %s", params.optimizer_message)
     return params
 
 
@@ -451,7 +460,7 @@ def write_step2_fit(params: DlmParams, path: str, header_lines=()) -> None:
 
 def read_step2_fit(path: str) -> DlmParams:
     kv = read_keyvalue(path)
-    values = {nm: kv.parse(nm, float) for nm in (*_PARAM_NAMES, "gamma_hat")}
+    values = {nm: kv.parse(nm, kind) for nm, kind in _FIT_KINDS.items()}
     try:
         params = DlmParams(**values)
     except DataError as exc:

@@ -135,7 +135,7 @@ def test_criterion_3_regression_exactness(capsys, mini_dataset):
         from scarr.oracle import SimulationConfig
 
         ds, _ = mini_dataset
-        table, _ = cov.build_covariates(ds)
+        table = cov.build_covariates(ds)
         design = assemble_design(ds, table)
         coefs = SimulationConfig().coefficients
         beta_true = np.array([coefs.get(nm, 0.0) for nm in design.names])
@@ -218,7 +218,7 @@ def _ring_selection_design(rng, n=400, noise=1.0):
     y = X @ beta + noise * rng.standard_normal(n)
     return Design(
         X=X, y=y, names=names, coords=np.zeros((n, 2)),
-        groups={"ttv": names[1:]}, warnings=[],
+        groups={"ttv": names[1:]},
     )
 
 
@@ -259,7 +259,7 @@ def _isotropic_quadrant_design(rng, n=300, noise=1.0):
     y = 5.0 + sum(b @ lam for b in blocks) + noise * rng.standard_normal(n)
     return Design(
         X=X, y=y, names=names, coords=np.zeros((n, 2)),
-        groups=groups, warnings=[],
+        groups=groups,
     )
 
 

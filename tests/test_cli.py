@@ -154,6 +154,25 @@ def test_fit_step1_reports_unconverged_gls(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_fit_step1_reports_leverage_one_rows(tmp_path, capsys):
+    """One interval at C000, the only site with a nonzero elevation, gives
+    its row leverage 1: PRESS leaves it out, and fit-step1 says so."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    obs = (d / "interval_obs.csv").read_text().splitlines()
+    first = next(i for i, line in enumerate(obs) if line.startswith("C000,"))
+    kept = [line for i, line in enumerate(obs) if i == first or not line.startswith("C000,")]
+    (d / "interval_obs.csv").write_text("\n".join(kept) + "\n")
+    header, *attrs = (d / "site_attrs.csv").read_text().splitlines()
+    zeroed = [line if line.startswith("C000,") else line.split(",")[0] + ",0" for line in attrs]
+    (d / "site_attrs.csv").write_text("\n".join([header, *zeroed]) + "\n")
+    (d / "step1_config.txt").write_text("use_elevation=true\n")
+    capsys.readouterr()
+    assert main(["fit-step1", str(d)]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "leverage" in ln]
+    assert lines == ["fit-step1: warning: loocv_press: 1 row(s) with leverage 1 excluded"]
+
+
 class TestErrorExits:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert main(["features", str(tmp_path / "nowhere")]) == EXIT_DATA
@@ -452,6 +471,8 @@ _DATA_CASES = [
     ("landuse_reclass.csv", 3, "code", "x3"),
     ("landuse.asc", 1, 1, "many"),
     ("landuse.asc", 8, 5, "abc"),
+    ("landuse.asc", 9, 3, "nan"),  # non-finite, not NODATA
+    ("sites.csv", 1, None, "id,x,y,kind"),  # header mismatch
     ("cmaq_daily.csv", 4, "day", "1"),  # non-monotone day
     ("daily_series.csv", 2, "day", "0"),  # day below 1
     ("cmaq_daily.csv", 2, "day", "0"),  # day below 1
@@ -624,6 +645,36 @@ def test_bad_fit_file_names_file_and_line(pipeline_dir, fitted_out, capsys, name
     err = capsys.readouterr().err
     assert want.format(path=path, line=line) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, key, index, text, command, want", [
+    ("step1_fit.txt", "estimates", 0, "nan", "predict", "expected finite numbers, got 'nan'"),
+    # the cmaq estimate, gamma-hat, which fit-step2 fixes
+    ("step1_fit.txt", "estimates", -1, "nan", "fit-step2",
+     "expected finite numbers, got 'nan'"),
+    ("step1_fit.txt", "cov", 4, "-inf", "predict", "expected finite numbers, got '-inf'"),
+    ("step2_fit.txt", "sigma_z", 0, "inf", "predict", "expected a finite number > 0, got 'inf'"),
+    ("step2_fit.txt", "sigma_a", 0, "nan", "predict",
+     "expected a finite number >= 0, got 'nan'"),
+    ("step2_fit.txt", "sigma_a", 0, "nan", "validate",
+     "expected a finite number >= 0, got 'nan'"),
+    ("step2_fit.txt", "mu_a", 0, "nan", "predict", "expected a finite number, got 'nan'"),
+    ("step2_fit.txt", "beta_c", 0, "inf", "predict", "expected a finite number, got 'inf'"),
+    ("step2_fit.txt", "gamma_hat", 0, "nan", "predict", "expected a finite number, got 'nan'"),
+])
+def test_non_finite_fit_value_names_file_and_line(pipeline_dir, fitted_out, capsys, name, key,
+                                                  index, text, command, want):
+    path = os.path.join(fitted_out, name)
+    lines = Path(path).read_text().split("\n")
+    line = next(i for i, old in enumerate(lines, start=1) if old.startswith(f"{key}="))
+    tokens = lines[line - 1].split("=", 1)[1].split()
+    tokens[index] = text
+    lines[line - 1] = f"{key}={' '.join(tokens)}"
+    Path(path).write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main([command, pipeline_dir, "--out", fitted_out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: data: {path}:{line}: {key}: {want}" in err.splitlines()
 
 
 def test_validate_missing_golden_is_data_error(pipeline_dir, fitted_out, tmp_path, capsys):

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import simulated_mini
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -441,11 +442,11 @@ class TestSeasonalBasis:
 
 
 class TestBuildCovariates:
-    def test_one_row_per_interval_obs(self, mini_dataset):
+    def test_one_row_per_interval_obs(self, mini_dataset, caplog):
         ds, _ = mini_dataset
-        table, warnings = build_covariates(ds)
+        table = build_covariates(ds)
         assert len(table["response"]) == len(ds.interval_obs)
-        assert warnings == []
+        assert caplog.messages == []
         for j in range(len(table["response"])):
             assert 0.0 < table["dyr"][j] <= 1.0
             assert math.isfinite(table["cmaq_mean"][j])
@@ -456,7 +457,7 @@ class TestBuildCovariates:
         from scarr.covariates import write_covariates
 
         ds, _ = mini_dataset
-        table, _ = build_covariates(ds)
+        table = build_covariates(ds)
         path = tmp_path / "cov.csv"
         write_covariates(table, str(path))
         lines = path.read_text().splitlines()
@@ -473,12 +474,12 @@ class TestBuildCovariates:
             return original(dataset, xy, *args)
 
         monkeypatch.setattr(cov, "static_covariates", counted)
-        table, _ = build_covariates(ds)
+        table = build_covariates(ds)
         ids = list(dict.fromkeys(obs.site_id for obs in ds.interval_obs))
         assert len(table["response"]) > len(ids)
         assert calls == [[[ds.sites[sid].x, ds.sites[sid].y] for sid in ids]]
 
-    def test_interval_across_the_year_boundary(self, mini_dataset):
+    def test_interval_across_the_year_boundary(self, mini_dataset, caplog):
         """Days 1-14 from an epoch of 25 December are centred on day-of-year
         365.5, which maps to 0.5: the row is kept."""
         ds, _ = mini_dataset
@@ -487,8 +488,8 @@ class TestBuildCovariates:
             ds, manifest=dataclasses.replace(ds.manifest, epoch=datetime.date(1993, 12, 25)),
             interval_obs=[IntervalObservation(sid, 1, 14, 10.0)],
         )
-        table, warnings = build_covariates(shifted)
-        assert warnings == []
+        table = build_covariates(shifted)
+        assert caplog.messages == []
         (dyr,) = table["dyr"]
         assert 0.0 < dyr <= 1.0
         assert dyr == 0.5 / 365.0
@@ -515,8 +516,8 @@ def _static_points(ds):
 class TestStaticCovariates:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_n_points_equal_one_at_a_time(self, mini_dataset, data):
-        ds, _ = mini_dataset
+    def test_n_points_equal_one_at_a_time(self, data):
+        ds, _ = simulated_mini()
         segments, points = _static_points(ds)
         xy = np.array(data.draw(points))
         bound = data.draw(st.sampled_from([1, 20_000, cov.CHUNK_ELEMENTS]))
@@ -547,11 +548,11 @@ class TestStaticCovariates:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_binned_equals_dense_reference(self, mini_dataset, data):
+    def test_binned_equals_dense_reference(self, data):
         """Against one ``ring_ttv`` over all points and all segments, and the
         other tables in one chunk: points on cell boundaries, off the map, all
         in one cell or none, and sources at exactly a ring radius."""
-        ds, _ = mini_dataset
+        ds, _ = simulated_mini()
         spec, reach = BufferSpec(), cov._traffic_reach(BufferSpec())
         segments, points = _static_points(ds)
         centre = data.draw(st.tuples(st.integers(0, 48_000), st.integers(0, 48_000)))
@@ -594,6 +595,16 @@ class TestStaticCovariates:
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
             assert moved[key].tobytes() == got[key][perm].tobytes(), key
+
+    def test_no_landuse_raster_gives_zero_areas(self, mini_dataset):
+        ds, _ = mini_dataset
+        segments, _ = _static_points(ds)
+        xy = [(12_000.0, 5_000.5), (30_000.0, 30_000.0)]
+        static = static_covariates(dataclasses.replace(ds, landuse=None), xy, segments)
+        assert sorted(static["lu_area"]) == sorted(cov.LANDUSE_CATEGORIES)
+        for areas in static["lu_area"].values():
+            assert areas.shape == (2, cov.N_LANDUSE_RINGS) and not areas.any()
+        assert static["ttv"].tobytes() == static_covariates(ds, xy, segments)["ttv"].tobytes()
 
     def test_traffic_pairs_grow_linearly_with_the_map(self, mini_dataset, monkeypatch):
         """The (points x sources) pairs the traffic pass meets, with the

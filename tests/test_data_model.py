@@ -256,6 +256,16 @@ class TestRaster:
         with pytest.raises(DataError, match=r"bad\.asc: expected 6 values, got 7$"):
             read_raster(str(p))
 
+    def test_non_finite_value_names_its_line(self, tmp_path):
+        """In rows and wrapped over uneven lines, blank ones among them; the
+        NODATA value itself is allowed."""
+        p = tmp_path / "bad.asc"
+        for body, line in (("1 -9 3\n4 inf 6\n", 8), ("1 -9\n\n3 4\nnan 6\n", 10)):
+            p.write_text(self.HEADER + body)
+            with pytest.raises(DataError,
+                               match=rf"bad\.asc:{line}: non-finite value not equal to NODATA$"):
+                read_raster(str(p))
+
     def test_centroids(self):
         r = RasterGrid(2, 2, 0.0, 0.0, 10.0, -9, np.zeros((2, 2)))
         pts = r.centroids()

@@ -10,7 +10,7 @@ import pytest
 
 from scarr import covariates as cov
 from scarr.cli import _compute_metrics, main
-from scarr.data_model import RasterGrid
+from scarr.data_model import CmaqGrid, RasterGrid
 from scarr.errors import DataError
 from scarr.prediction import (
     NODATA,
@@ -35,7 +35,7 @@ from scarr.step2 import DlmInputs, DlmParams, kalman_filter
 @pytest.fixture(scope="module")
 def mini_fit(mini_dataset):
     ds, _ = mini_dataset
-    table, _ = cov.build_covariates(ds)
+    table = cov.build_covariates(ds)
     design = assemble_design(ds, table)
     return fit_ols(design.X, design.y, design.names)
 
@@ -181,6 +181,13 @@ class TestBuildDlmInputs:
         ds2.sites = {k: v for k, v in ds.sites.items() if v.role != "dense_time"}
         with pytest.raises(DataError, match="no dense_time sites"):
             build_dlm_inputs(Targets(ds2, mini_fit))
+
+    def test_requires_daily_data(self, mini_dataset, mini_fit):
+        ds, _ = mini_dataset
+        bare = dataclasses.replace(ds, daily_series={},
+                                   cmaq=dataclasses.replace(ds.cmaq, series={}))
+        with pytest.raises(DataError, match="no daily data present"):
+            Targets(bare, mini_fit)
 
     def test_dense_site_outside_every_tract(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset
@@ -342,6 +349,18 @@ class TestPredictGrid:
             "32 of 32 raster pixels nodata: 16 outside the coarse grid, 16 without a "
             "prediction (first: predict_site: missing additive bias at px_0_4)"
         ]
+
+    def test_empty_coarse_grid_is_all_nodata(self, mini_dataset, mini_fit):
+        ds, _ = mini_dataset
+        params = DlmParams(3.0, 4.0, 0.6, beta_c=0.7, gamma_hat=0.5)
+        state = state_path(params, build_dlm_inputs(Targets(ds, mini_fit)))
+        empty = CmaqGrid(np.empty(0, dtype=int), np.empty(0), np.empty(0), ds.cmaq.cell_size, {})
+        targets = Targets(dataclasses.replace(ds, cmaq=empty), mini_fit)
+        grids = predict_grid(targets, params, state, n_cols=3, n_rows=2, x_ll=0.0, y_ll=0.0,
+                             cell_size=6_000.0, days=[5, 9])
+        assert sorted(grids) == [5, 9]
+        for grid in grids.values():
+            assert grid.values.shape == (2, 3) and np.all(grid.values == NODATA)
 
     def test_day_out_of_range(self, mini_dataset, mini_fit):
         ds, _ = mini_dataset

@@ -137,15 +137,17 @@ class TestPress:
         press, rmspe = loocv_press(fit, X, y)
         assert press == pytest.approx(0.0, abs=1e-20)
 
-    def test_leverage_one_row_excluded(self, rng):
+    def test_leverage_one_row_excluded(self, rng, caplog):
         # an indicator column makes its row's leverage exactly 1
         X = np.column_stack([np.ones(10), rng.normal(size=10), np.eye(10)[:, 0]])
         y = rng.normal(size=10)
         fit = fit_ols(X, y, ["b0", "b1", "ind"])
-        with pytest.warns(UserWarning, match="leverage 1"):
-            p_hat, _ = loocv_press(fit, X, y, method="hat")
-        with pytest.warns(UserWarning, match="leverage 1"):
-            p_ref, _ = loocv_press(fit, X, y, method="refit")
+        p_hat, _ = loocv_press(fit, X, y, method="hat")
+        p_ref, _ = loocv_press(fit, X, y, method="refit")
+        assert caplog.messages == [
+            "warning: loocv_press: 1 row(s) with leverage 1 excluded",
+            "warning: loocv_press: row 0 not predictable (leverage 1)",
+        ]
         assert p_hat == pytest.approx(p_ref, rel=1e-9)
 
     def test_unknown_method(self):
@@ -626,7 +628,7 @@ class TestGls:
         log says the range is not identified."""
         ds, _ = mini_dataset
         cfg = Step1Config(error_model="exponential", run_selection=False)
-        design = assemble_design(ds, build_covariates(ds, cfg.buffer_spec)[0], cfg)
+        design = assemble_design(ds, build_covariates(ds, cfg.buffer_spec), cfg)
         with caplog.at_level("INFO", logger="scarr.step1"):
             gls = fit_gls(design.X, design.y, design.coords, design.names)
         em = gls.error_model
@@ -718,7 +720,7 @@ class TestConfig:
         )
         spec = cfg.buffer_spec
         ds, _ = mini_dataset
-        table, _ = build_covariates(ds, spec)
+        table = build_covariates(ds, spec)
         cols = design_columns(table, table["season"].T, spec)
         forest = table["lu_area"]["forest"]
         assert (forest[:, 1:] > 0).any()
@@ -747,7 +749,7 @@ def design(mini_dataset):
     from scarr.covariates import build_covariates
 
     ds, _ = mini_dataset
-    table, _ = build_covariates(ds)
+    table = build_covariates(ds)
     return assemble_design(ds, table)
 
 
@@ -797,20 +799,20 @@ class TestAssembleDesign:
         from scarr.covariates import build_covariates
 
         ds, _ = mini_dataset
-        table, _ = build_covariates(ds)
+        table = build_covariates(ds)
         d = assemble_design(ds, table, Step1Config(use_quadrants=True))
         assert "ttv_NE" in d.groups and len(d.groups["ttv_NE"]) == 7
         assert "ttv_NE_0-0.5km" in d.names
 
-    def test_missing_row_dropped_with_warning(self, mini_dataset):
+    def test_missing_row_dropped_with_warning(self, mini_dataset, caplog):
         from scarr.covariates import build_covariates
 
         ds, _ = mini_dataset
-        table, _ = build_covariates(ds)
+        table = build_covariates(ds)
         table["cmaq_mean"][0] = math.nan
         d = assemble_design(ds, table)
         assert len(d.y) == len(table["response"]) - 1
-        assert any("dropped" in w for w in d.warnings)
+        assert any("dropped" in w for w in caplog.messages)
 
     def test_rows_equal_one_site_at_a_time(self, mini_dataset):
         """Each row of the array-built design has the bits of the per-row
@@ -825,7 +827,7 @@ class TestAssembleDesign:
                           landuse_categories=("forest", "developed"),
                           buffer_radii_km=(0.4, 0.9, 1.7, 2.6, 3.5))
         spec = cfg.buffer_spec
-        d = assemble_design(ds, build_covariates(ds, spec)[0], cfg)
+        d = assemble_design(ds, build_covariates(ds, spec), cfg)
         assert len(d.y) == len(ds.interval_obs)
         segments = cov.segmentize([(p.vertices, p.adt) for p in ds.traffic])
         for j, obs in enumerate(ds.interval_obs):
@@ -850,7 +852,7 @@ class TestAssembleDesign:
                                    first.value + 5.0)
         ds2 = copy.copy(ds)
         ds2.interval_obs = [first, twin]
-        table, _ = build_covariates(ds2)
+        table = build_covariates(ds2)
         d = assemble_design(ds2, table)
         assert d.X.shape[0] == 2
         np.testing.assert_array_equal(d.X[0], d.X[1])
@@ -895,7 +897,7 @@ def synthetic_ring_design(rng, n=300, active=(1.0, 0.6), n_rings=4, noise=0.5):
     y = X @ beta + noise * rng.normal(size=n)
     return Design(
         X=X, y=y, names=names, coords=np.zeros((n, 2)),
-        groups={"ttv": names[1:]}, warnings=[],
+        groups={"ttv": names[1:]},
     )
 
 
@@ -1005,7 +1007,7 @@ class TestStepFunction:
         from scarr.covariates import build_covariates
 
         ds, _ = mini_dataset
-        table, _ = build_covariates(ds)
+        table = build_covariates(ds)
         d = assemble_design(ds, table, Step1Config(use_quadrants=True))
         out = quadrant_step_functions(d)
         assert set(out) == {"NE", "NW", "SW", "SE"}

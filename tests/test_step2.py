@@ -61,6 +61,14 @@ class TestParamValidation:
         with pytest.raises(DataError):
             DlmParams(sigma_z=1.0, sigma_a=1.0, psi_a=-0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("sigma_z", math.inf), ("sigma_a", math.nan), ("sigma_a", math.inf),
+        ("mu_a", math.nan), ("beta_c", -math.inf), ("gamma_hat", math.nan),
+    ])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(DataError, match="finite"):
+            DlmParams(**{"sigma_z": 1.0, "sigma_a": 1.0, "psi_a": 0.5, name: value})
+
     def test_stationary_var(self):
         p = DlmParams(sigma_z=1.0, sigma_a=2.0, psi_a=0.6)
         assert p.stationary_var == pytest.approx(4.0 / (1 - 0.36), rel=1e-12)
