@@ -307,6 +307,7 @@ def main(argv=None) -> int:
     logger = logging.getLogger("scarr")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter(f"{args.command}: %(message)s"))
+    level = logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
     try:
@@ -322,6 +323,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     finally:
         logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -59,10 +59,13 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
     out = np.zeros(len(d))
     if model.kind == "independent" or model.range_ == 0:
         return out
-    # a subnormal range overflows h (and sqrt(2 nu) h below) to inf, the
-    # separation at which the correlation is 0
-    with np.errstate(over="ignore"):
+    if model.range_ >= 1.0:  # h <= d cannot overflow: skip the errstate's cost
         h = d / model.range_
+    else:
+        # a subnormal range overflows h (and sqrt(2 nu) h below) to inf, the
+        # separation at which the correlation is 0
+        with np.errstate(over="ignore"):
+            h = d / model.range_
     # the cut-offs below are negated comparisons, so that a NaN separation
     # takes the formula (and gives NaN) as in the scalar closed form
     if model.kind == "spherical":
@@ -96,10 +99,16 @@ class _Pairs(NamedTuple):
 
     Every interval at a site shares its coordinates, so ``d`` holds one entry
     per distinct pair of site locations, not per pair of interval rows: the
-    kernel runs once per distinct separation (``_pair_cov``)."""
+    kernel runs once per distinct separation (``_pair_cov``).  ``d`` is
+    sorted, so only its first slot can hold a zero separation: ``zero`` is 1
+    if it does, else 0, and ``positive`` is ``d[zero:]``.  ``values`` is the
+    buffer that ``_pair_cov`` fills with one value per slot of ``index``."""
 
     d: np.ndarray
     index: np.ndarray
+    zero: int
+    positive: np.ndarray
+    values: np.ndarray
 
 
 def _pairs(coords: np.ndarray) -> _Pairs:
@@ -109,17 +118,21 @@ def _pairs(coords: np.ndarray) -> _Pairs:
     d, inverse = np.unique(np.hypot(x[i] - x[j], y[i] - y[j]), return_inverse=True)
     index = np.full((n, n), len(d))
     index[i, j] = index[j, i] = inverse
-    return _Pairs(d, index)
+    zero = int(len(d) > 0 and d[0] == 0.0)
+    return _Pairs(d, index, zero, d[zero:], np.empty(len(d) + 1))
 
 
 def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
-    """Error covariance over the observations of ``pairs``."""
-    v = np.zeros(len(pairs.d))
-    if model.kind != "independent":
-        same = pairs.d == 0.0
-        v[same] = model.sill
-        v[~same] = _cov_kernel(model, pairs.d[~same])
-    return np.append(v, model.sill + model.nugget)[pairs.index]
+    """Error covariance over the observations of ``pairs``: ``pairs.values``
+    filled for ``model``, gathered through ``pairs.index`` into a new array."""
+    v, zero = pairs.values, pairs.zero
+    if model.kind == "independent":
+        v[:-1] = 0.0
+    else:
+        v[:zero] = model.sill
+        v[zero:-1] = _cov_kernel(model, pairs.positive)
+    v[-1] = model.sill + model.nugget
+    return v[pairs.index]
 
 
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
@@ -127,13 +140,15 @@ def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     two distinct observations at the same location share only the sill.
 
     The separations are the distinct values over the upper triangle
-    (``_pairs``), which the GLS likelihood computes once per fit and passes
-    to the same kernel (``_pair_cov``).  The kernel runs once per distinct
-    separation, so its cost follows the number of distinct site locations,
-    not the number of interval rows.  Every transcendental (exp, pow, the
-    Bessel function) runs element by element through libm or ``special.kv``:
-    numpy's own SIMD ``exp`` and ``power`` differ from libm in the last bit
-    for some inputs, and the fitted digits must not depend on which one ran.
+    (``_pairs``).  The GLS fit sorts them once per set of coordinates and
+    keeps them with a value buffer; each of its likelihood evaluations, like
+    this function, runs the kernel once per distinct nonzero separation and
+    gathers the values into the matrix (``_pair_cov``).  So the kernel's cost
+    follows the number of distinct site locations, not the number of
+    interval rows.  Every transcendental (exp, pow, the Bessel function) runs
+    element by element through libm or ``special.kv``: numpy's own SIMD
+    ``exp`` and ``power`` differ from libm in the last bit for some inputs,
+    and the fitted digits must not depend on which one ran.
     """
     return _pair_cov(model, _pairs(coords))
 
@@ -223,13 +238,15 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
 _TRTRS, _GEQRF = get_lapack_funcs(("trtrs", "geqrf"), (np.empty(0),))
 
 
-def _solve_lower(L: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _solve_lower(L: np.ndarray, a: np.ndarray, a_finite: bool) -> np.ndarray:
     """L^-1 a for L a Cholesky factor from ``np.linalg.cholesky``, bit for bit
     as ``solve_triangular(L, a, lower=True)`` computes it for a C-ordered L,
-    without its per-call wrappers.  A non-finite entry raises the ValueError
-    of its finiteness check; L's diagonal is positive, so the solve cannot
-    fail."""
-    if not (np.isfinite(L).all() and np.isfinite(a).all()):
+    without its per-call wrappers.  ``a_finite`` says whether every entry of
+    ``a`` is finite, so that a caller that solves for the same ``a`` many
+    times checks it once.  A non-finite entry raises the ValueError of
+    ``solve_triangular``'s finiteness check; L's diagonal is positive, so the
+    solve cannot fail."""
+    if not (a_finite and np.isfinite(L).all()):
         raise ValueError("array must not contain infs or NaNs")
     x, _ = _TRTRS(L.T, a, lower=0, trans=1)
     return x
@@ -240,7 +257,7 @@ def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
     over the observations of ``pairs``; ``np.linalg.LinAlgError`` if that is
     numerically singular."""
     L = np.linalg.cholesky(_pair_cov(model, pairs))
-    return tuple(_solve_lower(L, a) for a in arrays)
+    return tuple(_solve_lower(L, a, bool(np.isfinite(a).all())) for a in arrays)
 
 
 #: Sill share of the iid-equivalent start, and nugget share of the
@@ -249,45 +266,72 @@ def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
 IID_SHARE = 1e-6
 
 
-def _theta_model(theta, kind: str, nu: float, scale: float = 1.0) -> ErrorModel:
-    """The error model of variance ``scale`` at theta = (log range, logit s),
-    s the sill share: sill = scale s, nugget = scale (1 - s).  s and 1 - s
-    are each computed from the logit, so neither loses its digits to a
-    cancellation as the other nears 1, and each is held above 0 where its
-    exponential would overflow: a zero sill is invalid, and a zero nugget
-    leaves only the correlation, which may not factor."""
-    with np.errstate(over="ignore"):  # range -> inf is the fully correlated limit
+def _theta_scales(theta):
+    """(range, s, 1 - s) at theta = (log range, logit s), s the sill share.
+    s and 1 - s are each computed from the logit, so neither loses its
+    digits to a cancellation as the other nears 1, and each is held above 0
+    where its exponential would overflow: a zero sill is invalid, and a zero
+    nugget leaves only the correlation, which may not factor."""
+    if theta[0] < 709.0:  # exp cannot overflow: skip the errstate's cost
         rng = float(np.exp(theta[0]))
+    else:
+        with np.errstate(over="ignore"):  # range -> inf is the fully correlated limit
+            rng = float(np.exp(theta[0]))
     s = 1.0 / (1.0 + math.exp(min(-theta[1], 700.0)))
     s_nugget = 1.0 / (1.0 + math.exp(min(theta[1], 700.0)))
+    return rng, s, s_nugget
+
+
+def _theta_model(theta, kind: str, nu: float, scale: float = 1.0) -> ErrorModel:
+    """The error model of variance ``scale`` at theta = (log range, logit s):
+    sill = scale s, nugget = scale (1 - s) (``_theta_scales``)."""
+    rng, s, s_nugget = _theta_scales(theta)
     return ErrorModel(kind, sill=scale * s, range_=rng, nugget=scale * s_nugget, nu=nu)
 
 
-def _gls_profile(theta, Xy, pairs, kind, nu):
-    """(-loglik, sigma2-hat) of the GLS model at theta = (log range, logit s),
-    with beta and the scale profiled out.
+class _GlsProfile:
+    """The profiled GLS likelihood of one fit: ``profile(theta)`` is
+    (-loglik, sigma2-hat) at theta = (log range, logit s), with beta and the
+    scale profiled out.
 
     The covariance is sigma2 R, R = s C1(range) + (1 - s) I with C1 the
     unit-sill correlation; given R, sigma2-hat = RSS_w / n with RSS_w the
     whitened residual sum of squares of y on X (``Xy`` = [X | y]), and
-    -loglik = (n log 2 pi + n log sigma2-hat + log|R| + n) / 2.  Each
-    evaluation takes one Cholesky factor L of R, one LAPACK triangular solve
-    for L^-1 [X | y] and one LAPACK QR of that (``fit_ols`` has rejected a
-    rank-deficient X); RSS_w is the square of the QR factor's last diagonal
+    -loglik = (n log 2 pi + n log sigma2-hat + log|R| + n) / 2.
+
+    What does not depend on theta is set up once per fit: n and k, one
+    finiteness check of [X | y], a Fortran-ordered copy of it for LAPACK and
+    one unit-variance error model; ``pairs`` (``_pairs(coords)``) brings the
+    separations, the value buffer and the gather index.  An evaluation sets
+    the model's range and shares (``_theta_scales``: every theta gives a
+    valid model, so none is built or checked) and builds R (``_pair_cov``);
+    then one Cholesky factor L of R, one LAPACK triangular solve for
+    L^-1 [X | y] and one LAPACK QR of that (``fit_ols`` has rejected a
+    rank-deficient X).  RSS_w is the square of the QR factor's last diagonal
     entry, at [k-1, k-1] of ``geqrf``'s packed n x k output, bit for bit as
-    ``np.linalg.qr`` computes it.  ``pairs`` is ``_pairs(coords)``.
+    ``np.linalg.qr`` computes it.  A covariance that does not factor gives
+    -loglik 1e12.
     """
-    n, k = Xy.shape
-    R = _pair_cov(_theta_model(theta, kind, nu), pairs)
-    try:
-        L = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        return 1e12, math.nan
-    qr, _, _, _ = _GEQRF(_solve_lower(L, Xy), overwrite_a=1)
-    rss = float(qr[k - 1, k - 1]) ** 2
-    s2 = max(rss / n, 1e-300)
-    logdet = 2.0 * np.log(L.diagonal()).sum()
-    return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2
+
+    def __init__(self, Xy: np.ndarray, pairs: _Pairs, kind: str, nu: float):
+        self.n, self.k = Xy.shape
+        self.Xy = np.asfortranarray(Xy)
+        self.finite = bool(np.isfinite(Xy).all())
+        self.pairs = pairs
+        self.model = ErrorModel(kind, nu=nu)
+
+    def __call__(self, theta):
+        n, k, model = self.n, self.k, self.model
+        model.range_, model.sill, model.nugget = _theta_scales(theta)
+        try:
+            L = np.linalg.cholesky(_pair_cov(model, self.pairs))
+        except np.linalg.LinAlgError:
+            return 1e12, math.nan
+        qr, _, _, _ = _GEQRF(_solve_lower(L, self.Xy, self.finite), overwrite_a=1)
+        rss = float(qr[k - 1, k - 1]) ** 2
+        s2 = max(rss / n, 1e-300)
+        logdet = 2.0 * np.log(L.diagonal()).sum()
+        return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2
 
 
 def fit_gls(
@@ -308,11 +352,20 @@ def fit_gls(
     The first is the iid-equivalent point, so the fitted likelihood can never
     fall below the OLS reduction; the last is its mirror, nearly nugget-free,
     from which the search reaches optima with a vanishing nugget that the
-    interior starts leave for another basin.  The pair separations are
-    computed once, or taken from ``pairs`` (``_pairs(coords)``) when given.
-    One line logs the fit: sigma2, range, sill share and the likelihood
-    evaluations of all starts, and whether the share is at the pure-nugget
-    boundary, where the range means nothing.
+    interior starts leave for another basin.
+
+    Once per fit: the sorted pair separations (taken from ``pairs``,
+    ``_pairs(coords)``, when given, so that a refit on the same rows reuses
+    them) and the likelihood's set-up (``_GlsProfile``: [X | y] checked for
+    finite entries and copied for LAPACK, the zero-separation slot, the
+    positive separations, the value buffer and the gather index).  Once per
+    Nelder-Mead evaluation: the range and shares at theta, the kernel over
+    the positive separations, the gather into R, its Cholesky factor, the
+    triangular solve, the QR and log|R|.  The final sigma2-hat is one more
+    evaluation, and the final beta whitens X and y through the same
+    separations.  One line logs the fit: sigma2, range, sill share and the
+    likelihood evaluations of all starts, and whether the share is at the
+    pure-nugget boundary, where the range means nothing.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -320,7 +373,6 @@ def fit_gls(
     if len({(float(a), float(b)) for a, b in coords}) < 3:
         raise DataError("fit_gls: need at least 3 distinct site locations")
     fit_ols(X, y, names)  # rejects a rank-deficient design
-    Xy = np.column_stack([X, y])
     if pairs is None:
         pairs = _pairs(coords)
     # the starts are set from every row pair, not from the distinct separations
@@ -340,8 +392,10 @@ def fit_gls(
         )
     ]
 
+    profile = _GlsProfile(np.column_stack([X, y]), pairs, kind, nu)
+
     def nll(theta):
-        return _gls_profile(theta, Xy, pairs, kind, nu)[0]
+        return profile(theta)[0]
 
     best, nfev = None, 0
     for i, theta0 in enumerate(starts, start=1):
@@ -357,7 +411,7 @@ def fit_gls(
     if not (np.all(np.isfinite(best.x)) and best.fun < 1e12):
         raise ConvergenceError("fit_gls: all multistarts failed")
 
-    _, s2 = _gls_profile(best.x, Xy, pairs, kind, nu)
+    _, s2 = profile(best.x)
     model = _theta_model(best.x, kind, nu, s2)
     _LOG.info("%s GLS: sigma2=%.9g range=%.9g sill share=%.3g, %d likelihood evaluations%s",
               kind, s2, model.range_, model.sill / s2, nfev,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.metadata
+import logging
 import math
 import os
 import re
@@ -343,6 +344,23 @@ def test_every_interval_skipped_exits_3(tmp_path, capsys):
     lines = (d / "out" / "covariates.csv").read_text().splitlines()
     assert len(lines) == 3 and lines[2].startswith("site_id,")
     assert main(["fit-step1", str(d)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("level", [logging.NOTSET, logging.WARNING], ids=["NOTSET", "WARNING"])
+def test_main_restores_the_log_level(tmp_path, level):
+    """``main`` raises the ``scarr`` logger to INFO for its own stderr lines
+    and puts back the caller's level, after a successful command and after
+    one that exits 3."""
+    logger = logging.getLogger("scarr")
+    before = logger.level
+    logger.setLevel(level)
+    try:
+        assert main(["features", MINI, "--out", str(tmp_path / "out")]) == 0
+        assert logger.level == level
+        assert main(["features", str(tmp_path / "nowhere")]) == EXIT_DATA
+        assert logger.level == level
+    finally:
+        logger.setLevel(before)
 
 
 def test_features_logs_its_row_count(tmp_path, capsys):

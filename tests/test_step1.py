@@ -37,7 +37,7 @@ from scarr.step1 import (
     read_step1_fit,
     write_step1_fit,
 )
-from scarr.step1 import _cov_kernel, _gls_profile, _pair_cov, _pairs, _theta_model
+from scarr.step1 import _cov_kernel, _GlsProfile, _pair_cov, _pairs, _theta_model
 
 # Four points constructed so the simple regression has slope 0.6,
 # intercept 0.5, RSS 0.2 and a slope F-statistic of exactly 18 on (1, 2) df.
@@ -400,7 +400,7 @@ _GLS_Y = _GLS_X @ np.array([2.0, -1.0]) + np.random.default_rng(5).normal(size=2
 
 
 def _profile_by_solve_triangular(theta, Xy, coords, kind, nu):
-    """(-loglik, sigma2-hat) as ``_gls_profile`` defines them, whitened by
+    """(-loglik, sigma2-hat) as ``_GlsProfile`` defines them, whitened by
     ``solve_triangular``: the reference for its direct LAPACK call."""
     n = len(Xy)
     try:
@@ -450,8 +450,8 @@ class TestGls:
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=n)
         ols = fit_ols(X, y, ["b0", "b1"])
         # a range of 1e-6 m leaves distinct sites uncorrelated: R = I
-        nll, s2 = _gls_profile(np.array([math.log(1e-6), math.log(1e12)]),
-                               np.column_stack([X, y]), _pairs(coords), "exponential", 0.5)
+        nll, s2 = _GlsProfile(np.column_stack([X, y]), _pairs(coords), "exponential",
+                              0.5)(np.array([math.log(1e-6), math.log(1e12)]))
         assert -nll == pytest.approx(ols.loglik, abs=1e-6)
         assert s2 == pytest.approx(ols.rss / n, rel=1e-9)
 
@@ -513,8 +513,8 @@ class TestGls:
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nll, s2 = _gls_profile(np.array([800.0, 1.0]), np.column_stack([X, y]),
-                                   _pairs(coords), "exponential", 0.5)
+            nll, s2 = _GlsProfile(np.column_stack([X, y]), _pairs(coords), "exponential",
+                                  0.5)(np.array([800.0, 1.0]))
         assert math.isfinite(nll) and nll < 1e12 and s2 > 0
 
     @settings(max_examples=100, deadline=None)
@@ -532,7 +532,7 @@ class TestGls:
         kind, nu = kind_nu
         X, y, coords = _GLS_X, _GLS_Y, _GLS_COORDS
         theta = np.array([log_range, math.log(share / (1.0 - share))])
-        nll, s2 = _gls_profile(theta, np.column_stack([X, y]), _pairs(coords), kind, nu)
+        nll, s2 = _GlsProfile(np.column_stack([X, y]), _pairs(coords), kind, nu)(theta)
         rng_ = math.exp(log_range)
 
         def dense(scale):
@@ -578,14 +578,14 @@ class TestGls:
         smallest design ``fit_ols`` accepts) or the size of a 20-site,
         15-column design."""
         coords, Xy = _whiten_case(n, k)
-        pairs = _pairs(coords)
+        profile = _GlsProfile(Xy, _pairs(coords), kind, nu)
         for log_range in (-800.0, math.log(1e-6), math.log(500.0), math.log(3000.0),
                           math.log(1e5), 800.0):
             for logit_share in (-20.0, -2.0, 0.0, 2.0, 20.0, 800.0):
                 theta = np.array([log_range, logit_share])
                 want = _outcome(_profile_by_solve_triangular, theta, Xy, coords, kind, nu)
-                assert _outcome(_gls_profile, theta, Xy, pairs, kind, nu) == want
-        assert _gls_profile(np.array([0.0, 800.0]), Xy, pairs, kind, nu)[0] == 1e12
+                assert _outcome(profile, theta) == want
+        assert profile(np.array([0.0, 800.0]))[0] == 1e12
 
     @pytest.mark.parametrize("theta, xy, kernel", [
         ((math.nan, 0.0), None, None), ((0.0, math.nan), None, None),
@@ -605,8 +605,39 @@ class TestGls:
         want = _outcome(_profile_by_solve_triangular, theta, Xy, _WHITEN_COORDS,
                         "exponential", 0.5)
         assert want == (ValueError, "array must not contain infs or NaNs")
-        assert _outcome(_gls_profile, theta, Xy, _pairs(_WHITEN_COORDS), "exponential",
-                        0.5) == want
+        assert _outcome(_GlsProfile(Xy, _pairs(_WHITEN_COORDS), "exponential", 0.5),
+                        theta) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([("independent", 0.5), ("spherical", 0.5), ("exponential", 0.5),
+                         ("matern", 1.5), ("matern", 2.5), ("matern", 0.7)]),
+        st.integers(4, 12),  # at least k rows, as ``fit_ols`` requires
+        st.booleans(),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.floats(-800.0, 800.0), st.floats(-800.0, 800.0)),
+                 min_size=1, max_size=4),
+    )
+    def test_per_fit_profile_equals_solve_triangular(self, kind_nu, sites, repeated, k, seed,
+                                                     thetas):
+        """One profile, set up once for a design and evaluated at several
+        random theta in turn, gives at each the bytes, or the exception, of
+        the reference that builds the covariance from the coordinates and
+        whitens by ``solve_triangular``.  The design has two rows at each
+        site (a zero separation) or one row per site (none)."""
+        kind, nu = kind_nu
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(0, 10_000, size=(sites, 2))
+        if repeated:
+            coords = np.repeat(coords, 2, axis=0)
+        n = len(coords)
+        Xy = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+        profile = _GlsProfile(Xy, _pairs(coords), kind, nu)
+        for theta in thetas:
+            theta = np.array(theta)
+            want = _outcome(_profile_by_solve_triangular, theta, Xy, coords, kind, nu)
+            assert _outcome(profile, theta) == want
 
     def test_loglik_is_dense_loglik_at_fitted_model(self, rng):
         n = 40
