@@ -194,10 +194,14 @@ def quadrant_ttv(xy, sources, spec: BufferSpec = BufferSpec()) -> np.ndarray:
 
 
 def _landuse_window(raster: RasterGrid, spec: BufferSpec):
-    """(reach, side): cells from a point to the outer land-use radius plus
-    one, and the side of a window of cells that holds every cell in reach."""
+    """(reach, rows, cols): cells from a point to the outer land-use radius
+    plus one, and the rows and columns of a window of cells that holds every
+    cell in reach.  The window is never larger than the raster: one that
+    starts on the raster and is as large holds every raster cell from its
+    start on."""
     reach = spec.radii_km[N_LANDUSE_RINGS - 1] * 1000.0 / raster.cell_size + 1.0
-    return reach, int(2.0 * reach) + 3
+    side = 2.0 * reach  # inf for a reach beyond the largest float
+    return reach, *(min(int(min(side, size)) + 3, size) for size in (raster.n_rows, raster.n_cols))
 
 
 def ring_landuse_area(xy, raster: RasterGrid, reclass: dict,
@@ -220,11 +224,11 @@ def ring_landuse_area(xy, raster: RasterGrid, reclass: dict,
     # centroid formula of ``RasterGrid.centroids`` there keeps the distances,
     # and row-major order, of the whole raster.  Window cells off the raster
     # are masked, and the others beyond reach fall outside every ring.
-    reach, side = _landuse_window(raster, spec)
+    reach, n_rows, n_cols = _landuse_window(raster, spec)
     fx = (xy[:, 0] - raster.x_ll) / raster.cell_size
     fy = raster.n_rows - (xy[:, 1] - raster.y_ll) / raster.cell_size
     cols, rows = (np.clip(np.trunc(f - reach), 0, size).astype(np.intp)[:, None] + np.arange(side)
-                  for f, size in ((fx, raster.n_cols), (fy, raster.n_rows)))
+                  for f, size, side in ((fx, raster.n_cols, n_cols), (fy, raster.n_rows, n_rows)))
     x = raster.x_ll + (cols + 0.5) * raster.cell_size
     y = raster.y_ll + (raster.n_rows - rows - 0.5) * raster.cell_size
     ring = spec.ring_index(np.hypot(x[:, None, :] - xy[:, :1, None],
@@ -440,7 +444,7 @@ def static_covariates(dataset: Dataset, xy, segments, spec: BufferSpec = BufferS
         return stack([kernel(xy[i:i + step], *args) for i in range(0, n, step) or [0]])
 
     if dataset.landuse is not None and dataset.landuse_reclass is not None:
-        lu_area = chunked(ring_landuse_area, _landuse_window(dataset.landuse, spec)[1] ** 2,
+        lu_area = chunked(ring_landuse_area, math.prod(_landuse_window(dataset.landuse, spec)[1:]),
                           dataset.landuse, dataset.landuse_reclass, spec)
     else:
         lu_area = {c: np.zeros((n, N_LANDUSE_RINGS)) for c in LANDUSE_CATEGORIES}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 from scipy.linalg import get_lapack_funcs
 
 from scarr.covariates import (
@@ -34,6 +34,10 @@ LANDUSE_SCALE = 1_000.0  # hectares per design unit
 #: Error-model kinds: iid errors, then the three spatial covariance families.
 ERROR_KINDS = ("independent", "spherical", "exponential", "matern")
 
+#: Largest Matern smoothness: the kernel evaluates x**nu out to its x = 700
+#: cut-off, and 700**nu overflows a double above nu = 108.3.
+MATERN_NU_MAX = 100.0
+
 _LOG = logging.getLogger(__name__)
 
 
@@ -50,45 +54,47 @@ class ErrorModel:
             raise ConfigError(f"unknown error model kind {self.kind!r}")
         if self.sill <= 0 or self.range_ < 0 or self.nugget < 0:
             raise ConfigError("error model requires sill > 0, range >= 0, nugget >= 0")
-        if self.kind == "matern" and not 0 < self.nu < math.inf:
-            raise ConfigError("matern smoothness must be finite and > 0")
+        if self.kind == "matern" and not 0 < self.nu <= MATERN_NU_MAX:
+            raise ConfigError(f"matern smoothness must be finite, > 0 and <= {MATERN_NU_MAX:g}")
 
 
 def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
-    """Spatial covariance at the nonzero separations ``d`` (1-d array)."""
-    out = np.zeros(len(d))
-    if model.kind == "independent" or model.range_ == 0:
-        return out
-    if model.range_ >= 1.0:  # h <= d cannot overflow: skip the errstate's cost
-        h = d / model.range_
-    else:
-        # a subnormal range overflows h (and sqrt(2 nu) h below) to inf, the
-        # separation at which the correlation is 0
-        with np.errstate(over="ignore"):
-            h = d / model.range_
-    # the cut-offs below are negated comparisons, so that a NaN separation
-    # takes the formula (and gives NaN) as in the scalar closed form
+    """Spatial covariance at the nonzero separations ``d`` (1-d array).
+
+    ``model``'s sill and range are numbers, or (b, 1) columns of b models:
+    then row i of the (b, len(d)) result is model i's, with the bits that
+    model alone gives."""
+    if model.kind == "independent":
+        return np.zeros(np.broadcast_shapes(np.shape(model.range_), d.shape))
+    # a zero range takes h = inf, where every kernel is 0; a subnormal range
+    # overflows h (and sqrt(2 nu) h below) to inf likewise.  The cut-offs
+    # below are negated comparisons, so that a NaN separation takes the
+    # formula (and gives NaN) as in the scalar closed form
+    with np.errstate(over="ignore", divide="ignore"):
+        h = np.where(np.equal(model.range_, 0.0), math.inf, d / model.range_)
+    out = np.zeros(h.shape)
     if model.kind == "spherical":
         inside = ~(h >= 1.0)
         poly = [1.0 - 1.5 * x + 0.5 * x**3 for x in h[inside].tolist()]
-        out[inside] = model.sill * np.array(poly, dtype=float)
+        out[inside] = np.broadcast_to(model.sill, h.shape)[inside] * np.array(poly, dtype=float)
         return out
     nu = model.nu
     if model.kind == "exponential" or nu == 0.5:  # matern nu = 0.5 is the exponential
-        return model.sill * np.fromiter(map(math.exp, (-h).tolist()), float, len(h))
+        exp = np.fromiter(map(math.exp, (-h).ravel().tolist()), float, h.size)
+        return model.sill * exp.reshape(h.shape)
     with np.errstate(over="ignore"):
         arg = math.sqrt(2.0 * nu) * h
     near = ~(arg > 700.0)
     a = arg[near]
     scale = 2.0 ** (1.0 - nu) / special.gamma(nu)
-    powers = np.array([x**nu for x in a.tolist()], dtype=float)
+    powers = np.array([x**nu for x in a.tolist()], dtype=float)  # finite: nu <= MATERN_NU_MAX
     bessel = special.kv(nu, a)
     with np.errstate(invalid="ignore"):
         corr = scale * powers * bessel
     # where K_nu(x) overflows, x is so small that the correlation is 1 to
     # double precision, but x**nu * inf is inf (or NaN, once x**nu underflows)
     corr[np.isinf(bessel)] = 1.0
-    out[near] = model.sill * corr
+    out[near] = np.broadcast_to(model.sill, h.shape)[near] * corr
     return out
 
 
@@ -101,14 +107,12 @@ class _Pairs(NamedTuple):
     per distinct pair of site locations, not per pair of interval rows: the
     kernel runs once per distinct separation (``_pair_cov``).  ``d`` is
     sorted, so only its first slot can hold a zero separation: ``zero`` is 1
-    if it does, else 0, and ``positive`` is ``d[zero:]``.  ``values`` is the
-    buffer that ``_pair_cov`` fills with one value per slot of ``index``."""
+    if it does, else 0, and ``positive`` is ``d[zero:]``."""
 
     d: np.ndarray
     index: np.ndarray
     zero: int
     positive: np.ndarray
-    values: np.ndarray
 
 
 def _pairs(coords: np.ndarray) -> _Pairs:
@@ -119,20 +123,23 @@ def _pairs(coords: np.ndarray) -> _Pairs:
     index = np.full((n, n), len(d))
     index[i, j] = index[j, i] = inverse
     zero = int(len(d) > 0 and d[0] == 0.0)
-    return _Pairs(d, index, zero, d[zero:], np.empty(len(d) + 1))
+    return _Pairs(d, index, zero, d[zero:])
 
 
 def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
-    """Error covariance over the observations of ``pairs``: ``pairs.values``
-    filled for ``model``, gathered through ``pairs.index`` into a new array."""
-    v, zero = pairs.values, pairs.zero
+    """Error covariance over the observations of ``pairs``: one value per
+    slot of ``pairs.index`` for ``model``, gathered through it into a new
+    array.  A model whose sill, range and nugget are (b, 1) columns gives
+    the (b, n, n) stack of its b covariances (``_cov_kernel``)."""
+    sill, zero = np.asarray(model.sill), pairs.zero
+    v = np.empty(sill.shape[:1] + (len(pairs.d) + 1,))
     if model.kind == "independent":
-        v[:-1] = 0.0
+        v[..., :-1] = 0.0
     else:
-        v[:zero] = model.sill
-        v[zero:-1] = _cov_kernel(model, pairs.positive)
-    v[-1] = model.sill + model.nugget
-    return v[pairs.index]
+        v[..., :zero] = sill
+        v[..., zero:-1] = _cov_kernel(model, pairs.positive)
+    v[..., -1:] = sill + model.nugget
+    return np.take(v, pairs.index, axis=-1)
 
 
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
@@ -140,15 +147,16 @@ def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     two distinct observations at the same location share only the sill.
 
     The separations are the distinct values over the upper triangle
-    (``_pairs``).  The GLS fit sorts them once per set of coordinates and
-    keeps them with a value buffer; each of its likelihood evaluations, like
-    this function, runs the kernel once per distinct nonzero separation and
-    gathers the values into the matrix (``_pair_cov``).  So the kernel's cost
-    follows the number of distinct site locations, not the number of
-    interval rows.  Every transcendental (exp, pow, the Bessel function) runs
-    element by element through libm or ``special.kv``: numpy's own SIMD
-    ``exp`` and ``power`` differ from libm in the last bit for some inputs,
-    and the fitted digits must not depend on which one ran.
+    (``_pairs``).  The GLS fit sorts them once per set of coordinates; each
+    round of its likelihood evaluations runs the kernel once over (models
+    in the round) x (distinct nonzero separations) and gathers the values
+    into a stack of matrices (``_pair_cov``), as this function does for one
+    model.  So the kernel's cost follows the number of distinct site
+    locations, not the number of interval rows.  Every transcendental (exp,
+    pow, the Bessel function) runs element by element through libm or
+    ``special.kv``: numpy's own SIMD ``exp`` and ``power`` differ from libm
+    in the last bit for some inputs, and the fitted digits must not depend
+    on which one ran, nor on which other models share the round.
     """
     return _pair_cov(model, _pairs(coords))
 
@@ -238,26 +246,27 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
 _TRTRS, _GEQRF = get_lapack_funcs(("trtrs", "geqrf"), (np.empty(0),))
 
 
-def _solve_lower(L: np.ndarray, a: np.ndarray, a_finite: bool) -> np.ndarray:
-    """L^-1 a for L a Cholesky factor from ``np.linalg.cholesky``, bit for bit
-    as ``solve_triangular(L, a, lower=True)`` computes it for a C-ordered L,
-    without its per-call wrappers.  ``a_finite`` says whether every entry of
-    ``a`` is finite, so that a caller that solves for the same ``a`` many
-    times checks it once.  A non-finite entry raises the ValueError of
-    ``solve_triangular``'s finiteness check; L's diagonal is positive, so the
-    solve cannot fail."""
-    if not (a_finite and np.isfinite(L).all()):
+def _solve_lower(L: np.ndarray, a: np.ndarray, a_finite: bool, members) -> list:
+    """L[i]^-1 a for each i of ``members``, L a (b, n, n) stack of Cholesky
+    factors from ``np.linalg.cholesky``, bit for bit as
+    ``solve_triangular(L[i], a, lower=True)`` computes it, without its
+    per-call wrappers.  ``a_finite`` says whether every entry of ``a`` is
+    finite, so that a caller that solves for the same ``a`` many times
+    checks it once.  A non-finite entry of ``a``, or of the stack, raises
+    the ValueError of ``solve_triangular``'s finiteness check, unless there
+    is nothing to solve; L's diagonal is positive, so the solve cannot
+    fail."""
+    if len(members) and not (a_finite and np.isfinite(L).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, _ = _TRTRS(L.T, a, lower=0, trans=1)
-    return x
+    return [_TRTRS(L[i].T, a, lower=0, trans=1)[0] for i in members]
 
 
 def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
     """L^-1 a for each array a, L the Cholesky factor of the error covariance
     over the observations of ``pairs``; ``np.linalg.LinAlgError`` if that is
     numerically singular."""
-    L = np.linalg.cholesky(_pair_cov(model, pairs))
-    return tuple(_solve_lower(L, a, bool(np.isfinite(a).all())) for a in arrays)
+    L = np.linalg.cholesky(_pair_cov(model, pairs)[None])
+    return tuple(_solve_lower(L, a, bool(np.isfinite(a).all()), [0])[0] for a in arrays)
 
 
 #: Sill share of the iid-equivalent start, and nugget share of the
@@ -290,9 +299,10 @@ def _theta_model(theta, kind: str, nu: float, scale: float = 1.0) -> ErrorModel:
 
 
 class _GlsProfile:
-    """The profiled GLS likelihood of one fit: ``profile(theta)`` is
-    (-loglik, sigma2-hat) at theta = (log range, logit s), with beta and the
-    scale profiled out.
+    """The profiled GLS likelihood of one fit: ``profile.batch(thetas)`` is
+    [(-loglik, sigma2-hat) at each theta = (log range, logit s) of
+    ``thetas``], with beta and the scale profiled out; ``profile(theta)``
+    is a batch of one.
 
     The covariance is sigma2 R, R = s C1(range) + (1 - s) I with C1 the
     unit-sill correlation; given R, sigma2-hat = RSS_w / n with RSS_w the
@@ -302,15 +312,18 @@ class _GlsProfile:
     What does not depend on theta is set up once per fit: n and k, one
     finiteness check of [X | y], a Fortran-ordered copy of it for LAPACK and
     one unit-variance error model; ``pairs`` (``_pairs(coords)``) brings the
-    separations, the value buffer and the gather index.  An evaluation sets
-    the model's range and shares (``_theta_scales``: every theta gives a
-    valid model, so none is built or checked) and builds R (``_pair_cov``);
-    then one Cholesky factor L of R, one LAPACK triangular solve for
-    L^-1 [X | y] and one LAPACK QR of that (``fit_ols`` has rejected a
-    rank-deficient X).  RSS_w is the square of the QR factor's last diagonal
+    separations and the gather index.  A batch of b thetas sets the model's
+    ranges and shares as (b, 1) columns (``_theta_scales`` at each theta:
+    every theta gives a valid model, so none is built or checked), runs the
+    kernel once over b x separations and gathers the (b, n, n) stack of R
+    (``_pair_cov``); then one ``np.linalg.cholesky`` of the stack, and for
+    each member one LAPACK triangular solve for L^-1 [X | y] and one LAPACK
+    QR of that (``fit_ols`` has rejected a rank-deficient X), and log|R|
+    along the stack.  RSS_w is the square of the QR factor's last diagonal
     entry, at [k-1, k-1] of ``geqrf``'s packed n x k output, bit for bit as
-    ``np.linalg.qr`` computes it.  A covariance that does not factor gives
-    -loglik 1e12.
+    ``np.linalg.qr`` computes it.  Each member has the bits it has alone.
+    If the stack does not factor, its members are factored one at a time,
+    and a covariance that does not factor gives -loglik 1e12.
     """
 
     def __init__(self, Xy: np.ndarray, pairs: _Pairs, kind: str, nu: float):
@@ -321,17 +334,132 @@ class _GlsProfile:
         self.model = ErrorModel(kind, nu=nu)
 
     def __call__(self, theta):
+        return self.batch([theta])[0]
+
+    def batch(self, thetas) -> list:
         n, k, model = self.n, self.k, self.model
-        model.range_, model.sill, model.nugget = _theta_scales(theta)
+        model.range_, model.sill, model.nugget = \
+            np.array([_theta_scales(theta) for theta in thetas]).T[:, :, None]
+        R = _pair_cov(model, self.pairs)
         try:
-            L = np.linalg.cholesky(_pair_cov(model, self.pairs))
+            L, factored = np.linalg.cholesky(R), range(len(R))
         except np.linalg.LinAlgError:
-            return 1e12, math.nan
-        qr, _, _, _ = _GEQRF(_solve_lower(L, self.Xy, self.finite), overwrite_a=1)
-        rss = float(qr[k - 1, k - 1]) ** 2
-        s2 = max(rss / n, 1e-300)
-        logdet = 2.0 * np.log(L.diagonal()).sum()
-        return 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet), s2
+            L, factored = np.empty(R.shape), []
+            for i, member in enumerate(R):
+                try:
+                    L[i] = np.linalg.cholesky(member)
+                    factored.append(i)
+                except np.linalg.LinAlgError:
+                    L[i] = np.eye(n)  # a finite placeholder, with log|L| = 0
+        logdet = 2.0 * np.log(L.diagonal(axis1=1, axis2=2)).sum(axis=1)
+        out = [(1e12, math.nan)] * len(R)
+        for i, w in zip(factored, _solve_lower(L, self.Xy, self.finite, factored)):
+            qr, _, _, _ = _GEQRF(w, overwrite_a=1)
+            rss = float(qr[k - 1, k - 1]) ** 2
+            s2 = max(rss / n, 1e-300)
+            out[i] = 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet[i]), s2
+        return out
+
+
+class _Search(NamedTuple):
+    """What ``scipy.optimize.minimize`` reports of a Nelder-Mead search."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+
+
+def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
+    """scipy's Nelder-Mead on two parameters, step for step and bit for bit
+    (``optimize.minimize(f, x0, method="Nelder-Mead", options={"maxiter":
+    maxiter, "xatol": xatol, "fatol": fatol})``), as a generator: it yields
+    the list of points it needs next, is sent their values, and returns a
+    ``_Search``.
+
+    Reflection, expansion, contraction and shrink coefficients 1, 2, 1/2,
+    1/2; the initial simplex moves each coordinate of x0 by 5% (to 0.00025
+    if it is 0); the vertices are sorted stably by value, NaN last, as
+    ``np.argsort`` sorts three; the search stops once every vertex is within
+    ``xatol`` of the best in each coordinate and within ``fatol`` of it in
+    value, or after ``maxiter`` iterations.  Each coordinate is computed by
+    the operations of scipy's array expressions, in their order, so every
+    point has scipy's bits; the two points of a shrink are asked for at
+    once."""
+    a, b = float(x0[0]), float(x0[1])
+    sim = [(a, b), ((1 + 0.05) * a if a != 0 else 0.00025, b),
+           (a, (1 + 0.05) * b if b != 0 else 0.00025)]
+    fsim = [float(f) for f in (yield sim)]
+    nfev, nit = 3, 1
+
+    def order():
+        ranked = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+        return [sim[i] for i in ranked], [fsim[i] for i in ranked]
+
+    sim, fsim = order()
+    while nit < maxiter:
+        (bx, by), (nx, ny), (wx, wy) = sim  # best, next, worst
+        if (all(abs(p - q) <= xatol for v in sim[1:] for p, q in zip(v, sim[0]))
+                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
+            break
+        xb, yb = (bx + nx) / 2, (by + ny) / 2
+        xr = (2 * xb - wx, 2 * yb - wy)
+        fxr = float((yield [xr])[0])
+        nfev += 1
+        if fxr < fsim[0]:
+            xe = (3 * xb - 2 * wx, 3 * yb - 2 * wy)
+            fxe = float((yield [xe])[0])
+            nfev += 1
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[1]:
+            sim[2], fsim[2] = xr, fxr
+        else:
+            if fxr < fsim[2]:  # outside contraction
+                xc = (1.5 * xb - 0.5 * wx, 1.5 * yb - 0.5 * wy)
+                fxc = float((yield [xc])[0])
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = (0.5 * xb + 0.5 * wx, 0.5 * yb + 0.5 * wy)
+                fxc = float((yield [xc])[0])
+                shrink = not fxc < fsim[2]
+            nfev += 1
+            if shrink:
+                sim[1:] = [(bx + 0.5 * (x - bx), by + 0.5 * (y - by)) for x, y in sim[1:]]
+                fsim[1:] = [float(f) for f in (yield sim[1:])]
+                nfev += 2
+            else:
+                sim[2], fsim[2] = xc, fxc
+        nit += 1
+        sim, fsim = order()
+    # np.min of the values: NaN if any is (the sort puts NaN last)
+    fun = fsim[2] if fsim[2] != fsim[2] else fsim[0]
+    if nit >= maxiter:
+        return _Search(np.array(sim[0]), fun, nit, nfev, False,
+                       "Maximum number of iterations has been exceeded.")
+    return _Search(np.array(sim[0]), fun, nit, nfev, True,
+                   "Optimization terminated successfully.")
+
+
+def _lockstep(searches, evaluate) -> list:
+    """Run the generator ``searches`` (``_nelder_mead``) together and return
+    their results in order.  Each round gathers the points that every
+    unfinished search asks for, in search order, and makes one
+    ``evaluate(points)`` call for their values."""
+    results = [None] * len(searches)
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    while asks:
+        values = evaluate([point for ask in asks.values() for point in ask])
+        start = 0
+        for i, ask in list(asks.items()):
+            try:
+                asks[i] = searches[i].send(values[start:start + len(ask)])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+            start += len(ask)
+    return results
 
 
 def fit_gls(
@@ -358,14 +486,19 @@ def fit_gls(
     ``_pairs(coords)``, when given, so that a refit on the same rows reuses
     them) and the likelihood's set-up (``_GlsProfile``: [X | y] checked for
     finite entries and copied for LAPACK, the zero-separation slot, the
-    positive separations, the value buffer and the gather index).  Once per
-    Nelder-Mead evaluation: the range and shares at theta, the kernel over
-    the positive separations, the gather into R, its Cholesky factor, the
-    triangular solve, the QR and log|R|.  The final sigma2-hat is one more
-    evaluation, and the final beta whitens X and y through the same
-    separations.  One line logs the fit: sigma2, range, sill share and the
-    likelihood evaluations of all starts, and whether the share is at the
-    pure-nugget boundary, where the range means nothing.
+    positive separations and the gather index).  The six searches run in
+    lockstep (``_lockstep``), each taking scipy's Nelder-Mead steps
+    (``_nelder_mead``): once per round, one batched likelihood call over
+    the points that every unfinished search asks for (one each, or two for
+    a shrink): the range and shares at each theta, the kernel over
+    points x positive separations, the gather into a stack of R, one
+    Cholesky factorization of the stack, a triangular solve and a QR per
+    point, and log|R| along the stack.  The final sigma2-hat is a batch of
+    one, and the final beta whitens X and y through the same separations.
+    After the search, one line per start in start order, then one line for
+    the fit: sigma2, range, sill share and the likelihood evaluations of all
+    starts, and whether the share is at the pure-nugget boundary, where the
+    range means nothing.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -393,16 +526,12 @@ def fit_gls(
     ]
 
     profile = _GlsProfile(np.column_stack([X, y]), pairs, kind, nu)
-
-    def nll(theta):
-        return profile(theta)[0]
-
+    results = _lockstep(
+        [_nelder_mead(theta0, maxiter=2000, xatol=1e-8, fatol=1e-10) for theta0 in starts],
+        lambda thetas: [nll for nll, _ in profile.batch(thetas)],
+    )
     best, nfev = None, 0
-    for i, theta0 in enumerate(starts, start=1):
-        res = optimize.minimize(
-            nll, theta0, method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10},
-        )
+    for i, res in enumerate(results, start=1):
         _LOG.info("%s GLS, start %d: nit=%d nfev=%d success=%s -loglik=%.9f",
                   kind, i, res.nit, res.nfev, str(bool(res.success)).lower(), res.fun)
         nfev += res.nfev

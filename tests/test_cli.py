@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import scarr
-from scarr import __version__
+from scarr import __version__, step1
 from scarr.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
 
@@ -133,19 +133,16 @@ def test_fit_carries_its_buffer_radii(tmp_path):
 
 
 def test_fit_step1_reports_unconverged_gls(tmp_path, monkeypatch, capsys):
-    import scipy.optimize
-
-    minimize = scipy.optimize.minimize
+    nelder_mead = step1._nelder_mead
 
     def one_iteration(*args, **kwargs):
-        kwargs["options"] = {**kwargs["options"], "maxiter": 1}
-        return minimize(*args, **kwargs)
+        return nelder_mead(*args, **{**kwargs, "maxiter": 1})
 
     d = str(tmp_path / "gls")
     assert main(["simulate", "--seed", "7", "--days", "90", "--out", d]) == 0
     with open(os.path.join(d, "step1_config.txt"), "w") as fh:
         fh.write("error_model=exponential\nrun_selection=false\n")
-    monkeypatch.setattr(scipy.optimize, "minimize", one_iteration)
+    monkeypatch.setattr(step1, "_nelder_mead", one_iteration)
     capsys.readouterr()
     assert main(["fit-step1", d]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "converge" in ln]
@@ -830,6 +827,29 @@ def test_matern_selection_run_completes(tmp_path):
     fit = read_step1_fit(str(d / "out" / "step1_fit.txt"))
     assert fit.error_model.kind == "matern" and math.isfinite(fit.loglik)
     assert fit.error_model.nu == 1.5
+
+
+def test_matern_smoothness_beyond_the_kernel_exits_2(tmp_path, capsys):
+    """A smoothness above ``MATERN_NU_MAX`` is a config error naming its
+    line: at nu = 120 the kernel's x**nu overflows below the x = 700
+    cut-off.  A fit file that records such a smoothness exits 3."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    config = d / "step1_config.txt"
+    config.write_text("error_model=matern\nmatern_nu=120\nrun_selection=false\n")
+    capsys.readouterr()
+    assert main(["fit-step1", str(d)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{config}:2: matern smoothness" in err, err
+    assert not (d / "out" / "step1_fit.txt").exists()
+
+    config.write_text("run_selection=false\n")
+    assert main(["fit-step1", str(d)]) == 0
+    fit_file = d / "out" / "step1_fit.txt"
+    text = fit_file.read_text().replace("error_kind=independent", "error_kind=matern")
+    fit_file.write_text(text.replace("error_nu=0.5", "error_nu=120.0"))
+    assert main(["fit-step2", str(d)]) == EXIT_DATA
+    assert f"{fit_file}: matern smoothness" in capsys.readouterr().err
 
 
 def test_rank_deficient_design_exits_3(tmp_path, capsys):

@@ -25,6 +25,7 @@ from scarr.covariates import (
     site_static_covariates,
     static_covariates,
 )
+from scarr.covariates import _landuse_window
 from scarr.data_model import (
     IntervalObservation,
     RasterGrid,
@@ -353,6 +354,30 @@ class TestLanduse:
         assert sorted(got) == sorted(want)
         for c in want:
             assert got[c][0].tobytes() == want[c].tobytes(), c
+
+    @pytest.mark.parametrize("outer_km", [1.3, 1e12, 1e306])
+    def test_window_is_capped_at_the_raster(self, rng, outer_km):
+        """A third radius beyond a 12 x 12 raster (1.2 km a side), up to one
+        whose reach in cells overflows to inf: the window is the raster's
+        size, and the areas equal, bit for bit, a sum over every cell."""
+        n, cell = 12, 100.0
+        vals = rng.integers(1, 4, size=(n, n)).astype(float)
+        vals[rng.random((n, n)) < 0.1] = -9999.0
+        raster = RasterGrid(n, n, 0.0, 0.0, cell, -9999.0, vals)
+        reclass = {1: "developed", 2: "forest", 3: "other"}
+        spec = BufferSpec((0.5, 1.0, outer_km))
+        assert _landuse_window(raster, spec)[1:] == (n, n)
+        sites = np.array([[600.0, 600.0], [50.0, 1150.0], [-900.0, 300.0], [2500.0, -700.0]])
+        got = ring_landuse_area(sites, raster, reclass, spec)
+        pts = raster.centroids()
+        for i, (x, y) in enumerate(sites):
+            want = {c: np.zeros(3) for c in reclass.values()}
+            ring = spec.ring_index(np.hypot(pts[:, 0] - x, pts[:, 1] - y) / 1000.0)
+            for k, v in zip(ring, vals.ravel()):
+                if 0 <= k < 3 and v != -9999.0:
+                    want[reclass[int(v)]][k] += cell**2 / 10_000.0
+            for c in want:
+                assert got[c][i].tobytes() == want[c].tobytes(), (i, c)
 
     def test_first_unknown_code_by_point_then_row_major(self):
         raster = uniform_raster()

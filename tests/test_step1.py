@@ -37,7 +37,16 @@ from scarr.step1 import (
     read_step1_fit,
     write_step1_fit,
 )
-from scarr.step1 import _cov_kernel, _GlsProfile, _pair_cov, _pairs, _theta_model
+from scarr.step1 import (
+    MATERN_NU_MAX,
+    _cov_kernel,
+    _GlsProfile,
+    _lockstep,
+    _nelder_mead,
+    _pair_cov,
+    _pairs,
+    _theta_model,
+)
 
 # Four points constructed so the simple regression has slope 0.6,
 # intercept 0.5, RSS 0.2 and a slope F-statistic of exactly 18 on (1, 2) df.
@@ -290,6 +299,20 @@ class TestCovarianceFunctions:
             V = cov_matrix(m, coords)
         np.testing.assert_array_equal(V, np.eye(3) * (m.sill + m.nugget))
 
+    def test_matern_smoothness_up_to_the_kernel_limit(self):
+        """The kernel evaluates x**nu out to its x = 700 cut-off, which
+        overflows a double above nu = 108.3: up to ``MATERN_NU_MAX`` every
+        separation gives a finite value, and a larger smoothness is
+        rejected."""
+        for nu in (1.5, 100.0, MATERN_NU_MAX):
+            m = ErrorModel("matern", sill=2.0, range_=1.0, nu=nu)
+            d = np.array([1e-3, 1.0, 10.0, 699.0, 700.0]) / math.sqrt(2.0 * nu)
+            v = _cov_kernel(m, d)
+            assert np.isfinite(v).all() and (v >= 0).all() and v[0] > v[-1]
+        for nu in (math.nextafter(MATERN_NU_MAX, math.inf), 120.0):
+            with pytest.raises(ConfigError, match="<= 100"):
+                ErrorModel("matern", nu=nu)
+
     def test_cov_matrix_symmetric_psd(self, rng):
         coords = rng.uniform(0, 5000, size=(12, 2))
         m = ErrorModel("exponential", sill=2.0, range_=1500.0, nugget=0.3)
@@ -483,22 +506,18 @@ class TestGls:
         assert gls.error_model.sill > 0
 
     def test_converged_false_when_optimizer_fails(self, monkeypatch, rng):
-        import scipy.optimize
-
-        minimize = scipy.optimize.minimize
+        nelder_mead = step1._nelder_mead
 
         def failing(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            res.success = False
-            res.message = "stopped by the test"
-            return res
+            res = yield from nelder_mead(*args, **kwargs)
+            return res._replace(success=False, message="stopped by the test")
 
         n = 20
         coords = rng.uniform(0, 10000, size=(n, 2))
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
         assert fit_gls(X, y, coords, ["b0", "b1"]).converged is True
-        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        monkeypatch.setattr(step1, "_nelder_mead", failing)
         fit = fit_gls(X, y, coords, ["b0", "b1"])
         assert fit.converged is False
         assert fit.optimizer_message == "stopped by the test"
@@ -547,19 +566,17 @@ class TestGls:
         separation over every row pair, not over the distinct separations.
         With five rows at one site, the row-pair median (5 km) is not the
         distinct one (6.7 km)."""
-        import scipy.optimize
+        nelder_mead, x0 = step1._nelder_mead, []
 
-        minimize, x0 = scipy.optimize.minimize, []
-
-        def recording(fun, theta0, **kwargs):
+        def recording(theta0, **kwargs):
             x0.append(theta0[0])
-            return minimize(fun, theta0, **kwargs)
+            return nelder_mead(theta0, **kwargs)
 
         sites = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 5000.0], [8000.0, 8000.0]])
         coords = sites[[0, 0, 0, 0, 0, 1, 2, 3]]
         X = np.column_stack([np.ones(8), rng.normal(size=8)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=8)
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(step1, "_nelder_mead", recording)
         fit_gls(X, y, coords, ["b0", "b1"])
         assert x0 == [math.log(1000.0 * 1e-6), math.log(0.25 * 5000.0), math.log(5000.0),
                       math.log(2.0 * 5000.0), math.log(0.5 * 5000.0), math.log(5000.0)]
@@ -639,6 +656,53 @@ class TestGls:
             want = _outcome(_profile_by_solve_triangular, theta, Xy, coords, kind, nu)
             assert _outcome(profile, theta) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([("independent", 0.5), ("spherical", 0.5), ("exponential", 0.5),
+                         ("matern", 1.5), ("matern", 2.5), ("matern", 0.7)]),
+        st.integers(4, 12),
+        st.booleans(),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.one_of(st.tuples(st.floats(-800.0, 800.0), st.floats(-800.0, 800.0)),
+                           st.just((0.0, 800.0))),
+                 min_size=1, max_size=8),
+    )
+    def test_batch_equals_one_at_a_time(self, kind_nu, sites, repeated, k, seed, thetas):
+        """A batch gives each member the bytes that the reference gives it
+        alone, or raises what the reference raises at its first member
+        that raises.  A sill share of 1 (logit 800) with two rows at a site
+        is a covariance that does not factor."""
+        kind, nu = kind_nu
+        rng = np.random.default_rng(seed)
+        coords = rng.uniform(0, 10_000, size=(sites, 2))
+        if repeated:
+            coords = np.repeat(coords, 2, axis=0)
+        n = len(coords)
+        Xy = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+        thetas = [np.array(theta) for theta in thetas]
+        want = [_outcome(_profile_by_solve_triangular, theta, Xy, coords, kind, nu)
+                for theta in thetas]
+        raised = [w for w in want if isinstance(w, tuple)]
+        got = _outcome(_GlsProfile(Xy, _pairs(coords), kind, nu).batch, thetas)
+        assert got == (raised[0] if raised else b"".join(want))
+
+    @pytest.mark.parametrize("kind, nu", [("spherical", 0.5), ("exponential", 0.5),
+                                          ("matern", 1.5), ("matern", 2.5), ("matern", 0.7)])
+    def test_batch_with_a_member_that_does_not_factor(self, kind, nu):
+        """One singular, nugget-free covariance in the batch (two rows at
+        each site, sill share 1) gets the penalty alone; the stack is then
+        factored member by member, and the others keep their bytes."""
+        profile = _GlsProfile(_WHITEN_XY, _pairs(_WHITEN_COORDS), kind, nu)
+        thetas = [np.array([math.log(3000.0), 0.0]), np.array([0.0, 800.0]),
+                  np.array([math.log(500.0), -2.0]), np.array([math.log(1e5), 2.0])]
+        got = profile.batch(thetas)
+        assert got[1][0] == 1e12 and math.isnan(got[1][1])
+        for theta, value in zip(thetas, got):
+            want = _profile_by_solve_triangular(theta, _WHITEN_XY, _WHITEN_COORDS, kind, nu)
+            assert np.array(value).tobytes() == np.array(want).tobytes()
+            assert np.array(profile(theta)).tobytes() == np.array(want).tobytes()
+
     def test_loglik_is_dense_loglik_at_fitted_model(self, rng):
         n = 40
         coords = rng.uniform(0, 8000, size=(n, 2))
@@ -703,6 +767,94 @@ class TestGls:
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DataError, match="3 distinct"):
             fit_gls(hand_design(), HAND_Y, coords, ["a", "b"])
+
+
+def _surface(family, a, b, c, x0, y0):
+    """A 2-D test function: a smooth quadratic bowl or Rosenbrock valley, a
+    bowl cut flat at its level ``c`` (vertex values tie there), the bowl in
+    steps of ``c`` (ties and shrink steps), or the bowl with NaN beyond
+    x = x0 (NaN sorts last)."""
+    def bowl(p):
+        dx, dy = p[0] - x0, p[1] - y0
+        return a * dx * dx + b * dy * dy + 0.5 * math.sqrt(a * b) * dx * dy
+
+    if family == "bowl":
+        return bowl
+    if family == "rosenbrock":
+        return lambda p: (a - p[0]) ** 2 + 100.0 * b * (p[1] - p[0] ** 2) ** 2
+    if family == "flat":
+        return lambda p: max(bowl(p), c)
+    if family == "steps":
+        return lambda p: math.floor(bowl(p) / c) * c
+    return lambda p: bowl(p) if p[0] < x0 else math.nan
+
+
+def _run_search(f, x0, **options):
+    """``_nelder_mead`` driven by ``_lockstep`` alone, and the number of
+    rounds that asked for two points (shrink steps)."""
+    shrinks = []
+
+    def evaluate(points):
+        shrinks.append(len(points) == 2)
+        return [f(np.array(p)) for p in points]
+
+    (res,) = _lockstep([_nelder_mead(x0, **options)], evaluate)
+    return res, sum(shrinks)
+
+
+class TestNelderMead:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["bowl", "rosenbrock", "flat", "steps", "nan"]),
+        st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.01, 5.0),
+        st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+        st.tuples(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+                  st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
+        st.one_of(st.integers(1, 5), st.just(2000)),
+        st.sampled_from([(1e-8, 1e-10), (1e-4, 1e-4), (0.5, 0.5)]),
+    )
+    def test_same_search_as_scipy(self, family, a, b, c, x0, y0, start, maxiter, tol):
+        """The same x bits, fun, nit, nfev, success and message as scipy's
+        Nelder-Mead with the same options."""
+        from scipy import optimize
+
+        f = _surface(family, a, b, c, x0, y0)
+        options = {"maxiter": maxiter, "xatol": tol[0], "fatol": tol[1]}
+        want = optimize.minimize(f, np.array(start), method="Nelder-Mead", options=options)
+        got, _ = _run_search(f, start, **options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.fun == want.fun or (math.isnan(got.fun) and math.isnan(want.fun))
+        assert (got.nit, got.nfev) == (want.nit, want.nfev)
+        assert (got.success, got.message) == (want.success, want.message)
+
+    def test_shrinks_and_ties_are_covered(self):
+        """The step surface makes the search shrink, and the flat one ends
+        with every vertex at one value."""
+        _, shrinks = _run_search(_surface("steps", 1.0, 2.0, 0.5, 1.0, -1.0), (3.0, 4.0),
+                                 maxiter=2000, xatol=1e-8, fatol=1e-10)
+        assert shrinks > 0
+        res, _ = _run_search(_surface("flat", 1.0, 2.0, 0.5, 1.0, -1.0), (1.2, -1.1),
+                             maxiter=2000, xatol=1e-8, fatol=1e-10)
+        assert res.fun == 0.5 and res.success
+
+    def test_rounds_batch_every_unfinished_search(self):
+        """``_lockstep`` makes one call per round for the points of every
+        unfinished search, and each search ends as it does alone."""
+        f = _surface("rosenbrock", 1.0, 1.0, 0.0, 0.0, 0.0)
+        starts = [(-1.2, 1.0), (3.0, 4.0), (0.0, 0.0)]
+        options = {"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10}
+        alone = [_run_search(f, x0, **options)[0] for x0 in starts]
+        sizes = []
+
+        def evaluate(points):
+            sizes.append(len(points))
+            return [f(np.array(p)) for p in points]
+
+        together = _lockstep([_nelder_mead(x0, **options) for x0 in starts], evaluate)
+        for got, want in zip(together, alone):
+            assert got.x.tobytes() == want.x.tobytes() and got[1:] == want[1:]
+        assert sum(sizes) == sum(res.nfev for res in alone)
+        assert sizes[0] == 9 and len(sizes) < max(res.nfev for res in alone)
 
 
 class TestConfig:
