@@ -63,38 +63,36 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
 
     ``model``'s sill and range are numbers, or (b, 1) columns of b models:
     then row i of the (b, len(d)) result is model i's, with the bits that
-    model alone gives."""
+    model alone gives: each family is one numpy array expression."""
     if model.kind == "independent":
         return np.zeros(np.broadcast_shapes(np.shape(model.range_), d.shape))
     # a zero range takes h = inf, where every kernel is 0; a subnormal range
     # overflows h (and sqrt(2 nu) h below) to inf likewise.  The cut-offs
     # below are negated comparisons, so that a NaN separation takes the
-    # formula (and gives NaN) as in the scalar closed form
+    # formula (and gives NaN)
     with np.errstate(over="ignore", divide="ignore"):
         h = np.where(np.equal(model.range_, 0.0), math.inf, d / model.range_)
+    nu = model.nu
+    if model.kind == "exponential" or (model.kind == "matern" and nu == 0.5):
+        return model.sill * np.exp(-h)  # matern nu = 0.5 is the exponential
     out = np.zeros(h.shape)
+    sill = np.broadcast_to(model.sill, h.shape)
     if model.kind == "spherical":
         inside = ~(h >= 1.0)
-        poly = [1.0 - 1.5 * x + 0.5 * x**3 for x in h[inside].tolist()]
-        out[inside] = np.broadcast_to(model.sill, h.shape)[inside] * np.array(poly, dtype=float)
+        x = h[inside]
+        out[inside] = sill[inside] * (1.0 - 1.5 * x + 0.5 * x**3)
         return out
-    nu = model.nu
-    if model.kind == "exponential" or nu == 0.5:  # matern nu = 0.5 is the exponential
-        exp = np.fromiter(map(math.exp, (-h).ravel().tolist()), float, h.size)
-        return model.sill * exp.reshape(h.shape)
     with np.errstate(over="ignore"):
         arg = math.sqrt(2.0 * nu) * h
     near = ~(arg > 700.0)
     a = arg[near]
-    scale = 2.0 ** (1.0 - nu) / special.gamma(nu)
-    powers = np.array([x**nu for x in a.tolist()], dtype=float)  # finite: nu <= MATERN_NU_MAX
     bessel = special.kv(nu, a)
-    with np.errstate(invalid="ignore"):
-        corr = scale * powers * bessel
+    with np.errstate(invalid="ignore"):  # a**nu is finite: nu <= MATERN_NU_MAX
+        corr = 2.0 ** (1.0 - nu) / special.gamma(nu) * a**nu * bessel
     # where K_nu(x) overflows, x is so small that the correlation is 1 to
     # double precision, but x**nu * inf is inf (or NaN, once x**nu underflows)
     corr[np.isinf(bessel)] = 1.0
-    out[near] = np.broadcast_to(model.sill, h.shape)[near] * corr
+    out[near] = sill[near] * corr
     return out
 
 
@@ -152,11 +150,10 @@ def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     in the round) x (distinct nonzero separations) and gathers the values
     into a stack of matrices (``_pair_cov``), as this function does for one
     model.  So the kernel's cost follows the number of distinct site
-    locations, not the number of interval rows.  Every transcendental (exp,
-    pow, the Bessel function) runs element by element through libm or
-    ``special.kv``: numpy's own SIMD ``exp`` and ``power`` differ from libm
-    in the last bit for some inputs, and the fitted digits must not depend
-    on which one ran, nor on which other models share the round.
+    locations, not the number of interval rows.  The kernel's last bits are
+    numpy's (``_cov_kernel``), which chooses its ``exp`` and ``power`` loops
+    by the CPU's features at import; a model's entries do not depend on
+    which other models share the round.
     """
     return _pair_cov(model, _pairs(coords))
 
@@ -275,26 +272,24 @@ def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
 IID_SHARE = 1e-6
 
 
-def _theta_scales(theta):
-    """(range, s, 1 - s) at theta = (log range, logit s), s the sill share.
-    s and 1 - s are each computed from the logit, so neither loses its
-    digits to a cancellation as the other nears 1, and each is held above 0
-    where its exponential would overflow: a zero sill is invalid, and a zero
-    nugget leaves only the correlation, which may not factor."""
-    if theta[0] < 709.0:  # exp cannot overflow: skip the errstate's cost
-        rng = float(np.exp(theta[0]))
-    else:
-        with np.errstate(over="ignore"):  # range -> inf is the fully correlated limit
-            rng = float(np.exp(theta[0]))
-    s = 1.0 / (1.0 + math.exp(min(-theta[1], 700.0)))
-    s_nugget = 1.0 / (1.0 + math.exp(min(theta[1], 700.0)))
-    return rng, s, s_nugget
+def _theta_scales(thetas):
+    """The (b, 1) columns range, s and 1 - s at the b rows theta = (log
+    range, logit s) of ``thetas``, s the sill share.  s and 1 - s are each
+    computed from the logit, so neither loses its digits to a cancellation
+    as the other nears 1, and each is held above 0 where its exponential
+    would overflow: a zero sill is invalid, and a zero nugget leaves only
+    the correlation, which may not factor."""
+    thetas = np.asarray(thetas, dtype=float)
+    log_range, logit = thetas[:, :1], thetas[:, 1:]
+    with np.errstate(over="ignore"):  # range -> inf is the fully correlated limit
+        return (np.exp(log_range), 1.0 / (1.0 + np.exp(np.minimum(-logit, 700.0))),
+                1.0 / (1.0 + np.exp(np.minimum(logit, 700.0))))
 
 
 def _theta_model(theta, kind: str, nu: float, scale: float = 1.0) -> ErrorModel:
     """The error model of variance ``scale`` at theta = (log range, logit s):
     sill = scale s, nugget = scale (1 - s) (``_theta_scales``)."""
-    rng, s, s_nugget = _theta_scales(theta)
+    rng, s, s_nugget = np.hstack(_theta_scales([theta]))[0].tolist()
     return ErrorModel(kind, sill=scale * s, range_=rng, nugget=scale * s_nugget, nu=nu)
 
 
@@ -313,15 +308,16 @@ class _GlsProfile:
     finiteness check of [X | y], a Fortran-ordered copy of it for LAPACK and
     one unit-variance error model; ``pairs`` (``_pairs(coords)``) brings the
     separations and the gather index.  A batch of b thetas sets the model's
-    ranges and shares as (b, 1) columns (``_theta_scales`` at each theta:
-    every theta gives a valid model, so none is built or checked), runs the
+    ranges and shares as (b, 1) columns (``_theta_scales``, once: every
+    theta gives a valid model, so none is built or checked), runs the
     kernel once over b x separations and gathers the (b, n, n) stack of R
     (``_pair_cov``); then one ``np.linalg.cholesky`` of the stack, and for
     each member one LAPACK triangular solve for L^-1 [X | y] and one LAPACK
     QR of that (``fit_ols`` has rejected a rank-deficient X), and log|R|
     along the stack.  RSS_w is the square of the QR factor's last diagonal
     entry, at [k-1, k-1] of ``geqrf``'s packed n x k output, bit for bit as
-    ``np.linalg.qr`` computes it.  Each member has the bits it has alone.
+    ``np.linalg.qr`` computes it.  Each member has the bits it has alone,
+    and the last bits are numpy's, in the kernel as in log|R|.
     If the stack does not factor, its members are factored one at a time,
     and a covariance that does not factor gives -loglik 1e12.
     """
@@ -338,8 +334,7 @@ class _GlsProfile:
 
     def batch(self, thetas) -> list:
         n, k, model = self.n, self.k, self.model
-        model.range_, model.sill, model.nugget = \
-            np.array([_theta_scales(theta) for theta in thetas]).T[:, :, None]
+        model.range_, model.sill, model.nugget = _theta_scales(thetas)
         R = _pair_cov(model, self.pairs)
         try:
             L, factored = np.linalg.cholesky(R), range(len(R))

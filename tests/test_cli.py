@@ -409,7 +409,10 @@ def test_prediction_products_are_pinned(tmp_path):
 
 #: SHA-256 of ``step1_fit.txt`` on data/mini, without its ``#`` header lines,
 #: and of ``fit-step1``'s per-start stderr lines (nit, nfev, -loglik) for
-#: each GLS kind with ring selection on: the full fit and the refit.
+#: each GLS kind with ring selection on: the full fit and the refit.  Every
+#: one is a fit at the pure-nugget boundary, which the kernel's last bits do
+#: not reach; ``test_step1.py::test_interior_gls_fit_is_pinned`` pins one that
+#: they do.
 GLS_FIT_DIGESTS = {
     "exponential": (
         "be2d722a21d8f96753a6f7601a2ac04c1ac1988ec3384e6fec3b335fa61ceceb",
