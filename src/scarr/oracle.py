@@ -68,7 +68,6 @@ class DenseGaussianOracle:
         )
         m = len(self.entries)
         days = np.array([t for t, _ in self.entries], dtype=int)
-        self.obs_days = days
         self.K_yy = self.K_A[np.ix_(days, days)] + params.sigma_z**2 * np.eye(m)
         # cov(A(t), y_entry)
         self.K_Ay = self.K_A[:, days]
@@ -94,10 +93,11 @@ class DenseGaussianOracle:
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
         return float(-0.5 * (m * math.log(2 * math.pi) + logdet + z @ z))
 
-    def state_posterior(self, t: int, upto=None):
+    def state_posterior(self, t: int, upto=None, exclude=None):
         """Mean and variance of A(t) given observed entries with day <= upto
-        (0-based); upto=None conditions on everything (smoothing)."""
-        sel = self._subset(upto=upto)
+        (0-based), but for the entry ``exclude`` = (day, site); upto=None
+        conditions on everything (smoothing)."""
+        sel = self._subset(upto=upto, exclude=exclude)
         prior_mean = self.params.mu_a
         prior_var = float(self.K_A[t, t])
         if sel.size == 0:
@@ -114,17 +114,8 @@ class DenseGaussianOracle:
         """Conditional mean/variance of an observation coordinate at (t, i)
         with offset off_value, given entries with day <= upto, excluding the
         coordinate itself when it was observed."""
-        sel = self._subset(upto=upto, exclude=(t, i))
-        prior_var = float(self.K_A[t, t])
-        if sel.size == 0:
-            mean_a, var_a = self.params.mu_a, prior_var
-        else:
-            S = self.K_yy[np.ix_(sel, sel)]
-            k = self.K_A[t, self.obs_days[sel]]
-            r = self.obs_vals[sel] - self.obs_mean[sel]
-            mean_a = self.params.mu_a + float(k @ np.linalg.solve(S, r))
-            var_a = prior_var - float(k @ np.linalg.solve(S, k))
-        return mean_a + off_value, max(var_a, 0.0) + self.params.sigma_z**2
+        mean_a, var_a = self.state_posterior(t, upto=upto, exclude=(t, i))
+        return mean_a + off_value, var_a + self.params.sigma_z**2
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ _LOG = logging.getLogger(__name__)
 
 @dataclass
 class ErrorModel:
+    """A Step I error covariance: a finite sill > 0 and nugget >= 0, and a
+    range >= 0 that may be infinite, the fully correlated limit."""
+
     kind: str = "independent"  # one of ERROR_KINDS
     sill: float = 1.0
     range_: float = 0.0
@@ -52,8 +55,10 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise ConfigError(f"unknown error model kind {self.kind!r}")
-        if self.sill <= 0 or self.range_ < 0 or self.nugget < 0:
-            raise ConfigError("error model requires sill > 0, range >= 0, nugget >= 0")
+        # a NaN fails every comparison, so it is rejected too
+        if not (0 < self.sill < math.inf and self.range_ >= 0 and 0 <= self.nugget < math.inf):
+            raise ConfigError("error model requires a finite sill > 0, range >= 0 "
+                              "and a finite nugget >= 0")
         if self.kind == "matern" and not 0 < self.nu <= MATERN_NU_MAX:
             raise ConfigError(f"matern smoothness must be finite, > 0 and <= {MATERN_NU_MAX:g}")
 
@@ -143,18 +148,7 @@ def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
     """Error covariance over observations; the nugget is per-observation, so
     two distinct observations at the same location share only the sill.
-
-    The separations are the distinct values over the upper triangle
-    (``_pairs``).  The GLS fit sorts them once per set of coordinates; each
-    round of its likelihood evaluations runs the kernel once over (models
-    in the round) x (distinct nonzero separations) and gathers the values
-    into a stack of matrices (``_pair_cov``), as this function does for one
-    model.  So the kernel's cost follows the number of distinct site
-    locations, not the number of interval rows.  The kernel's last bits are
-    numpy's (``_cov_kernel``), which chooses its ``exp`` and ``power`` loops
-    by the CPU's features at import; a model's entries do not depend on
-    which other models share the round.
-    """
+    The kernel runs once per distinct separation (``_pair_cov``)."""
     return _pair_cov(model, _pairs(coords))
 
 
@@ -213,10 +207,13 @@ class StepOneFit:
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
-    """Ordinary least squares with unbiased residual variance."""
+    """Ordinary least squares with unbiased residual variance.  A non-finite
+    entry of X or y, or a rank-deficient X, raises ``DataError``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError("fit_ols: non-finite entry in the design or response")
     if n <= p:
         raise DataError(f"fit_ols: n={n} <= p={p}")
     rank = np.linalg.matrix_rank(X)
@@ -239,31 +236,19 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
 
 
 #: LAPACK's double-precision triangular solve, the one ``solve_triangular``
-#: calls, and its QR factorization, the one ``np.linalg.qr`` calls.
+#: calls, and its QR factorization, the one ``np.linalg.qr`` calls.  A solve
+#: ``_TRTRS(L.T, a, lower=0, trans=1)`` of a Cholesky factor L from
+#: ``np.linalg.cholesky`` is L^-1 a, bit for bit as ``solve_triangular(L, a,
+#: lower=True)`` computes it, without its per-call wrappers.
 _TRTRS, _GEQRF = get_lapack_funcs(("trtrs", "geqrf"), (np.empty(0),))
-
-
-def _solve_lower(L: np.ndarray, a: np.ndarray, a_finite: bool, members) -> list:
-    """L[i]^-1 a for each i of ``members``, L a (b, n, n) stack of Cholesky
-    factors from ``np.linalg.cholesky``, bit for bit as
-    ``solve_triangular(L[i], a, lower=True)`` computes it, without its
-    per-call wrappers.  ``a_finite`` says whether every entry of ``a`` is
-    finite, so that a caller that solves for the same ``a`` many times
-    checks it once.  A non-finite entry of ``a``, or of the stack, raises
-    the ValueError of ``solve_triangular``'s finiteness check, unless there
-    is nothing to solve; L's diagonal is positive, so the solve cannot
-    fail."""
-    if len(members) and not (a_finite and np.isfinite(L).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    return [_TRTRS(L[i].T, a, lower=0, trans=1)[0] for i in members]
 
 
 def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
     """L^-1 a for each array a, L the Cholesky factor of the error covariance
     over the observations of ``pairs``; ``np.linalg.LinAlgError`` if that is
     numerically singular."""
-    L = np.linalg.cholesky(_pair_cov(model, pairs)[None])
-    return tuple(_solve_lower(L, a, bool(np.isfinite(a).all()), [0])[0] for a in arrays)
+    L = np.linalg.cholesky(_pair_cov(model, pairs))
+    return tuple(_TRTRS(L.T, a, lower=0, trans=1)[0] for a in arrays)
 
 
 #: Sill share of the iid-equivalent start, and nugget share of the
@@ -304,28 +289,29 @@ class _GlsProfile:
     whitened residual sum of squares of y on X (``Xy`` = [X | y]), and
     -loglik = (n log 2 pi + n log sigma2-hat + log|R| + n) / 2.
 
-    What does not depend on theta is set up once per fit: n and k, one
-    finiteness check of [X | y], a Fortran-ordered copy of it for LAPACK and
-    one unit-variance error model; ``pairs`` (``_pairs(coords)``) brings the
-    separations and the gather index.  A batch of b thetas sets the model's
-    ranges and shares as (b, 1) columns (``_theta_scales``, once: every
-    theta gives a valid model, so none is built or checked), runs the
-    kernel once over b x separations and gathers the (b, n, n) stack of R
-    (``_pair_cov``); then one ``np.linalg.cholesky`` of the stack, and for
-    each member one LAPACK triangular solve for L^-1 [X | y] and one LAPACK
-    QR of that (``fit_ols`` has rejected a rank-deficient X), and log|R|
-    along the stack.  RSS_w is the square of the QR factor's last diagonal
-    entry, at [k-1, k-1] of ``geqrf``'s packed n x k output, bit for bit as
-    ``np.linalg.qr`` computes it.  Each member has the bits it has alone,
-    and the last bits are numpy's, in the kernel as in log|R|.
-    If the stack does not factor, its members are factored one at a time,
-    and a covariance that does not factor gives -loglik 1e12.
+    What does not depend on theta is set up once per fit: n and k, a
+    Fortran-ordered copy of [X | y] for LAPACK and one unit-variance error
+    model; ``pairs`` (``_pairs(coords)``) brings the separations and the
+    gather index.  [X | y] and the separations are finite: ``fit_gls``
+    checks them where they enter.  A batch of b thetas sets the model's
+    ranges and shares as (b, 1) columns (``_theta_scales``, once, unchecked),
+    runs the kernel once over b x separations and gathers the (b, n, n)
+    stack of R (``_pair_cov``); then one ``np.linalg.cholesky`` of the
+    stack, log|R| along it, and for each member one LAPACK triangular solve
+    for L^-1 [X | y] (``_TRTRS``) and one LAPACK QR of that (``fit_ols`` has
+    rejected a rank-deficient X).  RSS_w is the square of the QR factor's
+    last diagonal entry, at [k-1, k-1] of ``geqrf``'s packed n x k output,
+    bit for bit as ``np.linalg.qr`` computes it.  Each member has the bits
+    it has alone, and the last bits are numpy's, in the kernel as in log|R|.
+    If the stack does not factor, its members are factored one at a time.
+    A member that does not factor, or whose log|R| is not finite (a NaN
+    theta, say, which LAPACK may factor into NaN rather than reject), gives
+    (1e12, NaN).
     """
 
     def __init__(self, Xy: np.ndarray, pairs: _Pairs, kind: str, nu: float):
         self.n, self.k = Xy.shape
         self.Xy = np.asfortranarray(Xy)
-        self.finite = bool(np.isfinite(Xy).all())
         self.pairs = pairs
         self.model = ErrorModel(kind, nu=nu)
 
@@ -337,19 +323,18 @@ class _GlsProfile:
         model.range_, model.sill, model.nugget = _theta_scales(thetas)
         R = _pair_cov(model, self.pairs)
         try:
-            L, factored = np.linalg.cholesky(R), range(len(R))
+            L = np.linalg.cholesky(R)
         except np.linalg.LinAlgError:
-            L, factored = np.empty(R.shape), []
+            L = np.empty(R.shape)
             for i, member in enumerate(R):
                 try:
                     L[i] = np.linalg.cholesky(member)
-                    factored.append(i)
                 except np.linalg.LinAlgError:
-                    L[i] = np.eye(n)  # a finite placeholder, with log|L| = 0
+                    L[i] = math.nan  # log|R| NaN: does not factor
         logdet = 2.0 * np.log(L.diagonal(axis1=1, axis2=2)).sum(axis=1)
         out = [(1e12, math.nan)] * len(R)
-        for i, w in zip(factored, _solve_lower(L, self.Xy, self.finite, factored)):
-            qr, _, _, _ = _GEQRF(w, overwrite_a=1)
+        for i in np.flatnonzero(np.isfinite(logdet)).tolist():
+            qr, _, _, _ = _GEQRF(_TRTRS(L[i].T, self.Xy, lower=0, trans=1)[0], overwrite_a=1)
             rss = float(qr[k - 1, k - 1]) ** 2
             s2 = max(rss / n, 1e-300)
             out[i] = 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet[i]), s2
@@ -477,18 +462,22 @@ def fit_gls(
     from which the search reaches optima with a vanishing nugget that the
     interior starts leave for another basin.
 
+    A non-finite entry of X, y or ``coords`` raises ``DataError``, as a
+    rank-deficient X does (``fit_ols``): past this point every number is
+    finite, and a theta whose covariance does not factor, or factors into a
+    non-finite log|R|, gets -loglik 1e12 (``_GlsProfile``).
+
     Once per fit: the sorted pair separations (taken from ``pairs``,
     ``_pairs(coords)``, when given, so that a refit on the same rows reuses
-    them) and the likelihood's set-up (``_GlsProfile``: [X | y] checked for
-    finite entries and copied for LAPACK, the zero-separation slot, the
-    positive separations and the gather index).  The six searches run in
-    lockstep (``_lockstep``), each taking scipy's Nelder-Mead steps
-    (``_nelder_mead``): once per round, one batched likelihood call over
-    the points that every unfinished search asks for (one each, or two for
-    a shrink): the range and shares at each theta, the kernel over
-    points x positive separations, the gather into a stack of R, one
-    Cholesky factorization of the stack, a triangular solve and a QR per
-    point, and log|R| along the stack.  The final sigma2-hat is a batch of
+    them) and the likelihood's set-up (``_GlsProfile``: [X | y] copied for
+    LAPACK, the zero-separation slot, the positive separations and the
+    gather index).  The six searches run in lockstep (``_lockstep``), each
+    taking scipy's Nelder-Mead steps (``_nelder_mead``): once per round,
+    one batched likelihood call over the points that every unfinished
+    search asks for (one each, or two for a shrink): the range and shares
+    at each theta, the kernel over points x positive separations, the
+    gather into a stack of R, one Cholesky factorization of the stack, a
+    triangular solve and a QR per point, and log|R| along the stack.  The final sigma2-hat is a batch of
     one, and the final beta whitens X and y through the same separations.
     After the search, one line per start in start order, then one line for
     the fit: sigma2, range, sill share and the likelihood evaluations of all
@@ -498,6 +487,8 @@ def fit_gls(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     coords = np.asarray(coords, dtype=float)
+    if not np.isfinite(coords).all():
+        raise DataError("fit_gls: non-finite site coordinate")
     if len({(float(a), float(b)) for a, b in coords}) < 3:
         raise DataError("fit_gls: need at least 3 distinct site locations")
     fit_ols(X, y, names)  # rejects a rank-deficient design
@@ -886,9 +877,11 @@ def _join(values):
     return " ".join(repr(float(v)) for v in values)
 
 
-#: Scalar keys of step1_fit.txt, and the error model's keys and attributes.
+#: Scalar keys of step1_fit.txt, and the error model's keys, attributes and
+#: kinds (keys of ``data_model._PARSERS``).
 _FIT_SCALARS = ("rss", "tss", "sigma2", "press", "rmspe", "loglik")
-_ERROR_FIELDS = {"sill": "sill", "range": "range_", "nugget": "nugget", "nu": "nu"}
+_ERROR_FIELDS = {"sill": ("sill", "finite > 0"), "range": ("range_", float),
+                 "nugget": ("nugget", "finite >= 0"), "nu": ("nu", float)}
 
 
 def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
@@ -900,7 +893,7 @@ def write_step1_fit(fit: StepOneFit, path: str, header_lines=()) -> None:
         "n": fit.n,
         **{key: float(getattr(fit, key)) for key in _FIT_SCALARS},
         "error_kind": em.kind,
-        **{f"error_{key}": float(getattr(em, attr)) for key, attr in _ERROR_FIELDS.items()},
+        **{f"error_{key}": float(getattr(em, attr)) for key, (attr, _) in _ERROR_FIELDS.items()},
         "buffer_radii_km": _join(fit.spec.radii_km),
     }, header_lines)
 
@@ -918,7 +911,7 @@ def read_step1_fit(path: str) -> StepOneFit:
             bad = kv[key].split()[int(np.argmin(finite))]
             raise DataError(f"{kv.where[key]}: {key}: expected finite numbers, got {bad!r}")
     em_fields = [kv.parse("error_kind", str)]
-    em_fields += [kv.parse(f"error_{key}", float) for key in _ERROR_FIELDS]
+    em_fields += [kv.parse(f"error_{key}", kind) for key, (_, kind) in _ERROR_FIELDS.items()]
     radii = kv.parse("buffer_radii_km", tuple[float, ...], BufferSpec().radii_km)
     try:
         em, spec = ErrorModel(*em_fields), BufferSpec(radii)

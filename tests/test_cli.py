@@ -671,6 +671,12 @@ def test_bad_fit_file_names_file_and_line(pipeline_dir, fitted_out, capsys, name
     ("step1_fit.txt", "estimates", -1, "nan", "fit-step2",
      "expected finite numbers, got 'nan'"),
     ("step1_fit.txt", "cov", 4, "-inf", "predict", "expected finite numbers, got '-inf'"),
+    ("step1_fit.txt", "error_sill", 0, "nan", "fit-step2",
+     "expected a finite number > 0, got 'nan'"),
+    ("step1_fit.txt", "error_sill", 0, "inf", "fit-step2",
+     "expected a finite number > 0, got 'inf'"),
+    ("step1_fit.txt", "error_nugget", 0, "nan", "fit-step2",
+     "expected a finite number >= 0, got 'nan'"),
     ("step2_fit.txt", "sigma_z", 0, "inf", "predict", "expected a finite number > 0, got 'inf'"),
     ("step2_fit.txt", "sigma_a", 0, "nan", "predict",
      "expected a finite number >= 0, got 'nan'"),
@@ -693,6 +699,19 @@ def test_non_finite_fit_value_names_file_and_line(pipeline_dir, fitted_out, caps
     assert main([command, pipeline_dir, "--out", fitted_out]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"error: data: {path}:{line}: {key}: {want}" in err.splitlines()
+
+
+@pytest.mark.parametrize("text, code", [("nan", EXIT_DATA), ("inf", 0)])
+def test_step1_fit_error_range(pipeline_dir, fitted_out, capsys, text, code):
+    """A NaN ``error_range`` is no error model: ``fit-step2`` exits 3 naming
+    the fit file.  An infinite range, the fully correlated limit, loads."""
+    path = os.path.join(fitted_out, "step1_fit.txt")
+    text = re.sub(r"(?m)^error_range=.*$", f"error_range={text}", Path(path).read_text())
+    Path(path).write_text(text)
+    capsys.readouterr()
+    assert main(["fit-step2", pipeline_dir, "--out", fitted_out]) == code
+    err = capsys.readouterr().err
+    assert (f"error: data: {path}: error model requires" in err) == (code == EXIT_DATA)
 
 
 def test_validate_missing_golden_is_data_error(pipeline_dir, fitted_out, tmp_path, capsys):

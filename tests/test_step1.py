@@ -337,6 +337,20 @@ class TestCovarianceFunctions:
         with pytest.raises(ConfigError):
             ErrorModel("gaussian")
 
+    @pytest.mark.parametrize("field, value, valid", [
+        ("sill", math.nan, False), ("sill", math.inf, False), ("sill", 0.0, False),
+        ("nugget", math.nan, False), ("nugget", math.inf, False), ("nugget", -1.0, False),
+        ("range_", math.nan, False), ("range_", -1.0, False), ("range_", math.inf, True),
+    ])
+    def test_fields_are_checked(self, field, value, valid):
+        """A finite sill > 0, a finite nugget >= 0 and a range >= 0, which
+        may be infinite: the fully correlated limit."""
+        if valid:
+            assert getattr(ErrorModel("exponential", **{field: value}), field) == value
+        else:
+            with pytest.raises(ConfigError, match="error model requires"):
+                ErrorModel("exponential", **{field: value})
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(["independent", "spherical", "exponential", "matern"]),
@@ -689,21 +703,22 @@ class TestGls:
         (None, math.nan, None), (None, math.inf, None), (None, None, math.inf),
     ])
     def test_non_finite_input_fails_as_solve_triangular(self, monkeypatch, theta, xy, kernel):
-        """A NaN parameter (a NaN covariance), a non-finite response, or a
-        kernel that returns inf (a covariance that Cholesky factors into
-        non-finite entries) raises what ``solve_triangular``'s finiteness
-        check raises."""
+        """The inputs on which ``solve_triangular``'s finiteness check raises.
+        A NaN parameter (a NaN covariance), or a kernel that returns inf (a
+        covariance that Cholesky rejects or factors into non-finite
+        entries), does not factor: (1e12, NaN).  A non-finite response
+        never reaches the profile: ``fit_gls`` raises ``DataError``."""
         if kernel is not None:
             monkeypatch.setattr(step1, "_cov_kernel", lambda model, d: np.full(len(d), kernel))
         theta = np.array(theta or (math.log(3000.0), 0.0))
         Xy = _WHITEN_XY.copy()
         if xy is not None:
             Xy[5, -1] = xy
-        want = _outcome(_profile_by_solve_triangular, theta, Xy, _WHITEN_COORDS,
-                        "exponential", 0.5)
-        assert want == (ValueError, "array must not contain infs or NaNs")
-        assert _outcome(_GlsProfile(Xy, _pairs(_WHITEN_COORDS), "exponential", 0.5),
-                        theta) == want
+            with pytest.raises(DataError, match="non-finite"):
+                fit_gls(Xy[:, :-1], Xy[:, -1], _WHITEN_COORDS, ["b0", "b1"])
+            return
+        got = _GlsProfile(Xy, _pairs(_WHITEN_COORDS), "exponential", 0.5)(theta)
+        assert np.array(got).tobytes() == np.array([1e12, math.nan]).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -745,14 +760,19 @@ class TestGls:
         st.integers(2, 4),
         st.integers(0, 2**32 - 1),
         st.lists(st.one_of(st.tuples(st.floats(-800.0, 800.0), st.floats(-800.0, 800.0)),
-                           st.just((0.0, 800.0))),
+                           st.just((0.0, 800.0)),
+                           st.tuples(st.just(math.nan), st.floats(-800.0, 800.0)),
+                           st.tuples(st.floats(-800.0, 800.0), st.just(math.nan))),
                  min_size=1, max_size=8),
     )
+    @example(("exponential", 0.5), 6, True, 3, 0, [(0.0, 0.0), (math.nan, 0.0), (1.0, math.nan)])
     def test_batch_equals_one_at_a_time(self, kind_nu, sites, repeated, k, seed, thetas):
         """A batch gives each member the bytes that the reference gives it
-        alone, or raises what the reference raises at its first member
-        that raises.  A sill share of 1 (logit 800) with two rows at a site
-        is a covariance that does not factor."""
+        alone.  A sill share of 1 (logit 800) with two rows at a site is a
+        covariance that does not factor; a NaN in either coordinate of theta
+        (a NaN covariance, which the reference cannot build) gives
+        (1e12, NaN).  The range does not enter an independent covariance, so
+        for that kind the reference takes log range 0 in place of a NaN."""
         kind, nu = kind_nu
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0, 10_000, size=(sites, 2))
@@ -761,11 +781,14 @@ class TestGls:
         n = len(coords)
         Xy = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
         thetas = [np.array(theta) for theta in thetas]
-        want = [_outcome(_profile_by_solve_triangular, theta, Xy, coords, kind, nu)
-                for theta in thetas]
-        raised = [w for w in want if isinstance(w, tuple)]
+        want = []
+        for theta in thetas:
+            if kind == "independent":
+                theta = np.array([0.0, theta[1]])
+            want.append(np.array([1e12, math.nan]).tobytes() if np.isnan(theta).any()
+                        else _outcome(_profile_by_solve_triangular, theta, Xy, coords, kind, nu))
         got = _outcome(_GlsProfile(Xy, _pairs(coords), kind, nu).batch, thetas)
-        assert got == (raised[0] if raised else b"".join(want))
+        assert got == b"".join(want)
 
     @pytest.mark.parametrize("kind, nu", [("spherical", 0.5), ("exponential", 0.5),
                                           ("matern", 1.5), ("matern", 2.5), ("matern", 0.7)])
@@ -841,6 +864,24 @@ class TestGls:
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DataError, match="3 distinct"):
             fit_gls(hand_design(), HAND_Y, coords, ["a", "b"])
+
+    @pytest.mark.parametrize("part, index, value", [
+        ("X", (5, 1), math.nan), ("y", 5, math.nan), ("y", 5, math.inf),
+        ("coords", (5, 0), math.nan),
+    ])
+    def test_non_finite_number_raises_where_it_enters(self, part, index, value):
+        """A non-finite entry of the design, the response or a site
+        coordinate raises ``DataError`` in ``fit_ols``, which takes no
+        coordinates, and in ``fit_gls``."""
+        arrays = {"X": _WHITEN_XY[:, :-1].copy(), "y": _WHITEN_XY[:, -1].copy(),
+                  "coords": _WHITEN_COORDS.copy()}
+        arrays[part][index] = value
+        X, y, coords = arrays["X"], arrays["y"], arrays["coords"]
+        if part != "coords":
+            with pytest.raises(DataError, match="non-finite"):
+                fit_ols(X, y, ["b0", "b1"])
+        with pytest.raises(DataError, match="non-finite"):
+            fit_gls(X, y, coords, ["b0", "b1"])
 
 
 @pytest.mark.parametrize("kind", sorted(BASIN_SEED_OFFSET))
