@@ -287,6 +287,13 @@ def seasonal_basis(dyr: float):
     return (math.sin(a), math.cos(a), math.sin(2 * a), math.cos(2 * a))
 
 
+def seasonal_table(manifest, T: int) -> np.ndarray:
+    """(T, 4): ``seasonal_basis`` of days 1..T.  A whole day's day of year
+    repeats every 365 days, so each calendar day is computed once."""
+    year = np.array([seasonal_basis(manifest.dyr(d)) for d in range(1, min(T, 365) + 1)])
+    return year[np.arange(T) % 365]
+
+
 SEASON_NAMES = ("sin_2pi_dyr", "cos_2pi_dyr", "sin_4pi_dyr", "cos_4pi_dyr")
 
 

@@ -369,7 +369,7 @@ def simulate_step1_dataset(config: SimulationConfig = SimulationConfig()):
         rng, config.n_days, config.dlm_sigma_a, config.dlm_psi_a, config.dlm_mu_a
     )
     days = np.arange(1, config.n_days + 1)
-    season = np.array([cov.seasonal_basis(manifest.dyr(d)) for d in days.tolist()]).T
+    season = cov.seasonal_table(manifest, config.n_days).T
     # The same bytes as one scalar draw and sum per day: each element takes
     # the scalar's floating-point steps, standard_normal(n_days) yields the
     # numbers of n_days scalar calls in order, and the pixel series holds

@@ -67,9 +67,7 @@ class Targets:
         for j, ser in observed.items():
             self.observed[j, ser.days - 1] = ser.values
         self.segments = cov.segmentize([(p.vertices, p.adt) for p in dataset.traffic])
-        self.season = np.array(
-            [cov.seasonal_basis(dataset.manifest.dyr(d)) for d in range(1, T + 1)]
-        )
+        self.season = cov.seasonal_table(dataset.manifest, T)
         # coarse values by grid index; the last row, all NaN, is that of the
         # index -1 (no coarse grid)
         cmaq = dataset.cmaq

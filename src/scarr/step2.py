@@ -289,34 +289,71 @@ def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
     return kernel, int(m.sum())
 
 
-def _quadratic(Q, b, rows) -> float:
-    """(u - X b)' V^-1 (u - X b) from the kernel's Q, for coefficients ``b`` on
-    the kernel columns ``rows`` and 0 on the other mean column: the residual of
-    the GLS fit on both mean columns plus b's distance from it, which keeps its
-    digits near an exact fit and does the same arithmetic for either ``rows``."""
-    full = np.zeros(2)
-    full[[r - 1 for r in rows]] = b
-    b_hat = np.linalg.lstsq(Q[1:, 1:], Q[1:, 0], rcond=None)[0]
-    d = full - b_hat
-    return (Q[0, 0] - Q[1:, 0] @ b_hat) + d @ Q[1:, 1:] @ d
+def _mean_root(Q):
+    """``(l11, l21, l22, w1, w2, rss)`` from the kernel's Q, in Python floats.
+
+    L = [[l11, 0], [l21, l22]] is the Cholesky root of the mean columns'
+    cross-products Q[1:, 1:], with a pivot that is not > 0 set to 0 (a
+    semidefinite Q[1:, 1:]: no observation, or 1 and c_tilde collinear);
+    w = L^-1 Q[1:, 0], with 0 where the pivot is 0; and rss = Q00 - |w|^2, the
+    residual of the GLS fit on both mean columns."""
+    (q00, q01, q02), (_, a11, a12), (_, _, a22) = Q.tolist()
+    l11 = math.sqrt(a11) if a11 > 0 else 0.0
+    l21 = a12 / l11 if l11 else 0.0
+    d = a22 - l21 * l21
+    l22 = math.sqrt(d) if d > 0 else 0.0
+    w1 = q01 / l11 if l11 else 0.0
+    w2 = (q02 - l21 * w1) / l22 if l22 else 0.0
+    return l11, l21, l22, w1, w2, q00 - (w1 * w1 + w2 * w2)
+
+
+def _quadratic(root, b, rows) -> float:
+    """(u - X b)' V^-1 (u - X b) = rss + |L'b - w|^2 from the kernel's
+    ``_mean_root``, for coefficients ``b`` on the kernel columns ``rows`` and 0
+    on the other mean column.  Both terms are sums of squares, so nothing
+    cancels when 1 and c_tilde are nearly collinear or b is far from the GLS
+    fit, and either ``rows`` takes the same arithmetic."""
+    l11, l21, l22, w1, w2, rss = root
+    coef = dict(zip(rows, b))
+    b1, b2 = coef.get(1, 0.0), coef.get(2, 0.0)
+    r1 = l11 * b1 + l21 * b2 - w1
+    r2 = l22 * b2 - w2
+    return rss + (r1 * r1 + r2 * r2)
 
 
 def _full_nll(stats, n_obs: int, sigma_z: float, b, rows) -> float:
     """Negative log-likelihood from the kernel at q = sigma_a^2 / sigma_z^2, with
-    mean coefficients ``b`` on the kernel columns ``rows``."""
+    mean coefficients ``b`` on the kernel columns ``rows``; its quadratic comes
+    from the 2x2 root of ``_mean_root``."""
     Q, logdet = stats
     sz2 = sigma_z * sigma_z
-    return 0.5 * (n_obs * (_LOG2PI + math.log(sz2)) + logdet + _quadratic(Q, b, rows) / sz2)
+    return 0.5 * (n_obs * (_LOG2PI + math.log(sz2)) + logdet
+                  + _quadratic(_mean_root(Q), b, rows) / sz2)
 
 
 def _profile_nll(stats, n_obs: int, rows):
     """(-loglik, b, sigma_z^2): the negative log-likelihood from the kernel,
     minimised in closed form over the mean coefficients ``b`` on the kernel
-    columns ``rows`` (GLS normal equations) and over sigma_z^2 (RSS / N)."""
+    columns ``rows`` and over sigma_z^2 (RSS / N).  With both mean columns,
+    b solves L'b = w by back substitution on the root of ``_mean_root``; with
+    c_tilde alone, b = Q20 / Q22.  The residual is ``_quadratic`` through the
+    same root, the quadratic that ``_full_nll`` takes at b.  A zero pivot
+    that leaves b unidentified raises ``LinAlgError``."""
     Q, logdet = stats
-    b = np.linalg.solve(Q[rows][:, rows], Q[rows, 0])
-    s2 = _quadratic(Q, b, rows) / n_obs
-    return 0.5 * (n_obs * (_LOG2PI + math.log(s2) + 1.0) + logdet), b.tolist(), s2
+    root = _mean_root(Q)
+    l11, l21, l22, w1, w2, _ = root
+    if len(rows) == 2:
+        if not (l11 and l22):
+            raise np.linalg.LinAlgError("the (1, c_tilde) cross-products are singular")
+        b2 = w2 / l22
+        b = [(w1 - l21 * b2) / l11, b2]
+    else:
+        q02, q22 = float(Q[0, 2]), float(Q[2, 2])
+        if not q22 > 0:
+            raise np.linalg.LinAlgError("the c_tilde cross-product is not positive")
+        b = [q02 / q22]
+    s2 = _quadratic(root, b, rows) / n_obs
+    return 0.5 * (n_obs * (_LOG2PI + math.log(s2) + 1.0) + logdet), b, s2
 
 
 def _penalised(fun):
@@ -403,12 +440,14 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
 
     The mean of u = y - gamma_hat*y1 is linear in (mu_a, beta_c), and sigma_z^2
     scales the whole covariance, so given q = sigma_a^2/sigma_z^2 and psi_a all
-    three have closed forms.  The profile likelihood is maximised over
-    (log q, logit psi_a) by L-BFGS-B with numeric gradients (gtol 1e-6,
-    ftol 1e-9, at most 500 iterations) from three starts, q = 0.5625 and
-    psi_a = 0.5, 0.2, 0.8, keeping the best.  Each evaluation is
-    one O(T) tridiagonal factorization and solve in LAPACK over per-day sums
-    computed once per fit (``_profile_kernel``), not a filter pass.  Standard
+    three have closed forms, taken in Python floats from one 2x2 Cholesky root
+    of the kernel's mean cross-products (``_mean_root``).  The profile
+    likelihood is maximised over (log q, logit psi_a) by L-BFGS-B with
+    numeric gradients (gtol 1e-6, ftol 1e-9, at most 500 iterations) from
+    three starts, q = 0.5625 and psi_a = 0.5, 0.2, 0.8, keeping the best.
+    Each evaluation is one O(T) tridiagonal factorization and solve in LAPACK
+    over per-day sums computed once per fit (``_profile_kernel``), not a
+    filter pass, and the 2x2 root takes a few microseconds.  Standard
     errors are the inverse numeric Hessian of the full negative log-likelihood
     in (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
     model is refit with mu_a fixed at zero when the estimate is not

@@ -372,7 +372,7 @@ def test_features_logs_its_row_count(tmp_path, capsys):
 PREDICTION_DIGESTS = {
     "filtered": {
         "site_predictions.csv":
-            "788c0c6aabd165ea1d494627573ebeccef880ca75f587cf8b85a321d6793d2a2",
+            "31c6595d71807e2f90e5f85a77188157b657f293e070b41bdc4789aa018ab3d3",
         "rasters/no2_day0007.asc":
             "361829bc80ea25b1f543c871d13f4e90ef7da019566bb1b53d60c807891b826b",
         "rasters/no2_day0030.asc":
@@ -380,7 +380,7 @@ PREDICTION_DIGESTS = {
     },
     "smoothed": {
         "site_predictions.csv":
-            "64a0119a5c7b1a09c9e9ccd6a8d47dc2729c7e7057a13a9e4ee958cc32e6c452",
+            "4705eab90499776a92495e0c77be5b6d71beb2b8e166fca28038fd43d1f721c4",
         "rasters/no2_day0007.asc":
             "ae5be293e9946c8a67b7ca9dc50f4d54526d4b9c6865098fa71823a773f68bc6",
         "rasters/no2_day0030.asc":

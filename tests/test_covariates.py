@@ -21,6 +21,7 @@ from scarr.covariates import (
     ring_landuse_area,
     ring_ttv,
     seasonal_basis,
+    seasonal_table,
     segmentize,
     site_static_covariates,
     static_covariates,
@@ -28,6 +29,7 @@ from scarr.covariates import (
 from scarr.covariates import _landuse_window
 from scarr.data_model import (
     IntervalObservation,
+    Manifest,
     RasterGrid,
     SiteRecord,
     TractPolygon,
@@ -464,6 +466,14 @@ class TestSeasonalBasis:
             seasonal_basis(0.0)
         with pytest.raises(DataError):
             seasonal_basis(1.5)
+
+    @pytest.mark.parametrize("T", [1, 364, 365, 366, 800])
+    def test_table_equals_each_day(self, T):
+        """Each calendar day computed once keeps the bits of one call per
+        day, for an epoch that is not 1 January."""
+        manifest = Manifest(epoch=datetime.date(2011, 9, 17), crs="planar")
+        want = np.array([seasonal_basis(manifest.dyr(d)) for d in range(1, T + 1)])
+        assert seasonal_table(manifest, T).tobytes() == want.tobytes()
 
 
 class TestBuildCovariates:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,6 +14,7 @@ from scarr.step2 import (
     DlmParams,
     Step2Config,
     _full_nll,
+    _mean_root,
     _penalised,
     _profile_kernel,
     _profile_nll,
@@ -255,9 +256,27 @@ def reference_stats(inputs, gamma_hat, q, psi):
     return np.array([[quu, qu1, quc], [qu1, q11, q1c], [quc, q1c, qcc]]), logdet
 
 
+def pinned(params, y, c_tilde, y1):
+    """An ``@example`` instance of ``kernel_instances``."""
+    return params, DlmInputs(y=np.array(y), c_tilde=np.array(c_tilde), y1=np.array(y1))
+
+
 class TestProfileKernel:
     @settings(max_examples=200, deadline=None)
     @given(kernel_instances())
+    # 1 and c_tilde nearly collinear, b far from the GLS fit: the old two-form
+    # quadratic was off by 8.2e-8 and 4.9e-7 on these
+    @example(pinned(DlmParams(0.5, 0.0, 0.0, mu_a=0.0, beta_c=0.0, gamma_hat=0.5),
+                    [[12.0], [12.4]], [[4.108], [4.105]], [[9.8], [5.3]]))
+    @example(pinned(DlmParams(1.0, 0.0, 0.0, mu_a=0.0, beta_c=0.0, gamma_hat=1.0),
+                    [[np.nan, 14.50551293], [np.nan, 17.25772484]],
+                    [[3.0, 3.69632997], [3.0, 3.69564987]],
+                    [[10.0, 12.26411658], [10.0, 4.51777505]]))
+    # a semidefinite root: no observation, and one
+    @example(pinned(DlmParams(1.5, 0.8, 0.4, mu_a=0.7, beta_c=0.9, gamma_hat=0.6),
+                    [[np.nan]], [[3.0]], [[10.0]]))
+    @example(pinned(DlmParams(1.5, 0.8, 0.4, mu_a=0.7, beta_c=0.9, gamma_hat=0.6),
+                    [[12.0]], [[3.0]], [[10.0]]))
     def test_full_loglik_equals_filter_and_oracle(self, instance):
         p, inputs = instance
         ll = kernel_loglik(p, inputs)
@@ -392,6 +411,34 @@ class TestProfileKernel:
             step = _full_nll(stats, n_obs, sigma_z, (b + delta).tolist(), [1, 2]) - full
             want = 0.5 * delta @ stats[0][1:, 1:] @ delta / sigma_z**2
             assert step == pytest.approx(want, rel=1e-6)
+
+    def test_collinear_mean_columns_are_penalised(self):
+        """Four observations with c_tilde = 2 at q = psi = 0 give Q[1:, 1:] =
+        [[4, 8], [8, 16]] exactly, whose second pivot is 0: b is not
+        identified with mu_a free, so the profile raises ``LinAlgError`` and
+        the fit's wrapper returns 1e12.  With mu_a fixed, b = Q20 / Q22."""
+        y = np.array([[11.0, 9.0], [12.5, 10.0]])
+        inputs = DlmInputs(y=y, c_tilde=np.full_like(y, 2.0), y1=np.full_like(y, 3.0))
+        kernel, n_obs = _profile_kernel(inputs, 0.5)
+        stats = kernel(0.0, 0.0)
+        assert stats[0][1:, 1:].tolist() == [[4.0, 8.0], [8.0, 16.0]]
+        assert _mean_root(stats[0])[2] == 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _profile_nll(stats, n_obs, [1, 2])
+        assert _penalised(lambda rows: _profile_nll(stats, n_obs, rows)[0])([1, 2]) == 1e12
+        _, b, _ = _profile_nll(stats, n_obs, [2])
+        assert b == [stats[0][0, 2] / 16.0]
+
+    def test_no_observation_is_penalised(self):
+        """With no observation every cross-product is 0, so neither mean
+        column is identified: ``LinAlgError``, never a division by zero."""
+        y = np.full((3, 2), np.nan)
+        kernel, n_obs = _profile_kernel(DlmInputs(y=y, c_tilde=np.ones_like(y),
+                                                  y1=np.ones_like(y)), 1.0)
+        stats = kernel(0.5, 0.3)
+        for rows in ([1, 2], [2]):
+            with pytest.raises(np.linalg.LinAlgError):
+                _profile_nll(stats, n_obs, rows)
 
     def test_constant_c_tilde_is_data_error(self):
         inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
