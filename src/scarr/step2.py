@@ -314,8 +314,7 @@ def _quadratic(root, b, rows) -> float:
     cancels when 1 and c_tilde are nearly collinear or b is far from the GLS
     fit, and either ``rows`` takes the same arithmetic."""
     l11, l21, l22, w1, w2, rss = root
-    coef = dict(zip(rows, b))
-    b1, b2 = coef.get(1, 0.0), coef.get(2, 0.0)
+    b1, b2 = b if len(rows) == 2 else (0.0, *b)
     r1 = l11 * b1 + l21 * b2 - w1
     r2 = l22 * b2 - w2
     return rss + (r1 * r1 + r2 * r2)
@@ -447,7 +446,7 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
     three starts, q = 0.5625 and psi_a = 0.5, 0.2, 0.8, keeping the best.
     Each evaluation is one O(T) tridiagonal factorization and solve in LAPACK
     over per-day sums computed once per fit (``_profile_kernel``), not a
-    filter pass, and the 2x2 root takes a few microseconds.  Standard
+    filter pass.  Standard
     errors are the inverse numeric Hessian of the full negative log-likelihood
     in (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
     model is refit with mu_a fixed at zero when the estimate is not
