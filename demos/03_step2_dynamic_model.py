@@ -37,12 +37,12 @@ print(f"\nsmoothed state: RMSE vs truth {rmse:.3f}, correlation {corr:.3f}")
 print(f"filtered variance on day 1 {est.filtered_var[0]:.3f} "
       f"vs smoothed {est.smoothed_var[0]:.3f} (smoothing always tightens)")
 
-# The recursions are checked against a from-scratch dense Gaussian
-# calculation that shares no code with the filter.
+# The likelihood the fit maximises is checked against a from-scratch dense
+# Gaussian calculation that shares no code with it.
 small_inputs, _ = simulate_step2_series(T=8, n=3, params=truth, seed=1)
 oracle = DenseGaussianOracle(truth, small_inputs)
-ll_filter = log_likelihood(truth, small_inputs)
+ll_kernel = log_likelihood(truth, small_inputs)
 ll_oracle = oracle.log_density()
-print(f"\ntiny instance: filter loglik {ll_filter:.10f}")
+print(f"\ntiny instance: kernel loglik {ll_kernel:.10f}")
 print(f"               oracle loglik {ll_oracle:.10f}")
-print(f"               difference    {abs(ll_filter - ll_oracle):.2e}")
+print(f"               difference    {abs(ll_kernel - ll_oracle):.2e}")

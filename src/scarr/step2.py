@@ -7,9 +7,9 @@ fixed Step I gamma-hat), with iid Gaussian observation noise.  Missing
 observations are dropped from the day's observation equation, never imputed.
 
 Because the state is scalar and the day-t observation covariance is
-P 11' + sigma_z^2 I, the filter update and the Gaussian prediction-error
-log-likelihood have closed forms in (count, sum, sum of squares) of the
-day's residuals, which keeps full-length filtering cheap.
+P 11' + sigma_z^2 I, the filter update has a closed form in the count and
+sum of the day's residuals.  The filter and smoother give the state path only;
+the one likelihood is the kernel's below, for the fit and ``log_likelihood``.
 
 The maximum-likelihood fit works on the columns (u, 1, c_tilde), with
 u = y - gamma_hat*y1.  The mean of u is linear in (mu_a, beta_c) and sigma_z^2
@@ -80,8 +80,8 @@ class DlmInputs:
         self.y1 = np.ascontiguousarray(self.y1, dtype=float)
         if not (self.y.shape == self.c_tilde.shape == self.y1.shape):
             raise DataError("DlmInputs arrays must share one (T, n) shape")
-        if self.y.ndim != 2:
-            raise DataError("DlmInputs arrays must be 2-d (days x sites)")
+        if self.y.ndim != 2 or not len(self.y):
+            raise DataError("DlmInputs arrays must be 2-d (days x sites), with a day")
         present = np.isfinite(self.y)
         if not np.all(np.isfinite(self.c_tilde[present])):
             raise DataError("c_tilde missing where y is present")
@@ -103,57 +103,34 @@ class StateEstimate:
     pred_var: np.ndarray
     filtered_mean: np.ndarray
     filtered_var: np.ndarray
-    loglik_terms: np.ndarray
     smoothed_mean: np.ndarray | None = None
     smoothed_var: np.ndarray | None = None
-
-    @property
-    def loglik(self) -> float:
-        return float(self.loglik_terms.sum())
-
-
-def _day_stats(params: DlmParams, inputs: DlmInputs):
-    """Per-day sufficient statistics (m, sum resid, sum resid^2) of
-    u = y - beta_c*c_tilde - gamma*y1 over the observed entries."""
-    u = inputs.y - params.beta_c * inputs.c_tilde - params.gamma_hat * inputs.y1
-    present = np.isfinite(inputs.y)
-    u = np.where(present, u, 0.0)
-    return present.sum(axis=1), u.sum(axis=1), (u * u).sum(axis=1)
 
 
 def kalman_filter(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
     """Exact scalar-state Kalman filter with day-varying observed dimension.
 
     The initial state is the stationary AR(1) prior.  Days with every entry
-    missing perform prediction only and contribute 0 to the log-likelihood.
+    missing perform prediction only.  The update needs only the count and the
+    sum of each day's residuals u = y - beta_c*c_tilde - gamma*y1.
     """
-    T = inputs.n_days
-    if T < 1:
-        raise DataError("kalman_filter: need at least one day")
-    m, s1, s2 = (x.tolist() for x in _day_stats(params, inputs))
+    present = np.isfinite(inputs.y)
+    u = inputs.y - params.beta_c * inputs.c_tilde - params.gamma_hat * inputs.y1
+    m, s1 = present.sum(axis=1).tolist(), np.where(present, u, 0.0).sum(axis=1).tolist()
     sz2 = params.sigma_z**2
     sa2 = params.sigma_a**2
     psi = params.psi_a
     mu = params.mu_a
 
-    pred_mean, pred_var, filt_mean, filt_var, ll = [], [], [], [], []
+    pred_mean, pred_var, filt_mean, filt_var = [], [], [], []
     a = mu
     P = params.stationary_var
-    log2pi = math.log(2.0 * math.pi)
-    log_sz2 = math.log(sz2)
-    for mt, s1t, s2t in zip(m, s1, s2):
+    for mt, s1t in zip(m, s1):
         pred_mean.append(a)
         pred_var.append(P)
-        if mt == 0:
-            ll.append(0.0)
-        else:
+        if mt:
             denom = sz2 + mt * P
-            sv = s1t - mt * a  # sum of innovations
-            vsq = s2t - 2.0 * a * s1t + mt * a * a  # squared innovation norm
-            quad = (vsq - P * sv * sv / denom) / sz2
-            logdet = (mt - 1) * log_sz2 + math.log(denom)
-            ll.append(-0.5 * (mt * log2pi + logdet + quad))
-            a = a + P * sv / denom
+            a = a + P * (s1t - mt * a) / denom  # s1t - mt*a sums the day's innovations
             P = P * sz2 / denom
         filt_mean.append(a)
         filt_var.append(P)
@@ -161,7 +138,7 @@ def kalman_filter(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
         a = mu + psi * (a - mu)
         P = psi * psi * P + sa2
     return StateEstimate(*(np.array(x, dtype=float) for x in
-                           (pred_mean, pred_var, filt_mean, filt_var, ll)))
+                           (pred_mean, pred_var, filt_mean, filt_var)))
 
 
 def kalman_smoother(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
@@ -183,8 +160,14 @@ def kalman_smoother(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
 
 
 def log_likelihood(params: DlmParams, inputs: DlmInputs) -> float:
-    """Gaussian prediction-error-decomposition log-likelihood."""
-    return kalman_filter(params, inputs).loglik
+    """Gaussian log-likelihood at ``params``: minus ``_nll``, which ``fit_mle``
+    maximises through its profile and differentiates for its standard
+    errors.  It shares the kernel's limit near a unit root: at psi_a =
+    1 - 1e-12 and sigma_a = 0 it is 3.6e-5 relative off on 8 days x 3 sites
+    (C conditioned like 1/(1 - psi_a^2)).  ``LinAlgError`` when C is not
+    positive definite."""
+    kernel, n_obs = _profile_kernel(inputs, params.gamma_hat)
+    return -_nll(kernel, n_obs, [getattr(params, nm) for nm in _PARAM_NAMES], _MEAN_ROWS[False])
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +313,15 @@ def _full_nll(stats, n_obs: int, sigma_z: float, b, rows) -> float:
                   + _quadratic(_mean_root(Q), b, rows) / sz2)
 
 
+def _nll(kernel, n_obs: int, vec, rows) -> float:
+    """Step II's negative log-likelihood of ``vec`` = (sigma_z, sigma_a, psi_a,
+    *b), b the mean coefficients on the kernel columns ``rows`` (mu_a and
+    beta_c, or beta_c alone), through ``kernel(q, psi)`` of
+    ``_profile_kernel``."""
+    sigma_z, sigma_a, psi, *b = vec
+    return _full_nll(kernel(sigma_a**2 / sigma_z**2, psi), n_obs, sigma_z, b, rows)
+
+
 def _profile_nll(stats, n_obs: int, rows):
     """(-loglik, b, sigma_z^2): the negative log-likelihood from the kernel,
     minimised in closed form over the mean coefficients ``b`` on the kernel
@@ -366,19 +358,28 @@ def _penalised(fun):
     return wrapped
 
 
+def _in_space(sigma_z, sigma_a, psi, *_):
+    """Whether (sigma_z, sigma_a, psi_a, ...) lies in the parameter space."""
+    return sigma_z > 0 and sigma_a >= 0 and 0.0 <= psi < 1.0
+
+
 def _numeric_hessian(fun, x, rel_step=1e-4):
+    """``(H, held)``: the central-difference Hessian of ``fun`` at ``x`` over the
+    coordinates whose steps stay ``_in_space``; those ``held`` stay at x."""
     h = np.maximum(np.abs(x), 1.0) * rel_step
     e = np.diag(h)  # e[i] steps x by h[i] along axis i
+    held = [i for i in range(len(x)) if not (_in_space(*(x + e[i])) and _in_space(*(x - e[i])))]
+    free = [i for i in range(len(x)) if i not in held]
     f0 = fun(x)
-    H = np.empty((len(x), len(x)))
-    for i, j in itertools.combinations_with_replacement(range(len(x)), 2):
+    H = np.empty((len(free), len(free)))
+    for (a, i), (b, j) in itertools.combinations_with_replacement(enumerate(free), 2):
         if i == j:
-            H[i, i] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / h[i] ** 2
+            H[a, a] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / h[i] ** 2
         else:
             ei, ej = e[i], e[j]
-            H[i, j] = H[j, i] = (fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej)
+            H[a, b] = H[b, a] = (fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej)
                                  + fun(x - ei - ej)) / (4.0 * h[i] * h[j])
-    return H
+    return H, held
 
 
 def _fit_once(stats, n_obs, gamma_hat, fix_mu):
@@ -413,18 +414,15 @@ def _fit_once(stats, n_obs, gamma_hat, fix_mu):
     params.loglik = -float(best.fun)
     params.converged, params.optimizer_message = bool(best.success), str(best.message)
 
-    @_penalised
-    def nll(vec):
-        """Full negative log-likelihood of (sigma_z, sigma_a, psi_a, [mu_a,]
-        beta_c); 1e12 outside the parameter space."""
-        sigma_z, sigma_a, psi, *b = vec.tolist()
-        if not (sigma_z > 0 and sigma_a >= 0 and 0.0 <= psi < 1.0):
-            return 1e12
-        return _full_nll(stats(sigma_a**2 / sigma_z**2, psi), n_obs, sigma_z, b, rows)
-
-    # standard errors: inverse numeric Hessian in the natural parameterization
+    # standard errors: inverse numeric Hessian in the natural parameterization,
+    # without a parameter whose step would leave the parameter space
     names = [nm for nm in _PARAM_NAMES if not (fix_mu and nm == "mu_a")]
-    H = _numeric_hessian(nll, np.array([getattr(params, nm) for nm in names]))
+    x = np.array([getattr(params, nm) for nm in names])
+    H, held = _numeric_hessian(_penalised(lambda vec: _nll(stats, n_obs, vec.tolist(), rows)), x)
+    for i in held:
+        _LOG.info("%s: no standard error for %s=%.9g: a Hessian step from it leaves the "
+                  "parameter space, so the others hold it fixed", model, names[i], x[i])
+    names = [nm for i, nm in enumerate(names) if i not in held]
     try:
         diag = np.diag(np.linalg.inv(H))
     except np.linalg.LinAlgError:
@@ -447,8 +445,9 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
     Each evaluation is one O(T) tridiagonal factorization and solve in LAPACK
     over per-day sums computed once per fit (``_profile_kernel``), not a
     filter pass.  Standard
-    errors are the inverse numeric Hessian of the full negative log-likelihood
-    in (sigma_z, sigma_a, psi_a, mu_a, beta_c).  With ``drop_mu_a`` set, the
+    errors are the inverse numeric Hessian of ``_nll`` in (sigma_z, sigma_a,
+    psi_a, mu_a, beta_c), less (logged) a parameter whose step would leave
+    the parameter space, which is held fixed.  With ``drop_mu_a`` set, the
     model is refit with mu_a fixed at zero when the estimate is not
     significant at the 5% level.  Fewer than 10 observed days per free
     parameter is a ``DataError``.  A fit that did not converge is logged

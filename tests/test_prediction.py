@@ -29,7 +29,7 @@ from scarr.prediction import (
     without_prediction,
 )
 from scarr.step1 import assemble_design, design_columns, fit_ols
-from scarr.step2 import DlmInputs, DlmParams, kalman_filter
+from scarr.step2 import DlmInputs, DlmParams, kalman_filter, log_likelihood
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +230,8 @@ class TestAugmentation:
         plus = kalman_filter(params, aug)
         np.testing.assert_allclose(plus.filtered_mean, base.filtered_mean, atol=1e-12)
         np.testing.assert_allclose(plus.filtered_var, base.filtered_var, atol=1e-12)
-        assert plus.loglik == pytest.approx(base.loglik, abs=1e-12)
+        assert log_likelihood(params, aug) == pytest.approx(log_likelihood(params, inputs),
+                                                            abs=1e-12)
 
     def test_predict_site_is_state_plus_offset(self, rng):
         params, inputs = small_state_problem(rng)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from scarr.step2 import (
     Step2Config,
     _full_nll,
     _mean_root,
+    _nll,
+    _numeric_hessian,
     _penalised,
     _profile_kernel,
     _profile_nll,
@@ -97,22 +100,25 @@ class TestFilterClosedForms:
         assert est.filtered_mean[0] == pytest.approx(3.0 + gain * (7.0 - 3.0), rel=1e-14)
         assert est.filtered_var[0] == pytest.approx(v0 * p.sigma_z**2 / (v0 + p.sigma_z**2), rel=1e-14)
         expected_ll = stats.norm.logpdf(7.0, loc=3.0, scale=math.sqrt(v0 + p.sigma_z**2))
-        assert est.loglik == pytest.approx(expected_ll, rel=1e-13)
+        assert log_likelihood(p, plain_inputs(y)) == pytest.approx(expected_ll, rel=1e-13)
 
     def test_two_sites_one_day_mvn_loglik(self):
         p = DlmParams(sigma_z=1.2, sigma_a=1.0, psi_a=0.4, mu_a=1.0)
         y = np.array([[3.0, -1.0]])
-        est = kalman_filter(p, plain_inputs(y))
         v0 = p.stationary_var
         S = v0 * np.ones((2, 2)) + p.sigma_z**2 * np.eye(2)
         expected = stats.multivariate_normal.logpdf(y[0], mean=[1.0, 1.0], cov=S)
-        assert est.loglik == pytest.approx(expected, rel=1e-12)
+        assert log_likelihood(p, plain_inputs(y)) == pytest.approx(expected, rel=1e-12)
 
     def test_fully_missing_day_prediction_only(self):
         p = DlmParams(sigma_z=1.0, sigma_a=1.0, psi_a=0.5, mu_a=0.0)
         y = np.array([[2.0], [np.nan], [1.0]])
         est = kalman_filter(p, plain_inputs(y))
-        assert est.loglik_terms[1] == 0.0
+        # the empty day adds no term: the density of days 1 and 3 alone
+        v0 = p.stationary_var
+        S = v0 * np.array([[1.0, p.psi_a**2], [p.psi_a**2, 1.0]]) + p.sigma_z**2 * np.eye(2)
+        expected = stats.multivariate_normal.logpdf([2.0, 1.0], mean=[0.0, 0.0], cov=S)
+        assert log_likelihood(p, plain_inputs(y)) == pytest.approx(expected, rel=1e-12)
         assert est.filtered_mean[1] == est.pred_mean[1]
         assert est.filtered_var[1] == est.pred_var[1]
 
@@ -125,7 +131,8 @@ class TestFilterClosedForms:
         a = kalman_filter(p, inputs)
         b = kalman_filter(plain, plain_inputs(u))
         np.testing.assert_allclose(a.filtered_mean, b.filtered_mean, rtol=1e-12)
-        np.testing.assert_allclose(a.loglik_terms, b.loglik_terms, rtol=1e-12)
+        assert log_likelihood(p, inputs) == pytest.approx(
+            log_likelihood(plain, plain_inputs(u)), rel=1e-12)
 
     def test_empty_inputs_rejected(self):
         p = DlmParams(1.0, 1.0, 0.5)
@@ -206,15 +213,6 @@ def kernel_instances(draw):
     return params, DlmInputs(y=y, c_tilde=c, y1=y1)
 
 
-def kernel_loglik(p, inputs, rows=(1, 2)):
-    """Log-likelihood at ``p`` through the kernel, with mu_a free (rows 1, 2)
-    or fixed at 0 (row 2)."""
-    kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
-    stats = kernel(p.sigma_a**2 / p.sigma_z**2, p.psi_a)
-    b = [p.mu_a, p.beta_c][2 - len(rows):]
-    return -_full_nll(stats, n_obs, p.sigma_z, b, list(rows))
-
-
 def reference_stats(inputs, gamma_hat, q, psi):
     """(Q, logdet) from the scalar filter at sigma_z = 1, sigma_a^2 = q and
     state mean 0, run day by day over the columns (u, 1, c_tilde), which share
@@ -256,6 +254,35 @@ def reference_stats(inputs, gamma_hat, q, psi):
     return np.array([[quu, qu1, quc], [qu1, q11, q1c], [quc, q1c, qcc]]), logdet
 
 
+def reference_loglik(p, inputs):
+    """Log-likelihood at ``p`` from ``reference_stats`` run on the residuals
+    e = y - mu_a - beta_c*c_tilde - gamma_hat*y1, so that Q00 is e'V^-1 e at
+    sigma_z = 1: the per-day filter's prediction-error decomposition, with no
+    mean to profile and nothing to cancel."""
+    resid = DlmInputs(y=inputs.y - p.mu_a - p.beta_c * inputs.c_tilde,
+                      c_tilde=inputs.c_tilde, y1=inputs.y1)
+    Q, logdet = reference_stats(resid, p.gamma_hat, p.sigma_a**2 / p.sigma_z**2, p.psi_a)
+    sz2 = p.sigma_z**2
+    n_obs = int(np.isfinite(inputs.y).sum())
+    return -0.5 * (n_obs * math.log(2.0 * math.pi * sz2) + logdet + Q[0, 0] / sz2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_instances())
+def test_state_path_equals_oracle(instance):
+    """Filtered and smoothed means and variances equal the dense oracle's
+    conditional moments within 1e-8, a bound fixed before the first run, on
+    instances with sigma_a = 0, psi_a = 0 and empty days among them."""
+    p, inputs = instance
+    est = kalman_smoother(p, inputs)
+    oracle = DenseGaussianOracle(p, inputs)
+    for t in range(inputs.n_days):
+        for upto, mean, var in ((t, est.filtered_mean, est.filtered_var),
+                                (None, est.smoothed_mean, est.smoothed_var)):
+            assert (mean[t], var[t]) == pytest.approx(oracle.state_posterior(t, upto=upto),
+                                                      abs=1e-8)
+
+
 def pinned(params, y, c_tilde, y1):
     """An ``@example`` instance of ``kernel_instances``."""
     return params, DlmInputs(y=np.array(y), c_tilde=np.array(c_tilde), y1=np.array(y1))
@@ -279,8 +306,8 @@ class TestProfileKernel:
                     [[12.0]], [[3.0]], [[10.0]]))
     def test_full_loglik_equals_filter_and_oracle(self, instance):
         p, inputs = instance
-        ll = kernel_loglik(p, inputs)
-        assert ll == pytest.approx(log_likelihood(p, inputs), rel=1e-9, abs=1e-12)
+        ll = log_likelihood(p, inputs)
+        assert ll == pytest.approx(reference_loglik(p, inputs), rel=1e-9, abs=1e-12)
         assert ll == pytest.approx(DenseGaussianOracle(p, inputs).log_density(), abs=1e-8)
 
     @settings(max_examples=200, deadline=None)
@@ -307,9 +334,10 @@ class TestProfileKernel:
         p, inputs = instance
         p0 = DlmParams(p.sigma_z, p.sigma_a, p.psi_a, mu_a=0.0, beta_c=p.beta_c,
                        gamma_hat=p.gamma_hat)
-        ll = kernel_loglik(p, inputs, rows=(2,))
-        assert ll == pytest.approx(kernel_loglik(p0, inputs), rel=1e-12, abs=1e-12)
-        assert ll == pytest.approx(log_likelihood(p0, inputs), rel=1e-9, abs=1e-12)
+        kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
+        ll = -_nll(kernel, n_obs, [p.sigma_z, p.sigma_a, p.psi_a, p.beta_c], [2])
+        assert ll == pytest.approx(log_likelihood(p0, inputs), rel=1e-12, abs=1e-12)
+        assert ll == pytest.approx(reference_loglik(p0, inputs), rel=1e-9, abs=1e-12)
 
     def test_no_mean_profile_slope(self, rng):
         p, inputs = random_instance(rng, 9, 3)
@@ -371,7 +399,7 @@ class TestProfileKernel:
                            y1=rng.uniform(1, 20, size=(T, n)))
         p = DlmParams(sigma_z=1.5, sigma_a=math.sqrt(q) * 1.5, psi_a=psi, mu_a=0.7,
                       beta_c=0.9, gamma_hat=0.6)
-        value = _penalised(lambda params: -kernel_loglik(params, inputs))(p)
+        value = _penalised(lambda params: -log_likelihood(params, inputs))(p)
         kernel, _ = _profile_kernel(inputs, p.gamma_hat)
         try:
             kernel(q, psi)
@@ -385,7 +413,7 @@ class TestProfileKernel:
         C -= psi * (np.eye(T, k=1) + np.eye(T, k=-1))
         e = (y - p.mu_a - p.beta_c * inputs.c_tilde - p.gamma_hat * inputs.y1)[np.isfinite(y)]
         scale = e.size + np.sum(e * e) / p.sigma_z**2
-        want = -log_likelihood(p, inputs)
+        want = -reference_loglik(p, inputs)
         bound = 1e-9 * abs(want) + 10 * T * np.finfo(float).eps * np.linalg.cond(C) * scale
         assert abs(value - want) <= bound
 
@@ -455,9 +483,9 @@ def fitted():
 
 
 def test_filter_matches_recorded_values():
-    """Bit-exact filter output on a fixed input with empty days, a varying
-    observed count and a nonzero state mean; the hex values were recorded from
-    the numpy-scalar filter loop this one replaced."""
+    """Bit-exact filter state moments on a fixed input with empty days, a
+    varying observed count and a nonzero state mean; the hex values were
+    recorded from the numpy-scalar filter loop this one replaced."""
     nan = math.nan
     y = np.array([
         [31.5, 28.25, nan],
@@ -490,16 +518,11 @@ def test_filter_matches_recorded_values():
             "0x1.52dda77adda78p+0", "0x1.ae7f78087f781p+2", "0x1.4d2b099e0e577p+0",
             "0x1.c5b9df0b977f2p-1", "0x1.a46aec98d7751p+2", "0x1.2131b2deb7f50p+1",
             "0x1.c8aab3a1ad666p-1"],
-        "loglik_terms": [
-            "-0x1.87f5dd34dc378p+2", "0x0.0p+0", "-0x1.7bbf104345e0dp+2",
-            "-0x1.c5ceec6b163aap+2", "0x0.0p+0", "-0x1.45b9d45f679ddp+2",
-            "-0x1.af376759d0007p+2"],
     }
     for name, values in recorded.items():
         arr = getattr(est, name)
         assert arr.dtype == np.float64, name
         assert [float(v).hex() for v in arr] == values, name
-    assert est.loglik.hex() == "-0x1.ef9d45671bfc5p+4"
 
 
 class TestMle:
@@ -529,6 +552,49 @@ class TestMle:
     def test_gamma_passed_through(self, fitted):
         _, _, fit = fitted
         assert fit.gamma_hat == 0.5
+
+    @pytest.mark.parametrize("x, held", [
+        ([2.0, 1.0, 0.5, 0.3], []),
+        ([5e-5, 1.0, 0.5, 0.3], [0]),
+        ([2.0, 5e-5, 0.5, 0.3], [1]),
+        ([2.0, 1.0, 2e-11, 0.3], [2]),
+        ([2.0, 1.0, 1.0 - 5e-5, 0.3], [2]),
+        ([2.0, 0.0, 0.0, 0.3], [1, 2]),
+    ])
+    def test_hessian_holds_a_parameter_whose_step_leaves_the_space(self, x, held):
+        """The numeric Hessian of (sigma_z, sigma_a, psi_a, beta_c) never
+        evaluates outside the parameter space: a coordinate within a step of
+        its bound is held, and the rest is the Hessian of the others."""
+        A = np.array([[4.0, 1.0, 0.5, 0.2], [1.0, 3.0, 0.4, 0.1],
+                      [0.5, 0.4, 2.0, 0.3], [0.2, 0.1, 0.3, 1.0]])
+
+        def fun(v):
+            assert v[0] > 0 and v[1] >= 0 and 0 <= v[2] < 1
+            return 0.5 * v @ A @ v
+
+        H, got = _numeric_hessian(fun, np.array(x))
+        assert got == held
+        free = [i for i in range(4) if i not in held]
+        np.testing.assert_allclose(H, A[np.ix_(free, free)], rtol=1e-6)
+
+    def test_boundary_fit_has_no_psi_se(self, caplog):
+        """This series fits psi_a = 2.3e-11 with mu_a = 0, inside the Hessian's
+        step of 1e-4, so a step to psi_a < 0 would leave the parameter space:
+        psi_a gets no standard error and a log line that says why, and the
+        others come from the Hessian with psi_a held.  beta_c's then matches
+        sigma_z / sqrt(Q22), its GLS error at the fitted (q, psi_a), which
+        ignores only the estimation of the variance parameters."""
+        truth = DlmParams(3.0, 1.0, 0.0, beta_c=0.7, gamma_hat=0.5)
+        inputs, _ = simulate_step2_series(T=365, n=4, params=truth, seed=0)
+        with caplog.at_level(logging.INFO, logger="scarr.step2"):
+            fit = fit_mle(inputs, gamma_hat=0.5)
+        assert fit.mu_a_dropped and fit.psi_a < 1e-10
+        assert sorted(fit.se) == ["beta_c", "sigma_a", "sigma_z"]
+        assert any(r.getMessage().startswith("mu_a = 0: no standard error for psi_a=")
+                   for r in caplog.records)
+        kernel, _ = _profile_kernel(inputs, 0.5)
+        Q, _ = kernel((fit.sigma_a / fit.sigma_z) ** 2, fit.psi_a)
+        assert fit.se["beta_c"] == pytest.approx(fit.sigma_z / math.sqrt(Q[2, 2]), rel=1e-2)
 
     def test_too_few_days_rejected(self):
         inputs, _ = simulate_step2_series(T=20, n=3, seed=1)
