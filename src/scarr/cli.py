@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from scarr import __version__, covariates as cov, oracle, prediction, step1, step2
+from scarr import __version__, covariates as cov, prediction, step1, step2
 from scarr.data_model import KeyValues, load_dataset, parse_config, read_keyvalue, write_dataset
 from scarr.errors import ConfigError, ConvergenceError, DataError
 
@@ -83,6 +83,8 @@ def _read_fit(out: str, step: int):
 
 
 def cmd_simulate(args) -> int:
+    from scarr import oracle  # only simulate uses it
+
     cfg = oracle.SimulationConfig(seed=args.seed)
     if args.days is not None:
         cfg = dataclasses.replace(cfg, n_days=args.days)

@@ -17,7 +17,10 @@ scales the covariance, so their closed forms leave a search over
 q = sigma_a^2/sigma_z^2 and psi_a only (regression effects: de Jong 1991, Ann.
 Statist. 19; Harvey 1989, section 3.4).  The AR(1) precision is tridiagonal
 (Rue & Held 2005, ch. 1-2), so each evaluation is one tridiagonal LDL'
-factorization in LAPACK, not a filter pass.
+factorization in LAPACK, not a filter pass.  The same factorization, with one
+more of C reversed for the band of C^-1, gives the exact score of the profile
+likelihood (Koopman & Shephard 1992, Biometrika 79), on which an in-package
+BFGS searches.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from scarr.data_model import read_keyvalue, write_keyvalue, write_table
@@ -205,8 +208,8 @@ _PSI_STARTS = (0.5, 0.2, 0.8)
 #: Starting q = sigma_a^2 / sigma_z^2 of every start.
 _Q_START = 0.5625
 
-#: L-BFGS-B stopping rules of every start, in (log q, logit psi_a).
-_LBFGSB_OPTIONS = {"gtol": 1e-6, "ftol": 1e-9, "maxiter": 500}
+#: ``_bfgs`` stopping rules of every start, in (log q, logit psi_a).
+_SEARCH_OPTIONS = {"gtol": 1e-6, "ftol": 1e-9, "maxiter": 500}
 
 #: Observed days required per free parameter.
 _MIN_DAYS_PER_PARAM = 10
@@ -235,6 +238,13 @@ def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
     q, unlike X'X - q S'C^-1 S, which cancels at large q.  Q is summed without
     BLAS and the logs go through libm, so the bytes do not depend on BLAS
     threads.  Raises ``LinAlgError`` when C is not positive definite.
+
+    ``kernel(q, psi, score=True)`` also returns ``(dQ, dlogdet)``, the
+    derivatives of Q and logdet in q and in psi.  With x = C^-1 S,
+    dQ/dq = -x'K x and dQ/dpsi = q x'K' x, K' = dK/dpsi; d logdet/dq =
+    sum_t m_t Sigma_tt and d logdet/dpsi = tr(Sigma K') + 2 psi / (1 - psi^2),
+    from the band of Sigma = C^-1 (``_inverse_band``; Rue & Held 2005, ch. 2).
+    These sums also go without BLAS.
     """
     present = np.isfinite(inputs.y)
     m = present.sum(axis=1).astype(float)
@@ -252,11 +262,12 @@ def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
     blocks = np.ones((8, -(-T // 8)))  # d's mantissas, padded with ones
     head = blocks.reshape(-1)[:T]
 
-    def kernel(q: float, psi: float):
+    def kernel(q: float, psi: float, score: bool = False):
         psi2 = psi * psi
         k_diag = 1.0 + psi2 * k2
-        # LAPACK ignores e when T = 1, but the wrapper wants one element
-        d, e, info = dpttrf(k_diag + q * m, np.full(max(T - 1, 1), -psi))
+        c_diag = k_diag + q * m
+        off = np.full(max(T - 1, 1), -psi)  # LAPACK ignores it when T = 1
+        d, e, info = dpttrf(c_diag, off)
         if info:
             raise np.linalg.LinAlgError("AR(1) kernel matrix is not positive definite")
         x = dpttrs(d, e, sums.T)[0].T  # C^-1 S, (3, T)
@@ -267,9 +278,35 @@ def _profile_kernel(inputs: DlmInputs, gamma_hat: float):
         head[:] = mant
         logdet = (math.fsum(map(math.log, np.multiply.reduce(blocks).tolist()))
                   + math.log(2.0) * int(expo.sum()) - math.log(1.0 - psi2))
-        return W + 0.5 * (G + G.T), logdet
+        if not score:
+            return W + 0.5 * (G + G.T), logdet
+        s_diag, s_off = _inverse_band(c_diag, off, d, e)
+        x_nbr = np.zeros_like(x)  # x[t-1] + x[t+1]
+        x_nbr[:, 1:] = x[:, :-1]
+        x_nbr[:, :-1] += x[:, 1:]
+        # K x and K' x, K' = dK/dpsi, then x'K x and x'K' x
+        kx = np.stack((k_diag * x - psi * x_nbr, 2.0 * psi * k2 * x - x_nbr))
+        xkx = (x[None, :, None, :] * kx[:, None, :, :]).sum(axis=3)
+        dQ = (-xkx[0], q * xkx[1])
+        dlogdet = (float(np.sum(m * s_diag)),
+                   2.0 * psi * float(np.sum(k2 * s_diag)) - 2.0 * float(np.sum(s_off))
+                   + 2.0 * psi / (1.0 - psi2))
+        return W + 0.5 * (G + G.T), logdet, dQ, dlogdet
 
     return kernel, int(m.sum())
+
+
+def _inverse_band(c_diag, off, d, e):
+    """``(Sigma_tt, Sigma_t,t+1)``, the band of Sigma = C^-1 for the tridiagonal
+    C with diagonal ``c_diag`` and off-diagonal ``off``, from its ``pttrf``
+    factors ``d``, ``e`` and one more ``pttrf`` of C reversed, whose pivots
+    d~ give Sigma_tt = 1/(d_t + d~_t - C_tt); Sigma_t,t+1 = -e_t Sigma_t+1,t+1.
+    ``LinAlgError`` when C reversed does not factor."""
+    d_rev, _, info = dpttrf(c_diag[::-1], off)
+    if info:
+        raise np.linalg.LinAlgError("AR(1) kernel matrix is not positive definite")
+    s_diag = 1.0 / (d + d_rev[::-1] - c_diag)
+    return s_diag, -e[:len(d) - 1] * s_diag[1:]
 
 
 def _mean_root(Q):
@@ -347,6 +384,96 @@ def _profile_nll(stats, n_obs: int, rows):
     return 0.5 * (n_obs * (_LOG2PI + math.log(s2) + 1.0) + logdet), b, s2
 
 
+def _profile_score(stats, n_obs: int, b, s2: float, rows):
+    """Gradient in (q, psi) of ``_profile_nll``'s -loglik, from the kernel's
+    ``score=True`` output and the profile's ``b`` and ``s2``.  By the envelope
+    theorem the minimised RSS moves like r'Q r at r = (1, -b) on (0, *rows),
+    so the gradient is (N r'dQ r / RSS + dlogdet) / 2, summed in Python
+    floats."""
+    _, _, dQ, dlogdet = stats
+    r = [1.0, 0.0, 0.0]
+    for row, coef in zip(rows, b):
+        r[row] = -coef
+    rss = n_obs * s2
+    return [0.5 * (n_obs * sum(ri * rj * v for ri, row in zip(r, dq.tolist())
+                               for rj, v in zip(r, row)) / rss + dl)
+            for dq, dl in zip(dQ, dlogdet)]
+
+
+class _Search(NamedTuple):
+    """What one ``_bfgs`` search reports, under ``scipy.optimize``'s names."""
+
+    x: list
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+
+
+def _bfgs(fun, x0, gtol: float, ftol: float, maxiter: int) -> _Search:
+    """Minimise ``fun`` by BFGS from ``x0``, a list of floats (Nocedal & Wright
+    2006, ch. 6).
+
+    ``fun(x)`` is ``(f, gradient)``, or ``(f, None)`` where f is a penalty.
+    The inverse-Hessian estimate H starts at the identity, is rescaled by
+    s'y / y'y after the first step (their eq. 6.20) and is updated only when
+    s'y > 0.  Each step backtracks by halves from p = -H g, shortened to unit
+    infinity norm where it is longer, until f falls by 1e-4 of the predicted
+    reduction (Armijo).  Near the optimum f's rounding swamps that test, so
+    once the predicted reduction -g'p is at most ``ftol`` max(|f|, 1), a
+    trial is also taken when it lowers |g|_inf and raises f by at most that
+    much.  Success is |g|_inf <=
+    ``gtol``; the search fails after ``maxiter`` steps, or when halving
+    leaves x unchanged."""
+    n = len(x0)
+    x = list(x0)
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    if g is None:
+        return _Search(x, f, nit, nfev, False, "the start has no finite value")
+    identity = [[float(i == j) for j in range(n)] for i in range(n)]
+    H = identity
+    while (g_max := max(map(abs, g))) > gtol:
+        if nit >= maxiter:
+            return _Search(x, f, nit, nfev, False, "the iteration limit was reached")
+        p = [-sum(hij * gj for hij, gj in zip(row, g)) for row in H]
+        if not sum(pi * gi for pi, gi in zip(p, g)) < 0:  # H lost definiteness to rounding
+            H = identity
+            p = [-gi for gi in g]
+        p_max = max(map(abs, p))
+        if p_max > 1.0:
+            p = [pi / p_max for pi in p]
+        slope = sum(pi * gi for pi, gi in zip(p, g))
+        resolution = ftol * max(abs(f), 1.0)
+        alpha = 1.0
+        while True:
+            x_new = [xi + alpha * pi for xi, pi in zip(x, p)]
+            if x_new == x:
+                return _Search(x, f, nit, nfev, False, "the line search found no lower value")
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if g_new is not None and (
+                    f_new <= f + 1e-4 * alpha * slope
+                    or (-slope <= resolution and f_new <= f + resolution
+                        and max(map(abs, g_new)) < g_max)):
+                break
+            alpha *= 0.5
+        s = [a - b for a, b in zip(x_new, x)]
+        y = [a - b for a, b in zip(g_new, g)]
+        sy = sum(a * b for a, b in zip(s, y))
+        if sy > 0:
+            if nit == 0:
+                H = [[sy / sum(a * a for a in y) * v for v in row] for row in H]
+            Hy = [sum(hij * yj for hij, yj in zip(row, y)) for row in H]
+            c = (1.0 + sum(a * b for a, b in zip(y, Hy)) / sy) / sy
+            H = [[H[i][j] - (Hy[i] * s[j] + s[i] * Hy[j]) / sy + c * s[i] * s[j]
+                  for j in range(n)] for i in range(n)]
+        nit += 1
+        x, f, g = x_new, f_new, g_new
+    return _Search(x, f, nit, nfev, True, "|gradient|_inf <= gtol")
+
+
 def _penalised(fun):
     """``fun`` with 1e12 in place of a value that is not finite or not computed."""
     def wrapped(x):
@@ -383,22 +510,31 @@ def _numeric_hessian(fun, x, rel_step=1e-4):
 
 
 def _fit_once(stats, n_obs, gamma_hat, fix_mu):
-    """Fit with mu_a free or fixed at 0; ``stats(q, psi)`` is the memoised
-    kernel."""
+    """Fit with mu_a free or fixed at 0; ``stats(q, psi, score=False)`` is the
+    memoised kernel."""
     rows = _MEAN_ROWS[fix_mu]
     model = "mu_a = 0" if fix_mu else "mu_a free"
 
     def point(theta):
         return math.exp(theta[0]), min(_expit(theta[1]), 1.0 - 1e-12)
 
-    @_penalised
     def profile(theta):
-        return _profile_nll(stats(*point(theta)), n_obs, rows)[0]
+        """(-loglik, gradient) in theta = (log q, logit psi_a), or (1e12, None)."""
+        try:
+            q, psi = point(theta)
+            st = stats(q, psi, score=True)
+            val, b, s2 = _profile_nll(st[:2], n_obs, rows)
+            d_q, d_psi = _profile_score(st, n_obs, b, s2, rows)
+        except (OverflowError, ValueError, np.linalg.LinAlgError):
+            return 1e12, None
+        grad = [q * d_q, psi * (1.0 - psi) * d_psi if psi < 1.0 - 1e-12 else 0.0]
+        if not (math.isfinite(val) and all(map(math.isfinite, grad))):
+            return 1e12, None
+        return val, grad
 
     best = None
     for psi0 in _PSI_STARTS:
-        res = optimize.minimize(profile, np.array([math.log(_Q_START), _logit(psi0)]),
-                                method="L-BFGS-B", options=_LBFGSB_OPTIONS)
+        res = _bfgs(profile, [math.log(_Q_START), _logit(psi0)], **_SEARCH_OPTIONS)
         _LOG.info("%s, start psi0=%g: nit=%d nfev=%d success=%s -loglik=%.9f",
                   model, psi0, res.nit, res.nfev, str(bool(res.success)).lower(), res.fun)
         if best is None or res.fun < best.fun:
@@ -439,11 +575,13 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
     scales the whole covariance, so given q = sigma_a^2/sigma_z^2 and psi_a all
     three have closed forms, taken in Python floats from one 2x2 Cholesky root
     of the kernel's mean cross-products (``_mean_root``).  The profile
-    likelihood is maximised over (log q, logit psi_a) by L-BFGS-B with
-    numeric gradients (gtol 1e-6, ftol 1e-9, at most 500 iterations) from
-    three starts, q = 0.5625 and psi_a = 0.5, 0.2, 0.8, keeping the best.
-    Each evaluation is one O(T) tridiagonal factorization and solve in LAPACK
-    over per-day sums computed once per fit (``_profile_kernel``), not a
+    likelihood is maximised over (log q, logit psi_a) by ``_bfgs`` on its
+    exact score (``_profile_score``), to |score|_inf <= 1e-6 within 500
+    iterations, from three starts, q = 0.5625 and psi_a = 0.5, 0.2, 0.8,
+    keeping the best; a start that stops short of that reports
+    ``success=false``.  Each evaluation is one O(T) tridiagonal factorization
+    and solve in LAPACK over per-day sums computed once per fit
+    (``_profile_kernel``), and one more factorization for the score, not a
     filter pass.  Standard
     errors are the inverse numeric Hessian of ``_nll`` in (sigma_z, sigma_a,
     psi_a, mu_a, beta_c), less (logged) a parameter whose step would leave
@@ -468,10 +606,11 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
     kernel, n_obs = _profile_kernel(inputs, gamma_hat)
     memo = {}
 
-    def stats(q, psi):
-        if (q, psi) not in memo:
-            memo[q, psi] = kernel(q, psi)
-        return memo[q, psi]
+    def stats(q, psi, score=False):
+        got = memo.get((q, psi))
+        if got is None or (score and len(got) == 2):  # absent, or without its score
+            memo[q, psi] = got = kernel(q, psi, score)
+        return got if score else got[:2]
 
     params = _fit_once(stats, n_obs, gamma_hat, fix_mu=False)
     if drop_mu_a:

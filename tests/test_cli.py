@@ -372,7 +372,7 @@ def test_features_logs_its_row_count(tmp_path, capsys):
 PREDICTION_DIGESTS = {
     "filtered": {
         "site_predictions.csv":
-            "31c6595d71807e2f90e5f85a77188157b657f293e070b41bdc4789aa018ab3d3",
+            "0585cafc50e7770eb51921bdd1a85afbe9b4596bb6733069e733b662ff147995",
         "rasters/no2_day0007.asc":
             "361829bc80ea25b1f543c871d13f4e90ef7da019566bb1b53d60c807891b826b",
         "rasters/no2_day0030.asc":
@@ -380,7 +380,7 @@ PREDICTION_DIGESTS = {
     },
     "smoothed": {
         "site_predictions.csv":
-            "4705eab90499776a92495e0c77be5b6d71beb2b8e166fca28038fd43d1f721c4",
+            "ef75981b0f36dd98733f1ee952dbf283458d4ba2cfe15c9ab51a4affd2f0bc1c",
         "rasters/no2_day0007.asc":
             "ae5be293e9946c8a67b7ca9dc50f4d54526d4b9c6865098fa71823a773f68bc6",
         "rasters/no2_day0030.asc":
@@ -824,15 +824,26 @@ def test_predict_config_smoothed_yes_equals_flag(pipeline_dir, fitted_out, tmp_p
     assert by_config != predictions()
 
 
-def test_cli_import_leaves_out_scipy_stats(tmp_path):
-    code = "import sys, scarr.cli; print('scipy.stats' in sys.modules)"
+def _modules_after_cli_import(tmp_path, names):
+    """Which of ``names`` a fresh ``import scarr.cli`` loads, in a child process."""
+    code = f"import sys, scarr.cli; print([m for m in {list(names)!r} if m in sys.modules])"
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(scarr.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    assert _modules_after_cli_import(tmp_path, ["scipy.stats"]) == "[]"
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_oracle(tmp_path):
+    """Step II searches in the package and only ``simulate`` needs the
+    oracle, so neither module is loaded before a command runs."""
+    assert _modules_after_cli_import(tmp_path, ["scipy.optimize", "scarr.oracle"]) == "[]"
 
 
 def test_matern_selection_run_completes(tmp_path):
@@ -1040,13 +1051,13 @@ def test_smoothed_flag_enters_the_config_hash(pipeline_dir, fitted_out, tmp_path
 
 def test_fit_step2_exits_4_when_no_start_converges(pipeline_dir, fitted_out, monkeypatch,
                                                   capsys):
-    import scipy.optimize
+    from scarr import step2
 
     def failed(fun, x0, **kwargs):
-        return scipy.optimize.OptimizeResult(x=x0, fun=math.inf, nit=0, nfev=0,
-                                             success=False, message="no step taken")
+        return step2._Search(x=x0, fun=math.inf, nit=0, nfev=0, success=False,
+                             message="no step taken")
 
-    monkeypatch.setattr(scipy.optimize, "minimize", failed)
+    monkeypatch.setattr(step2, "_bfgs", failed)
     capsys.readouterr()
     assert main(["fit-step2", pipeline_dir, "--out", fitted_out]) == EXIT_NUMERIC
     err = capsys.readouterr().err.splitlines()
@@ -1055,16 +1066,14 @@ def test_fit_step2_exits_4_when_no_start_converges(pipeline_dir, fitted_out, mon
 
 def test_fit_step2_reports_unconverged_optimizer(pipeline_dir, fitted_out, monkeypatch,
                                                  capsys):
-    import scipy.optimize
+    from scarr import step2
 
-    minimize = scipy.optimize.minimize
+    bfgs = step2._bfgs
 
     def unconverged(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        res.success, res.message = False, "stopped early"
-        return res
+        return bfgs(*args, **kwargs)._replace(success=False, message="stopped early")
 
-    monkeypatch.setattr(scipy.optimize, "minimize", unconverged)
+    monkeypatch.setattr(step2, "_bfgs", unconverged)
     capsys.readouterr()
     assert main(["fit-step2", pipeline_dir, "--out", fitted_out]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "converge" in ln]

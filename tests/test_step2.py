@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from scarr import step2
 from scarr.data_model import parse_config
 from scarr.errors import ConfigError, DataError
 from scarr.oracle import DenseGaussianOracle, simulate_step2_series
@@ -14,13 +15,16 @@ from scarr.step2 import (
     DlmInputs,
     DlmParams,
     Step2Config,
+    _bfgs,
     _full_nll,
+    _inverse_band,
     _mean_root,
     _nll,
     _numeric_hessian,
     _penalised,
     _profile_kernel,
     _profile_nll,
+    _profile_score,
     fit_mle,
     kalman_filter,
     kalman_smoother,
@@ -417,6 +421,73 @@ class TestProfileKernel:
         bound = 1e-9 * abs(want) + 10 * T * np.finfo(float).eps * np.linalg.cond(C) * scale
         assert abs(value - want) <= bound
 
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances())
+    def test_score_equals_central_differences(self, instance):
+        """The analytic score of the profile -loglik in (q, psi), with mu_a free
+        and fixed, against central differences.  The bound was fixed before
+        the first run.  Each step is 1e-5 of the scale on which the profile
+        bends: the eigenvalues of C^-1 M are at most 8 / (q + (1 - psi)^2)
+        (K's are at least (1 - psi)^2, and m_t <= 4), and those of C^-1 K' at
+        most 4 / (1 - psi)^2.  So the truncation error is below 1e-14 of the
+        profile's raw scale per unit step, and 1e-12 of it is allowed; the
+        rounding of the two values is allowed 10 T eps cond(C) of that scale,
+        as in ``test_extreme_cases_are_finite_or_penalised``; and the score
+        itself gets 1e-6 relative.  The raw scale is that test's
+        N + sum(e^2)/sigma_z^2 with e = u and sigma_z^2 = RSS/N, so
+        N (1 + Q00/RSS): RSS = Q00 - |w|^2 cancels, and its rounding is of
+        order eps Q00.  (N + |nll| was too small where RSS << Q00: at T = 3,
+        n = 1, q = psi = 0, Q00 = 116 and RSS = 0.17, the score is -1e-12, a
+        step of 1e-3 gives -3e-11 and the step of 1e-5 gives -1.7e-6.)"""
+        p, inputs = instance
+        q, psi = p.sigma_a**2 / p.sigma_z**2, p.psi_a
+        kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
+        assume(n_obs >= 3)
+        steps = (1e-5 * (q + (1.0 - psi) ** 2), 1e-5 * (1.0 - psi) ** 2)
+        m = np.isfinite(inputs.y).sum(axis=1)
+        T = inputs.n_days
+        C = (np.diag(1.0 + psi * psi * np.r_[0.0, np.ones(T - 2), 0.0] + q * m) if T > 1
+             else np.array([[1.0 - psi * psi + q * m[0]]]))
+        C -= psi * (np.eye(T, k=1) + np.eye(T, k=-1))
+        rounding = 10 * T * np.finfo(float).eps * np.linalg.cond(C) + 1e-12
+        for rows in ([1, 2], [2]):
+            stats = kernel(q, psi, score=True)
+            try:
+                _, b, s2 = _profile_nll(stats[:2], n_obs, rows)
+            except np.linalg.LinAlgError:
+                continue  # b not identified: the search sees the penalty
+            score = _profile_score(stats, n_obs, b, s2, rows)
+            raw = n_obs * (1.0 + stats[0][0, 0] / (n_obs * s2))
+            for j, h in enumerate(steps):
+                up, down = ([q + h, psi], [q - h, psi]) if j == 0 else ([q, psi + h], [q, psi - h])
+                diff = (_profile_nll(kernel(*up), n_obs, rows)[0]
+                        - _profile_nll(kernel(*down), n_obs, rows)[0]) / (2 * h)
+                bound = 1e-6 * abs(diff) + rounding * raw / h
+                assert abs(score[j] - diff) <= bound, (rows, j, score[j], diff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances())
+    def test_inverse_band_equals_inverse(self, instance):
+        """The diagonal and first off-diagonal of C^-1 from two ``pttrf``
+        pivots equal ``np.linalg.inv(C)``'s within 10 T eps cond(C) of its
+        largest entry, a bound fixed before the first run."""
+        from scipy.linalg.lapack import dpttrf
+
+        p, inputs = instance
+        q, psi = p.sigma_a**2 / p.sigma_z**2, p.psi_a
+        m = np.isfinite(inputs.y).sum(axis=1)
+        T = inputs.n_days
+        c_diag = 1.0 + psi * psi * (np.r_[0.0, np.ones(T - 2), 0.0] if T > 1 else -1.0) + q * m
+        off = np.full(max(T - 1, 1), -psi)
+        d, e, info = dpttrf(c_diag, off)
+        assert info == 0
+        diag, upper = _inverse_band(c_diag, off, d, e)
+        C = np.diag(c_diag) - psi * (np.eye(T, k=1) + np.eye(T, k=-1))
+        inv = np.linalg.inv(C)
+        bound = 10 * T * np.finfo(float).eps * np.linalg.cond(C) * np.abs(inv).max()
+        assert np.all(np.abs(diag - np.diag(inv)) <= bound)
+        assert np.all(np.abs(upper - np.diag(inv, k=1)) <= bound)
+
     def test_full_nll_keeps_its_digits_near_an_exact_fit(self):
         """Three observations that u = mu + beta c fits to about 1e-3.  The
         full likelihood at the closed-form point equals the profile at rel
@@ -540,7 +611,7 @@ class TestMle:
         truth, inputs, fit = fitted
         assert fit.loglik >= log_likelihood(truth, inputs) - 1e-6
 
-    def test_loglik_is_the_filter_loglik_at_the_estimate(self, fitted):
+    def test_loglik_is_the_likelihood_at_the_estimate(self, fitted):
         _, inputs, fit = fitted
         assert fit.loglik == pytest.approx(log_likelihood(fit, inputs), rel=1e-10)
 
@@ -607,16 +678,10 @@ class TestMle:
         assert not fit.mu_a_dropped
 
     def test_converged_false_when_optimizer_fails(self, monkeypatch, tmp_path):
-        import scipy.optimize
-
-        minimize = scipy.optimize.minimize
-
         def failing(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            res.success = False
-            return res
+            return _bfgs(*args, **kwargs)._replace(success=False)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        monkeypatch.setattr(step2, "_bfgs", failing)
         inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
         fit = fit_mle(inputs, gamma_hat=0.5)
         assert math.isfinite(fit.loglik)
@@ -625,6 +690,110 @@ class TestMle:
         write_step2_fit(fit, str(path))
         assert "converged=false" in path.read_text().splitlines()
         assert read_step2_fit(str(path)).converged is False
+
+    def test_iteration_limit_is_not_converged(self, monkeypatch, tmp_path, caplog):
+        """Every start stops after two steps, short of |score| <= 1e-6, so the
+        fit is written with converged=false and the reason is logged."""
+        monkeypatch.setitem(step2._SEARCH_OPTIONS, "maxiter", 2)
+        inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
+        with caplog.at_level(logging.INFO, logger="scarr.step2"):
+            fit = fit_mle(inputs, gamma_hat=0.5)
+        starts = [r.getMessage() for r in caplog.records if "start psi0=" in r.getMessage()]
+        assert starts and all("nit=2 " in m and "success=false" in m for m in starts)
+        assert fit.converged is False
+        assert fit.optimizer_message == "the iteration limit was reached"
+        path = tmp_path / "fit.txt"
+        write_step2_fit(fit, str(path))
+        assert "converged=false" in path.read_text().splitlines()
+
+
+def rosenbrock(x):
+    a, b = x
+    return ((1 - a) ** 2 + 100 * (b - a * a) ** 2,
+            [-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+
+
+class TestSearch:
+    def test_minimises_rosenbrock(self):
+        res = _bfgs(rosenbrock, [-1.2, 1.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        assert res.success and res.message == "|gradient|_inf <= gtol"
+        assert max(map(abs, rosenbrock(res.x)[1])) <= 1e-6
+        assert res.x == pytest.approx([1.0, 1.0], abs=1e-5)
+        assert res.fun == rosenbrock(res.x)[0]
+        assert res.nfev > res.nit > 0
+
+    def test_iteration_limit(self):
+        res = _bfgs(rosenbrock, [-1.2, 1.0], gtol=1e-6, ftol=1e-9, maxiter=3)
+        assert (res.nit, res.success, res.message) == (
+            3, False, "the iteration limit was reached")
+
+    def test_penalised_trials_backtrack(self):
+        """A trial outside the domain (here x < 0.5) is halved back into it."""
+        def fun(x):
+            if x[0] < 0.5:
+                return 1e12, None
+            return (x[0] - 0.6) ** 2, [2 * (x[0] - 0.6)]
+
+        res = _bfgs(fun, [3.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        assert res.success and res.x[0] == pytest.approx(0.6, abs=1e-6)
+
+    def test_penalised_start_fails(self):
+        res = _bfgs(lambda x: (1e12, None), [0.0, 0.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        assert (res.fun, res.nfev, res.success) == (1e12, 1, False)
+
+    def test_no_lower_value_fails(self):
+        """A gradient that points uphill: every trial raises f, so halving
+        ends with x unchanged and the search reports it."""
+        res = _bfgs(lambda x: (x[0] ** 2, [-1.0]), [1.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        assert (res.x, res.success) == ([1.0], False)
+        assert res.message == "the line search found no lower value"
+
+    @pytest.mark.parametrize("truth", [
+        DlmParams(3.0, 4.0, 0.6, mu_a=0.0, beta_c=0.7, gamma_hat=0.5),
+        DlmParams(3.0, 1.0, 0.0, mu_a=2.0, beta_c=0.7, gamma_hat=0.5),
+        DlmParams(2.0, 1.5, 0.95, mu_a=-1.0, beta_c=1.2, gamma_hat=0.5),
+    ])
+    @pytest.mark.parametrize("fix_mu", [False, True])
+    def test_no_worse_than_lbfgsb(self, truth, fix_mu):
+        """Over seeds 0-5 of each truth, the fit's -loglik is at most that of
+        scipy's L-BFGS-B, with numeric gradients, on the same profile from the
+        same three starts and with the same stopping rules, plus 1e-9 of its
+        size: a tolerance fixed before the first run.  Each start ends at
+        |score| <= 1e-6 or reports success=false.  With mu_a held at 0 while
+        the truth's is 2, some seeds have no interior optimum: the likelihood
+        climbs towards psi_a = 1, q = 0, where a constant state stands in for
+        the mean, and those starts stop on a failed line search."""
+        from scipy import optimize
+
+        rows = step2._MEAN_ROWS[fix_mu]
+        for seed in range(6):
+            inputs, _ = simulate_step2_series(T=365, n=4, params=truth, seed=seed)
+            kernel, n_obs = _profile_kernel(inputs, 0.5)
+            searches = []
+
+            def search(fun, x0, **options):
+                searches.append(_bfgs(fun, x0, **options))
+                searches.append(fun(searches[-1].x))
+                return searches[-2]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(step2, "_bfgs", search)
+                fit = step2._fit_once(
+                    lambda q, psi, score=False: kernel(q, psi, score), n_obs, 0.5, fix_mu)
+            assert len(searches) == 6
+            for res, (_, grad) in zip(searches[::2], searches[1::2]):
+                assert not res.success or max(map(abs, grad)) <= 1e-6
+
+            @_penalised
+            def profile(theta):
+                q, psi = math.exp(theta[0]), min(1 / (1 + math.exp(-theta[1])), 1 - 1e-12)
+                return _profile_nll(kernel(q, psi), n_obs, rows)[0]
+
+            ref = min(optimize.minimize(profile, [math.log(0.5625), math.log(psi0 / (1 - psi0))],
+                                        method="L-BFGS-B",
+                                        options={"gtol": 1e-6, "ftol": 1e-9, "maxiter": 500}).fun
+                      for psi0 in (0.5, 0.2, 0.8))
+            assert -fit.loglik <= ref + 1e-9 * abs(ref), seed
 
 
 class TestConfigAndSerialization:
