@@ -4,6 +4,7 @@ Run from the repository root:  python3 demos/02_step1_calibration.py
 """
 
 import numpy as np
+from scipy import stats
 
 from scarr import covariates as cov, step1
 from scarr.data_model import load_dataset
@@ -21,7 +22,8 @@ for a, b, r in step1.collinearity_report(design.X, design.names, 0.9):
 
 # Plain OLS fit with every ring retained.
 full = step1.fit_ols(design.X, design.y, design.names)
-print(f"\nfull model: R^2={full.r2:.3f} adj R^2={full.adj_r2:.3f} "
+adj_r2 = 1.0 - (full.rss / full.dof) / (full.tss / (full.n - 1))
+print(f"\nfull model: R^2={full.r2:.3f} adj R^2={adj_r2:.3f} "
       f"RMSE={full.rmse:.3f}")
 
 # Backward elimination drops the outermost non-significant ring at a time,
@@ -39,8 +41,11 @@ print(f"LOOCV: PRESS={press:.2f} RMSPE={rmspe:.3f}")
 # The coefficient on the gridded-model column is the multiplicative
 # calibration bias passed on to Step II.
 print(f"\nmultiplicative bias gamma-hat = {step1.gamma_hat(fit):.4f}")
-ci = fit.conf_int("cmaq")
-print(f"95% CI for the gridded-model coefficient: [{ci[0]:.3f}, {ci[1]:.3f}]")
+# A 95% interval is beta-hat +- t se, t on the residual degrees of freedom.
+i = fit.names.index("cmaq")
+half = stats.t.ppf(0.975, fit.dof) * fit.se[i]
+print(f"95% CI for the gridded-model coefficient: "
+      f"[{fit.beta[i] - half:.3f}, {fit.beta[i] + half:.3f}]")
 
 # A spatially correlated error model is one config switch away.  The first
 # multistart is the iid point, so the GLS likelihood can only improve.

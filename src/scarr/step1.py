@@ -26,6 +26,7 @@ from scarr.covariates import (
 )
 from scarr.data_model import read_keyvalue, write_keyvalue
 from scarr.errors import ConfigError, ConvergenceError, DataError
+from scarr.search import _bfgs, _lockstep
 
 #: Scaling applied at design assembly (raw files stay in natural units).
 POP_DENSITY_SCALE = 10_000.0  # persons/mi^2 per design unit
@@ -63,12 +64,19 @@ class ErrorModel:
             raise ConfigError(f"matern smoothness must be finite, > 0 and <= {MATERN_NU_MAX:g}")
 
 
-def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
+def _cov_kernel(model: ErrorModel, d: np.ndarray, slope: bool = False) -> np.ndarray:
     """Spatial covariance at the nonzero separations ``d`` (1-d array).
 
     ``model``'s sill and range are numbers, or (b, 1) columns of b models:
     then row i of the (b, len(d)) result is model i's, with the bits that
-    model alone gives: each family is one numpy array expression."""
+    model alone gives: each family is one numpy array expression.
+
+    With ``slope`` set, its derivative in log range instead: the sill times
+    -h c'(h) at h = d / range, c the unit-sill kernel.  That is h e^-h for
+    the exponential, h (1.5 - 1.5 h^2) inside h < 1 for the spherical, and
+    2^(1-nu) / Gamma(nu) a^(nu+1) K_(nu-1)(a), a = sqrt(2 nu) h, for the
+    Matern (d/da a^nu K_nu(a) = -a^nu K_(nu-1)(a)).  It vanishes as h -> 0
+    and as h -> inf, so an infinite h takes h = 0."""
     if model.kind == "independent":
         return np.zeros(np.broadcast_shapes(np.shape(model.range_), d.shape))
     # a zero range takes h = inf, where every kernel is 0; a subnormal range
@@ -77,26 +85,31 @@ def _cov_kernel(model: ErrorModel, d: np.ndarray) -> np.ndarray:
     # formula (and gives NaN)
     with np.errstate(over="ignore", divide="ignore"):
         h = np.where(np.equal(model.range_, 0.0), math.inf, d / model.range_)
+    if slope:
+        h[np.isinf(h)] = 0.0
     nu = model.nu
     if model.kind == "exponential" or (model.kind == "matern" and nu == 0.5):
-        return model.sill * np.exp(-h)  # matern nu = 0.5 is the exponential
+        # matern nu = 0.5 is the exponential
+        return model.sill * (h * np.exp(-h) if slope else np.exp(-h))
     out = np.zeros(h.shape)
     sill = np.broadcast_to(model.sill, h.shape)
     if model.kind == "spherical":
         inside = ~(h >= 1.0)
         x = h[inside]
-        out[inside] = sill[inside] * (1.0 - 1.5 * x + 0.5 * x**3)
+        out[inside] = sill[inside] * (x * (1.5 - 1.5 * x * x) if slope
+                                      else 1.0 - 1.5 * x + 0.5 * x**3)
         return out
     with np.errstate(over="ignore"):
         arg = math.sqrt(2.0 * nu) * h
     near = ~(arg > 700.0)
     a = arg[near]
-    bessel = special.kv(nu, a)
-    with np.errstate(invalid="ignore"):  # a**nu is finite: nu <= MATERN_NU_MAX
-        corr = 2.0 ** (1.0 - nu) / special.gamma(nu) * a**nu * bessel
-    # where K_nu(x) overflows, x is so small that the correlation is 1 to
-    # double precision, but x**nu * inf is inf (or NaN, once x**nu underflows)
-    corr[np.isinf(bessel)] = 1.0
+    bessel = special.kv(nu - 1.0 if slope else nu, a)
+    with np.errstate(invalid="ignore"):  # a**(nu + 1) is finite: nu <= MATERN_NU_MAX
+        corr = 2.0 ** (1.0 - nu) / special.gamma(nu) * a ** (nu + slope) * bessel
+    # where the Bessel function overflows, a is so small that the correlation
+    # is 1 and its slope 0 to double precision, but a**nu * inf is inf (or
+    # NaN, once a**nu underflows)
+    corr[np.isinf(bessel)] = 0.0 if slope else 1.0
     out[near] = sill[near] * corr
     return out
 
@@ -129,11 +142,11 @@ def _pairs(coords: np.ndarray) -> _Pairs:
     return _Pairs(d, index, zero, d[zero:])
 
 
-def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
-    """Error covariance over the observations of ``pairs``: one value per
-    slot of ``pairs.index`` for ``model``, gathered through it into a new
-    array.  A model whose sill, range and nugget are (b, 1) columns gives
-    the (b, n, n) stack of its b covariances (``_cov_kernel``)."""
+def _slot_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
+    """The error covariance of ``model`` at each slot of ``pairs.index``: the
+    sill at a zero separation, the kernel at the positive ones, and sill +
+    nugget last.  A model whose sill, range and nugget are (b, 1) columns
+    gives a (b, slots) array, a row per model (``_cov_kernel``)."""
     sill, zero = np.asarray(model.sill), pairs.zero
     v = np.empty(sill.shape[:1] + (len(pairs.d) + 1,))
     if model.kind == "independent":
@@ -142,7 +155,14 @@ def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
         v[..., :zero] = sill
         v[..., zero:-1] = _cov_kernel(model, pairs.positive)
     v[..., -1:] = sill + model.nugget
-    return np.take(v, pairs.index, axis=-1)
+    return v
+
+
+def _pair_cov(model: ErrorModel, pairs: _Pairs) -> np.ndarray:
+    """Error covariance over the observations of ``pairs``: ``_slot_cov``
+    gathered through ``pairs.index`` into a new array, the (b, n, n) stack
+    of b covariances for a model of (b, 1) columns."""
+    return np.take(_slot_cov(model, pairs), pairs.index, axis=-1)
 
 
 def cov_matrix(model: ErrorModel, coords: np.ndarray) -> np.ndarray:
@@ -188,22 +208,11 @@ class StepOneFit:
         return 1.0 - self.rss / self.tss if self.tss > 0 else math.nan
 
     @property
-    def adj_r2(self) -> float:
-        if self.tss <= 0 or self.dof <= 0:
-            return math.nan
-        return 1.0 - (self.rss / self.dof) / (self.tss / (self.n - 1))
-
-    @property
     def rmse(self) -> float:
         return math.sqrt(self.sigma2)
 
     def coef(self, name: str) -> float:
         return float(self.beta[self.names.index(name)])
-
-    def conf_int(self, name: str, level: float = 0.95):
-        i = self.names.index(name)
-        t = special.stdtrit(self.dof, 0.5 + level / 2.0)
-        return (self.beta[i] - t * self.se[i], self.beta[i] + t * self.se[i])
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
@@ -236,11 +245,12 @@ def fit_ols(X: np.ndarray, y: np.ndarray, names) -> StepOneFit:
 
 
 #: LAPACK's double-precision triangular solve, the one ``solve_triangular``
-#: calls, and its QR factorization, the one ``np.linalg.qr`` calls.  A solve
-#: ``_TRTRS(L.T, a, lower=0, trans=1)`` of a Cholesky factor L from
-#: ``np.linalg.cholesky`` is L^-1 a, bit for bit as ``solve_triangular(L, a,
-#: lower=True)`` computes it, without its per-call wrappers.
-_TRTRS, _GEQRF = get_lapack_funcs(("trtrs", "geqrf"), (np.empty(0),))
+#: calls, its QR factorization, the one ``np.linalg.qr`` calls, and its
+#: triangular inverse.  A solve ``_TRTRS(L.T, a, lower=0, trans=1)`` of a
+#: Cholesky factor L from ``np.linalg.cholesky`` is L^-1 a, bit for bit as
+#: ``solve_triangular(L, a, lower=True)`` computes it, without its per-call
+#: wrappers.
+_TRTRS, _GEQRF, _TRTRI = get_lapack_funcs(("trtrs", "geqrf", "trtri"), (np.empty(0),))
 
 
 def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
@@ -250,6 +260,9 @@ def _whiten(model: ErrorModel, pairs: _Pairs, *arrays):
     L = np.linalg.cholesky(_pair_cov(model, pairs))
     return tuple(_TRTRS(L.T, a, lower=0, trans=1)[0] for a in arrays)
 
+
+#: ``_bfgs`` stopping rules of every GLS start, in (log range, logit s).
+_SEARCH_OPTIONS = {"gtol": 1e-10, "ftol": 1e-9, "maxiter": 500}
 
 #: Sill share of the iid-equivalent start, and nugget share of the
 #: nugget-free one.  A fit whose share ends no higher than IID_SHARE is at
@@ -296,7 +309,7 @@ class _GlsProfile:
     checks them where they enter.  A batch of b thetas sets the model's
     ranges and shares as (b, 1) columns (``_theta_scales``, once, unchecked),
     runs the kernel once over b x separations and gathers the (b, n, n)
-    stack of R (``_pair_cov``); then one ``np.linalg.cholesky`` of the
+    stack of R (``_slot_cov``); then one ``np.linalg.cholesky`` of the
     stack, log|R| along it, and for each member one LAPACK triangular solve
     for L^-1 [X | y] (``_TRTRS``) and one LAPACK QR of that (``fit_ols`` has
     rejected a rank-deficient X).  RSS_w is the square of the QR factor's
@@ -307,21 +320,32 @@ class _GlsProfile:
     A member that does not factor, or whose log|R| is not finite (a NaN
     theta, say, which LAPACK may factor into NaN rather than reject), gives
     (1e12, NaN).
+
+    ``batch(thetas, score=True)`` adds the exact gradient of -loglik in
+    theta, or None for the penalty or a non-finite gradient (Mardia &
+    Marshall 1984): (tr(R^-1 dR) - r' dR r / sigma2-hat) / 2 with r =
+    R^-1 (y - X beta-hat).  Both dR are values per slot of ``pairs.index``,
+    0 on the diagonal: the kernel's slope for the log range, and (1 - s)
+    times R's slot values for the logit share.  So each sum over n x n
+    entries is one ``np.bincount`` into the slots; R^-1 is L^-T L^-1 from a
+    LAPACK ``trtri`` of L, and beta-hat back substitution on the QR factor.
     """
 
     def __init__(self, Xy: np.ndarray, pairs: _Pairs, kind: str, nu: float):
         self.n, self.k = Xy.shape
         self.Xy = np.asfortranarray(Xy)
         self.pairs = pairs
+        self.slots = pairs.index.ravel()
         self.model = ErrorModel(kind, nu=nu)
 
     def __call__(self, theta):
         return self.batch([theta])[0]
 
-    def batch(self, thetas) -> list:
-        n, k, model = self.n, self.k, self.model
+    def batch(self, thetas, score: bool = False) -> list:
+        n, k, model, pairs = self.n, self.k, self.model, self.pairs
         model.range_, model.sill, model.nugget = _theta_scales(thetas)
-        R = _pair_cov(model, self.pairs)
+        v = _slot_cov(model, pairs)
+        R = np.take(v, pairs.index, axis=-1)
         try:
             L = np.linalg.cholesky(R)
         except np.linalg.LinAlgError:
@@ -332,114 +356,31 @@ class _GlsProfile:
                 except np.linalg.LinAlgError:
                     L[i] = math.nan  # log|R| NaN: does not factor
         logdet = 2.0 * np.log(L.diagonal(axis1=1, axis2=2)).sum(axis=1)
-        out = [(1e12, math.nan)] * len(R)
+        if score:  # dR in (log range, logit s) at each slot, 0 on the diagonal
+            dv = np.zeros((len(R), 2, v.shape[1]))
+            dv[:, 0, pairs.zero:-1] = _cov_kernel(model, pairs.positive, slope=True)
+            dv[:, 1, :-1] = model.nugget * v[:, :-1]
+        out = [(1e12, math.nan, None) if score else (1e12, math.nan)] * len(R)
         for i in np.flatnonzero(np.isfinite(logdet)).tolist():
             qr, _, _, _ = _GEQRF(_TRTRS(L[i].T, self.Xy, lower=0, trans=1)[0], overwrite_a=1)
             rss = float(qr[k - 1, k - 1]) ** 2
             s2 = max(rss / n, 1e-300)
             out[i] = 0.5 * (n * (math.log(2 * math.pi) + math.log(s2) + 1.0) + logdet[i]), s2
+            if score:
+                out[i] += (self._score(L[i], qr, s2, dv[i]),)
         return out
 
-
-class _Search(NamedTuple):
-    """What ``scipy.optimize.minimize`` reports of a Nelder-Mead search."""
-
-    x: np.ndarray
-    fun: float
-    nit: int
-    nfev: int
-    success: bool
-    message: str
-
-
-def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
-    """scipy's Nelder-Mead on two parameters, step for step and bit for bit
-    (``optimize.minimize(f, x0, method="Nelder-Mead", options={"maxiter":
-    maxiter, "xatol": xatol, "fatol": fatol})``), as a generator: it yields
-    the list of points it needs next, is sent their values, and returns a
-    ``_Search``.
-
-    Reflection, expansion, contraction and shrink coefficients 1, 2, 1/2,
-    1/2; the initial simplex moves each coordinate of x0 by 5% (to 0.00025
-    if it is 0); the vertices are sorted stably by value, NaN last, as
-    ``np.argsort`` sorts three; the search stops once every vertex is within
-    ``xatol`` of the best in each coordinate and within ``fatol`` of it in
-    value, or after ``maxiter`` iterations.  Each coordinate is computed by
-    the operations of scipy's array expressions, in their order, so every
-    point has scipy's bits; the two points of a shrink are asked for at
-    once."""
-    a, b = float(x0[0]), float(x0[1])
-    sim = [(a, b), ((1 + 0.05) * a if a != 0 else 0.00025, b),
-           (a, (1 + 0.05) * b if b != 0 else 0.00025)]
-    fsim = [float(f) for f in (yield sim)]
-    nfev, nit = 3, 1
-
-    def order():
-        ranked = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
-        return [sim[i] for i in ranked], [fsim[i] for i in ranked]
-
-    sim, fsim = order()
-    while nit < maxiter:
-        (bx, by), (nx, ny), (wx, wy) = sim  # best, next, worst
-        if (all(abs(p - q) <= xatol for v in sim[1:] for p, q in zip(v, sim[0]))
-                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
-            break
-        xb, yb = (bx + nx) / 2, (by + ny) / 2
-        xr = (2 * xb - wx, 2 * yb - wy)
-        fxr = float((yield [xr])[0])
-        nfev += 1
-        if fxr < fsim[0]:
-            xe = (3 * xb - 2 * wx, 3 * yb - 2 * wy)
-            fxe = float((yield [xe])[0])
-            nfev += 1
-            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[1]:
-            sim[2], fsim[2] = xr, fxr
-        else:
-            if fxr < fsim[2]:  # outside contraction
-                xc = (1.5 * xb - 0.5 * wx, 1.5 * yb - 0.5 * wy)
-                fxc = float((yield [xc])[0])
-                shrink = not fxc <= fxr
-            else:  # inside contraction
-                xc = (0.5 * xb + 0.5 * wx, 0.5 * yb + 0.5 * wy)
-                fxc = float((yield [xc])[0])
-                shrink = not fxc < fsim[2]
-            nfev += 1
-            if shrink:
-                sim[1:] = [(bx + 0.5 * (x - bx), by + 0.5 * (y - by)) for x, y in sim[1:]]
-                fsim[1:] = [float(f) for f in (yield sim[1:])]
-                nfev += 2
-            else:
-                sim[2], fsim[2] = xc, fxc
-        nit += 1
-        sim, fsim = order()
-    # np.min of the values: NaN if any is (the sort puts NaN last)
-    fun = fsim[2] if fsim[2] != fsim[2] else fsim[0]
-    if nit >= maxiter:
-        return _Search(np.array(sim[0]), fun, nit, nfev, False,
-                       "Maximum number of iterations has been exceeded.")
-    return _Search(np.array(sim[0]), fun, nit, nfev, True,
-                   "Optimization terminated successfully.")
-
-
-def _lockstep(searches, evaluate) -> list:
-    """Run the generator ``searches`` (``_nelder_mead``) together and return
-    their results in order.  Each round gathers the points that every
-    unfinished search asks for, in search order, and makes one
-    ``evaluate(points)`` call for their values."""
-    results = [None] * len(searches)
-    asks = {i: next(search) for i, search in enumerate(searches)}
-    while asks:
-        values = evaluate([point for ask in asks.values() for point in ask])
-        start = 0
-        for i, ask in list(asks.items()):
-            try:
-                asks[i] = searches[i].send(values[start:start + len(ask)])
-            except StopIteration as done:
-                results[i] = done.value
-                del asks[i]
-            start += len(ask)
-    return results
+    def _score(self, L, qr, s2, dv):
+        k = self.k
+        # R^-1 = L^-T L^-1 from LAPACK's triangular inverse: OpenBLAS's own
+        # potri gives bits that follow its thread count even at n = 40
+        inverse_l = _TRTRI(L, lower=1)[0]
+        inverse = inverse_l.T @ inverse_l
+        beta = _TRTRS(qr[:k - 1, :k - 1], qr[:k - 1, k - 1])[0]
+        r = inverse @ (self.Xy[:, -1] - self.Xy[:, :-1] @ beta)
+        weights = inverse - np.outer(r, r) / s2
+        grad = 0.5 * (dv @ np.bincount(self.slots, weights=weights.ravel()))
+        return grad.tolist() if np.isfinite(grad).all() else None
 
 
 def fit_gls(
@@ -455,8 +396,9 @@ def fit_gls(
 
     The covariance is sigma2 (s C1(range) + (1 - s) I), sill = sigma2 s and
     nugget = sigma2 (1 - s); beta and sigma2 are profiled out (Mardia &
-    Marshall 1984; Diggle & Ribeiro 2007, sec. 5.4), so Nelder-Mead searches
-    (log range, logit s) only, from six deterministic starts, each logged.
+    Marshall 1984; Diggle & Ribeiro 2007, sec. 5.4), so BFGS searches (log
+    range, logit s) only, on the profile's exact score, from six
+    deterministic starts, each logged.
     The first is the iid-equivalent point, so the fitted likelihood can never
     fall below the OLS reduction; the last is its mirror, nearly nugget-free,
     from which the search reaches optima with a vanishing nugget that the
@@ -471,18 +413,20 @@ def fit_gls(
     ``_pairs(coords)``, when given, so that a refit on the same rows reuses
     them) and the likelihood's set-up (``_GlsProfile``: [X | y] copied for
     LAPACK, the zero-separation slot, the positive separations and the
-    gather index).  The six searches run in lockstep (``_lockstep``), each
-    taking scipy's Nelder-Mead steps (``_nelder_mead``): once per round,
-    one batched likelihood call over the points that every unfinished
-    search asks for (one each, or two for a shrink): the range and shares
-    at each theta, the kernel over points x positive separations, the
-    gather into a stack of R, one Cholesky factorization of the stack, a
-    triangular solve and a QR per point, and log|R| along the stack.  The final sigma2-hat is a batch of
-    one, and the final beta whitens X and y through the same separations.
-    After the search, one line per start in start order, then one line for
-    the fit: sigma2, range, sill share and the likelihood evaluations of all
-    starts, and whether the share is at the pure-nugget boundary, where the
-    range means nothing.
+    gather index).  The six searches (``_bfgs``, to |score|_inf <= 1e-10
+    within 500 iterations: ``_SEARCH_OPTIONS``) run in lockstep
+    (``_lockstep``): once per round, one batched likelihood call over the
+    point that each unfinished search asks for: the range and shares at each
+    theta, the kernel and its slope over points x positive separations, the
+    gather into a stack of R, one Cholesky factorization of the stack, log|R|
+    along it, and per point a triangular solve, a QR and the score
+    (``_GlsProfile``).  A start that stops short of the score bound reports
+    ``success=false``.  The final sigma2-hat is a batch of one, and the final
+    beta whitens X and y through the same separations.  After the search,
+    one line per start in start order, then one line for the fit: sigma2,
+    range, sill share, the likelihood evaluations of all starts and the
+    rounds they took, and whether the share is at the pure-nugget boundary,
+    where the range means nothing.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -501,7 +445,7 @@ def fit_gls(
     tiny_range = max(pos.min() * 1e-6, 1e-9)
 
     starts = [  # (log range, logit sill share)
-        np.array([math.log(r), math.log(s / (1.0 - s))]) for r, s in (
+        [math.log(r), math.log(s / (1.0 - s))] for r, s in (
             (tiny_range, IID_SHARE),  # iid-equivalent (pure nugget)
             (0.25 * dmed, 0.5),
             (dmed, 0.9),
@@ -513,8 +457,8 @@ def fit_gls(
 
     profile = _GlsProfile(np.column_stack([X, y]), pairs, kind, nu)
     results = _lockstep(
-        [_nelder_mead(theta0, maxiter=2000, xatol=1e-8, fatol=1e-10) for theta0 in starts],
-        lambda thetas: [nll for nll, _ in profile.batch(thetas)],
+        [_bfgs(theta0, **_SEARCH_OPTIONS) for theta0 in starts],
+        lambda thetas: [(nll, score) for nll, _, score in profile.batch(thetas, score=True)],
     )
     best, nfev = None, 0
     for i, res in enumerate(results, start=1):
@@ -528,8 +472,9 @@ def fit_gls(
 
     _, s2 = profile(best.x)
     model = _theta_model(best.x, kind, nu, s2)
-    _LOG.info("%s GLS: sigma2=%.9g range=%.9g sill share=%.3g, %d likelihood evaluations%s",
-              kind, s2, model.range_, model.sill / s2, nfev,
+    _LOG.info("%s GLS: sigma2=%.9g range=%.9g sill share=%.3g, %d likelihood evaluations "
+              "in %d rounds%s", kind, s2, model.range_, model.sill / s2, nfev,
+              max(res.nfev for res in results),  # one point per unfinished start and round
               "; the share is at the pure-nugget boundary: range not identified"
               if best.x[1] <= starts[0][1] else "")
     try:

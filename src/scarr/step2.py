@@ -29,13 +29,13 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from scarr.data_model import read_keyvalue, write_keyvalue, write_table
 from scarr.errors import ConvergenceError, DataError
+from scarr.search import _bfgs, _lockstep
 
 
 @dataclass
@@ -400,80 +400,6 @@ def _profile_score(stats, n_obs: int, b, s2: float, rows):
             for dq, dl in zip(dQ, dlogdet)]
 
 
-class _Search(NamedTuple):
-    """What one ``_bfgs`` search reports, under ``scipy.optimize``'s names."""
-
-    x: list
-    fun: float
-    nit: int
-    nfev: int
-    success: bool
-    message: str
-
-
-def _bfgs(fun, x0, gtol: float, ftol: float, maxiter: int) -> _Search:
-    """Minimise ``fun`` by BFGS from ``x0``, a list of floats (Nocedal & Wright
-    2006, ch. 6).
-
-    ``fun(x)`` is ``(f, gradient)``, or ``(f, None)`` where f is a penalty.
-    The inverse-Hessian estimate H starts at the identity, is rescaled by
-    s'y / y'y after the first step (their eq. 6.20) and is updated only when
-    s'y > 0.  Each step backtracks by halves from p = -H g, shortened to unit
-    infinity norm where it is longer, until f falls by 1e-4 of the predicted
-    reduction (Armijo).  Near the optimum f's rounding swamps that test, so
-    once the predicted reduction -g'p is at most ``ftol`` max(|f|, 1), a
-    trial is also taken when it lowers |g|_inf and raises f by at most that
-    much.  Success is |g|_inf <=
-    ``gtol``; the search fails after ``maxiter`` steps, or when halving
-    leaves x unchanged."""
-    n = len(x0)
-    x = list(x0)
-    f, g = fun(x)
-    nfev, nit = 1, 0
-    if g is None:
-        return _Search(x, f, nit, nfev, False, "the start has no finite value")
-    identity = [[float(i == j) for j in range(n)] for i in range(n)]
-    H = identity
-    while (g_max := max(map(abs, g))) > gtol:
-        if nit >= maxiter:
-            return _Search(x, f, nit, nfev, False, "the iteration limit was reached")
-        p = [-sum(hij * gj for hij, gj in zip(row, g)) for row in H]
-        if not sum(pi * gi for pi, gi in zip(p, g)) < 0:  # H lost definiteness to rounding
-            H = identity
-            p = [-gi for gi in g]
-        p_max = max(map(abs, p))
-        if p_max > 1.0:
-            p = [pi / p_max for pi in p]
-        slope = sum(pi * gi for pi, gi in zip(p, g))
-        resolution = ftol * max(abs(f), 1.0)
-        alpha = 1.0
-        while True:
-            x_new = [xi + alpha * pi for xi, pi in zip(x, p)]
-            if x_new == x:
-                return _Search(x, f, nit, nfev, False, "the line search found no lower value")
-            f_new, g_new = fun(x_new)
-            nfev += 1
-            if g_new is not None and (
-                    f_new <= f + 1e-4 * alpha * slope
-                    or (-slope <= resolution and f_new <= f + resolution
-                        and max(map(abs, g_new)) < g_max)):
-                break
-            alpha *= 0.5
-        s = [a - b for a, b in zip(x_new, x)]
-        y = [a - b for a, b in zip(g_new, g)]
-        sy = sum(a * b for a, b in zip(s, y))
-        if sy > 0:
-            if nit == 0:
-                H = [[sy / sum(a * a for a in y) * v for v in row] for row in H]
-            Hy = [sum(hij * yj for hij, yj in zip(row, y)) for row in H]
-            c = (1.0 + sum(a * b for a, b in zip(y, Hy)) / sy) / sy
-            H = [[H[i][j] - (Hy[i] * s[j] + s[i] * Hy[j]) / sy + c * s[i] * s[j]
-                  for j in range(n)] for i in range(n)]
-        nit += 1
-        x, f, g = x_new, f_new, g_new
-    return _Search(x, f, nit, nfev, True, "|gradient|_inf <= gtol")
-
-
 def _penalised(fun):
     """``fun`` with 1e12 in place of a value that is not finite or not computed."""
     def wrapped(x):
@@ -532,9 +458,10 @@ def _fit_once(stats, n_obs, gamma_hat, fix_mu):
             return 1e12, None
         return val, grad
 
+    results = _lockstep([_bfgs([math.log(_Q_START), _logit(psi0)], **_SEARCH_OPTIONS)
+                         for psi0 in _PSI_STARTS], lambda thetas: list(map(profile, thetas)))
     best = None
-    for psi0 in _PSI_STARTS:
-        res = _bfgs(profile, [math.log(_Q_START), _logit(psi0)], **_SEARCH_OPTIONS)
+    for psi0, res in zip(_PSI_STARTS, results):
         _LOG.info("%s, start psi0=%g: nit=%d nfev=%d success=%s -loglik=%.9f",
                   model, psi0, res.nit, res.nfev, str(bool(res.success)).lower(), res.fun)
         if best is None or res.fun < best.fun:

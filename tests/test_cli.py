@@ -133,22 +133,22 @@ def test_fit_carries_its_buffer_radii(tmp_path):
 
 
 def test_fit_step1_reports_unconverged_gls(tmp_path, monkeypatch, capsys):
-    nelder_mead = step1._nelder_mead
+    bfgs = step1._bfgs
 
     def one_iteration(*args, **kwargs):
-        return nelder_mead(*args, **{**kwargs, "maxiter": 1})
+        return bfgs(*args, **{**kwargs, "maxiter": 1})
 
     d = str(tmp_path / "gls")
     assert main(["simulate", "--seed", "7", "--days", "90", "--out", d]) == 0
     with open(os.path.join(d, "step1_config.txt"), "w") as fh:
         fh.write("error_model=exponential\nrun_selection=false\n")
-    monkeypatch.setattr(step1, "_nelder_mead", one_iteration)
+    monkeypatch.setattr(step1, "_bfgs", one_iteration)
     capsys.readouterr()
     assert main(["fit-step1", d]) == 0
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "converge" in ln]
     assert lines == [
         "fit-step1: warning: GLS optimizer did not converge: "
-        "Maximum number of iterations has been exceeded."
+        "the iteration limit was reached"
     ]
 
 
@@ -415,16 +415,16 @@ def test_prediction_products_are_pinned(tmp_path):
 #: they do.
 GLS_FIT_DIGESTS = {
     "exponential": (
-        "be2d722a21d8f96753a6f7601a2ac04c1ac1988ec3384e6fec3b335fa61ceceb",
-        "fba53bddf689c616b482bec67fb851dd17104d4a50322f73d4e5a8a12f9a6796",
+        "9b34f6042b8aa62fc86029883532d66e0e8b9c75909ca1cb9ada3778588ad6fa",
+        "257f6aeed44309d32cc2d0d50920c80e9ab78872f78256b98cbcba196055a8ed",
     ),
     "spherical": (
-        "922a26f9696eb129388fc11e7806ecd2dfec591786d754aadfd6ca3ddd31b45f",
-        "bb12b0b69f775219d3355cf982cc278f36b3a100006fabdac968510f4807eaaf",
+        "5cd0a1e5d30628475c8b22e3482ed4f1d11a27a0a3826802d813da3fc28c6634",
+        "ed0d7661ad343afdc3ba978371473bd45aec8c400f7d461106852e634b74c686",
     ),
     "matern": (
-        "d1fe3ea48576b7d3b9cd83cf1d0e9643f83cc49ed23eb6dc27d955c5f23ce5c8",
-        "555a1ef0af7ab25ff79699202232a682af4a915b2fe38d9aa499e4bd33cc8f42",
+        "ccbca68b6119bf877f346ae3d404c3be5a141493740c8377efbc0e75aeedb95f",
+        "4a8c984e0feffb98f78650993074de13e457068d9a4172537e210caaf595c68f",
     ),
 }
 
@@ -760,9 +760,11 @@ def test_fit_step1_logs_each_gls_start_and_dropped_ring(pipeline_dir, fitted_out
 
 
 def test_fit_step1_logs_each_gls_fit(pipeline_dir, fitted_out, tmp_path, capsys):
-    """One line per GLS fit, after its six starts: sigma2, range, sill share
-    and the likelihood evaluations of the six; the simulated design fits at
-    the pure-nugget boundary, so the line says the range means nothing."""
+    """One line per GLS fit, after its six starts: sigma2, range, sill share,
+    the likelihood evaluations of the six and the rounds they took, one
+    point per start and round, so as many as the longest start's; the
+    simulated design fits at the pure-nugget boundary, so the line says the
+    range means nothing."""
     config = tmp_path / "step1_config.txt"
     config.write_text("error_model=spherical\n")
     capsys.readouterr()
@@ -771,11 +773,11 @@ def test_fit_step1_logs_each_gls_fit(pipeline_dir, fitted_out, tmp_path, capsys)
     assert len(lines) == 14  # the full model and the refit, six starts and a summary each
     for fit in (lines[:7], lines[7:]):
         starts, summary = fit[:6], fit[6]
-        nfev = sum(int(re.search(r" nfev=(\d+) ", line).group(1)) for line in starts)
+        nfev = [int(re.search(r" nfev=(\d+) ", line).group(1)) for line in starts]
         assert re.fullmatch(
-            rf"fit-step1: spherical GLS: sigma2=\S+ range=\S+ sill share=\S+, {nfev} "
-            r"likelihood evaluations; the share is at the pure-nugget boundary: "
-            r"range not identified", summary), summary
+            rf"fit-step1: spherical GLS: sigma2=\S+ range=\S+ sill share=\S+, {sum(nfev)} "
+            rf"likelihood evaluations in {max(nfev)} rounds; the share is at the pure-nugget "
+            r"boundary: range not identified", summary), summary
 
 
 def test_validate_names_interval_site_it_skips(tmp_path, capsys):
@@ -847,8 +849,9 @@ def test_cli_import_leaves_out_scipy_optimize_and_oracle(tmp_path):
 
 
 def test_matern_selection_run_completes(tmp_path):
-    """Nelder-Mead walks the range towards infinity, where the Matern kernel
-    used to give inf/NaN entries and the fit died in solve_triangular."""
+    """A Matern fit with selection on data/mini: a search that walked the
+    range towards infinity once met inf/NaN kernel entries there, and the
+    fit died in solve_triangular."""
     d = tmp_path / "mini"
     shutil.copytree(MINI, d)
     (d / "step1_config.txt").write_text(
@@ -1052,10 +1055,12 @@ def test_smoothed_flag_enters_the_config_hash(pipeline_dir, fitted_out, tmp_path
 def test_fit_step2_exits_4_when_no_start_converges(pipeline_dir, fitted_out, monkeypatch,
                                                   capsys):
     from scarr import step2
+    from scarr.search import _Search
 
-    def failed(fun, x0, **kwargs):
-        return step2._Search(x=x0, fun=math.inf, nit=0, nfev=0, success=False,
-                             message="no step taken")
+    def failed(x0, **kwargs):
+        yield [x0]
+        return _Search(x=x0, fun=math.inf, nit=0, nfev=0, success=False,
+                       message="no step taken")
 
     monkeypatch.setattr(step2, "_bfgs", failed)
     capsys.readouterr()
@@ -1071,7 +1076,8 @@ def test_fit_step2_reports_unconverged_optimizer(pipeline_dir, fitted_out, monke
     bfgs = step2._bfgs
 
     def unconverged(*args, **kwargs):
-        return bfgs(*args, **kwargs)._replace(success=False, message="stopped early")
+        res = yield from bfgs(*args, **kwargs)
+        return res._replace(success=False, message="stopped early")
 
     monkeypatch.setattr(step2, "_bfgs", unconverged)
     capsys.readouterr()

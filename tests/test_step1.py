@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 from scipy.linalg import solve_triangular
 
 from scarr import step1
@@ -43,8 +43,6 @@ from scarr.step1 import (
     MATERN_NU_MAX,
     _cov_kernel,
     _GlsProfile,
-    _lockstep,
-    _nelder_mead,
     _pair_cov,
     _pairs,
     _theta_model,
@@ -110,9 +108,15 @@ class TestOls:
             fit_ols(np.eye(2), np.ones(2), ["a", "b"])
 
     def test_conf_int_contains_estimate(self):
+        """Demo 02's interval, beta-hat +- t se with the t quantile on the
+        fit's residual degrees of freedom: on the hand example, 0.6 +-
+        4.303 sqrt(0.1 / 5)."""
         fit = fit_ols(hand_design(), HAND_Y, ["intercept", "x"])
-        lo, hi = fit.conf_int("x")
+        i = fit.names.index("x")
+        half = stats.t.ppf(0.975, fit.dof) * fit.se[i]
+        lo, hi = fit.beta[i] - half, fit.beta[i] + half
         assert lo < 0.6 < hi
+        assert (lo, hi) == pytest.approx((0.6 - 0.60849, 0.6 + 0.60849), abs=1e-5)
 
 
 class TestFTestErrors:
@@ -517,8 +521,8 @@ _WHITEN_COORDS, _WHITEN_XY = _whiten_case(24, 3)
 
 #: Seed s of a basin-gate design of one kind draws from default_rng(offset + s).
 BASIN_SEED_OFFSET = {"exponential": 0, "matern": 100, "spherical": 200}
-#: Basin-gate designs per kind that tier-1 fits; basin_gate.csv records 48.
-BASIN_SEEDS = 16
+#: Basin-gate designs per kind that tier-1 fits: all 48 that basin_gate.csv records.
+BASIN_SEEDS = 48
 
 
 def _gate_design(kind, seed):
@@ -600,10 +604,10 @@ class TestGls:
         assert gls.error_model.sill > 0
 
     def test_converged_false_when_optimizer_fails(self, monkeypatch, rng):
-        nelder_mead = step1._nelder_mead
+        bfgs = step1._bfgs
 
         def failing(*args, **kwargs):
-            res = yield from nelder_mead(*args, **kwargs)
+            res = yield from bfgs(*args, **kwargs)
             return res._replace(success=False, message="stopped by the test")
 
         n = 20
@@ -611,7 +615,7 @@ class TestGls:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=n)
         assert fit_gls(X, y, coords, ["b0", "b1"]).converged is True
-        monkeypatch.setattr(step1, "_nelder_mead", failing)
+        monkeypatch.setattr(step1, "_bfgs", failing)
         fit = fit_gls(X, y, coords, ["b0", "b1"])
         assert fit.converged is False
         assert fit.optimizer_message == "stopped by the test"
@@ -660,17 +664,17 @@ class TestGls:
         separation over every row pair, not over the distinct separations.
         With five rows at one site, the row-pair median (5 km) is not the
         distinct one (6.7 km)."""
-        nelder_mead, x0 = step1._nelder_mead, []
+        bfgs, x0 = step1._bfgs, []
 
         def recording(theta0, **kwargs):
             x0.append(theta0[0])
-            return nelder_mead(theta0, **kwargs)
+            return bfgs(theta0, **kwargs)
 
         sites = np.array([[0.0, 0.0], [1000.0, 0.0], [0.0, 5000.0], [8000.0, 8000.0]])
         coords = sites[[0, 0, 0, 0, 0, 1, 2, 3]]
         X = np.column_stack([np.ones(8), rng.normal(size=8)])
         y = X @ np.array([1.0, 0.5]) + rng.normal(size=8)
-        monkeypatch.setattr(step1, "_nelder_mead", recording)
+        monkeypatch.setattr(step1, "_bfgs", recording)
         fit_gls(X, y, coords, ["b0", "b1"])
         assert x0 == [math.log(1000.0 * 1e-6), math.log(0.25 * 5000.0), math.log(5000.0),
                       math.log(2.0 * 5000.0), math.log(0.5 * 5000.0), math.log(5000.0)]
@@ -806,7 +810,50 @@ class TestGls:
             assert np.array(value).tobytes() == np.array(want).tobytes()
             assert np.array(profile(theta)).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("repeated", [True, False], ids=["two-rows-per-site", "one-row"])
+    @pytest.mark.parametrize("kind, nu", [("spherical", 0.5), ("exponential", 0.5),
+                                          ("matern", 0.7), ("matern", 1.5), ("matern", 2.5),
+                                          ("independent", 0.5)])
+    def test_score_equals_central_differences(self, kind, nu, repeated):
+        """The score of ``batch(thetas, score=True)`` equals central
+        differences of -loglik (step 1e-5) in both coordinates, over short
+        and long ranges and low and high shares, on a design with two rows
+        at each site (a zero separation) and on one with one row per site.
+        The spherical kernel's curvature jumps at h = 1, so no separation
+        lies within 1e-3 of a range.  The value and sigma2-hat keep the bits
+        of ``batch(thetas)``, and a member that does not factor has no
+        score."""
+        rng = np.random.default_rng(11)
+        coords = rng.uniform(0, 10_000, size=(9, 2))
+        if repeated:
+            coords = np.repeat(coords, 2, axis=0)
+        n = len(coords)
+        Xy = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        profile = _GlsProfile(Xy, _pairs(coords), kind, nu)
+        thetas = [[math.log(r), logit] for r in (700.0, 3100.0, 23_000.0)
+                  for logit in (-3.0, 0.4, 2.5)]
+        got = profile.batch(thetas, score=True)
+        assert [value[:2] for value in got] == profile.batch(thetas)
+        step = 1e-5
+        for theta, (_, _, score) in zip(thetas, got):
+            if kind == "spherical":
+                assert np.min(np.abs(_pairs(coords).positive / math.exp(theta[0]) - 1.0)) > 1e-3
+            want = []
+            for j in range(2):
+                up, down = list(theta), list(theta)
+                up[j] += step
+                down[j] -= step
+                want.append((profile(up)[0] - profile(down)[0]) / (2.0 * step))
+            np.testing.assert_allclose(score, want, rtol=1e-6, atol=1e-7)
+        if repeated and kind != "independent":  # sill share 1: R does not factor
+            nll, _, score = profile.batch([[0.0, 800.0]], score=True)[0]
+            assert nll == 1e12 and score is None
+
     def test_loglik_is_dense_loglik_at_fitted_model(self, rng):
+        """The fitted -loglik is the dense likelihood of the fitted model,
+        off the pure-nugget boundary.  The spherical and Matern optima are
+        interior; the exponential one has a vanishing nugget, as
+        ``test_nugget_free_optimum_is_reached``'s does."""
         n = 40
         coords = rng.uniform(0, 8000, size=(n, 2))
         truth = ErrorModel("exponential", sill=4.0, range_=3000.0, nugget=0.5)
@@ -815,8 +862,10 @@ class TestGls:
             rng.normal(size=n)
         for kind, nu in (("exponential", 0.5), ("spherical", 0.5), ("matern", 1.5)):
             gls = fit_gls(X, y, coords, ["b0", "b1"], kind=kind, nu=nu)
-            share = gls.error_model.sill / (gls.error_model.sill + gls.error_model.nugget)
-            assert IID_SHARE < share < 1.0  # an interior optimum
+            em = gls.error_model
+            share = em.sill / (em.sill + em.nugget)
+            assert IID_SHARE < share
+            assert (em.nugget < 1e-9 * em.sill) if kind == "exponential" else (share < 1.0)
             assert -gls.loglik == pytest.approx(_dense_nll(gls.error_model, X, y, coords),
                                                 rel=1e-9)
 
@@ -890,7 +939,7 @@ def test_basin_gate(kind):
     the one recorded in basin_gate.csv, where -loglik is kept by repr as
     the fit gave it while the kernel's exp and pow were libm's: a change to
     the search or to the likelihood's arithmetic may move the last digits,
-    never the basin.  Set ``BASIN_SEEDS`` to 48 to run all 144 designs."""
+    never the basin.  All 144 designs run."""
     with open(os.path.join(os.path.dirname(__file__), "basin_gate.csv")) as fh:
         recorded = {(row[0], int(row[1])): float(row[2])
                     for row in (line.strip().split(",") for line in fh.readlines()[1:])}
@@ -906,7 +955,7 @@ def test_basin_gate(kind):
 #: bytes, of the GLS fit of exponential gate design 10: sill share 0.79 and
 #: range 4.8 km, off the pure-nugget boundary, so that the kernel's last bits
 #: reach the fitted digits.
-INTERIOR_FIT_DIGEST = "84559ce2fac45cf8a9b4faa7974cc60aff023c3f6e6677c3d348ed8940fd5c02"
+INTERIOR_FIT_DIGEST = "f490bee2a4987a6f330af28563f210590d1efaa97df0e0e48d4a383ede39b4bf"
 
 
 def test_interior_gls_fit_is_pinned():
@@ -916,94 +965,6 @@ def test_interior_gls_fit_is_pinned():
     body = np.concatenate([fit.beta, fit.cov.ravel(), [-fit.loglik, em.sill, em.range_,
                                                        em.nugget]])
     assert hashlib.sha256(body.tobytes()).hexdigest() == INTERIOR_FIT_DIGEST
-
-
-def _surface(family, a, b, c, x0, y0):
-    """A 2-D test function: a smooth quadratic bowl or Rosenbrock valley, a
-    bowl cut flat at its level ``c`` (vertex values tie there), the bowl in
-    steps of ``c`` (ties and shrink steps), or the bowl with NaN beyond
-    x = x0 (NaN sorts last)."""
-    def bowl(p):
-        dx, dy = p[0] - x0, p[1] - y0
-        return a * dx * dx + b * dy * dy + 0.5 * math.sqrt(a * b) * dx * dy
-
-    if family == "bowl":
-        return bowl
-    if family == "rosenbrock":
-        return lambda p: (a - p[0]) ** 2 + 100.0 * b * (p[1] - p[0] ** 2) ** 2
-    if family == "flat":
-        return lambda p: max(bowl(p), c)
-    if family == "steps":
-        return lambda p: math.floor(bowl(p) / c) * c
-    return lambda p: bowl(p) if p[0] < x0 else math.nan
-
-
-def _run_search(f, x0, **options):
-    """``_nelder_mead`` driven by ``_lockstep`` alone, and the number of
-    rounds that asked for two points (shrink steps)."""
-    shrinks = []
-
-    def evaluate(points):
-        shrinks.append(len(points) == 2)
-        return [f(np.array(p)) for p in points]
-
-    (res,) = _lockstep([_nelder_mead(x0, **options)], evaluate)
-    return res, sum(shrinks)
-
-
-class TestNelderMead:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from(["bowl", "rosenbrock", "flat", "steps", "nan"]),
-        st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.01, 5.0),
-        st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
-        st.tuples(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
-                  st.one_of(st.just(0.0), st.floats(-10.0, 10.0))),
-        st.one_of(st.integers(1, 5), st.just(2000)),
-        st.sampled_from([(1e-8, 1e-10), (1e-4, 1e-4), (0.5, 0.5)]),
-    )
-    def test_same_search_as_scipy(self, family, a, b, c, x0, y0, start, maxiter, tol):
-        """The same x bits, fun, nit, nfev, success and message as scipy's
-        Nelder-Mead with the same options."""
-        from scipy import optimize
-
-        f = _surface(family, a, b, c, x0, y0)
-        options = {"maxiter": maxiter, "xatol": tol[0], "fatol": tol[1]}
-        want = optimize.minimize(f, np.array(start), method="Nelder-Mead", options=options)
-        got, _ = _run_search(f, start, **options)
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.fun == want.fun or (math.isnan(got.fun) and math.isnan(want.fun))
-        assert (got.nit, got.nfev) == (want.nit, want.nfev)
-        assert (got.success, got.message) == (want.success, want.message)
-
-    def test_shrinks_and_ties_are_covered(self):
-        """The step surface makes the search shrink, and the flat one ends
-        with every vertex at one value."""
-        _, shrinks = _run_search(_surface("steps", 1.0, 2.0, 0.5, 1.0, -1.0), (3.0, 4.0),
-                                 maxiter=2000, xatol=1e-8, fatol=1e-10)
-        assert shrinks > 0
-        res, _ = _run_search(_surface("flat", 1.0, 2.0, 0.5, 1.0, -1.0), (1.2, -1.1),
-                             maxiter=2000, xatol=1e-8, fatol=1e-10)
-        assert res.fun == 0.5 and res.success
-
-    def test_rounds_batch_every_unfinished_search(self):
-        """``_lockstep`` makes one call per round for the points of every
-        unfinished search, and each search ends as it does alone."""
-        f = _surface("rosenbrock", 1.0, 1.0, 0.0, 0.0, 0.0)
-        starts = [(-1.2, 1.0), (3.0, 4.0), (0.0, 0.0)]
-        options = {"maxiter": 2000, "xatol": 1e-8, "fatol": 1e-10}
-        alone = [_run_search(f, x0, **options)[0] for x0 in starts]
-        sizes = []
-
-        def evaluate(points):
-            sizes.append(len(points))
-            return [f(np.array(p)) for p in points]
-
-        together = _lockstep([_nelder_mead(x0, **options) for x0 in starts], evaluate)
-        for got, want in zip(together, alone):
-            assert got.x.tobytes() == want.x.tobytes() and got[1:] == want[1:]
-        assert sum(sizes) == sum(res.nfev for res in alone)
-        assert sizes[0] == 9 and len(sizes) < max(res.nfev for res in alone)
 
 
 class TestConfig:

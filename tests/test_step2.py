@@ -11,11 +11,11 @@ from scarr import step2
 from scarr.data_model import parse_config
 from scarr.errors import ConfigError, DataError
 from scarr.oracle import DenseGaussianOracle, simulate_step2_series
+from scarr.search import _bfgs, _lockstep
 from scarr.step2 import (
     DlmInputs,
     DlmParams,
     Step2Config,
-    _bfgs,
     _full_nll,
     _inverse_band,
     _mean_root,
@@ -679,7 +679,8 @@ class TestMle:
 
     def test_converged_false_when_optimizer_fails(self, monkeypatch, tmp_path):
         def failing(*args, **kwargs):
-            return _bfgs(*args, **kwargs)._replace(success=False)
+            res = yield from _bfgs(*args, **kwargs)
+            return res._replace(success=False)
 
         monkeypatch.setattr(step2, "_bfgs", failing)
         inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
@@ -713,9 +714,15 @@ def rosenbrock(x):
             [-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
 
 
+def minimise(fun, x0, **options):
+    """``_bfgs`` from ``x0`` on ``fun``, driven by ``_lockstep`` alone."""
+    (res,) = _lockstep([_bfgs(x0, **options)], lambda points: list(map(fun, points)))
+    return res
+
+
 class TestSearch:
     def test_minimises_rosenbrock(self):
-        res = _bfgs(rosenbrock, [-1.2, 1.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        res = minimise(rosenbrock, [-1.2, 1.0], gtol=1e-6, ftol=1e-9, maxiter=500)
         assert res.success and res.message == "|gradient|_inf <= gtol"
         assert max(map(abs, rosenbrock(res.x)[1])) <= 1e-6
         assert res.x == pytest.approx([1.0, 1.0], abs=1e-5)
@@ -723,7 +730,7 @@ class TestSearch:
         assert res.nfev > res.nit > 0
 
     def test_iteration_limit(self):
-        res = _bfgs(rosenbrock, [-1.2, 1.0], gtol=1e-6, ftol=1e-9, maxiter=3)
+        res = minimise(rosenbrock, [-1.2, 1.0], gtol=1e-6, ftol=1e-9, maxiter=3)
         assert (res.nit, res.success, res.message) == (
             3, False, "the iteration limit was reached")
 
@@ -734,19 +741,52 @@ class TestSearch:
                 return 1e12, None
             return (x[0] - 0.6) ** 2, [2 * (x[0] - 0.6)]
 
-        res = _bfgs(fun, [3.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        res = minimise(fun, [3.0], gtol=1e-6, ftol=1e-9, maxiter=500)
         assert res.success and res.x[0] == pytest.approx(0.6, abs=1e-6)
 
     def test_penalised_start_fails(self):
-        res = _bfgs(lambda x: (1e12, None), [0.0, 0.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        res = minimise(lambda x: (1e12, None), [0.0, 0.0], gtol=1e-6, ftol=1e-9, maxiter=500)
         assert (res.fun, res.nfev, res.success) == (1e12, 1, False)
 
     def test_no_lower_value_fails(self):
         """A gradient that points uphill: every trial raises f, so halving
         ends with x unchanged and the search reports it."""
-        res = _bfgs(lambda x: (x[0] ** 2, [-1.0]), [1.0], gtol=1e-6, ftol=1e-9, maxiter=500)
+        res = minimise(lambda x: (x[0] ** 2, [-1.0]), [1.0], gtol=1e-6, ftol=1e-9, maxiter=500)
         assert (res.x, res.success) == ([1.0], False)
         assert res.message == "the line search found no lower value"
+
+    def test_missing_curvature_takes_a_unit_step(self):
+        """f = -e^x + e^(2x) / 2 is concave left of x = -log 2, where every
+        step has s'y < 0.  From x = -14, where |f'| is 8.3e-7, a step as
+        small as the gradient would crawl; each step without curvature sets
+        H to I / |g|_inf, so the search walks in unit steps and ends at the
+        minimum x = 0."""
+        def fun(x):
+            e = math.exp(x[0])
+            return -e + 0.5 * e * e, [e * (e - 1.0)]
+
+        res = minimise(fun, [-14.0], gtol=1e-10, ftol=1e-9, maxiter=500)
+        assert res.success and res.x[0] == pytest.approx(0.0, abs=1e-9)
+        assert res.nit < 40
+
+    def test_rounds_batch_every_unfinished_search(self):
+        """``_lockstep`` makes one call per round, for the point of every
+        unfinished search in search order, and each search ends with the
+        bits it has alone."""
+        starts = [[-1.2, 1.0], [3.0, 4.0], [0.0, 0.0]]
+        options = {"gtol": 1e-6, "ftol": 1e-9, "maxiter": 500}
+        alone = [minimise(rosenbrock, x0, **options) for x0 in starts]
+        sizes = []
+
+        def evaluate(points):
+            sizes.append(len(points))
+            return list(map(rosenbrock, points))
+
+        together = _lockstep([_bfgs(x0, **options) for x0 in starts], evaluate)
+        assert together == alone
+        assert sum(sizes) == sum(res.nfev for res in alone)
+        assert len(sizes) == max(res.nfev for res in alone)
+        assert sizes[0] == 3 and sorted(sizes, reverse=True) == sizes
 
     @pytest.mark.parametrize("truth", [
         DlmParams(3.0, 4.0, 0.6, mu_a=0.0, beta_c=0.7, gamma_hat=0.5),
@@ -771,10 +811,10 @@ class TestSearch:
             kernel, n_obs = _profile_kernel(inputs, 0.5)
             searches = []
 
-            def search(fun, x0, **options):
-                searches.append(_bfgs(fun, x0, **options))
-                searches.append(fun(searches[-1].x))
-                return searches[-2]
+            def search(x0, **options):
+                res = yield from _bfgs(x0, **options)
+                searches.extend([res, *(yield [res.x])])
+                return res
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(step2, "_bfgs", search)
