@@ -23,9 +23,9 @@ class _Search(NamedTuple):
 
 def _bfgs(x0, gtol: float, ftol: float, maxiter: int):
     """Minimise a function by BFGS from ``x0``, a list of floats (Nocedal &
-    Wright 2006, ch. 6), as a generator: it yields ``[x]``, the point it
-    needs next, is sent ``[(f, gradient)]``, or ``[(f, None)]`` where f is a
-    penalty, and returns a ``_Search``.
+    Wright 2006, ch. 6), as a generator: it yields x, the point it needs
+    next, is sent ``(f, gradient)``, or ``(f, None)`` where f is a penalty,
+    and returns a ``_Search``.
 
     The inverse-Hessian estimate H starts at the identity and is updated
     only when s'y > 0; the first such step sets it to s'y / y'y times the
@@ -41,7 +41,7 @@ def _bfgs(x0, gtol: float, ftol: float, maxiter: int):
     halving leaves x unchanged."""
     n = len(x0)
     x = list(x0)
-    ((f, g),) = yield [x]
+    f, g = yield x
     nfev, nit = 1, 0
     if g is None:
         return _Search(x, f, nit, nfev, False, "the start has no finite value")
@@ -64,7 +64,7 @@ def _bfgs(x0, gtol: float, ftol: float, maxiter: int):
             x_new = [xi + alpha * pi for xi, pi in zip(x, p)]
             if x_new == x:
                 return _Search(x, f, nit, nfev, False, "the line search found no lower value")
-            ((f_new, g_new),) = yield [x_new]
+            f_new, g_new = yield x_new
             nfev += 1
             if g_new is not None and (
                     f_new <= f + 1e-4 * alpha * slope
@@ -92,19 +92,16 @@ def _bfgs(x0, gtol: float, ftol: float, maxiter: int):
 
 def _lockstep(searches, evaluate) -> list:
     """Run the generators ``searches`` (``_bfgs``) together and return their
-    results in order.  Each round gathers the points that every unfinished
+    results in order.  Each round gathers the point that every unfinished
     search asks for, in search order, and makes one ``evaluate(points)``
     call for their values."""
     results = [None] * len(searches)
     asks = {i: next(search) for i, search in enumerate(searches)}
     while asks:
-        values = evaluate([point for ask in asks.values() for point in ask])
-        start = 0
-        for i, ask in list(asks.items()):
+        for i, value in zip(list(asks), evaluate(list(asks.values()))):
             try:
-                asks[i] = searches[i].send(values[start:start + len(ask)])
+                asks[i] = searches[i].send(value)
             except StopIteration as done:
                 results[i] = done.value
                 del asks[i]
-            start += len(ask)
     return results

@@ -25,7 +25,7 @@ BFGS searches.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -163,14 +163,16 @@ def kalman_smoother(params: DlmParams, inputs: DlmInputs) -> StateEstimate:
 
 
 def log_likelihood(params: DlmParams, inputs: DlmInputs) -> float:
-    """Gaussian log-likelihood at ``params``: minus ``_nll``, which ``fit_mle``
-    maximises through its profile and differentiates for its standard
-    errors.  It shares the kernel's limit near a unit root: at psi_a =
-    1 - 1e-12 and sigma_a = 0 it is 3.6e-5 relative off on 8 days x 3 sites
-    (C conditioned like 1/(1 - psi_a^2)).  ``LinAlgError`` when C is not
-    positive definite."""
+    """Gaussian log-likelihood at ``params``: minus ``_full_nll``, which
+    ``fit_mle`` maximises through its profile and whose exact score
+    (``_full_score``) it differentiates for its standard errors.  It shares
+    the kernel's limit near a unit root: at psi_a = 1 - 1e-12 and sigma_a = 0
+    it is 3.6e-5 relative off on 8 days x 3 sites (C conditioned like
+    1/(1 - psi_a^2)).  ``LinAlgError`` when C is not positive definite."""
     kernel, n_obs = _profile_kernel(inputs, params.gamma_hat)
-    return -_nll(kernel, n_obs, [getattr(params, nm) for nm in _PARAM_NAMES], _MEAN_ROWS[False])
+    stats = kernel(params.sigma_a**2 / params.sigma_z**2, params.psi_a)
+    return -_full_nll(stats, n_obs, params.sigma_z, [params.mu_a, params.beta_c],
+                      _MEAN_ROWS[False])
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +352,21 @@ def _full_nll(stats, n_obs: int, sigma_z: float, b, rows) -> float:
                   + _quadratic(_mean_root(Q), b, rows) / sz2)
 
 
-def _nll(kernel, n_obs: int, vec, rows) -> float:
-    """Step II's negative log-likelihood of ``vec`` = (sigma_z, sigma_a, psi_a,
-    *b), b the mean coefficients on the kernel columns ``rows`` (mu_a and
-    beta_c, or beta_c alone), through ``kernel(q, psi)`` of
-    ``_profile_kernel``."""
-    sigma_z, sigma_a, psi, *b = vec
-    return _full_nll(kernel(sigma_a**2 / sigma_z**2, psi), n_obs, sigma_z, b, rows)
+def _full_score(stats, n_obs: int, vec, rows) -> list:
+    """Gradient of ``_full_nll`` in ``vec`` = (sigma_z, sigma_a, psi_a, *b), b
+    on the kernel columns ``rows``, from the kernel's ``score=True`` output at
+    q = sigma_a^2 / sigma_z^2 and psi_a.  The q and psi_a slopes are
+    ``_profile_score``'s at s2 = sigma_z^2; sigma_z acts through N log sigma_z,
+    the quadratic and q, sigma_a through q, and b by -(Q r)[rows] / sigma_z^2,
+    r = (1, -b) on (0, *rows).  Summed in Python floats."""
+    Q = stats[0].tolist()
+    sigma_z, sigma_a, _, *b = vec
+    sz2 = sigma_z * sigma_z
+    d_q, d_psi = _profile_score(stats, n_obs, b, sz2, rows)
+    quad = _quadratic(_mean_root(stats[0]), b, rows)
+    return [n_obs / sigma_z - quad / (sz2 * sigma_z) - 2.0 * sigma_a**2 / (sz2 * sigma_z) * d_q,
+            2.0 * sigma_a / sz2 * d_q, d_psi,
+            *((sum(Q[k][j] * c for j, c in zip(rows, b)) - Q[k][0]) / sz2 for k in rows)]
 
 
 def _profile_nll(stats, n_obs: int, rows):
@@ -385,11 +395,12 @@ def _profile_nll(stats, n_obs: int, rows):
 
 
 def _profile_score(stats, n_obs: int, b, s2: float, rows):
-    """Gradient in (q, psi) of ``_profile_nll``'s -loglik, from the kernel's
-    ``score=True`` output and the profile's ``b`` and ``s2``.  By the envelope
-    theorem the minimised RSS moves like r'Q r at r = (1, -b) on (0, *rows),
-    so the gradient is (N r'dQ r / RSS + dlogdet) / 2, summed in Python
-    floats."""
+    """Gradient in (q, psi) of -loglik at mean coefficients ``b`` and
+    sigma_z^2 = ``s2``, from the kernel's ``score=True`` output: with
+    r = (1, -b) on (0, *rows) and RSS = N s2, it is (N r'dQ r / RSS +
+    dlogdet) / 2, summed in Python floats.  At the profile's ``b`` and ``s2``
+    it is the gradient of ``_profile_nll``'s -loglik, by the envelope
+    theorem."""
     _, _, dQ, dlogdet = stats
     r = [1.0, 0.0, 0.0]
     for row, coef in zip(rows, b):
@@ -400,44 +411,32 @@ def _profile_score(stats, n_obs: int, b, s2: float, rows):
             for dq, dl in zip(dQ, dlogdet)]
 
 
-def _penalised(fun):
-    """``fun`` with 1e12 in place of a value that is not finite or not computed."""
-    def wrapped(x):
-        try:
-            val = fun(x)
-        except (OverflowError, ValueError, np.linalg.LinAlgError):
-            return 1e12
-        return val if math.isfinite(val) else 1e12
-    return wrapped
-
-
 def _in_space(sigma_z, sigma_a, psi, *_):
     """Whether (sigma_z, sigma_a, psi_a, ...) lies in the parameter space."""
     return sigma_z > 0 and sigma_a >= 0 and 0.0 <= psi < 1.0
 
 
-def _numeric_hessian(fun, x, rel_step=1e-4):
-    """``(H, held)``: the central-difference Hessian of ``fun`` at ``x`` over the
-    coordinates whose steps stay ``_in_space``; those ``held`` stay at x."""
+def _score_hessian(score, x, rel_step=1e-4):
+    """``(H, held)``: the Hessian at ``x`` from central differences of the
+    gradient ``score``, symmetrised, over the coordinates whose steps stay
+    ``_in_space``; those ``held`` stay at x.  H is None when a score
+    evaluation raises ``LinAlgError``, ``OverflowError`` or ``ValueError``, or
+    is not finite."""
     h = np.maximum(np.abs(x), 1.0) * rel_step
     e = np.diag(h)  # e[i] steps x by h[i] along axis i
     held = [i for i in range(len(x)) if not (_in_space(*(x + e[i])) and _in_space(*(x - e[i])))]
     free = [i for i in range(len(x)) if i not in held]
-    f0 = fun(x)
-    H = np.empty((len(free), len(free)))
-    for (a, i), (b, j) in itertools.combinations_with_replacement(enumerate(free), 2):
-        if i == j:
-            H[a, a] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / h[i] ** 2
-        else:
-            ei, ej = e[i], e[j]
-            H[a, b] = H[b, a] = (fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej)
-                                 + fun(x - ei - ej)) / (4.0 * h[i] * h[j])
-    return H, held
+    try:
+        H = np.array([np.subtract(score(x + e[i]), score(x - e[i]))[free] / (2.0 * h[i])
+                      for i in free])
+    except (OverflowError, ValueError, np.linalg.LinAlgError):
+        return None, held
+    return (0.5 * (H + H.T) if np.all(np.isfinite(H)) else None), held
 
 
 def _fit_once(stats, n_obs, gamma_hat, fix_mu):
-    """Fit with mu_a free or fixed at 0; ``stats(q, psi, score=False)`` is the
-    memoised kernel."""
+    """Fit with mu_a free or fixed at 0; ``stats(q, psi)`` is the memoised
+    ``kernel(q, psi, score=True)``."""
     rows = _MEAN_ROWS[fix_mu]
     model = "mu_a = 0" if fix_mu else "mu_a free"
 
@@ -448,7 +447,7 @@ def _fit_once(stats, n_obs, gamma_hat, fix_mu):
         """(-loglik, gradient) in theta = (log q, logit psi_a), or (1e12, None)."""
         try:
             q, psi = point(theta)
-            st = stats(q, psi, score=True)
+            st = stats(q, psi)
             val, b, s2 = _profile_nll(st[:2], n_obs, rows)
             d_q, d_psi = _profile_score(st, n_obs, b, s2, rows)
         except (OverflowError, ValueError, np.linalg.LinAlgError):
@@ -469,7 +468,7 @@ def _fit_once(stats, n_obs, gamma_hat, fix_mu):
     if not math.isfinite(best.fun) or best.fun >= 1e12:
         raise ConvergenceError("fit_mle: no multistart converged")
     q, psi = point(best.x)
-    _, b, s2 = _profile_nll(stats(q, psi), n_obs, rows)
+    _, b, s2 = _profile_nll(stats(q, psi)[:2], n_obs, rows)
     sigma_z = math.sqrt(s2)
     mu, beta_c = (0.0, *b) if fix_mu else b
     params = DlmParams(sigma_z, math.sqrt(q) * sigma_z, psi, mu_a=mu, beta_c=beta_c,
@@ -477,21 +476,25 @@ def _fit_once(stats, n_obs, gamma_hat, fix_mu):
     params.loglik = -float(best.fun)
     params.converged, params.optimizer_message = bool(best.success), str(best.message)
 
-    # standard errors: inverse numeric Hessian in the natural parameterization,
+    # standard errors: inverse Hessian in the natural parameterization,
     # without a parameter whose step would leave the parameter space
+    def score(vec):
+        sigma_z, sigma_a, psi, *_ = vec = vec.tolist()
+        return _full_score(stats(sigma_a**2 / sigma_z**2, psi), n_obs, vec, rows)
+
     names = [nm for nm in _PARAM_NAMES if not (fix_mu and nm == "mu_a")]
     x = np.array([getattr(params, nm) for nm in names])
-    H, held = _numeric_hessian(_penalised(lambda vec: _nll(stats, n_obs, vec.tolist(), rows)), x)
+    H, held = _score_hessian(score, x)
     for i in held:
         _LOG.info("%s: no standard error for %s=%.9g: a Hessian step from it leaves the "
                   "parameter space, so the others hold it fixed", model, names[i], x[i])
     names = [nm for i, nm in enumerate(names) if i not in held]
     try:
-        diag = np.diag(np.linalg.inv(H))
+        diag = np.diag(np.linalg.inv(H)).tolist() if H is not None else [0.0]
     except np.linalg.LinAlgError:
-        diag = np.zeros(1)
-    ok = np.all(diag > 0)
-    params.se = {nm: math.sqrt(v) for nm, v in zip(names, diag.tolist())} if ok else {}
+        diag = [0.0]
+    ok = all(v > 0 for v in diag)
+    params.se = {nm: math.sqrt(v) for nm, v in zip(names, diag)} if ok else {}
     return params
 
 
@@ -509,10 +512,12 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
     ``success=false``.  Each evaluation is one O(T) tridiagonal factorization
     and solve in LAPACK over per-day sums computed once per fit
     (``_profile_kernel``), and one more factorization for the score, not a
-    filter pass.  Standard
-    errors are the inverse numeric Hessian of ``_nll`` in (sigma_z, sigma_a,
-    psi_a, mu_a, beta_c), less (logged) a parameter whose step would leave
-    the parameter space, which is held fixed.  With ``drop_mu_a`` set, the
+    filter pass; each (q, psi_a) is evaluated once per fit.  Standard errors
+    are the inverse of the Hessian in (sigma_z, sigma_a, psi_a, mu_a, beta_c)
+    from central differences of the exact score of the full likelihood
+    (``_full_score``), less (logged) a parameter whose step would leave the
+    parameter space, which is held fixed; a score that cannot be evaluated
+    leaves no standard errors.  With ``drop_mu_a`` set, the
     model is refit with mu_a fixed at zero when the estimate is not
     significant at the 5% level.  Fewer than 10 observed days per free
     parameter is a ``DataError``.  A fit that did not converge is logged
@@ -531,21 +536,14 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
             "(1, c_tilde) normal matrix is singular and mu_a, beta_c are not identified"
         )
     kernel, n_obs = _profile_kernel(inputs, gamma_hat)
-    memo = {}
-
-    def stats(q, psi, score=False):
-        got = memo.get((q, psi))
-        if got is None or (score and len(got) == 2):  # absent, or without its score
-            memo[q, psi] = got = kernel(q, psi, score)
-        return got if score else got[:2]
-
+    stats = functools.cache(lambda q, psi: kernel(q, psi, score=True))
     params = _fit_once(stats, n_obs, gamma_hat, fix_mu=False)
     if drop_mu_a:
         se_mu = params.se.get("mu_a")
         if se_mu is not None and abs(params.mu_a) < 1.96 * se_mu:
             params = _fit_once(stats, n_obs, gamma_hat, fix_mu=True)
             params.mu_a_dropped = True
-    _LOG.info("%d likelihood kernel passes", len(memo))
+    _LOG.info("%d likelihood kernel passes", stats.cache_info().currsize)
     if not params.converged:
         _LOG.warning("warning: optimizer did not converge: %s", params.optimizer_message)
     return params

@@ -1058,7 +1058,7 @@ def test_fit_step2_exits_4_when_no_start_converges(pipeline_dir, fitted_out, mon
     from scarr.search import _Search
 
     def failed(x0, **kwargs):
-        yield [x0]
+        yield x0
         return _Search(x=x0, fun=math.inf, nit=0, nfev=0, success=False,
                        message="no step taken")
 

@@ -9,7 +9,7 @@ from scipy import stats
 
 from scarr import step2
 from scarr.data_model import parse_config
-from scarr.errors import ConfigError, DataError
+from scarr.errors import ConfigError, ConvergenceError, DataError
 from scarr.oracle import DenseGaussianOracle, simulate_step2_series
 from scarr.search import _bfgs, _lockstep
 from scarr.step2 import (
@@ -17,14 +17,13 @@ from scarr.step2 import (
     DlmParams,
     Step2Config,
     _full_nll,
+    _full_score,
     _inverse_band,
     _mean_root,
-    _nll,
-    _numeric_hessian,
-    _penalised,
     _profile_kernel,
     _profile_nll,
     _profile_score,
+    _score_hessian,
     fit_mle,
     kalman_filter,
     kalman_smoother,
@@ -258,6 +257,15 @@ def reference_stats(inputs, gamma_hat, q, psi):
     return np.array([[quu, qu1, quc], [qu1, q11, q1c], [quc, q1c, qcc]]), logdet
 
 
+def kernel_matrix(inputs, q, psi):
+    """The dense C = K + q diag(m_t) of ``_profile_kernel``."""
+    m = np.isfinite(inputs.y).sum(axis=1)
+    T = inputs.n_days
+    C = (np.diag(1.0 + psi * psi * np.r_[0.0, np.ones(T - 2), 0.0] + q * m) if T > 1
+         else np.array([[1.0 - psi * psi + q * m[0]]]))
+    return C - psi * (np.eye(T, k=1) + np.eye(T, k=-1))
+
+
 def reference_loglik(p, inputs):
     """Log-likelihood at ``p`` from ``reference_stats`` run on the residuals
     e = y - mu_a - beta_c*c_tilde - gamma_hat*y1, so that Q00 is e'V^-1 e at
@@ -339,7 +347,8 @@ class TestProfileKernel:
         p0 = DlmParams(p.sigma_z, p.sigma_a, p.psi_a, mu_a=0.0, beta_c=p.beta_c,
                        gamma_hat=p.gamma_hat)
         kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
-        ll = -_nll(kernel, n_obs, [p.sigma_z, p.sigma_a, p.psi_a, p.beta_c], [2])
+        ll = -_full_nll(kernel(p.sigma_a**2 / p.sigma_z**2, p.psi_a), n_obs, p.sigma_z,
+                        [p.beta_c], [2])
         assert ll == pytest.approx(log_likelihood(p0, inputs), rel=1e-12, abs=1e-12)
         assert ll == pytest.approx(reference_loglik(p0, inputs), rel=1e-9, abs=1e-12)
 
@@ -389,8 +398,9 @@ class TestProfileKernel:
     @pytest.mark.parametrize("q", [0.0, 1e-12, 1e6])
     def test_extreme_cases_are_finite_or_penalised(self, case, psi, q):
         """At the edges of the search the kernel either agrees with the filter
-        or signals that pttrf found C not positive definite, which the fit
-        turns into its 1e12 penalty; nothing else is raised.  Near a unit root
+        or signals that pttrf found C not positive definite (``LinAlgError``
+        from ``log_likelihood`` too), which the search turns into its 1e12
+        penalty; nothing else is raised.  Near a unit root
         C = K + q M is ill-conditioned, so the bound, fixed before the first
         run, is 1e-9 relative plus 10 T eps cond(C) times the likelihood's
         raw scale N + sum(e^2)/sigma_z^2, e the observation residuals."""
@@ -403,18 +413,16 @@ class TestProfileKernel:
                            y1=rng.uniform(1, 20, size=(T, n)))
         p = DlmParams(sigma_z=1.5, sigma_a=math.sqrt(q) * 1.5, psi_a=psi, mu_a=0.7,
                       beta_c=0.9, gamma_hat=0.6)
-        value = _penalised(lambda params: -log_likelihood(params, inputs))(p)
         kernel, _ = _profile_kernel(inputs, p.gamma_hat)
         try:
             kernel(q, psi)
         except np.linalg.LinAlgError:
-            assert value == 1e12
+            with pytest.raises(np.linalg.LinAlgError):
+                log_likelihood(p, inputs)
             return
-        assert math.isfinite(value) and value != 1e12
-        m = np.isfinite(y).sum(axis=1)
-        C = (np.diag(1.0 + psi * psi * np.r_[0.0, np.ones(T - 2), 0.0] + q * m) if T > 1
-             else np.array([[1.0 - psi * psi + q * m[0]]]))
-        C -= psi * (np.eye(T, k=1) + np.eye(T, k=-1))
+        value = -log_likelihood(p, inputs)
+        assert math.isfinite(value)
+        C = kernel_matrix(inputs, q, psi)
         e = (y - p.mu_a - p.beta_c * inputs.c_tilde - p.gamma_hat * inputs.y1)[np.isfinite(y)]
         scale = e.size + np.sum(e * e) / p.sigma_z**2
         want = -reference_loglik(p, inputs)
@@ -444,12 +452,8 @@ class TestProfileKernel:
         kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
         assume(n_obs >= 3)
         steps = (1e-5 * (q + (1.0 - psi) ** 2), 1e-5 * (1.0 - psi) ** 2)
-        m = np.isfinite(inputs.y).sum(axis=1)
-        T = inputs.n_days
-        C = (np.diag(1.0 + psi * psi * np.r_[0.0, np.ones(T - 2), 0.0] + q * m) if T > 1
-             else np.array([[1.0 - psi * psi + q * m[0]]]))
-        C -= psi * (np.eye(T, k=1) + np.eye(T, k=-1))
-        rounding = 10 * T * np.finfo(float).eps * np.linalg.cond(C) + 1e-12
+        C = kernel_matrix(inputs, q, psi)
+        rounding = 10 * inputs.n_days * np.finfo(float).eps * np.linalg.cond(C) + 1e-12
         for rows in ([1, 2], [2]):
             stats = kernel(q, psi, score=True)
             try:
@@ -463,6 +467,46 @@ class TestProfileKernel:
                 diff = (_profile_nll(kernel(*up), n_obs, rows)[0]
                         - _profile_nll(kernel(*down), n_obs, rows)[0]) / (2 * h)
                 bound = 1e-6 * abs(diff) + rounding * raw / h
+                assert abs(score[j] - diff) <= bound, (rows, j, score[j], diff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_instances())
+    def test_full_score_equals_central_differences(self, instance):
+        """``_full_score`` in (sigma_z, sigma_a, psi_a, *b), with mu_a free and
+        fixed, against central differences of ``_full_nll``.  The bound was
+        fixed before the first run, as in
+        ``test_score_equals_central_differences``.  Each step is 1e-5 of the
+        scale on which -loglik bends: sigma_z for sigma_z; sigma_z
+        sqrt(q + (1 - psi)^2) for sigma_a, so that q moves by at most 2e-5 of
+        that test's q scale; (1 - psi)^2 for psi; and max(|b|, 1) for b, in
+        which -loglik is quadratic.  The score gets 1e-6 relative, and the
+        rounding of the two values 10 T eps cond(C) + 1e-12 of the raw scale
+        N + T + |r|'|Q||r| / sigma_z^2 per unit step, r = (1, -b) on
+        (0, *rows): what logdet and r'Q r can lose to rounding and
+        cancellation."""
+        p, inputs = instance
+        kernel, n_obs = _profile_kernel(inputs, p.gamma_hat)
+        assume(n_obs >= 1)
+        q, psi = p.sigma_a**2 / p.sigma_z**2, p.psi_a
+        T = inputs.n_days
+        rounding = 10 * T * np.finfo(float).eps * np.linalg.cond(kernel_matrix(inputs, q, psi))
+        stats = kernel(q, psi, score=True)
+        for rows in ([1, 2], [2]):
+            b = [p.mu_a, p.beta_c][-len(rows):]
+            vec = [p.sigma_z, p.sigma_a, psi, *b]
+            score = _full_score(stats, n_obs, vec, rows)
+            r = np.zeros(3)
+            r[0], r[rows] = 1.0, np.negative(b)
+            raw = n_obs + T + np.abs(r) @ np.abs(stats[0]) @ np.abs(r) / p.sigma_z**2
+            steps = [1e-5 * p.sigma_z, 1e-5 * p.sigma_z * math.sqrt(q + (1.0 - psi) ** 2),
+                     1e-5 * (1.0 - psi) ** 2, *(1e-5 * max(abs(c), 1.0) for c in b)]
+            for j, h in enumerate(steps):
+                values = []
+                for sign in (1.0, -1.0):
+                    sz, sa, ps, *coef = vec[:j] + [vec[j] + sign * h] + vec[j + 1:]
+                    values.append(_full_nll(kernel(sa**2 / sz**2, ps), n_obs, sz, coef, rows))
+                diff = (values[0] - values[1]) / (2 * h)
+                bound = 1e-6 * abs(diff) + (rounding + 1e-12) * raw / h
                 assert abs(score[j] - diff) <= bound, (rows, j, score[j], diff)
 
     @settings(max_examples=200, deadline=None)
@@ -492,8 +536,8 @@ class TestProfileKernel:
         """Three observations that u = mu + beta c fits to about 1e-3.  The
         full likelihood at the closed-form point equals the profile at rel
         1e-10, and a step delta of 1e-6 from it raises -loglik by
-        delta'Q_xx delta / (2 sigma_z^2) to rel 1e-6, as the numeric Hessian
-        needs; Q00 - 2 q'b + b'Qb loses both to cancellation.  The rounding of
+        delta'Q_xx delta / (2 sigma_z^2) to rel 1e-6, as a difference of
+        likelihoods needs; Q00 - 2 q'b + b'Qb loses both to cancellation.  The rounding of
         two -loglik values of size |loglik| is below 1e-9 of that step."""
         for seed in range(20):
             rng = np.random.default_rng(seed)
@@ -514,8 +558,10 @@ class TestProfileKernel:
     def test_collinear_mean_columns_are_penalised(self):
         """Four observations with c_tilde = 2 at q = psi = 0 give Q[1:, 1:] =
         [[4, 8], [8, 16]] exactly, whose second pivot is 0: b is not
-        identified with mu_a free, so the profile raises ``LinAlgError`` and
-        the fit's wrapper returns 1e12.  With mu_a fixed, b = Q20 / Q22."""
+        identified with mu_a free, so the profile raises ``LinAlgError``, and a
+        fit that sees these statistics at every point gets the 1e12 penalty
+        from every start and converges nowhere.  With mu_a fixed,
+        b = Q20 / Q22."""
         y = np.array([[11.0, 9.0], [12.5, 10.0]])
         inputs = DlmInputs(y=y, c_tilde=np.full_like(y, 2.0), y1=np.full_like(y, 3.0))
         kernel, n_obs = _profile_kernel(inputs, 0.5)
@@ -524,7 +570,9 @@ class TestProfileKernel:
         assert _mean_root(stats[0])[2] == 0.0
         with pytest.raises(np.linalg.LinAlgError):
             _profile_nll(stats, n_obs, [1, 2])
-        assert _penalised(lambda rows: _profile_nll(stats, n_obs, rows)[0])([1, 2]) == 1e12
+        collinear = kernel(0.0, 0.0, score=True)
+        with pytest.raises(ConvergenceError, match="no multistart converged"):
+            step2._fit_once(lambda q, psi: collinear, n_obs, 0.5, fix_mu=False)
         _, b, _ = _profile_nll(stats, n_obs, [2])
         assert b == [stats[0][0, 2] / 16.0]
 
@@ -633,20 +681,46 @@ class TestMle:
         ([2.0, 0.0, 0.0, 0.3], [1, 2]),
     ])
     def test_hessian_holds_a_parameter_whose_step_leaves_the_space(self, x, held):
-        """The numeric Hessian of (sigma_z, sigma_a, psi_a, beta_c) never
-        evaluates outside the parameter space: a coordinate within a step of
-        its bound is held, and the rest is the Hessian of the others."""
+        """The Hessian of (sigma_z, sigma_a, psi_a, beta_c), from differences
+        of the score, never evaluates it outside the parameter space: a
+        coordinate within a step of its bound is held, and the rest is the
+        Hessian of the others.  Here -loglik is v'A v / 2, with score A v."""
         A = np.array([[4.0, 1.0, 0.5, 0.2], [1.0, 3.0, 0.4, 0.1],
                       [0.5, 0.4, 2.0, 0.3], [0.2, 0.1, 0.3, 1.0]])
 
-        def fun(v):
+        def score(v):
             assert v[0] > 0 and v[1] >= 0 and 0 <= v[2] < 1
-            return 0.5 * v @ A @ v
+            return A @ v
 
-        H, got = _numeric_hessian(fun, np.array(x))
+        H, got = _score_hessian(score, np.array(x))
         assert got == held
         free = [i for i in range(4) if i not in held]
         np.testing.assert_allclose(H, A[np.ix_(free, free)], rtol=1e-6)
+
+    @pytest.mark.parametrize("failure", [np.linalg.LinAlgError, OverflowError, ValueError,
+                                         math.nan, math.inf])
+    def test_failed_score_leaves_no_standard_errors(self, monkeypatch, failure):
+        """One score evaluation of the Hessian, its third, raises or is not
+        finite: the fit keeps its estimates and likelihood but has no
+        standard errors, so mu_a is not tested and not dropped."""
+        inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
+        whole = fit_mle(inputs, gamma_hat=0.5, drop_mu_a=False)
+        full_score, calls = step2._full_score, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) != 3:
+                return full_score(*args)
+            if isinstance(failure, float):
+                return [failure, *full_score(*args)[1:]]
+            raise failure("a failed score")
+
+        monkeypatch.setattr(step2, "_full_score", failing)
+        fit = fit_mle(inputs, gamma_hat=0.5)
+        assert len(calls) >= 3  # the failure was reached
+        assert fit.se == {} and not fit.mu_a_dropped
+        names = ("sigma_z", "sigma_a", "psi_a", "mu_a", "beta_c", "loglik", "converged")
+        assert [getattr(fit, nm) for nm in names] == [getattr(whole, nm) for nm in names]
 
     def test_boundary_fit_has_no_psi_se(self, caplog):
         """This series fits psi_a = 2.3e-11 with mu_a = 0, inside the Hessian's
@@ -813,21 +887,24 @@ class TestSearch:
 
             def search(x0, **options):
                 res = yield from _bfgs(x0, **options)
-                searches.extend([res, *(yield [res.x])])
+                searches.extend([res, (yield res.x)])
                 return res
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(step2, "_bfgs", search)
                 fit = step2._fit_once(
-                    lambda q, psi, score=False: kernel(q, psi, score), n_obs, 0.5, fix_mu)
+                    lambda q, psi: kernel(q, psi, score=True), n_obs, 0.5, fix_mu)
             assert len(searches) == 6
             for res, (_, grad) in zip(searches[::2], searches[1::2]):
                 assert not res.success or max(map(abs, grad)) <= 1e-6
 
-            @_penalised
-            def profile(theta):
-                q, psi = math.exp(theta[0]), min(1 / (1 + math.exp(-theta[1])), 1 - 1e-12)
-                return _profile_nll(kernel(q, psi), n_obs, rows)[0]
+            def profile(theta):  # with the fit's 1e12 penalty
+                try:
+                    q, psi = math.exp(theta[0]), min(1 / (1 + math.exp(-theta[1])), 1 - 1e-12)
+                    val = _profile_nll(kernel(q, psi), n_obs, rows)[0]
+                except (OverflowError, ValueError, np.linalg.LinAlgError):
+                    return 1e12
+                return val if math.isfinite(val) else 1e12
 
             ref = min(optimize.minimize(profile, [math.log(0.5625), math.log(psi0 / (1 - psi0))],
                                         method="L-BFGS-B",
