@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    dataset = load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset, daily_series=False)
     kv = _read_config(args, "step1_config.txt")
     spec = parse_config(step1.Step1Config, kv).buffer_spec
     table = cov.build_covariates(dataset, spec)
@@ -107,7 +107,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_fit_step1(args) -> int:
-    dataset = load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset, daily_series=False)
     kv = _read_config(args, "step1_config.txt")
     cfg = parse_config(step1.Step1Config, kv)
     design = step1.assemble_design(dataset, cov.build_covariates(dataset, cfg.buffer_spec), cfg)

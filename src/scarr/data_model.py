@@ -638,8 +638,12 @@ def _vertices(cols) -> np.ndarray:
     return np.array([row[1:3] for row in sorted(zip(*cols))])
 
 
-def load_dataset(path: str) -> Dataset:
-    """Load a dataset directory, resolving and checking all cross-references."""
+def load_dataset(path: str, *, daily_series: bool = True) -> Dataset:
+    """Load a dataset directory, resolving and checking all cross-references.
+
+    With ``daily_series`` false, ``daily_series.csv`` is neither opened nor
+    checked, and ``Dataset.daily_series`` is ``{}``: for a caller that uses
+    only Step I's tables."""
     manifest_path = os.path.join(path, "manifest.txt")
     if not os.path.exists(manifest_path):
         raise DataError(f"missing manifest file: {manifest_path}")
@@ -670,14 +674,14 @@ def load_dataset(path: str) -> Dataset:
         interval_obs, failed = _records(IntervalObservation, *columns)
         unknown = _first_unknown(*_number(columns[0]), sites, "site_id")
         _check(fpath["interval_obs"], lines, unknown, failed)
-    site_attrs, daily_series = {}, {}
+    site_attrs, dense = {}, {}
     if exists("site_attrs"):
         (ids, elevation), lines = table("site_attrs")
         _check(fpath["site_attrs"], lines, _first_unknown(*_number(ids), sites, "site_id"),
                _first_repeat(ids, "duplicate site_id {!r}"))
         site_attrs = {sid: {"elevation_m": elev} for sid, elev in zip(ids, elevation)}
-    if exists("daily_series"):
-        daily_series = _series(table("daily_series", sites, reader=_read_groups, increasing=True))
+    if daily_series and exists("daily_series"):
+        dense = _series(table("daily_series", sites, reader=_read_groups, increasing=True))
 
     pid, xs, ys = [], [], []
     if exists("cmaq_centroids"):
@@ -714,7 +718,7 @@ def load_dataset(path: str) -> Dataset:
         manifest=manifest,
         sites=sites,
         interval_obs=interval_obs,
-        daily_series=daily_series,
+        daily_series=dense,
         cmaq=cmaq,
         traffic=traffic,
         tracts=tracts,

@@ -489,12 +489,22 @@ def _fit_once(stats, n_obs, gamma_hat, fix_mu):
         _LOG.info("%s: no standard error for %s=%.9g: a Hessian step from it leaves the "
                   "parameter space, so the others hold it fixed", model, names[i], x[i])
     names = [nm for i, nm in enumerate(names) if i not in held]
-    try:
-        diag = np.diag(np.linalg.inv(H)).tolist() if H is not None else [0.0]
-    except np.linalg.LinAlgError:
-        diag = [0.0]
-    ok = all(v > 0 for v in diag)
-    params.se = {nm: math.sqrt(v) for nm, v in zip(names, diag)} if ok else {}
+    why = None
+    if H is None:
+        why = "a score evaluation of the Hessian failed or was not finite"
+    else:
+        try:
+            diag = np.diag(np.linalg.inv(H)).tolist()
+        except np.linalg.LinAlgError:
+            why = "the Hessian is singular"
+        else:
+            bad = [f"{nm} is {v:.6g}" for nm, v in zip(names, diag) if not v > 0]
+            if bad:
+                why = f"the inverse Hessian's diagonal entry for {bad[0]} <= 0"
+    if why:
+        _LOG.info("%s: no standard errors: %s%s", model, why,
+                  "" if fix_mu else "; the mu_a drop test is skipped")
+    params.se = {} if why else {nm: math.sqrt(v) for nm, v in zip(names, diag)}
     return params
 
 
@@ -516,12 +526,13 @@ def fit_mle(inputs: DlmInputs, gamma_hat: float = 1.0, drop_mu_a: bool = True) -
     are the inverse of the Hessian in (sigma_z, sigma_a, psi_a, mu_a, beta_c)
     from central differences of the exact score of the full likelihood
     (``_full_score``), less (logged) a parameter whose step would leave the
-    parameter space, which is held fixed; a score that cannot be evaluated
-    leaves no standard errors.  With ``drop_mu_a`` set, the
-    model is refit with mu_a fixed at zero when the estimate is not
-    significant at the 5% level.  Fewer than 10 observed days per free
-    parameter is a ``DataError``.  A fit that did not converge is logged
-    last, as a warning.
+    parameter space, which is held fixed; a score that cannot be evaluated,
+    a singular Hessian or an inverse with a diagonal entry <= 0 leaves no
+    standard errors, with a log line that says which.  With ``drop_mu_a``
+    set, the model is refit with mu_a fixed at zero when the estimate has a
+    standard error and is not significant at the 5% level.  Fewer than 10
+    observed days per free parameter is a ``DataError``.  A fit that did not
+    converge is logged last, as a warning.
     """
     n_free = 5
     n_obs_days = int(np.sum(np.any(np.isfinite(inputs.y), axis=1)))

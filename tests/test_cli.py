@@ -512,14 +512,27 @@ _DATA_CASES = [
 ]
 
 
+def _first_reader(d, out, name):
+    """The first command of the chain that reads the dataset file ``name``:
+    ``features``, but ``fit-step2`` for ``daily_series.csv``, which
+    ``features`` and ``fit-step1`` never open (and so run as usual)."""
+    if name != "daily_series.csv":
+        return "features"
+    for command in ("features", "fit-step1"):
+        assert main([command, str(d), "--out", str(out)]) == 0, command
+    return "fit-step2"
+
+
 @pytest.mark.parametrize("name, line, column, text", _DATA_CASES)
 def test_bad_dataset_value_names_file_and_line(tmp_path, capsys, name, line, column, text):
     d = tmp_path / "mini"
     shutil.copytree(MINI, d)
     path = os.path.join(str(d), name)
     _edit_line(path, line, column, text)
+    out = tmp_path / "out"
+    command = _first_reader(d, out, name)
     capsys.readouterr()
-    assert main(["features", str(d), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert main([command, str(d), "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{path}:{line}:" in err
     assert "Traceback" not in err
@@ -547,12 +560,67 @@ def test_integer_beyond_64_bits_names_file_and_line(tmp_path, capsys, names, col
             if row[0] == rows[-1][0]:
                 row[header.index(column)] = _BEYOND_INT64
         path.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+    out = tmp_path / "out"
+    command = _first_reader(d, out, at[0])
     capsys.readouterr()
-    assert main(["features", str(d), "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert main([command, str(d), "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     where = os.path.join(str(d), at[0])
     assert f"{where}:{at[1]}: {column}: expected a 64-bit integer, got '{_BEYOND_INT64}'" in err, err
     assert "Traceback" not in err
+
+
+def test_each_command_opens_only_the_tables_it_uses(tmp_path, monkeypatch):
+    """Every command opens every dataset table but ``daily_series.csv``,
+    which only ``fit-step2``, ``predict`` and ``validate`` open."""
+    from scarr import data_model
+
+    opened, read_text = [], data_model.read_text
+
+    def recorded(path, *args):
+        opened.append(path)
+        return read_text(path, *args)
+
+    monkeypatch.setattr(data_model, "read_text", recorded)
+    tables = {"manifest.txt", *data_model._DEFAULT_FILES.values()}
+    for command in ("features", "fit-step1", "fit-step2", "predict", "validate"):
+        opened.clear()
+        assert main([command, MINI, "--out", str(tmp_path / "out")]) == 0, command
+        got = {os.path.basename(p) for p in opened if os.path.dirname(p) == MINI}
+        skipped = {"daily_series.csv"} if command in ("features", "fit-step1") else set()
+        assert got == tables - skipped, command
+
+
+@pytest.mark.parametrize("config", ["", "error_model=exponential"], ids=["default", "exponential"])
+def test_step1_commands_do_not_need_the_daily_series(tmp_path, capsys, config):
+    """``features`` and ``fit-step1`` write the same bytes, products and
+    stderr, whether ``daily_series.csv`` is intact, missing or holds a bad
+    line; on the bad line the commands that read it exit 3 naming it."""
+    d = tmp_path / "mini"
+    shutil.copytree(MINI, d)
+    if config:
+        (d / "step1_config.txt").write_text(config + "\n")
+    daily = d / "daily_series.csv"
+    intact = daily.read_text()
+
+    def step1_run(tag):
+        out, runs = tmp_path / tag, []
+        for command, product in (("features", "covariates.csv"), ("fit-step1", "step1_fit.txt")):
+            capsys.readouterr()
+            assert main([command, str(d), "--out", str(out)]) == 0
+            runs.append(((out / product).read_bytes(), capsys.readouterr().err))
+        return runs
+
+    want = step1_run("intact")
+    daily.unlink()
+    assert step1_run("missing") == want
+    daily.write_text(intact)
+    _edit_line(str(daily), 5, "day", "five")
+    assert step1_run("bad") == want
+    for command in ("fit-step2", "predict", "validate"):
+        capsys.readouterr()
+        assert main([command, str(d), "--out", str(tmp_path / "bad")]) == EXIT_DATA, command
+        assert f"{daily}:5:" in capsys.readouterr().err, command
 
 
 _CONFIG_CASES = [

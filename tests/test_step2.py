@@ -698,17 +698,23 @@ class TestMle:
         np.testing.assert_allclose(H, A[np.ix_(free, free)], rtol=1e-6)
 
     @pytest.mark.parametrize("failure", [np.linalg.LinAlgError, OverflowError, ValueError,
-                                         math.nan, math.inf])
-    def test_failed_score_leaves_no_standard_errors(self, monkeypatch, failure):
+                                         math.nan, math.inf, "singular", "negative"])
+    def test_failed_score_leaves_no_standard_errors(self, monkeypatch, caplog, failure):
         """One score evaluation of the Hessian, its third, raises or is not
-        finite: the fit keeps its estimates and likelihood but has no
-        standard errors, so mu_a is not tested and not dropped."""
+        finite; or every one returns the same score, so H = 0 is singular; or
+        every one is negated, so H's inverse has a diagonal entry <= 0.  The
+        fit keeps its estimates and likelihood but has no standard errors, so
+        mu_a is not tested and not dropped, and one log line says why."""
         inputs, _ = simulate_step2_series(T=120, n=3, seed=3)
         whole = fit_mle(inputs, gamma_hat=0.5, drop_mu_a=False)
         full_score, calls = step2._full_score, []
 
         def failing(*args):
             calls.append(args)
+            if failure == "singular":
+                return [1.0] * len(args[2])
+            if failure == "negative":
+                return [-v for v in full_score(*args)]
             if len(calls) != 3:
                 return full_score(*args)
             if isinstance(failure, float):
@@ -716,11 +722,19 @@ class TestMle:
             raise failure("a failed score")
 
         monkeypatch.setattr(step2, "_full_score", failing)
-        fit = fit_mle(inputs, gamma_hat=0.5)
+        with caplog.at_level(logging.INFO, logger="scarr.step2"):
+            fit = fit_mle(inputs, gamma_hat=0.5)
         assert len(calls) >= 3  # the failure was reached
         assert fit.se == {} and not fit.mu_a_dropped
         names = ("sigma_z", "sigma_a", "psi_a", "mu_a", "beta_c", "loglik", "converged")
         assert [getattr(fit, nm) for nm in names] == [getattr(whole, nm) for nm in names]
+        why = {"singular": "the Hessian is singular",
+               "negative": "the inverse Hessian's diagonal entry for sigma_z is -"}.get(
+            failure, "a score evaluation of the Hessian failed or was not finite")
+        lines = [r.getMessage() for r in caplog.records if "no standard errors" in r.getMessage()]
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"mu_a free: no standard errors: {why}"), lines
+        assert lines[0].endswith("; the mu_a drop test is skipped"), lines
 
     def test_boundary_fit_has_no_psi_se(self, caplog):
         """This series fits psi_a = 2.3e-11 with mu_a = 0, inside the Hessian's
